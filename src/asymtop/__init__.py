@@ -76,6 +76,7 @@ from .wavefunctions import (
     mobius_phase,
     pde_residual,
     psi_eval,
+    psi_grid,
     psi_via_kernel,
     so3_norm,
     state_jms,

@@ -29,10 +29,11 @@ from .errors import DegenerateParamsError, DomainError
 from .lambda_rep import ComplexQ, delta_j
 from .so3 import IDENTITY, EulerAngles
 from .spectra import ROUTES, TopParams, phi_state, require_strict, spectrum
-from .verify import CHECK_NAMES, DEFAULT_TOLS, run_all
-from .wavefunctions import _psi_values, kernel_conj_defect, kernel_eval
+from .verify import CHECKS, run_all
+from .wavefunctions import kernel_conj_defect, kernel_eval, psi_grid
 
 _DEFAULTS = {"A": 3.0, "B": 2.0, "C": 1.0, "jmax": 4, "seed": 42, "routes": ",".join(ROUTES), "format": "csv"}
+_DEFAULTS.update({f"tol-{c.name}": c.tol for c in CHECKS})
 
 LEVELS_HEADER = "j,s,class,E_wigner,E_lambda,E_lame,max_disagreement"
 WAVE_HEADER = "phi,theta,psi,re_psi,im_psi"
@@ -40,10 +41,6 @@ WAVE_HEADER = "phi,theta,psi,re_psi,im_psi"
 
 def _fmt(x: float) -> str:
     return "%.17g" % (float(x) + 0.0)  # +0.0 folds -0.0 into 0
-
-
-def _tol_dest(name: str) -> str:
-    return "tol_" + name.replace("-", "_")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,13 +64,12 @@ def _add_shared(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
     sp.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
     sp.add_argument("--config", default=None, help="key=value file; flags override")
-    for name in CHECK_NAMES:
+    for c in CHECKS:
         sp.add_argument(
-            f"--tol-{name}",
+            f"--tol-{c.name}",
             type=float,
             default=None,
-            dest=_tol_dest(name),
-            help=f"tolerance for the {name} check (default {DEFAULT_TOLS[name]:g})",
+            help=f"tolerance for the {c.name} check (default {c.tol:g})",
         )
 
 
@@ -157,13 +153,7 @@ def _settings(args):
             raise DomainError(f"unknown route {r!r}; choose from {ROUTES}")
     if not route_list:
         raise DomainError("at least one route is required")
-    tols = dict(DEFAULT_TOLS)
-    for name in CHECK_NAMES:
-        if f"tol-{name}" in cfg:
-            tols[name] = float(cfg[f"tol-{name}"])
-        flag = getattr(args, _tol_dest(name), None)
-        if flag is not None:
-            tols[name] = flag
+    tols = {c.name: _resolve(args, cfg, f"tol-{c.name}", float) for c in CHECKS}
     return p, jmax, seed, fmt, route_list, tols
 
 
@@ -235,7 +225,7 @@ def cmd_wave(args) -> int:
     az = 2.0 * np.pi * np.arange(n) / n
     th = np.pi * (np.arange(n) + 1.0) / (n + 1.0)  # interior: poles excluded
     phi_g, th_g, psi_g = np.meshgrid(az, th, az, indexing="ij")
-    vals = _psi_values(qv, coeffs, phi_g.ravel(), th_g.ravel(), psi_g.ravel())
+    vals = psi_grid(qv, coeffs, phi_g.ravel(), th_g.ravel(), psi_g.ravel())
     cols = np.column_stack(
         [phi_g.ravel(), th_g.ravel(), psi_g.ravel(), vals.real, vals.imag]
     )

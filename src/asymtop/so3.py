@@ -229,16 +229,6 @@ class HaarRule:
     psi: np.ndarray
     weights: np.ndarray  # aligned with the flattened (phi, theta, psi) grid
 
-    @property
-    def nodes(self) -> list[tuple[EulerAngles, float]]:
-        return [
-            (EulerAngles(p, t, s), w)
-            for p, t, s, w in zip(self.phi, self.theta, self.psi, self.weights)
-        ]
-
-    def integrate(self, f: Callable[[EulerAngles], complex]) -> complex:
-        return sum(w * f(g) for g, w in self.nodes)
-
 
 def haar_rule(degree: int, n_phi: int | None = None, n_theta: int | None = None) -> HaarRule:
     """Build a normalized Haar rule exact through Wigner degree `degree`.

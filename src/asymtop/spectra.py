@@ -43,9 +43,8 @@ from .errors import (
     NotTerminatingError,
     PoleError,
     RootCountError,
-    ToleranceError,
 )
-from .lambda_rep import ComplexQ, FourierState, ell_matrix, weight_vector
+from .lambda_rep import ComplexQ, FourierState, weight_vector
 
 ROUTES = ("wigner", "lambda", "lame")
 
@@ -130,9 +129,14 @@ def h_matrix_wigner(j: int, p: TopParams) -> np.ndarray:
     return p.A * J1 @ J1 + p.B * J2 @ J2 + p.C * J3 @ J3
 
 
-def _h_lambda_ode(j: int, p: TopParams) -> np.ndarray:
-    # Fourier image of the reduced one-variable operator: e^{inq} couples
-    # only to n, n+-2.
+def h_matrix_lambda(j: int, p: TopParams) -> np.ndarray:
+    """Matrix of A(-il1)^2 + B(-il2)^2 + C(-il3)^2 on the e^{inq} basis.
+
+    Built from the explicit coefficients of the reduced one-variable
+    operator: e^{inq} couples only to n and n+-2.  That it equals the
+    product of the generator matrices is checked by verify's
+    gram-hermiticity check.
+    """
     dim = 2 * j + 1
     out = np.zeros((dim, dim), dtype=complex)
     for n in range(-j, j + 1):
@@ -143,24 +147,6 @@ def _h_lambda_ode(j: int, p: TopParams) -> np.ndarray:
         if n - 2 >= -j:
             out[k - 2, k] = 0.25 * (p.A - p.B) * (j + n) * (j + n - 1)
     return out
-
-
-def h_matrix_lambda(j: int, p: TopParams) -> np.ndarray:
-    """Matrix of A(-il1)^2 + B(-il2)^2 + C(-il3)^2 on the e^{inq} basis.
-
-    Built twice, from generator products and from the explicit ODE
-    coefficients; the constructions must coincide.
-    """
-    ms = [-1j * ell_matrix(a, j) for a in (1, 2, 3)]
-    from_ops = p.A * ms[0] @ ms[0] + p.B * ms[1] @ ms[1] + p.C * ms[2] @ ms[2]
-    from_ode = _h_lambda_ode(j, p)
-    scale = max(1.0, float(np.abs(from_ode).max()))
-    defect = float(np.abs(from_ops - from_ode).max())
-    if defect > 1e-12 * scale:
-        raise ToleranceError(
-            f"operator-product and ODE constructions disagree by {defect:.3e}"
-        )
-    return from_ode
 
 
 def h_matrix_lambda_symmetrized(j: int, p: TopParams) -> np.ndarray:
@@ -377,12 +363,6 @@ def _fix_phase(coeffs: np.ndarray, j: int) -> np.ndarray:
     return coeffs
 
 
-def _lambda_eigensystem(j: int, p: TopParams):
-    sym = h_matrix_lambda_symmetrized(j, p)
-    vals, vecs = np.linalg.eigh(sym)
-    return vals, vecs
-
-
 def _warn_if_degenerate(vals: np.ndarray, idx: int) -> None:
     scale = max(1.0, float(np.abs(vals).max()))
     gaps = [
@@ -401,7 +381,7 @@ def phi_state(j: int, s: int, p: TopParams) -> FourierState:
     """Eigenstate Phi_{j,s} with (Phi,Phi)_Q = 2j+1, deterministic phase."""
     if abs(s) > j:
         raise DomainError(f"|s| must be <= j={j}")
-    vals, vecs = _lambda_eigensystem(j, p)
+    vals, vecs = np.linalg.eigh(h_matrix_lambda_symmetrized(j, p))
     idx = s + j
     _warn_if_degenerate(vals, idx)
     u = vecs[:, idx]

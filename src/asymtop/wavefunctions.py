@@ -77,7 +77,16 @@ def _mobius_grid(qv: complex, phi, theta, psi):
     return base, w
 
 
-def _psi_values(qv: complex, coeffs: np.ndarray, phi, theta, psi) -> np.ndarray:
+def psi_grid(
+    qv: complex, state: FourierState | np.ndarray, phi, theta, psi
+) -> np.ndarray:
+    """Closed-form Psi_{q,j,s} at every point of the Euler-angle arrays.
+
+    qv is the complex angle (ComplexQ.value); state is Phi_{j,s} as a
+    FourierState or its 2j+1 coefficients.  The arrays broadcast together;
+    exact pole nodes of the phase map are nudged, not rejected.
+    """
+    coeffs = state.coeffs if isinstance(state, FourierState) else np.asarray(state)
     j = (len(coeffs) - 1) // 2
     base, w = _mobius_grid(qv, np.asarray(phi), np.asarray(theta), np.asarray(psi))
     pows = w[..., None] ** np.arange(-j, j + 1)
@@ -209,8 +218,8 @@ def pde_residual(
     energy = spectrum(j, p, route="lambda")[s + j].E
     qv = q.value
 
-    def psi_fn(gg: EulerAngles, _qv=qv) -> complex:
-        return complex(_psi_values(_qv, coeffs, gg.phi, gg.theta, gg.psi))
+    def psi_fn(gg: EulerAngles) -> complex:
+        return complex(psi_grid(qv, coeffs, gg.phi, gg.theta, gg.psi))
 
     weights = (p.A, p.B, p.C)
     h_psi = 0.0 + 0.0j
@@ -223,8 +232,8 @@ def pde_residual(
 
     psi0 = psi_fn(g)
     dq = (
-        complex(_psi_values(qv + h, coeffs, g.phi, g.theta, g.psi))
-        - complex(_psi_values(qv - h, coeffs, g.phi, g.theta, g.psi))
+        complex(psi_grid(qv + h, coeffs, g.phi, g.theta, g.psi))
+        - complex(psi_grid(qv - h, coeffs, g.phi, g.theta, g.psi))
     ) / (2.0 * h)
     ell = (
         -1j * cmath.sin(qv) * dq + 1j * j * cmath.cos(qv) * psi0,
@@ -244,7 +253,7 @@ def so3_norm(q: ComplexQ, j: int, s: int, p: TopParams, rule: HaarRule) -> float
     """Haar integral of |Psi_{q,j,s}|^2; equals delta_j(q, conj(q))."""
     if rule.degree < j:
         raise DomainError(f"rule degree {rule.degree} < j={j}")
-    vals = _psi_values(q.value, phi_state(j, s, p).coeffs, rule.phi, rule.theta, rule.psi)
+    vals = psi_grid(q.value, phi_state(j, s, p), rule.phi, rule.theta, rule.psi)
     return float(np.sum(rule.weights * np.abs(vals) ** 2))
 
 

@@ -1,0 +1,51 @@
+import json
+
+import pytest
+
+from asymtop import TopParams, verify
+from asymtop.cli import main
+from asymtop.verify import CHECKS, check_gram_hermiticity, check_pde_residual, run_all
+
+P321 = TopParams(3.0, 2.0, 1.0)
+NAMES = [c.name for c in CHECKS]
+
+
+def _verify_tols(capsys, argv):
+    code = main(["verify", "--jmax", "0", "--format", "json", *argv])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    return {row["check"]: row["tol"] for row in doc["checks"]}
+
+
+def test_run_all_follows_the_table():
+    assert [r.name for r in run_all(P321, jmax=0)] == NAMES
+
+
+def test_cli_flags_and_config_keys_follow_the_table(tmp_path, capsys):
+    # distinct loose tolerances, so every check passes and each value is traceable
+    wanted = {name: 10.0 + k for k, name in enumerate(NAMES)}
+    flags = [arg for name in NAMES for arg in (f"--tol-{name}", str(wanted[name]))]
+    tols = _verify_tols(capsys, flags)
+    assert list(tols) == NAMES
+    assert tols == wanted
+    cfg = tmp_path / "tols.cfg"
+    cfg.write_text("".join(f"tol-{name} = {wanted[name]}\n" for name in NAMES))
+    assert _verify_tols(capsys, ["--config", str(cfg)]) == wanted
+    assert _verify_tols(capsys, []) == {c.name: c.tol for c in CHECKS}
+
+
+@pytest.mark.parametrize("target", ["h_matrix_lambda", "ell_matrix"])
+def test_gram_hermiticity_compares_ode_and_operator_constructions(monkeypatch, target):
+    # a uniform 1e-9 rescale keeps every matrix Gram-self-adjoint, so only the
+    # ODE-vs-generator-product identity can see it
+    original = getattr(verify, target)
+    monkeypatch.setattr(verify, target, lambda *args: (1.0 + 1e-9) * original(*args))
+    result = check_gram_hermiticity(P321)
+    assert not result.passed
+    assert result.defect > 1e-10
+
+
+def test_pde_residual_not_fooled_by_rounding_near_the_pole():
+    # j=1 residual at theta near pi sits on the rounding floor at h = 5e-4
+    p = TopParams(2.2585069608950636, 1.1666653838424454, 0.7594536690222149)
+    assert check_pde_residual(p, seed=582196194).passed
