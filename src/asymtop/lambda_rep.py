@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceWarning, DimensionError, DomainError
-from .wigner import check_dimension
+from .wigner import check_dimension, log_factorials
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,13 +59,13 @@ class FourierState:
         object.__setattr__(self, "coeffs", check_dimension(self.j, self.coeffs))
 
 
-def weight_B(n: int, j: int) -> float:
-    """B_nj = (j!)^2 / ((j-n)!(j+n)!)."""
-    if abs(n) > j:
+def weight_B(n, j: int):
+    """B_nj = (j!)^2 / ((j-n)!(j+n)!), broadcast over n."""
+    n = np.asarray(n)
+    if (np.abs(n) > j).any():
         raise DomainError(f"|n| must be <= j={j}")
-    return math.exp(
-        2.0 * math.lgamma(j + 1) - math.lgamma(j - n + 1) - math.lgamma(j + n + 1)
-    )
+    lf = log_factorials(2 * j)
+    return np.exp(2.0 * lf[j] - lf[j - n] - lf[j + n])
 
 
 def const_C(j: int) -> float:
@@ -76,7 +76,7 @@ def const_C(j: int) -> float:
 
 
 def weight_vector(j: int) -> np.ndarray:
-    return np.array([weight_B(n, j) for n in range(-j, j + 1)])
+    return weight_B(np.arange(-j, j + 1), j)
 
 
 def ell_matrix(a: int, j: int) -> np.ndarray:
@@ -91,24 +91,16 @@ def ell_matrix(a: int, j: int) -> np.ndarray:
     """
     if j < 0:
         raise DomainError("j must be >= 0")
-    dim = 2 * j + 1
-    out = np.zeros((dim, dim), dtype=complex)
-    for n in range(-j, j + 1):
-        k = n + j
-        if a == 3:
-            out[k, k] = 1j * n
-            continue
-        if a == 1:
-            up, dn = 0.5j * (j - n), 0.5j * (j + n)
-        elif a == 2:
-            up, dn = 0.5 * (n - j), 0.5 * (n + j)
-        else:
-            raise DomainError(f"generator index must be 1, 2 or 3, got {a}")
-        if n + 1 <= j:
-            out[k + 1, k] = up
-        if n - 1 >= -j:
-            out[k - 1, k] = dn
-    return out
+    n = np.arange(-j, j + 1)
+    if a == 3:
+        return np.diag(1j * n)
+    if a == 1:
+        up, dn = 0.5j * (j - n), 0.5j * (j + n)
+    elif a == 2:
+        up, dn = 0.5 * (n - j), 0.5 * (n + j)
+    else:
+        raise DomainError(f"generator index must be 1, 2 or 3, got {a}")
+    return (np.diag(up[:-1], -1) + np.diag(dn[1:], 1)).astype(complex)
 
 
 def casimir_matrix(j: int) -> np.ndarray:
@@ -141,13 +133,13 @@ def delta_j(q: ComplexQ, qp: ComplexQ, j: int) -> complex:
     return (2 * j + 1) / const_C(j) * (1.0 + np.cos(w)) ** j
 
 
-def evaluate_state(u: FourierState, q: ComplexQ, beta_cap: float = 50.0) -> complex:
+def evaluate_state(u: FourierState, q: ComplexQ) -> complex:
     """Evaluate sum_n c_n e^{inq} at a complex angle.
 
     Raises OverflowError when |j * beta| is large enough to overflow the
-    exponentials (|beta| capped at beta_cap by default).
+    exponentials, and for any |beta| > 50.
     """
-    if abs(q.beta) > beta_cap or u.j * abs(q.beta) > 700.0:
+    if abs(q.beta) > 50.0 or u.j * abs(q.beta) > 700.0:
         raise OverflowError(f"|beta|={abs(q.beta)} too large for j={u.j}")
     z = np.exp(1j * q.value)
     powers = z ** np.arange(-u.j, u.j + 1)
@@ -214,8 +206,6 @@ def inner_product_quadrature(
     u: FourierState,
     v: FourierState,
     beta_max: float | None = None,
-    n_alpha: int | None = None,
-    n_beta: int | None = None,
     tol: float = 1e-8,
 ) -> complex:
     """(u, v)_Q by explicit quadrature over the complex angle domain.
@@ -227,7 +217,7 @@ def inner_product_quadrature(
     if u.j != v.j:
         raise DimensionError(f"states live in different F^j: {u.j} != {v.j}")
     j = u.j
-    rule = q_rule(j, beta_max=beta_max, n_alpha=n_alpha, n_beta=n_beta)
+    rule = q_rule(j, beta_max=beta_max)
     kappa = const_C(j) / TWO_PI
     norm1 = float(np.sum(np.abs(u.coeffs))) * float(np.sum(np.abs(v.coeffs)))
     tail = TWO_PI * kappa * norm1 * 2.0 ** (j + 2) * math.exp(-2.0 * rule.beta_max)

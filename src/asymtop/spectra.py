@@ -137,15 +137,11 @@ def h_matrix_lambda(j: int, p: TopParams) -> np.ndarray:
     product of the generator matrices is checked by verify's
     gram-hermiticity check.
     """
-    dim = 2 * j + 1
-    out = np.zeros((dim, dim), dtype=complex)
-    for n in range(-j, j + 1):
-        k = n + j
-        out[k, k] = 0.5 * (p.A + p.B) * (j * (j + 1) - n * n) + p.C * n * n
-        if n + 2 <= j:
-            out[k + 2, k] = 0.25 * (p.A - p.B) * (j - n) * (j - n - 1)
-        if n - 2 >= -j:
-            out[k - 2, k] = 0.25 * (p.A - p.B) * (j + n) * (j + n - 1)
+    n = np.arange(-j, j + 1)
+    out = np.diag(0.5 * (p.A + p.B) * (j * (j + 1) - n * n) + p.C * n * n).astype(complex)
+    k = np.arange(2 * j - 1)
+    out[k + 2, k] = 0.25 * (p.A - p.B) * (j - n[:-2]) * (j - n[:-2] - 1)
+    out[k, k + 2] = 0.25 * (p.A - p.B) * (j + n[2:]) * (j + n[2:] - 1)
     return out
 
 
@@ -194,22 +190,18 @@ def _leading_power(N: int, j: int) -> float:
     return j / 2.0 - 1.0
 
 
-def _alpha(t: float, a: float, c: float, j: int) -> float:
-    return 4 * t * t + (2 + 8 * a + 8 * c) * t + 8 * a * c + 4 * a + 4 * c - j * (j + 1)
+# Quadratics in t (a float or an array of them), in Horner form with the
+# t-free parts summed first: on an array each costs four array operations.
+def _alpha(t, a: float, c: float, j: int):
+    return t * (4 * t + (2 + 8 * a + 8 * c)) + (8 * a * c + 4 * a + 4 * c - j * (j + 1))
 
 
-def _beta_no_e(t: float, a: float, c: float, j: int, p: TopParams) -> float:
+def _beta_no_e(t, a: float, c: float, j: int, p: TopParams):
     u, v = p.u, p.v
-    return (
-        4 * t * (t - 1) * (v - u)
-        + t * (4 * (v - u) + 8 * a * v - 8 * c * u)
-        + 2 * a * v
-        - 2 * c * u
-        - j * (j + 1) * p.B
-    )
+    return t * (4 * (v - u) * t + 8 * (a * v - c * u)) + (2 * (a * v - c * u) - j * (j + 1) * p.B)
 
 
-def _gamma(t: float, p: TopParams) -> float:
+def _gamma(t, p: TopParams):
     return -2.0 * p.u * p.v * t * (2 * t - 1)
 
 
@@ -228,30 +220,35 @@ def lame_recurrence(N: int, j: int, p: TopParams) -> np.ndarray:
     a, c = _CLASS_EXPONENTS[N]
     K = _class_size(N, j)
     pw = _leading_power(N, j)
-    T = np.zeros((K, K))
-    for i in range(K):
-        T[i, i] = -_beta_no_e(pw - i, a, c, j, p)
-        if i + 1 < K:
-            T[i, i + 1] = -_alpha(pw - (i + 1), a, c, j)
-        if i - 1 >= 0:
-            T[i, i - 1] = -_gamma(pw - (i - 1), p)
-    return T
+    t = pw - np.arange(K)
+    T = np.diag(_beta_no_e(t, a, c, j, p))
+    T.flat[1 :: K + 1] = _alpha(t[1:], a, c, j)  # T[i, i+1]
+    T.flat[K :: K + 1] = _gamma(t[:-1], p)  # T[i+1, i]
+    return -T
 
 
 def lame_spectrum(j: int, p: TopParams) -> list[EnergyLevel]:
-    """Union of the four class spectra; exactly 2j+1 levels."""
+    """Union of the four class spectra; exactly 2j+1 levels.
+
+    Each companion T is tridiagonal with positive off-diagonal products, so
+    the diagonal similarity that makes it symmetric, with off-diagonals
+    sqrt(T[i,i+1] T[i+1,i]), lets a symmetric eigensolver find its roots.
+    """
     roots: list[tuple[float, int]] = []
-    scale = max(1.0, p.A) * j * (j + 1) + 1.0
     for N in (1, 2, 3, 4):
         T = lame_recurrence(N, j, p)
         if T.shape[0] != _class_size(N, j):
             raise RootCountError(f"class {N} produced {T.shape[0]} conditions")
         if T.size == 0:
             continue
-        vals = np.linalg.eigvals(T)
-        if float(np.abs(vals.imag).max()) > 1e-8 * scale:
-            raise RootCountError(f"class {N} roots are not real: {vals}")
-        roots.extend((float(E), N) for E in vals.real)
+        prods = T.diagonal(1) * T.diagonal(-1)
+        if (prods <= 0.0).any():
+            raise RootCountError(
+                f"class {N} recurrence has off-diagonal product {prods.min():.3e} <= 0"
+            )
+        K = T.shape[0]  # symmetrize in place: both off-diagonals sqrt(prods)
+        T.flat[1 :: K + 1] = T.flat[K :: K + 1] = np.sqrt(prods)
+        roots.extend((float(E), N) for E in np.linalg.eigvalsh(T))
     if len(roots) != 2 * j + 1:
         raise RootCountError(f"expected {2 * j + 1} roots, found {len(roots)}")
     roots.sort(key=lambda t: t[0])
@@ -429,6 +426,6 @@ def phi_state_series(j: int, s: int, p: TopParams) -> FourierState:
     values = den ** (j / 2.0) * weight * poly
 
     spec = np.fft.fft(values) / ngrid
-    coeffs = np.array([spec[n % ngrid] for n in range(-j, j + 1)])
+    coeffs = spec[np.arange(-j, j + 1) % ngrid]
     norm = math.sqrt((2 * j + 1) / np.sum(np.abs(coeffs) ** 2 / weight_vector(j)).real)
     return FourierState(j=j, coeffs=_fix_phase(coeffs * norm, j))

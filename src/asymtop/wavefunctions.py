@@ -148,19 +148,13 @@ def t_matrix(j: int, g: EulerAngles) -> np.ndarray:
     return (root_b[:, None] / root_b[None, :]) * (phase[:, None] * np.conj(phase)[None, :]) * d
 
 
-def t_matrix_quadrature(
-    j: int,
-    g: EulerAngles,
-    beta_max: float | None = None,
-    n_alpha: int | None = None,
-    n_beta: int | None = None,
-) -> np.ndarray:
+def t_matrix_quadrature(j: int, g: EulerAngles) -> np.ndarray:
     """t by direct double quadrature of the kernel against the basis.
 
     t_mn = B_m * Iint conj(e^{imq}) D^j_{qq'}(g) e^{inq'} dmu(q) dmu(q');
     slow, used to validate the closed form at small j.
     """
-    rule = q_rule(j, beta_max=beta_max, n_alpha=n_alpha, n_beta=n_beta)
+    rule = q_rule(j)
     n = np.arange(-j, j + 1)
     left = np.exp(-1j * np.outer(np.conj(rule.nodes), n))  # conj(psi_m)(q_a)
     right = np.exp(1j * np.outer(rule.nodes, n))

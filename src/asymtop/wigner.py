@@ -7,8 +7,10 @@ D^j_{mn}(g) = e^{i(m phi + n psi)} d^j_{mn}(theta) with
                       * P^{(m-n, m+n)}_{j-m}(cos theta).
 
 The closed form is evaluated directly for m >= |n| and extended elsewhere by
-the symmetries d_{mn} = (-1)^{m-n} d_{nm} = d_{-n,-m}.  Factorial ratios go
-through log-gamma so j up to ~50 keeps full relative precision.
+the symmetries d_{mn} = (-1)^{m-n} d_{nm} = d_{-n,-m}.  jacobi_poly and
+wigner_small_d broadcast over their index and angle arguments, so a whole
+matrix, or a stack of them over many theta, is one evaluation.  Factorial
+ratios go through log-gamma so j up to ~50 keeps full relative precision.
 """
 
 from __future__ import annotations
@@ -21,64 +23,54 @@ from .errors import DimensionError, DomainError
 from .so3 import EulerAngles, HaarRule
 
 
-def jacobi_poly(k: int, alpha: float, beta: float, z: float) -> float:
-    """Jacobi polynomial P_k^{(alpha,beta)}(z) by the three-term recurrence."""
-    if k < 0:
+def log_factorials(kmax: int) -> np.ndarray:
+    """log(k!) for k = 0..kmax, one math.lgamma table."""
+    return np.array([math.lgamma(k + 1.0) for k in range(kmax + 1)])
+
+
+def jacobi_poly(k, alpha, beta, z):
+    """Jacobi polynomial P_k^{(alpha,beta)}(z) by the three-term recurrence.
+
+    Broadcasts over all four arguments; each entry stops at its own degree.
+    """
+    k = np.asarray(k)
+    if (k < 0).any():
         raise DomainError("polynomial degree must be >= 0")
-    p_prev = 1.0
-    if k == 0:
-        return p_prev
-    p = (alpha + 1.0) + (alpha + beta + 2.0) * (z - 1.0) / 2.0
-    for n in range(2, k + 1):
-        ab = alpha + beta
-        c1 = 2.0 * n * (n + ab) * (2.0 * n + ab - 2.0)
-        c2 = (2.0 * n + ab - 1.0) * ((2.0 * n + ab) * (2.0 * n + ab - 2.0) * z + alpha * alpha - beta * beta)
-        c3 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + ab)
-        p, p_prev = (c2 * p - c3 * p_prev) / c1, p
-    return p
+    ab = alpha + beta
+    a2, b2 = alpha * alpha, beta * beta
+    p_prev = np.ones(np.broadcast(k, ab, z).shape)
+    p = np.where(k >= 1, (alpha + 1.0) + (ab + 2.0) * (z - 1.0) / 2.0, p_prev)
+    for n in range(2, int(k.max(initial=0)) + 1):
+        s = 2.0 * n + ab
+        c1 = 2.0 * n * (n + ab) * (s - 2.0)
+        c2 = (s - 1.0) * (s * (s - 2.0) * z + a2 - b2)
+        c3 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * s
+        live = n <= k
+        p, p_prev = np.where(live, (c2 * p - c3 * p_prev) / c1, p), np.where(live, p, p_prev)
+    return p[()]
 
 
-def _fact_ratio_sqrt(j: int, m: int, n: int) -> float:
-    # sqrt((j+m)!(j-m)! / ((j+n)!(j-n)!))
-    return math.exp(
-        0.5
-        * (
-            math.lgamma(j + m + 1)
-            + math.lgamma(j - m + 1)
-            - math.lgamma(j + n + 1)
-            - math.lgamma(j - n + 1)
-        )
-    )
-
-
-def _small_d_direct(j: int, m: int, n: int, theta: float) -> float:
-    # valid for m - n >= 0 and m + n >= 0
-    half = 0.5 * theta
-    sign = -1.0 if (m - n) % 2 else 1.0
-    return (
-        sign
-        * _fact_ratio_sqrt(j, m, n)
-        * math.sin(half) ** (m - n)
-        * math.cos(half) ** (m + n)
-        * jacobi_poly(j - m, m - n, m + n, math.cos(theta))
-    )
-
-
-def wigner_small_d(j: int, m: int, n: int, theta: float) -> float:
-    """Reduced matrix element d^j_{mn}(theta)."""
-    if j < 0:
+def wigner_small_d(j, m, n, theta):
+    """Reduced matrix element d^j_{mn}(theta), broadcast over all arguments."""
+    j, m, n = np.asarray(j), np.asarray(m), np.asarray(n)
+    if (j < 0).any():
         raise DomainError("j must be >= 0")
-    if abs(m) > j or abs(n) > j:
+    if (np.abs(m) > j).any() or (np.abs(n) > j).any():
         raise DomainError(f"|m|, |n| must be <= j={j}")
-    if m >= abs(n):
-        return _small_d_direct(j, m, n, theta)
-    if n >= abs(m):
-        sign = -1.0 if (m - n) % 2 else 1.0
-        return sign * _small_d_direct(j, n, m, theta)
-    if -m >= abs(n):
-        sign = -1.0 if (m - n) % 2 else 1.0
-        return sign * _small_d_direct(j, -m, -n, theta)
-    return _small_d_direct(j, -n, -m, theta)
+    # fold onto mm >= |nn|: transpose when |n| is larger, negate both when the
+    # larger index is negative.  Either move alone costs (-1)^{m-n}, which
+    # cancels the closed form's own (-1)^{mm-nn} = (-1)^{m-n}.
+    swap = np.abs(n) > np.abs(m)
+    big, small = np.where(swap, n, m), np.where(swap, m, n)
+    flip = big < 0
+    mm, nn = np.abs(big), np.where(flip, -small, small)
+    a, b = mm - nn, mm + nn
+    sign = np.where(swap == flip, (-1.0) ** (m - n), 1.0)
+    lf = log_factorials(2 * int(j.max()))
+    ratio = np.exp(0.5 * (lf[j + mm] + lf[j - mm] - lf[j + nn] - lf[j - nn]))
+    half = 0.5 * theta
+    poly = jacobi_poly(j - mm, a, b, np.cos(theta))
+    return sign * ratio * np.sin(half) ** a * np.cos(half) ** b * poly
 
 
 def wigner_D(j: int, m: int, n: int, g: EulerAngles) -> complex:
@@ -86,14 +78,14 @@ def wigner_D(j: int, m: int, n: int, g: EulerAngles) -> complex:
     return np.exp(1j * (m * g.phi + n * g.psi)) * wigner_small_d(j, m, n, g.theta)
 
 
-def wigner_d_matrix(j: int, theta: float) -> np.ndarray:
-    """Full (2j+1)x(2j+1) real matrix d^j(theta), rows/cols n = -j..j."""
-    dim = 2 * j + 1
-    out = np.empty((dim, dim))
-    for m in range(-j, j + 1):
-        for n in range(-j, j + 1):
-            out[m + j, n + j] = wigner_small_d(j, m, n, theta)
-    return out
+def wigner_d_matrix(j: int, theta) -> np.ndarray:
+    """Real matrix d^j(theta), rows/cols n = -j..j.
+
+    For an array of theta the result stacks one matrix per angle, with shape
+    theta.shape + (2j+1, 2j+1).
+    """
+    n = np.arange(-j, j + 1)
+    return wigner_small_d(j, n[:, None], n[None, :], np.asarray(theta)[..., None, None])
 
 
 def wigner_D_matrix(j: int, g: EulerAngles) -> np.ndarray:
@@ -117,8 +109,8 @@ def wigner_gram(j: int, jt: int, rule: HaarRule) -> np.ndarray:
             f"rule of degree {rule.degree} cannot integrate j={j}, jt={jt} products"
         )
     thetas, inv = np.unique(rule.theta, return_inverse=True)
-    d_j = np.stack([wigner_d_matrix(j, t) for t in thetas])[inv]
-    d_jt = d_j if jt == j else np.stack([wigner_d_matrix(jt, t) for t in thetas])[inv]
+    d_j = wigner_d_matrix(j, thetas)[inv]
+    d_jt = d_j if jt == j else wigner_d_matrix(jt, thetas)[inv]
 
     n_j = np.arange(-j, j + 1)
     n_jt = np.arange(-jt, jt + 1)
@@ -132,11 +124,8 @@ def wigner_gram(j: int, jt: int, rule: HaarRule) -> np.ndarray:
 
 def unitarity_defect(j: int, theta_values: np.ndarray) -> float:
     """Max deviation of sum_n conj(D_{mn}) D_{mt n} from delta_{m mt}."""
-    worst = 0.0
-    for theta in np.atleast_1d(theta_values):
-        d = wigner_d_matrix(j, float(theta))
-        worst = max(worst, float(np.max(np.abs(d @ d.T - np.eye(2 * j + 1)))))
-    return worst
+    d = wigner_d_matrix(j, np.atleast_1d(theta_values))
+    return float(np.max(np.abs(d @ d.swapaxes(-1, -2) - np.eye(2 * j + 1)), initial=0.0))
 
 
 def check_dimension(j: int, vec: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from asymtop import (
     NotTerminatingError,
     PoleError,
     ROUTES,
+    RootCountError,
     TopParams,
     angular_momentum_matrices,
     h_matrix_lambda,
@@ -27,6 +28,7 @@ from asymtop import (
     rho_map,
     spectrum,
 )
+from asymtop import spectra
 
 
 def random_strict(rng):
@@ -147,6 +149,33 @@ def test_lame_j2_classes(p321):
 def test_lame_rejects_degenerate():
     with pytest.raises(DegenerateParamsError):
         lame_spectrum(2, TopParams(A=3.0, B=2.0, C=2.0))
+
+
+@pytest.mark.parametrize("j", [150, 300])
+@pytest.mark.parametrize(
+    "params", [(3.0, 2.0, 1.0), (100.0, 2.0, 1.0), (1 + 1e-6, 1.0, 0.5), (2.0, 1 + 1e-7, 0.3)]
+)
+def test_lame_agrees_with_wigner_at_large_j(j, params):
+    p = TopParams(*params)
+    ref = np.array([lev.E for lev in spectrum(j, p, route="wigner")])
+    got = np.array([lev.E for lev in lame_spectrum(j, p)])
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
+
+
+def test_lame_rejects_unsymmetrizable_recurrence(p321, monkeypatch):
+    # a companion with a negative off-diagonal product has no real symmetric
+    # similar matrix; the route must refuse it instead of taking its root
+    original = spectra.lame_recurrence
+
+    def flipped(N, j, p):
+        T = original(N, j, p)
+        if T.shape[0] > 1:
+            T[1, 0] = -T[1, 0]
+        return T
+
+    monkeypatch.setattr(spectra, "lame_recurrence", flipped)
+    with pytest.raises(RootCountError, match="off-diagonal product"):
+        lame_spectrum(4, p321)
 
 
 def test_lame_polynomial_terminates_only_at_eigenvalues(p321):

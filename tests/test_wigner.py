@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import eval_jacobi
 
 from asymtop import (
     DimensionError,
     DomainError,
     EulerAngles,
+    angular_momentum_matrices,
     compose,
     haar_rule,
     wigner_D,
@@ -27,6 +29,13 @@ def test_jacobi_against_scipy(rng):
         z = rng.uniform(-1, 1)
         ref = eval_jacobi(k, a, b, z)
         assert abs(jacobi_poly(k, a, b, z) - ref) < 1e-11 * max(1.0, abs(ref))
+    # one broadcast call over mixed degrees: each entry stops at its own k
+    k = rng.integers(0, 12, size=50)
+    a = rng.integers(0, 6, size=50).astype(float)
+    b = rng.integers(0, 6, size=50).astype(float)
+    z = rng.uniform(-1, 1, size=50)
+    ref = eval_jacobi(k, a, b, z)
+    assert np.all(np.abs(jacobi_poly(k, a, b, z) - ref) < 1e-11 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_jacobi_rejects_negative_degree():
@@ -62,6 +71,24 @@ def test_small_d_j2_entries(rng):
 def test_small_d_at_zero_is_identity():
     for j in (0, 1, 3, 6):
         np.testing.assert_allclose(wigner_d_matrix(j, 0.0), np.eye(2 * j + 1), atol=1e-14)
+
+
+@pytest.mark.parametrize("j", [10, 24, 48])
+def test_small_d_matrix_matches_expm_oracle(j, rng):
+    # d^j(theta) = exp(i theta J1) on the n = j..-j basis, reversed to -j..j
+    j1 = angular_momentum_matrices(j)[0]
+    for theta in (*rng.uniform(0.0, math.pi, size=3), math.pi):
+        ref = expm(1j * theta * j1)[::-1, ::-1]
+        assert np.max(np.abs(wigner_d_matrix(j, theta) - ref)) < 1e-12
+
+
+def test_small_d_matrix_stacks_over_theta(rng):
+    thetas = rng.uniform(0.0, math.pi, size=(2, 3))
+    for j in (0, 2, 7):
+        stacked = wigner_d_matrix(j, thetas)
+        assert stacked.shape == (2, 3, 2 * j + 1, 2 * j + 1)
+        for idx in np.ndindex(thetas.shape):
+            np.testing.assert_array_equal(stacked[idx], wigner_d_matrix(j, thetas[idx]))
 
 
 def test_small_d_symmetries(rng):
