@@ -62,6 +62,7 @@ from .spectra import (
     lame_spectrum,
     phi_state,
     phi_state_series,
+    phi_states,
     require_strict,
     rho_map,
     spectrum,

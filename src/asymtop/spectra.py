@@ -31,13 +31,11 @@ j//2) for N = 1..4, which sum to 2j+1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DegeneracyWarning,
     DegenerateParamsError,
     DomainError,
     NotTerminatingError,
@@ -360,30 +358,41 @@ def _fix_phase(coeffs: np.ndarray, j: int) -> np.ndarray:
     return coeffs
 
 
-def _warn_if_degenerate(vals: np.ndarray, idx: int) -> None:
-    scale = max(1.0, float(np.abs(vals).max()))
-    gaps = [
-        abs(vals[idx] - vals[i]) for i in (idx - 1, idx + 1) if 0 <= i < len(vals)
-    ]
-    if gaps and min(gaps) < 1e-9 * scale:
-        warnings.warn(
-            f"level {idx} nearly degenerate (gap {min(gaps):.3e}); "
-            "eigenvector basis is convention-dependent",
-            DegeneracyWarning,
-            stacklevel=3,
-        )
+def _state_columns(j: int, p: TopParams) -> np.ndarray:
+    """Unphased coefficients of Phi_{j,s}, s = -j..j, as columns.
+
+    H commutes with n -> -n and couples n only to n +- 2, so the Wang basis
+    e_n +- e_{-n} (n >= 0, e_0 alone) splits it into four D2 classes, fixed
+    by the parity of n and the sign.  With the classes as contiguous blocks
+    and the off-block entries exactly zero, one eigh returns class-pure
+    eigenvectors even inside near-degenerate (always cross-class) doublets.
+    """
+    n = np.concatenate([np.arange(j + 1), np.arange(1, j + 1)])
+    sign = np.repeat([1.0, -1.0], [j + 1, j])
+    order = np.lexsort((n, sign, n % 2))
+    n, sign = n[order], sign[order]
+    cls = 2 * (n % 2) + (sign < 0)
+    scale = np.where(n == 0, 0.5, math.sqrt(0.5))
+    cols = np.arange(2 * j + 1)
+    wang = np.zeros((2 * j + 1, 2 * j + 1))
+    wang[j + n, cols] = scale
+    wang[j - n, cols] += sign * scale
+    h = wang.T @ h_matrix_lambda_symmetrized(j, p) @ wang
+    _, vecs = np.linalg.eigh(np.where(cls[:, None] == cls[None, :], h, 0.0))
+    root_b = math.sqrt(2 * j + 1) * np.sqrt(weight_vector(j))
+    return (root_b[:, None] * (wang @ vecs)).astype(complex)
 
 
 def phi_state(j: int, s: int, p: TopParams) -> FourierState:
-    """Eigenstate Phi_{j,s} with (Phi,Phi)_Q = 2j+1, deterministic phase."""
+    """Eigenstate Phi_{j,s}: (Phi,Phi)_Q = 2j+1, one D2 class, deterministic phase."""
     if abs(s) > j:
         raise DomainError(f"|s| must be <= j={j}")
-    vals, vecs = np.linalg.eigh(h_matrix_lambda_symmetrized(j, p))
-    idx = s + j
-    _warn_if_degenerate(vals, idx)
-    u = vecs[:, idx]
-    coeffs = math.sqrt(2 * j + 1) * np.sqrt(weight_vector(j)) * u
-    return FourierState(j=j, coeffs=_fix_phase(coeffs.astype(complex), j))
+    return FourierState(j=j, coeffs=_fix_phase(_state_columns(j, p)[:, s + j], j))
+
+
+def phi_states(j: int, p: TopParams) -> list[FourierState]:
+    """All 2j+1 states Phi_{j,s}, s = -j..j, from one diagonalization."""
+    return [FourierState(j=j, coeffs=_fix_phase(c, j)) for c in _state_columns(j, p).T]
 
 
 def phi_state_series(j: int, s: int, p: TopParams) -> FourierState:
@@ -392,7 +401,9 @@ def phi_state_series(j: int, s: int, p: TopParams) -> FourierState:
     Evaluates D(q')^(j/2) L(rho(q')) on a real grid, where D is the
     denominator of rho(q'); the result is a trigonometric polynomial of
     degree j whose Fourier coefficients are extracted by FFT, then
-    normalized and phased exactly like phi_state.
+    normalized and phased exactly like phi_state.  Accurate to ~1e-10 up
+    to j = 20 only: the error grows silently with j (O(1) by j = 56 at
+    (3,2,1)) or the series stops terminating (j = 40 at (5.3,2.1,0.4)).
     """
     require_strict(p)
     levels = lame_spectrum(j, p)

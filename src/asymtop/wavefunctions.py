@@ -34,7 +34,7 @@ from .lambda_rep import (
     weight_vector,
 )
 from .so3 import EulerAngles, HaarRule, inverse, invariant_field_apply
-from .spectra import TopParams, phi_state, spectrum
+from .spectra import TopParams, phi_state, phi_states, spectrum
 from .wigner import wigner_D_matrix
 
 
@@ -290,9 +290,7 @@ def kernel_gram(
 
 def completeness_defect(j: int, p: TopParams, q: ComplexQ) -> float:
     """|sum_s |Phi_{j,s}(q)|^2/(2j+1) - delta_j(q, conj(q))|."""
-    total = 0.0
-    for s in range(-j, j + 1):
-        total += abs(evaluate_state(phi_state(j, s, p), q)) ** 2
+    total = sum(abs(evaluate_state(state, q)) ** 2 for state in phi_states(j, p))
     return abs(total / (2 * j + 1) - delta_j(q, q, j))
 
 

@@ -7,7 +7,6 @@ import pytest
 from asymtop import (
     ComplexQ,
     DegenerateParamsError,
-    DegeneracyWarning,
     DomainError,
     NotTerminatingError,
     PoleError,
@@ -24,6 +23,7 @@ from asymtop import (
     lame_spectrum,
     phi_state,
     phi_state_series,
+    phi_states,
     require_strict,
     rho_map,
     spectrum,
@@ -227,14 +227,16 @@ def test_rho_map_pole(p321):
         rho_map(ComplexQ(0.0, beta), p321)
 
 
+R3 = math.sqrt(3.0)
+J1_STATES = {
+    -1: np.array([1j * R3 / 2, 0.0, -1j * R3 / 2]),
+    0: np.array([R3 / 2, 0.0, R3 / 2]),
+    1: np.array([0.0, R3, 0.0]),
+}
+
+
 def test_phi_state_j1_closed_forms(p321):
-    r3 = math.sqrt(3.0)
-    want = {
-        -1: np.array([1j * r3 / 2, 0.0, -1j * r3 / 2]),
-        0: np.array([r3 / 2, 0.0, r3 / 2]),
-        1: np.array([0.0, r3, 0.0]),
-    }
-    for s, ref in want.items():
+    for s, ref in J1_STATES.items():
         got = phi_state(1, s, p321).coeffs
         assert np.max(np.abs(got - ref)) < 1e-12
 
@@ -247,20 +249,53 @@ def test_phi_states_orthogonal(rng):
             for k, v in enumerate(states):
                 ref = (2 * j + 1) if i == k else 0.0
                 assert abs(inner_product(u, v) - ref) < 1e-9 * (2 * j + 1)
+    for j in range(11):
+        states = phi_states(j, p)
+        for s in range(-j, j + 1):
+            assert np.array_equal(states[s + j].coeffs, phi_state(j, s, p).coeffs)
 
 
 def test_phi_series_matches_diagonalization(rng):
     for p in (TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4), random_strict(rng)):
         for j in range(0, 6):
             for s in range(-j, j + 1):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DegeneracyWarning)
-                    a = phi_state(j, s, p).coeffs
-                    b = phi_state_series(j, s, p).coeffs
+                a = phi_state(j, s, p).coeffs
+                b = phi_state_series(j, s, p).coeffs
                 assert np.max(np.abs(a - b)) < 1e-8
 
 
-def test_near_degenerate_warns():
+@pytest.mark.parametrize("j", [16, 20])
+@pytest.mark.parametrize("params", [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4)])
+def test_phi_series_matches_diagonalization_at_larger_j(params, j):
+    # inside an exact doublet the s order is a convention: match by energy
+    p = TopParams(*params)
+    E = np.array([lev.E for lev in spectrum(j, p, route="lambda")])
+    states = [phi_state(j, s, p).coeffs for s in range(-j, j + 1)]
+    for s in range(-j, j + 1):
+        b = phi_state_series(j, s, p).coeffs
+        near = np.flatnonzero(np.abs(E - E[s + j]) <= 1e-12 * abs(E[s + j]))
+        assert min(np.max(np.abs(states[k] - b)) for k in near) < 1e-8
+
+
+def class_impurity(coeffs: np.ndarray, j: int) -> float:
+    """Distance from one D2 class, relative to max|c|: the coefficients
+    should vanish on one parity of n and satisfy c_{-n} = +-c_n."""
+    n = np.arange(-j, j + 1)
+    mixed_parity = min(np.abs(coeffs[n % 2 == k]).max(initial=0.0) for k in (0, 1))
+    mixed_sign = min(np.abs(coeffs - sign * coeffs[::-1]).max() for sign in (1, -1))
+    return max(mixed_parity, mixed_sign) / np.abs(coeffs).max()
+
+
+def test_states_are_class_pure():
+    # near-degenerate doublets always lie in different classes, so a dense
+    # diagonalization would return arbitrary mixtures of the two
+    for params in ((3.0, 2.0, 1.0), (5.3, 2.1, 0.4), (100.0, 2.0, 1.0)):
+        p = TopParams(*params)
+        for j in (20, 40, 80):
+            for s in range(-j, j + 1):
+                assert class_impurity(phi_state(j, s, p).coeffs, j) < 1e-12
     p = TopParams(A=3.0, B=2.0, C=2.0 - 1e-12)
-    with pytest.warns(DegeneracyWarning):
-        phi_state(1, 1, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, ref in J1_STATES.items():
+            assert np.max(np.abs(phi_state(1, s, p).coeffs - ref)) < 1e-12
