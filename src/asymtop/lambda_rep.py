@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceWarning, DimensionError, DomainError
+from .so3 import gauss_legendre
 from .wigner import check_dimension, log_factorials
 
 TWO_PI = 2.0 * math.pi
@@ -186,7 +187,7 @@ def q_rule(
     if n_alpha < 2 * j + 2 or n_beta < 2 * j + 2:
         raise DomainError(f"node counts too small for j={j}; need >= {2 * j + 2}")
     alphas = TWO_PI * np.arange(n_alpha) / n_alpha
-    x, wx = np.polynomial.legendre.leggauss(n_beta)
+    x, wx = gauss_legendre(n_beta)
     betas = beta_max * x
     wb = beta_max * wx
     density = wb / (1.0 + np.cosh(2.0 * betas)) ** (j + 1)

@@ -10,6 +10,7 @@ quadrature rule normalized to total weight 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal
@@ -230,6 +231,18 @@ class HaarRule:
     weights: np.ndarray  # aligned with the flattened (phi, theta, psi) grid
 
 
+@functools.lru_cache(maxsize=16)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    Computed once per n and shared by haar_rule and lambda_rep.q_rule.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def haar_rule(degree: int, n_phi: int | None = None, n_theta: int | None = None) -> HaarRule:
     """Build a normalized Haar rule exact through Wigner degree `degree`.
 
@@ -245,7 +258,7 @@ def haar_rule(degree: int, n_phi: int | None = None, n_theta: int | None = None)
         raise DomainError("rule too small for the requested degree")
 
     az = TWO_PI * np.arange(n_az) / n_az
-    x, wx = np.polynomial.legendre.leggauss(n_gl)
+    x, wx = gauss_legendre(n_gl)
     th = np.arccos(x)
 
     phi_g, th_g, psi_g = np.meshgrid(az, th, az, indexing="ij")

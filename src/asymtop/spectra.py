@@ -30,6 +30,7 @@ j//2) for N = 1..4, which sum to 2j+1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -358,14 +359,13 @@ def _fix_phase(coeffs: np.ndarray, j: int) -> np.ndarray:
     return coeffs
 
 
-def _state_columns(j: int, p: TopParams) -> np.ndarray:
-    """Unphased coefficients of Phi_{j,s}, s = -j..j, as columns.
+@functools.lru_cache(maxsize=16)
+def _wang_basis(j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal Wang basis of F^j and the mask of its same-class entries.
 
-    H commutes with n -> -n and couples n only to n +- 2, so the Wang basis
-    e_n +- e_{-n} (n >= 0, e_0 alone) splits it into four D2 classes, fixed
-    by the parity of n and the sign.  With the classes as contiguous blocks
-    and the off-block entries exactly zero, one eigh returns class-pure
-    eigenvectors even inside near-degenerate (always cross-class) doublets.
+    Columns are e_n +- e_{-n} (n >= 0, e_0 alone), ordered so the four D2
+    classes (parity of n, sign) are contiguous blocks.  Built once per j and
+    returned read-only, so a phi_state call pays only the products.
     """
     n = np.concatenate([np.arange(j + 1), np.arange(1, j + 1)])
     sign = np.repeat([1.0, -1.0], [j + 1, j])
@@ -377,8 +377,23 @@ def _state_columns(j: int, p: TopParams) -> np.ndarray:
     wang = np.zeros((2 * j + 1, 2 * j + 1))
     wang[j + n, cols] = scale
     wang[j - n, cols] += sign * scale
+    same_class = cls[:, None] == cls[None, :]
+    wang.flags.writeable = False
+    same_class.flags.writeable = False
+    return wang, same_class
+
+
+def _state_columns(j: int, p: TopParams) -> np.ndarray:
+    """Unphased coefficients of Phi_{j,s}, s = -j..j, as columns.
+
+    H commutes with n -> -n and couples n only to n +- 2, so the Wang basis
+    splits it into four D2 classes.  With the classes as contiguous blocks
+    and the off-block entries exactly zero, one eigh returns class-pure
+    eigenvectors even inside near-degenerate (always cross-class) doublets.
+    """
+    wang, same_class = _wang_basis(j)
     h = wang.T @ h_matrix_lambda_symmetrized(j, p) @ wang
-    _, vecs = np.linalg.eigh(np.where(cls[:, None] == cls[None, :], h, 0.0))
+    _, vecs = np.linalg.eigh(np.where(same_class, h, 0.0))
     root_b = math.sqrt(2 * j + 1) * np.sqrt(weight_vector(j))
     return (root_b[:, None] * (wang @ vecs)).astype(complex)
 

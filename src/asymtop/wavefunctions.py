@@ -106,17 +106,28 @@ def psi_eval(
 # --- kernel ------------------------------------------------------------
 
 
+def _kernel_factors(qv, qpv, phi, theta, psi):
+    """The kernel base as a rank-3 bilinear form, base = sum_k x_k y_k.
+
+    base(q, q') = u(q)^T M(theta) v(q') with u = (1, cos(phi+q), sin(phi+q)),
+    v = (1, cos(qb'-psi), sin(qb'-psi)) and M = [[cos th, i sin th, 0],
+    [i sin th, cos th, 0], [0, 0, 1]].  Returns x = u M, which carries q, phi
+    and theta, and y = v, which carries q' and psi, both with the three
+    components on a new last axis; the other arguments broadcast.
+    """
+    lead = phi + qv
+    trail = np.conjugate(qpv) - psi
+    cos_th, sin_th = np.cos(theta), np.sin(theta)
+    cos_lead = np.cos(lead)
+    x = (cos_th + 1j * sin_th * cos_lead, 1j * sin_th + cos_th * cos_lead, np.sin(lead))
+    y = (np.ones_like(trail), np.cos(trail), np.sin(trail))
+    return np.stack(np.broadcast_arrays(*x), axis=-1), np.stack(y, axis=-1)
+
+
 def _kernel_values(qv, qpv, j: int, phi, theta, psi):
     """Kernel D^j as arrays; broadcasts over all five argument arrays."""
-    qb = np.conjugate(qpv)
-    lead = phi + qv
-    trail = qb - psi
-    base = (
-        (np.cos(lead) * np.cos(trail) + 1.0) * np.cos(theta)
-        + 1j * (np.cos(lead) + np.cos(trail)) * np.sin(theta)
-        + np.sin(lead) * np.sin(trail)
-    )
-    return (2 * j + 1) / const_C(j) * base**j
+    x, y = _kernel_factors(qv, qpv, phi, theta, psi)
+    return (2 * j + 1) / const_C(j) * np.sum(x * y, axis=-1) ** j
 
 
 def kernel_eval(q: ComplexQ, qp: ComplexQ, j: int, g: EulerAngles) -> complex:
@@ -151,18 +162,29 @@ def t_matrix(j: int, g: EulerAngles) -> np.ndarray:
 def t_matrix_quadrature(j: int, g: EulerAngles) -> np.ndarray:
     """t by direct double quadrature of the kernel against the basis.
 
-    t_mn = B_m * Iint conj(e^{imq}) D^j_{qq'}(g) e^{inq'} dmu(q) dmu(q');
-    slow, used to validate the closed form at small j.
+    t_mn = B_m * Iint conj(e^{imq}) D^j_{qq'}(g) e^{inq'} dmu(q) dmu(q'),
+    summed over the q_rule nodes; used to validate the closed form at small j.
+    The kernel's base is x(q) . y(q') (see _kernel_factors), so base^j is a
+    sum of C(j+2, 2) multinomial terms coef_a x^a(q) y^a(q'), and the double
+    sum splits into one product of single sums per term: no nodes x nodes
+    array is formed.
     """
     rule = q_rule(j)
     n = np.arange(-j, j + 1)
     left = np.exp(-1j * np.outer(np.conj(rule.nodes), n))  # conj(psi_m)(q_a)
     right = np.exp(1j * np.outer(rule.nodes, n))
-    kern = _kernel_values(
-        rule.nodes[:, None], rule.nodes[None, :], j, g.phi, g.theta, g.psi
-    )
-    mid = (rule.weights[:, None] * kern) * rule.weights[None, :]
-    return weight_vector(j)[:, None] * (left.T @ mid @ right)
+    x, y = _kernel_factors(rule.nodes, rule.nodes, g.phi, g.theta, g.psi)
+    lo, hi = np.triu_indices(j + 1)
+    powers = np.stack([j - hi, hi - lo, lo], axis=-1)  # every (a0, a1, a2) summing to j
+    coef = np.array([math.comb(j, a0) * math.comb(j - a0, a1) for a0, a1, _ in powers])
+
+    def monomials(f):  # prod_k f_k ** a_k per node and term
+        return np.prod((f[..., None] ** np.arange(j + 1))[:, [0, 1, 2], powers], axis=-1)
+
+    lhs = left.T @ (rule.weights[:, None] * monomials(x))  # (2j+1, terms)
+    rhs = (rule.weights[:, None] * monomials(y)).T @ right  # (terms, 2j+1)
+    scale = (2 * j + 1) / const_C(j) * weight_vector(j)
+    return scale[:, None] * ((lhs * coef) @ rhs)
 
 
 def psi_via_kernel(

@@ -119,7 +119,10 @@ def wigner_gram(j: int, jt: int, rule: HaarRule) -> np.ndarray:
     djt = np.exp(1j * np.outer(rule.phi, n_jt))[:, :, None] * d_jt
     djt = djt * np.exp(1j * np.outer(rule.psi, n_jt))[:, None, :]
 
-    return np.einsum("k,kmn,kpq->mnpq", rule.weights, dj.conj(), djt)
+    # one BLAS product over the nodes, each stack flattened to (nodes, entries)
+    weighted = (rule.weights[:, None, None] * dj).conj().reshape(len(dj), -1)
+    gram = weighted.T @ djt.reshape(len(djt), -1)
+    return gram.reshape(dj.shape[1:] + djt.shape[1:])
 
 
 def unitarity_defect(j: int, theta_values: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,9 @@ from asymtop import (
     uncertainty,
     h_matrix_wigner,
     compose,
+    const_C,
+    q_rule,
+    weight_vector,
 )
 
 
@@ -138,6 +142,59 @@ def test_t_matrix_quadrature(rng):
         a = t_matrix(j, g)
         b = t_matrix_quadrature(j, g)
         assert np.max(np.abs(a - b)) < 1e-6 * max(1.0, np.max(np.abs(a)))
+
+
+def _t_quadrature_brute_force(j, g, block=256):
+    """t by the plain double sum over node pairs, the kernel written out."""
+    rule = q_rule(j)
+    n = np.arange(-j, j + 1)
+    left = np.exp(-1j * np.outer(np.conj(rule.nodes), n))
+    right = np.exp(1j * np.outer(rule.nodes, n))
+    trail = np.conj(rule.nodes)[None, :] - g.psi
+    total = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
+    for start in range(0, len(rule.nodes), block):  # rows of the kernel, a block at a time
+        rows = slice(start, start + block)
+        lead = g.phi + rule.nodes[rows, None]
+        base = (
+            (np.cos(lead) * np.cos(trail) + 1.0) * np.cos(g.theta)
+            + 1j * (np.cos(lead) + np.cos(trail)) * np.sin(g.theta)
+            + np.sin(lead) * np.sin(trail)
+        )
+        kern = (2 * j + 1) / const_C(j) * base**j
+        mid = rule.weights[rows, None] * kern * rule.weights[None, :]
+        total += left[rows].T @ mid @ right
+    return weight_vector(j)[:, None] * total
+
+
+def test_t_matrix_quadrature_matches_brute_force_double_sum(rng):
+    for j in (0, 1, 2):
+        g = random_g(rng)
+        ref = _t_quadrature_brute_force(j, g)
+        got = t_matrix_quadrature(j, g)
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_t_matrix_quadrature_at_larger_j(rng):
+    for j in (3, 4, 5):
+        g = random_g(rng)
+        a = t_matrix(j, g)
+        b = t_matrix_quadrature(j, g)
+        assert np.max(np.abs(a - b)) < 1e-10 * max(1.0, np.max(np.abs(a)))
+
+
+def test_t_matrix_quadrature_allocates_no_node_pair_array(rng):
+    j = 2
+    g = random_g(rng)
+    nodes = len(q_rule(j).nodes)
+    t_matrix_quadrature(j, g)
+    tracemalloc.start()
+    try:
+        t_matrix_quadrature(j, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one complex nodes x nodes array would take nodes**2 * 16 bytes (85 MB)
+    assert peak < nodes**2 * 16 / 20
 
 
 def test_psi_via_kernel_matches_closed_form(p321, rng):

@@ -146,6 +146,19 @@ def test_haar_orthogonality_small():
     np.testing.assert_allclose(wigner_gram(2, 1, rule), 0.0, atol=1e-13)
 
 
+def test_gram_matches_einsum_oracle():
+    for j, jt in ((2, 2), (3, 1), (5, 5)):
+        rule = haar_rule(max(j, jt))
+
+        def stack(k):
+            n = np.arange(-k, k + 1)
+            d = wigner_d_matrix(k, rule.theta)
+            return np.exp(1j * np.outer(rule.phi, n))[:, :, None] * d * np.exp(1j * np.outer(rule.psi, n))[:, None, :]
+
+        ref = np.einsum("k,kmn,kpq->mnpq", rule.weights, stack(j).conj(), stack(jt))
+        assert np.max(np.abs(wigner_gram(j, jt, rule) - ref)) < 1e-14
+
+
 def test_gram_degree_guard():
     with pytest.raises(DomainError):
         wigner_gram(3, 1, haar_rule(2))
