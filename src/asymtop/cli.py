@@ -19,6 +19,7 @@ fixed command line: data rows go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -73,7 +74,10 @@ def _add_shared(sp: argparse.ArgumentParser) -> None:
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The asymtop parser, built once per process: parse_args leaves it
+    unchanged and every flag defaults to None, so calls share nothing."""
     parser = _Parser(prog="asymtop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -168,40 +172,35 @@ def cmd_levels(args) -> int:
             skip_lame = True
             print(f"warning: {exc}; lame column left empty", file=sys.stderr)
     worst_rel = 0.0
-    rows = []
+    table = []  # one tuple per row, in LEVELS_HEADER order
     for j in range(jmax + 1):
         per_route = {
             r: spectrum(j, p, route=r)
             for r in routes
             if not (r == "lame" and skip_lame)
         }
-        for idx in range(2 * j + 1):
-            evals = {r: levels[idx].E for r, levels in per_route.items()}
-            cls = per_route["lame"][idx].lame_class if "lame" in per_route else None
-            vals = list(evals.values())
-            dis = max(vals) - min(vals) if len(vals) >= 2 else None
-            if dis is not None:
-                worst_rel = max(worst_rel, dis / max(1.0, max(abs(v) for v in vals)))
-            rows.append(
-                {
-                    "j": j,
-                    "s": idx - j,
-                    "class": cls,
-                    "E_wigner": evals.get("wigner"),
-                    "E_lambda": evals.get("lambda"),
-                    "E_lame": evals.get("lame"),
-                    "max_disagreement": dis,
-                }
-            )
+        energies = {r: [lv.E for lv in levels] for r, levels in per_route.items()}
+        none = [None] * (2 * j + 1)
+        cls = [lv.lame_class for lv in per_route["lame"]] if "lame" in per_route else none
+        dis = none
+        if len(energies) >= 2:
+            E = np.array(list(energies.values()))
+            spread = E.max(axis=0) - E.min(axis=0)
+            rel = spread / np.maximum(1.0, np.abs(E).max(axis=0))
+            worst_rel = max(worst_rel, float(rel.max()))
+            dis = spread.tolist()
+        columns = (energies.get(r, none) for r in ROUTES)
+        table.extend(zip([j] * (2 * j + 1), range(-j, j + 1), cls, *columns, dis))
     if fmt == "csv":
-        print(LEVELS_HEADER)
-        for row in rows:
-            cells = [str(row["j"]), str(row["s"])]
-            cells.append("" if row["class"] is None else str(row["class"]))
-            for key in ("E_wigner", "E_lambda", "E_lame", "max_disagreement"):
-                cells.append("" if row[key] is None else _fmt(row[key]))
-            print(",".join(cells))
+        lines = [LEVELS_HEADER]
+        for j, s, c, *values in table:
+            cells = [str(j), str(s), "" if c is None else str(c)]
+            cells += ["" if v is None else _fmt(v) for v in values]
+            lines.append(",".join(cells))
+        print("\n".join(lines))
     else:
+        keys = LEVELS_HEADER.split(",")
+        rows = [dict(zip(keys, row)) for row in table]
         print(json.dumps({"params": {"A": p.A, "B": p.B, "C": p.C}, "levels": rows}))
     if worst_rel > tols["route-agreement"]:
         print(

@@ -3,14 +3,23 @@
 The Hamiltonian H = A L1^2 + B L2^2 + C L3^2 with A >= B >= C > 0 has, for
 each integer j, exactly 2j+1 levels E_{j,s}.  This module computes them by
 
-  * diagonalizing the pentadiagonal matrix A J1^2 + B J2^2 + C J3^2 built
-    from standard spin-j matrices (route "wigner"),
-  * diagonalizing the Gram-symmetrized matrix of A(-il1)^2 + B(-il2)^2
-    + C(-il3)^2 acting on trigonometric polynomials (route "lambda"),
+  * the eigenvalues of A J1^2 + B J2^2 + C J3^2 in the spin-j basis, built
+    real from its closed-form diagonal and (m, m-2) entries (route "wigner"),
+  * the eigenvalues of A(-il1)^2 + B(-il2)^2 + C(-il3)^2 acting on
+    trigonometric polynomials, symmetrized by setting both off-diagonals to
+    sqrt(M[n,n+2] M[n+2,n]) (route "lambda"),
   * finding the roots of the termination conditions of four generalized
     Lame series (route "lame"),
 
 and constructs the eigenstates Phi_{j,s} normalized to (Phi,Phi)_Q = 2j+1.
+
+Both matrices couple n only to n +- 2 and commute with n -> -n, so the Wang
+basis e_n +- e_{-n} splits each into four real tridiagonal blocks, one per
+D2 class, of the Lame class sizes below.  The wigner and lambda levels are
+the eigenvalues of those blocks, one eigvalsh call per distinct block size;
+the states are the eigenvectors of the lambda blocks.  State coefficients
+scale like sqrt(B_nj), which leaves the normal float range at j = 514;
+from there on the states raise DomainError while the levels stay exact.
 
 The Lame route works on the cubic P(rho) = (rho-A)(rho-B)(rho-C).  With
 x = rho - B, u = A - B, v = B - C, a solution of
@@ -30,7 +39,6 @@ j//2) for N = 1..4, which sum to 2j+1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -123,9 +131,36 @@ def angular_momentum_matrices(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return J1, J2, J3
 
 
+def _wigner_entries(j: int, p: TopParams) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and second off-diagonal of A J1^2 + B J2^2 + C J3^2 on the
+    basis m = j..-j.
+
+    Closed forms: (J1^2)_mm = (J2^2)_mm = (j(j+1) - m^2)/2, and the entries
+    coupling m to m-2 are -c c'/4 in J1^2 and +c c'/4 in J2^2, with c, c'
+    the ladder coefficients of the steps m -> m-1 -> m-2.
+    """
+    if j < 0:
+        raise DomainError("j must be >= 0")
+    m = np.arange(j, -j - 1, -1, dtype=float)
+    c = np.sqrt(j * (j + 1) - m[:-1] * m[1:])
+    half = (j * (j + 1) - m * m) / 2.0
+    return p.A * half + p.B * half + p.C * m * m, (p.B - p.A) / 4.0 * c[:-1] * c[1:]
+
+
 def h_matrix_wigner(j: int, p: TopParams) -> np.ndarray:
-    J1, J2, J3 = angular_momentum_matrices(j)
-    return p.A * J1 @ J1 + p.B * J2 @ J2 + p.C * J3 @ J3
+    """Real matrix of A J1^2 + B J2^2 + C J3^2 on the basis m = j..-j."""
+    d, e = _wigner_entries(j, p)
+    return np.diag(d) + np.diag(e, 2) + np.diag(e, -2)
+
+
+def _lambda_entries(j: int, p: TopParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal, (n, n+2) and (n+2, n) coefficients of the reduced operator
+    A(-il1)^2 + B(-il2)^2 + C(-il3)^2 on e^{inq}, n = -j..j."""
+    n = np.arange(-j, j + 1)
+    diag = 0.5 * (p.A + p.B) * (j * (j + 1) - n * n) + p.C * n * n
+    upper = 0.25 * (p.A - p.B) * (j + n[2:]) * (j + n[2:] - 1)
+    lower = 0.25 * (p.A - p.B) * (j - n[:-2]) * (j - n[:-2] - 1)
+    return diag, upper, lower
 
 
 def h_matrix_lambda(j: int, p: TopParams) -> np.ndarray:
@@ -136,32 +171,90 @@ def h_matrix_lambda(j: int, p: TopParams) -> np.ndarray:
     product of the generator matrices is checked by verify's
     gram-hermiticity check.
     """
-    n = np.arange(-j, j + 1)
-    out = np.diag(0.5 * (p.A + p.B) * (j * (j + 1) - n * n) + p.C * n * n).astype(complex)
+    diag, upper, lower = _lambda_entries(j, p)
+    out = np.diag(diag).astype(complex)
     k = np.arange(2 * j - 1)
-    out[k + 2, k] = 0.25 * (p.A - p.B) * (j - n[:-2]) * (j - n[:-2] - 1)
-    out[k, k + 2] = 0.25 * (p.A - p.B) * (j + n[2:]) * (j + n[2:] - 1)
+    out[k + 2, k] = lower
+    out[k, k + 2] = upper
     return out
 
 
-def h_matrix_lambda_symmetrized(j: int, p: TopParams) -> np.ndarray:
-    """G^(1/2) M G^(-1/2): real symmetric, same spectrum as h_matrix_lambda."""
-    m = h_matrix_lambda(j, p).real
-    root_b = np.sqrt(weight_vector(j))
-    sym = m * root_b[None, :] / root_b[:, None]
-    return (sym + sym.T) / 2.0
+def _lambda_symmetric_entries(j: int, p: TopParams) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the symmetric matrix similar to
+    h_matrix_lambda.
+
+    The diagonal similarity that symmetrizes a matrix coupling n to n +- 2
+    sets both off-diagonals to sqrt(M[n,n+2] M[n+2,n]).  The products stay in
+    range at every j; the Gram weights B_nj of the equivalent similarity
+    G^(1/2) M G^(-1/2) leave the normal float range at j = 514.
+    """
+    diag, upper, lower = _lambda_entries(j, p)
+    return diag, np.sqrt(upper * lower)
+
+
+def _wang_blocks(d: np.ndarray, e: np.ndarray, j: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Fold a matrix into its four D2 (Wang) class blocks.
+
+    d is the diagonal over n = -j..j and e the (n, n+2) off-diagonal of a
+    real symmetric matrix that couples n only to n +- 2 and commutes with
+    n -> -n.  In the Wang basis e_n +- e_{-n} (n >= 0, e_0 alone, normalized)
+    it splits into four tridiagonal blocks, one per class (parity of n,
+    sign).  Returns their (diagonal, off-diagonal) pairs in the order of
+    _wang_basis: (even, -), (even, +), (odd, -), (odd, +).
+    """
+    even_d, even_e = d[j::2], e[j::2]
+    odd_d, odd_e = d[j + 1 :: 2], e[j + 1 :: 2]
+    # e_0 enters the even + block alone, so its coupling to e_2 +- e_{-2}
+    # gains sqrt(2); the n = -1, 1 coupling shifts the first odd diagonal
+    plus_e = even_e.copy()
+    plus_e[:1] *= math.sqrt(2.0)
+    shift = np.zeros_like(odd_d)
+    shift[:1] = e[j - 1 : j]
+    return [
+        (even_d[1:], even_e[1:]),
+        (even_d, plus_e),
+        (odd_d - shift, odd_e),
+        (odd_d + shift, odd_e),
+    ]
+
+
+def _stacks(blocks: list[tuple[np.ndarray, np.ndarray]]):
+    """Yield (block indices, stacked tridiagonal matrices), one stack per
+    distinct nonzero block size, so each size costs one LAPACK call."""
+    sizes = [len(d) for d, _ in blocks]
+    for K in sorted(set(sizes) - {0}):
+        members = [i for i, k in enumerate(sizes) if k == K]
+        T = np.zeros((len(members), K, K))
+        i = np.arange(K)
+        T[:, i, i] = [blocks[m][0] for m in members]
+        T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = [blocks[m][1] for m in members]
+        yield members, T
+
+
+def _block_levels(blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Eigenvalues of all blocks, merged ascending: one eigvalsh per size."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(T).ravel() for _, T in _stacks(blocks)]))
 
 
 def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
-    """All 2j+1 levels, ascending, labeled s = -j..j."""
+    """All 2j+1 levels, ascending, labeled s = -j..j.
+
+    The wigner and lambda routes each build their own matrix entries and take
+    the levels from the four real tridiagonal Wang blocks of that matrix.
+    """
     if route not in ROUTES:
         raise DomainError(f"route must be one of {ROUTES}, got {route!r}")
+    if j < 0:
+        raise DomainError("j must be >= 0")
     if route == "lame":
         return lame_spectrum(j, p)
     if route == "wigner":
-        vals = np.linalg.eigvalsh(h_matrix_wigner(j, p))
+        # on m = j..-j; both arrays are palindromes (H commutes with m -> -m),
+        # so they read the same on n = -j..j
+        d, e = _wigner_entries(j, p)
     else:
-        vals = np.linalg.eigvalsh(h_matrix_lambda_symmetrized(j, p))
+        d, e = _lambda_symmetric_entries(j, p)
+    vals = _block_levels(_wang_blocks(d, e, j))
     return [
         EnergyLevel(j=j, s=s, E=float(E), route=route)
         for s, E in zip(range(-j, j + 1), vals)
@@ -348,66 +441,83 @@ def rho_map(q: ComplexQ, p: TopParams) -> complex:
 # --- eigenstates -------------------------------------------------------
 
 
-def _fix_phase(coeffs: np.ndarray, j: int) -> np.ndarray:
-    """Rotate by a unit phase so the first nonvanishing derivative at q=0
-    (0th, 1st, ...) is real and positive; deterministic across routes."""
-    n = np.arange(-j, j + 1)
-    for k in range(2 * j + 1):
-        z = np.sum(coeffs * (1j * n) ** k)
-        if abs(z) > 1e-9 * float(np.sum(np.abs(coeffs) * np.abs(n) ** k) + 1e-300):
-            return coeffs * (z.conjugate() / abs(z))
-    return coeffs
+def _fix_phase(rows: np.ndarray, j: int) -> np.ndarray:
+    """Rotate each row of coefficients by a unit phase so its first
+    nonvanishing derivative at q=0 (0th, 1st, ...) is real and positive;
+    deterministic across routes.
 
-
-@functools.lru_cache(maxsize=16)
-def _wang_basis(j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal Wang basis of F^j and the mask of its same-class entries.
-
-    Columns are e_n +- e_{-n} (n >= 0, e_0 alone), ordered so the four D2
-    classes (parity of n, sign) are contiguous blocks.  Built once per j and
-    returned read-only, so a phi_state call pays only the products.
+    The k-th derivative is (ij)^k sum_n x_n^k c_n with x = n/j, so the test
+    runs on powers of x, which stay in range at every k (powers of n
+    overflow).  Each row is summed on its own, so phasing one row alone
+    gives the same bits as phasing it among others.
     """
-    n = np.concatenate([np.arange(j + 1), np.arange(1, j + 1)])
-    sign = np.repeat([1.0, -1.0], [j + 1, j])
-    order = np.lexsort((n, sign, n % 2))
-    n, sign = n[order], sign[order]
-    cls = 2 * (n % 2) + (sign < 0)
-    scale = np.where(n == 0, 0.5, math.sqrt(0.5))
-    cols = np.arange(2 * j + 1)
-    wang = np.zeros((2 * j + 1, 2 * j + 1))
-    wang[j + n, cols] = scale
-    wang[j - n, cols] += sign * scale
-    same_class = cls[:, None] == cls[None, :]
-    wang.flags.writeable = False
-    same_class.flags.writeable = False
-    return wang, same_class
+    x = np.arange(-j, j + 1) / max(j, 1)
+    phase = np.ones(len(rows), dtype=complex)
+    done = np.zeros(len(rows), dtype=bool)
+    terms = rows
+    for k in range(2 * j + 1):
+        w = terms.sum(axis=1)
+        new = ~done & (np.abs(w) > 1e-9 * np.abs(terms).sum(axis=1))
+        phase[new] = np.conj((1, 1j, -1, -1j)[k % 4] * w[new]) / np.abs(w[new])
+        done |= new
+        if done.all():
+            break
+        terms = terms * x
+    return rows * phase[:, None]
 
 
-def _state_columns(j: int, p: TopParams) -> np.ndarray:
-    """Unphased coefficients of Phi_{j,s}, s = -j..j, as columns.
+def _wang_basis(j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Wang basis of F^j by index: n >= 0 and the sign of each vector
+    e_n + sign e_{-n} (e_0 alone), ordered so the four D2 classes (parity of
+    n, sign) are the contiguous blocks of _wang_blocks."""
+    evens, odds = np.arange(0, j + 1, 2), np.arange(1, j + 1, 2)
+    n = np.concatenate([evens[1:], evens, odds, odds])
+    sign = np.repeat([-1.0, 1.0, -1.0, 1.0], [len(evens) - 1, len(evens), len(odds), len(odds)])
+    return n, sign
+
+
+def _state_rows(j: int, p: TopParams) -> np.ndarray:
+    """Unphased coefficients of Phi_{j,s}, s = -j..j, one state per row.
 
     H commutes with n -> -n and couples n only to n +- 2, so the Wang basis
-    splits it into four D2 classes.  With the classes as contiguous blocks
-    and the off-block entries exactly zero, one eigh returns class-pure
-    eigenvectors even inside near-degenerate (always cross-class) doublets.
+    splits its symmetrized form into four tridiagonal D2-class blocks.  Each
+    eigenvector comes from its own block, so it is class-pure even inside
+    near-degenerate (always cross-class) doublets.  Back in the e^{inq}
+    basis the coefficients scale like sqrt(B_nj) ~ 2^-j at the edges, so j
+    is refused where B_nj leaves the normal float range.
     """
-    wang, same_class = _wang_basis(j)
-    h = wang.T @ h_matrix_lambda_symmetrized(j, p) @ wang
-    _, vecs = np.linalg.eigh(np.where(same_class, h, 0.0))
-    root_b = math.sqrt(2 * j + 1) * np.sqrt(weight_vector(j))
-    return (root_b[:, None] * (wang @ vecs)).astype(complex)
+    b = weight_vector(j)
+    if b.min() < np.finfo(float).tiny:
+        raise DomainError(
+            f"states at j={j} need B_nj down to {b.min():.3e}, below the normal float range"
+        )
+    blocks = _wang_blocks(*_lambda_symmetric_entries(j, p), j)
+    starts = np.cumsum([0] + [len(d) for d, _ in blocks])
+    n, sign = _wang_basis(j)
+    scale = np.where(n == 0, 1.0, math.sqrt(0.5)) * np.sqrt((2 * j + 1) * b[j + n])
+    pos, neg, signed = j + n, j - n, sign * scale
+    vals = np.empty(2 * j + 1)
+    out = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
+    for members, T in _stacks(blocks):
+        w, v = np.linalg.eigh(T)
+        for m, wm, vm in zip(members, w, v):
+            block = slice(starts[m], starts[m + 1])  # its Wang vectors and states
+            vals[block] = wm
+            out[block, pos[block]] = vm.T * scale[block]
+            out[block, neg[block]] = vm.T * signed[block]
+    return out[np.argsort(vals, kind="stable")]
 
 
 def phi_state(j: int, s: int, p: TopParams) -> FourierState:
     """Eigenstate Phi_{j,s}: (Phi,Phi)_Q = 2j+1, one D2 class, deterministic phase."""
     if abs(s) > j:
         raise DomainError(f"|s| must be <= j={j}")
-    return FourierState(j=j, coeffs=_fix_phase(_state_columns(j, p)[:, s + j], j))
+    return FourierState(j=j, coeffs=_fix_phase(_state_rows(j, p)[s + j : s + j + 1], j)[0])
 
 
 def phi_states(j: int, p: TopParams) -> list[FourierState]:
     """All 2j+1 states Phi_{j,s}, s = -j..j, from one diagonalization."""
-    return [FourierState(j=j, coeffs=_fix_phase(c, j)) for c in _state_columns(j, p).T]
+    return [FourierState(j=j, coeffs=c) for c in _fix_phase(_state_rows(j, p), j)]
 
 
 def phi_state_series(j: int, s: int, p: TopParams) -> FourierState:
@@ -454,4 +564,4 @@ def phi_state_series(j: int, s: int, p: TopParams) -> FourierState:
     spec = np.fft.fft(values) / ngrid
     coeffs = spec[np.arange(-j, j + 1) % ngrid]
     norm = math.sqrt((2 * j + 1) / np.sum(np.abs(coeffs) ** 2 / weight_vector(j)).real)
-    return FourierState(j=j, coeffs=_fix_phase(coeffs * norm, j))
+    return FourierState(j=j, coeffs=_fix_phase((coeffs * norm)[None], j)[0])

@@ -40,7 +40,7 @@ from .wavefunctions import (
     t_matrix_quadrature,
     uncertainty,
 )
-from .wigner import unitarity_defect, wigner_gram
+from .wigner import unitarity_defect, wigner_D_stack
 
 
 @dataclass(frozen=True)
@@ -209,19 +209,22 @@ def check_wigner_orthogonality(
     jmax: int = _SPEC["wigner-orthogonality"].jmax,
     tol: float = _SPEC["wigner-orthogonality"].tol,
 ) -> CheckResult:
-    """Haar orthogonality of the D-functions plus row unitarity of d(theta)."""
+    """Haar orthogonality of the D-functions plus row unitarity of d(theta).
+
+    The Gram tensors of wigner_gram for every jt <= j, with the weighted D^j
+    stack built once per j instead of once per jt.
+    """
     worst = 0.0
     thetas = np.linspace(0.2, math.pi - 0.2, 5)
     for j in range(jmax + 1):
         worst = max(worst, unitarity_defect(j, thetas))
         rule = haar_rule(j)
+        d_j = wigner_D_stack(j, rule)
+        weighted = (rule.weights[:, None, None] * d_j).conj().reshape(len(d_j), -1)
         for jt in range(j + 1):
-            gram = wigner_gram(j, jt, rule)
-            if jt == j:
-                eye = np.eye(2 * j + 1)
-                expected = np.einsum("mp,nq->mnpq", eye, eye) / (2 * j + 1)
-            else:
-                expected = np.zeros(gram.shape)
+            d_jt = d_j if jt == j else wigner_D_stack(jt, rule)
+            gram = weighted.T @ d_jt.reshape(len(d_jt), -1)
+            expected = np.eye(len(gram)) / (2 * j + 1) if jt == j else 0.0
             worst = max(worst, float(np.max(np.abs(gram - expected))))
     return _result("wigner-orthogonality", worst, tol)
 

@@ -98,6 +98,14 @@ def wigner_D_matrix(j: int, g: EulerAngles) -> np.ndarray:
     )
 
 
+def wigner_D_stack(j: int, rule: HaarRule) -> np.ndarray:
+    """D^j at every node of a Haar rule, shape (nodes, 2j+1, 2j+1)."""
+    thetas, inv = np.unique(rule.theta, return_inverse=True)
+    n = np.arange(-j, j + 1)
+    d = np.exp(1j * np.outer(rule.phi, n))[:, :, None] * wigner_d_matrix(j, thetas)[inv]
+    return d * np.exp(1j * np.outer(rule.psi, n))[:, None, :]
+
+
 def wigner_gram(j: int, jt: int, rule: HaarRule) -> np.ndarray:
     """Haar-quadrature Gram tensor G[m, n, mt, nt] of conj(D^j) with D^jt.
 
@@ -108,16 +116,8 @@ def wigner_gram(j: int, jt: int, rule: HaarRule) -> np.ndarray:
         raise DomainError(
             f"rule of degree {rule.degree} cannot integrate j={j}, jt={jt} products"
         )
-    thetas, inv = np.unique(rule.theta, return_inverse=True)
-    d_j = wigner_d_matrix(j, thetas)[inv]
-    d_jt = d_j if jt == j else wigner_d_matrix(jt, thetas)[inv]
-
-    n_j = np.arange(-j, j + 1)
-    n_jt = np.arange(-jt, jt + 1)
-    dj = np.exp(1j * np.outer(rule.phi, n_j))[:, :, None] * d_j
-    dj = dj * np.exp(1j * np.outer(rule.psi, n_j))[:, None, :]
-    djt = np.exp(1j * np.outer(rule.phi, n_jt))[:, :, None] * d_jt
-    djt = djt * np.exp(1j * np.outer(rule.psi, n_jt))[:, None, :]
+    dj = wigner_D_stack(j, rule)
+    djt = dj if jt == j else wigner_D_stack(jt, rule)
 
     # one BLAS product over the nodes, each stack flattened to (nodes, entries)
     weighted = (rule.weights[:, None, None] * dj).conj().reshape(len(dj), -1)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -191,6 +192,28 @@ def test_unknown_flag_exit_code(capsys):
         main(["levels", "--bogus"])
     assert exc.value.code == 3
     capsys.readouterr()
+
+
+def test_successive_main_calls_share_no_state(capsys):
+    # the parser is built once per process; a flag given to one call must
+    # not leak into the next
+    code, out, _ = run_cli(capsys, ["levels", "--jmax", "2", "--A", "5", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["A"] == 5.0 and len(doc["levels"]) == 9
+    code, out, _ = run_cli(capsys, ["levels"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == LEVELS_HEADER and len(lines) == 1 + 25
+    assert float(lines[3].split(",")[3]) == pytest.approx(4.0)  # A + C at A = 3, not 5
+
+
+def test_wave_refuses_states_past_the_float_range(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["wave", "--j", "560", "--s", "0"])
+    assert code == 3 and out == ""
+    assert "j=560" in err
 
 
 def test_module_entry_point():

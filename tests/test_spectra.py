@@ -299,3 +299,84 @@ def test_states_are_class_pure():
         warnings.simplefilter("error")
         for s, ref in J1_STATES.items():
             assert np.max(np.abs(phi_state(1, s, p).coeffs - ref)) < 1e-12
+
+
+LARGE_J_PARAMS = [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4), (100.0, 2.0, 1.0), (1 + 1e-6, 1.0, 0.5)]
+
+
+def complex_j_product_levels(j, p):
+    """The dense construction the Wang blocks replace: A J1^2 + B J2^2 + C J3^2
+    from the complex spin matrices, one dense eigvalsh."""
+    j1, j2, j3 = angular_momentum_matrices(j)
+    return np.linalg.eigvalsh(p.A * j1 @ j1 + p.B * j2 @ j2 + p.C * j3 @ j3)
+
+
+@pytest.mark.parametrize("params", LARGE_J_PARAMS)
+def test_block_spectra_match_complex_j_products(params):
+    p = TopParams(*params)
+    for j in [*range(11), 40, 150, 300]:
+        ref = complex_j_product_levels(j, p)
+        for route in ("wigner", "lambda"):
+            got = np.array([lev.E for lev in spectrum(j, p, route=route)])
+            assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
+
+
+def test_h_wigner_matches_complex_j_products(p321):
+    for j in (0, 1, 2, 5, 12):
+        j1, j2, j3 = angular_momentum_matrices(j)
+        ref = p321.A * j1 @ j1 + p321.B * j2 @ j2 + p321.C * j3 @ j3
+        assert np.max(np.abs(h_matrix_wigner(j, p321) - ref)) < 1e-12 * max(1, j * j)
+
+
+@pytest.mark.parametrize("route", ["wigner", "lambda"])
+def test_block_spectrum_makes_at_most_three_eigvalsh_calls(route, monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    p = TopParams(5.3, 2.1, 0.4)
+    for j in [*range(13), 40, 151]:
+        calls.clear()
+        assert len(spectrum(j, p, route=route)) == 2 * j + 1
+        assert 1 <= len(calls) <= 3
+        assert all(shape[-1] <= j // 2 + 1 for shape in calls)
+
+
+@pytest.mark.parametrize("j", [540, 560, 600])
+def test_routes_agree_past_the_weight_underflow(j):
+    # B_nj leaves the normal float range at j = 514: levels must not
+    # notice, and states must refuse with a typed error, never NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in LARGE_J_PARAMS:
+            p = TopParams(*params)
+            ref = np.array([lev.E for lev in lame_spectrum(j, p)])
+            scale = np.maximum(1.0, np.abs(ref))
+            for route in ("wigner", "lambda"):
+                got = np.array([lev.E for lev in spectrum(j, p, route=route)])
+                assert np.max(np.abs(got - ref) / scale) < 1e-12
+        p = TopParams(3.0, 2.0, 1.0)
+        with pytest.raises(DomainError, match=f"j={j}"):
+            phi_state(j, 0, p)
+        with pytest.raises(DomainError, match=f"j={j}"):
+            phi_states(j, p)
+
+
+def test_phase_makes_first_nonvanishing_derivative_positive():
+    # the k-th derivative at q=0 is sum_n c_n (in)^k; powers of n overflow
+    # int64 long before k reaches 2j, so test on x = n/j
+    for params in ((100.0, 2.0, 1.0), (5.3, 2.1, 0.4)):
+        p = TopParams(*params)
+        for j in (48, 80):
+            x = np.arange(-j, j + 1) / j
+            for state in phi_states(j, p):
+                for k in range(2 * j + 1):
+                    terms = state.coeffs * (1j * x) ** k
+                    z = terms.sum()
+                    if abs(z) > 1e-9 * np.abs(terms).sum():
+                        break
+                assert z.real > 0 and abs(z.imag) <= 1e-12 * np.abs(terms).sum()

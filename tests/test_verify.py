@@ -1,10 +1,19 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from asymtop import TopParams, verify
+from asymtop import TopParams, haar_rule, verify, wigner_gram
 from asymtop.cli import main
-from asymtop.verify import CHECKS, check_gram_hermiticity, check_pde_residual, run_all
+from asymtop.verify import (
+    CHECKS,
+    check_gram_hermiticity,
+    check_pde_residual,
+    check_wigner_orthogonality,
+    run_all,
+)
+from asymtop.wigner import unitarity_defect
 
 P321 = TopParams(3.0, 2.0, 1.0)
 NAMES = [c.name for c in CHECKS]
@@ -49,3 +58,23 @@ def test_pde_residual_not_fooled_by_rounding_near_the_pole():
     # j=1 residual at theta near pi sits on the rounding floor at h = 5e-4
     p = TopParams(2.2585069608950636, 1.1666653838424454, 0.7594536690222149)
     assert check_pde_residual(p, seed=582196194).passed
+
+
+def test_wigner_orthogonality_builds_each_stack_once(monkeypatch):
+    # the per-pair oracle: wigner_gram for every jt <= j, plus d unitarity
+    worst = 0.0
+    thetas = np.linspace(0.2, math.pi - 0.2, 5)
+    for j in range(6):
+        worst = max(worst, unitarity_defect(j, thetas))
+        rule = haar_rule(j)
+        for jt in range(j + 1):
+            gram = wigner_gram(j, jt, rule)
+            eye = np.eye(2 * j + 1)
+            expected = np.einsum("mp,nq->mnpq", eye, eye) / (2 * j + 1) if jt == j else 0.0
+            worst = max(worst, float(np.max(np.abs(gram - expected))))
+    built = []
+    original = verify.wigner_D_stack
+    monkeypatch.setattr(verify, "wigner_D_stack", lambda j, rule: built.append(j) or original(j, rule))
+    result = check_wigner_orthogonality(jmax=5)
+    assert result.defect == worst
+    assert sorted(built) == sorted(jt for j in range(6) for jt in range(j + 1))
