@@ -1,9 +1,10 @@
 """Spectrum and wavefunctions of the quantum asymmetric top.
 
 Three independent routes to the same 2j+1 levels per angular momentum j:
-dense diagonalization in the Wigner basis, polynomial series solutions of the
+the Hamiltonian in the Wigner basis, polynomial series solutions of the
 reduced second-order equation, and first-order generators acting on
-trigonometric polynomials of one complex angle.  Cross-checks between the
+trigonometric polynomials of one complex angle.  The first and last are
+diagonalized as four real tridiagonal blocks, one per D2 (Wang) class.  Cross-checks between the
 routes, the reproducing kernel, and the Haar/complex-angle quadratures live
 in asymtop.verify and behind the `asymtop verify` command.
 """
@@ -52,7 +53,6 @@ from .spectra import (
     EnergyLevel,
     LameSeries,
     TopParams,
-    angular_momentum_matrices,
     h_matrix_lambda,
     h_matrix_wigner,
     lame_polynomial,
@@ -86,6 +86,7 @@ from .wavefunctions import (
     uncertainty,
 )
 from .wigner import (
+    angular_momentum_matrices,
     wigner_D,
     wigner_D_matrix,
     wigner_d_matrix,

@@ -38,4 +38,6 @@ class ConvergenceWarning(UserWarning):
 
 
 class DegeneracyWarning(UserWarning):
-    """Nearly degenerate energies: individual eigenvectors are arbitrary."""
+    """Nearly degenerate energies with arbitrary eigenvectors.  No longer
+    raised (states come from class-pure blocks); kept for callers that
+    filter on it."""

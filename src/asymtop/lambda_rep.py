@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceWarning, DimensionError, DomainError
 from .so3 import gauss_legendre
-from .wigner import check_dimension, log_factorials
+from .wigner import check_dimension
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,6 +58,11 @@ class FourierState:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", check_dimension(self.j, self.coeffs))
+
+
+def log_factorials(kmax: int) -> np.ndarray:
+    """log(k!) for k = 0..kmax, one math.lgamma table."""
+    return np.array([math.lgamma(k + 1.0) for k in range(kmax + 1)])
 
 
 def weight_B(n, j: int):
@@ -168,24 +173,15 @@ def default_beta_max(j: int, tol: float = 1e-12) -> float:
     return 0.5 * math.log(max(kappa, 1.0) * 2.0 ** (j + 2) * TWO_PI / tol) + 1.0
 
 
-def q_rule(
-    j: int,
-    beta_max: float | None = None,
-    n_alpha: int | None = None,
-    n_beta: int | None = None,
-) -> QRule:
+def q_rule(j: int, beta_max: float | None = None) -> QRule:
     """Build the product rule: uniform alpha grid x Gauss-Legendre in beta."""
     if beta_max is None:
         beta_max = default_beta_max(j)
-    if n_alpha is None:
-        n_alpha = 2 * j + 4
-    if n_beta is None:
-        # integrand poles at beta = +-i pi/2 bound the Gauss-Legendre rate:
-        # error ~ exp(-n pi / beta_max) with a prefactor growing in j (the
-        # pole order is j+1), so n must scale with beta_max and j
-        n_beta = 224 + 32 * j
-    if n_alpha < 2 * j + 2 or n_beta < 2 * j + 2:
-        raise DomainError(f"node counts too small for j={j}; need >= {2 * j + 2}")
+    n_alpha = 2 * j + 4
+    # integrand poles at beta = +-i pi/2 bound the Gauss-Legendre rate:
+    # error ~ exp(-n pi / beta_max) with a prefactor growing in j (the
+    # pole order is j+1), so n must scale with beta_max and j
+    n_beta = 224 + 32 * j
     alphas = TWO_PI * np.arange(n_alpha) / n_alpha
     x, wx = gauss_legendre(n_beta)
     betas = beta_max * x

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+GIMBAL_TOL = 1e-10  # matrix_to_euler: 1 - |cos theta| below this is gimbal lock
+THETA_MARGIN = 1e-3  # invariant fields and Casimir: refused within this of theta = 0, pi
 
 
 @dataclass(frozen=True)
@@ -66,18 +68,18 @@ def euler_to_matrix(g: EulerAngles) -> np.ndarray:
     return rot_z(g.phi) @ rot_x(g.theta) @ rot_z(g.psi)
 
 
-def matrix_to_euler(mat: np.ndarray, tol: float = 1e-10) -> EulerAngles:
+def matrix_to_euler(mat: np.ndarray) -> EulerAngles:
     """Recover z-x-z angles from a rotation matrix.
 
-    At gimbal lock (theta within tol of 0 or pi) the composite z-rotation is
-    put entirely into phi and psi is set to 0.
+    At gimbal lock (1 - |cos theta| below GIMBAL_TOL) the composite
+    z-rotation is put entirely into phi and psi is set to 0.
     """
     m = np.asarray(mat, dtype=float)
     if m.shape != (3, 3):
         raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
     c = min(1.0, max(-1.0, m[2, 2]))
     theta = math.acos(c)
-    if 1.0 - abs(c) < tol:
+    if 1.0 - abs(c) < GIMBAL_TOL:
         # m reduces to g_z(phi +- psi): assign the whole rotation to phi.
         phi = math.atan2(m[1, 0], m[0, 0])
         return EulerAngles(phi % TWO_PI, 0.0 if c > 0 else math.pi, 0.0)
@@ -129,10 +131,10 @@ def _field_coeffs(side: Field, a: int, g: EulerAngles) -> tuple[float, float, fl
     raise DomainError(f"unknown field {side!r} index {a}")
 
 
-def _check_theta(g: EulerAngles, eps: float) -> None:
-    if min(abs(g.theta), abs(math.pi - g.theta)) < eps:
+def _check_theta(g: EulerAngles) -> None:
+    if min(abs(g.theta), abs(math.pi - g.theta)) < THETA_MARGIN:
         raise DomainError(
-            f"theta={g.theta!r} within {eps} of a coordinate singularity"
+            f"theta={g.theta!r} within {THETA_MARGIN} of a coordinate singularity"
         )
 
 
@@ -142,14 +144,13 @@ def invariant_field_apply(
     f: Callable[[EulerAngles], complex],
     g: EulerAngles,
     h: float = 1e-5,
-    eps: float = 1e-3,
 ) -> complex:
     """Apply xi_a or eta_a to f at g by central differences of step h.
 
-    Raises DomainError when theta is within eps of 0 or pi, where the
-    coordinate coefficients blow up.
+    Raises DomainError when theta is within THETA_MARGIN of 0 or pi, where
+    the coordinate coefficients blow up.
     """
-    _check_theta(g, eps)
+    _check_theta(g)
     cphi, cth, cpsi = _field_coeffs(side, a, g)
     out = 0.0 + 0.0j
     if cphi != 0.0:
@@ -174,7 +175,6 @@ def casimir_apply(
     f: Callable[[EulerAngles], complex],
     g: EulerAngles,
     h: float = 1e-5,
-    eps: float = 1e-3,
 ) -> complex:
     """Apply the quadratic Casimir
 
@@ -182,9 +182,10 @@ def casimir_apply(
               - d^2/dtheta^2 - cot theta d/dtheta
 
     by second-order central differences of step h.  Eigenfunctions of angular
-    momentum j return j(j+1) times themselves up to O(h^2).
+    momentum j return j(j+1) times themselves up to O(h^2).  Raises
+    DomainError within THETA_MARGIN of theta = 0 or pi.
     """
-    _check_theta(g, eps)
+    _check_theta(g)
     phi, th, psi = g.phi, g.theta, g.psi
     sth = math.sin(th)
     cth = math.cos(th)
@@ -243,19 +244,17 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def haar_rule(degree: int, n_phi: int | None = None, n_theta: int | None = None) -> HaarRule:
+def haar_rule(degree: int) -> HaarRule:
     """Build a normalized Haar rule exact through Wigner degree `degree`.
 
-    Needs at least 2*degree+1 azimuthal points (products carry frequencies up
-    to 2*degree) and degree+1 Gauss-Legendre nodes in cos theta (the surviving
+    Uses 2*degree+1 azimuthal points (products carry frequencies up to
+    2*degree) and degree+1 Gauss-Legendre nodes in cos theta (the surviving
     theta integrand is a polynomial of degree at most 2*degree in cos theta).
     """
     if degree < 0:
         raise DomainError("degree must be >= 0")
-    n_az = max(1, 2 * degree + 1) if n_phi is None else n_phi
-    n_gl = max(1, degree + 1) if n_theta is None else n_theta
-    if n_az < 2 * degree + 1 or n_gl < degree + 1:
-        raise DomainError("rule too small for the requested degree")
+    n_az = 2 * degree + 1
+    n_gl = degree + 1
 
     az = TWO_PI * np.arange(n_az) / n_az
     x, wx = gauss_legendre(n_gl)

@@ -27,7 +27,7 @@ from .lambda_rep import (
     weight_vector,
 )
 from .so3 import IDENTITY, EulerAngles, compose, haar_rule
-from .spectra import ROUTES, TopParams, angular_momentum_matrices, h_matrix_lambda, spectrum
+from .spectra import ROUTES, TopParams, h_matrix_lambda, spectrum
 from .wavefunctions import (
     completeness_defect,
     kernel_conj_defect,
@@ -40,7 +40,7 @@ from .wavefunctions import (
     t_matrix_quadrature,
     uncertainty,
 )
-from .wigner import unitarity_defect, wigner_D_stack
+from .wigner import angular_momentum_matrices, unitarity_defect, wigner_D_stack
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,21 @@
 """Wigner D-functions on SO(3) in the z-x-z convention.
 
-D^j_{mn}(g) = e^{i(m phi + n psi)} d^j_{mn}(theta) with
+D^j_{mn}(g) = e^{i(m phi + n psi)} d^j_{mn}(theta) with d^j(theta) =
+exp(i theta J_1) on n = -j..j, computed by one method, the eigenbasis of J_1
+(Risbo, J. Geodesy 70, 383 (1996); Feng, Wang, Yang & Jin, PRE 92, 043307
+(2015)).  With P = diag(i^n), P* J_1 P is real symmetric tridiagonal with
+off-diagonals c/2 (c the ladder coefficients) and eigenvalues exactly -j..j.
+Its eigenvectors V are computed once per j (jx_eigenbasis), and
 
-    d^j_{mn}(theta) = (-1)^{m-n} sqrt((j+m)!(j-m)!/((j+n)!(j-n)!))
-                      * sin^{m-n}(theta/2) cos^{m+n}(theta/2)
-                      * P^{(m-n, m+n)}_{j-m}(cos theta).
+    d^j(theta) = Re(P V diag(e^{i theta lambda}) V^T P*)
 
-The closed form is evaluated directly for m >= |n| and extended elsewhere by
-the symmetries d_{mn} = (-1)^{m-n} d_{nm} = d_{-n,-m}.  jacobi_poly and
-wigner_small_d broadcast over their index and angle arguments, so a whole
-matrix, or a stack of them over many theta, is one evaluation.  Factorial
-ratios go through log-gamma so j up to ~50 keeps full relative precision.
+keeps cos(theta lambda) between indices of equal parity and sin(theta
+lambda) between the others.  An array of theta is one broadcast evaluation.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
@@ -23,54 +23,54 @@ from .errors import DimensionError, DomainError
 from .so3 import EulerAngles, HaarRule
 
 
-def log_factorials(kmax: int) -> np.ndarray:
-    """log(k!) for k = 0..kmax, one math.lgamma table."""
-    return np.array([math.lgamma(k + 1.0) for k in range(kmax + 1)])
-
-
-def jacobi_poly(k, alpha, beta, z):
-    """Jacobi polynomial P_k^{(alpha,beta)}(z) by the three-term recurrence.
-
-    Broadcasts over all four arguments; each entry stops at its own degree.
-    """
-    k = np.asarray(k)
-    if (k < 0).any():
-        raise DomainError("polynomial degree must be >= 0")
-    ab = alpha + beta
-    a2, b2 = alpha * alpha, beta * beta
-    p_prev = np.ones(np.broadcast(k, ab, z).shape)
-    p = np.where(k >= 1, (alpha + 1.0) + (ab + 2.0) * (z - 1.0) / 2.0, p_prev)
-    for n in range(2, int(k.max(initial=0)) + 1):
-        s = 2.0 * n + ab
-        c1 = 2.0 * n * (n + ab) * (s - 2.0)
-        c2 = (s - 1.0) * (s * (s - 2.0) * z + a2 - b2)
-        c3 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * s
-        live = n <= k
-        p, p_prev = np.where(live, (c2 * p - c3 * p_prev) / c1, p), np.where(live, p, p_prev)
-    return p[()]
-
-
-def wigner_small_d(j, m, n, theta):
-    """Reduced matrix element d^j_{mn}(theta), broadcast over all arguments."""
-    j, m, n = np.asarray(j), np.asarray(m), np.asarray(n)
-    if (j < 0).any():
+def ladder_coefficients(j: int) -> tuple[np.ndarray, np.ndarray]:
+    """m = j..-j and the ladder coefficients c = sqrt(j(j+1) - m m') of the
+    steps m -> m' = m-1 (a palindrome), shared by every spin-j matrix."""
+    if j < 0:
         raise DomainError("j must be >= 0")
+    m = np.arange(j, -j - 1, -1, dtype=float)
+    return m, np.sqrt(j * (j + 1) - m[:-1] * m[1:])
+
+
+def angular_momentum_matrices(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spin-j matrices with [J1,J2] = iJ3 cyclic on the basis n = j..-j.
+
+    J3 = diag(j..-j); J2 is the real symmetric ladder matrix; J1 the
+    imaginary antisymmetric one.
+    """
+    m, c = ladder_coefficients(j)
+    J3 = np.diag(m).astype(complex)
+    J2 = (np.diag(c, 1) + np.diag(c, -1)).astype(complex) / 2.0
+    J1 = (np.diag(1j * c, 1) + np.diag(-1j * c, -1)) / 2.0
+    return J1, J2, J3
+
+
+@functools.lru_cache(maxsize=16)
+def jx_eigenbasis(j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues -j..j and eigenvectors of P* J_1 P, read-only, once per j.
+
+    Row k = n + j of the vectors carries s_k = (-1)^(k//2): the phase
+    i^(k-k') of d^j is s_k s_k' times 1, -i or i (k, k' of equal parity;
+    k even; k odd).
+    """
+    _, c = ladder_coefficients(j)
+    half = np.diag(c / 2.0, 1)
+    lam, v = np.linalg.eigh(half + half.T)
+    lam = np.rint(lam)
+    v = v * ((-1.0) ** (np.arange(2 * j + 1) // 2))[:, None]
+    lam.flags.writeable = False
+    v.flags.writeable = False
+    return lam, v
+
+
+def wigner_small_d(j: int, m, n, theta):
+    """Reduced matrix element d^j_{mn}(theta), an entry of wigner_d_matrix;
+    m and n broadcast, and an array of theta puts its shape in front."""
+    d = wigner_d_matrix(j, theta)
+    m, n = np.asarray(m), np.asarray(n)
     if (np.abs(m) > j).any() or (np.abs(n) > j).any():
         raise DomainError(f"|m|, |n| must be <= j={j}")
-    # fold onto mm >= |nn|: transpose when |n| is larger, negate both when the
-    # larger index is negative.  Either move alone costs (-1)^{m-n}, which
-    # cancels the closed form's own (-1)^{mm-nn} = (-1)^{m-n}.
-    swap = np.abs(n) > np.abs(m)
-    big, small = np.where(swap, n, m), np.where(swap, m, n)
-    flip = big < 0
-    mm, nn = np.abs(big), np.where(flip, -small, small)
-    a, b = mm - nn, mm + nn
-    sign = np.where(swap == flip, (-1.0) ** (m - n), 1.0)
-    lf = log_factorials(2 * int(j.max()))
-    ratio = np.exp(0.5 * (lf[j + mm] + lf[j - mm] - lf[j + nn] - lf[j - nn]))
-    half = 0.5 * theta
-    poly = jacobi_poly(j - mm, a, b, np.cos(theta))
-    return sign * ratio * np.sin(half) ** a * np.cos(half) ** b * poly
+    return d[..., m + j, n + j]
 
 
 def wigner_D(j: int, m: int, n: int, g: EulerAngles) -> complex:
@@ -84,8 +84,17 @@ def wigner_d_matrix(j: int, theta) -> np.ndarray:
     For an array of theta the result stacks one matrix per angle, with shape
     theta.shape + (2j+1, 2j+1).
     """
-    n = np.arange(-j, j + 1)
-    return wigner_small_d(j, n[:, None], n[None, :], np.asarray(theta)[..., None, None])
+    lam, v = jx_eigenbasis(j)
+    t = np.asarray(theta, dtype=float)[..., None, None] * lam
+    cos, sin = np.cos(t), np.sin(t)
+    even, odd = v[0::2], v[1::2]  # by index k = n + j
+    cross = (even * sin) @ odd.T
+    out = np.empty(cross.shape[:-2] + (2 * j + 1, 2 * j + 1))
+    out[..., 0::2, 0::2] = (even * cos) @ even.T
+    out[..., 1::2, 1::2] = (odd * cos) @ odd.T
+    out[..., 0::2, 1::2] = cross
+    out[..., 1::2, 0::2] = -cross.swapaxes(-1, -2)
+    return out
 
 
 def wigner_D_matrix(j: int, g: EulerAngles) -> np.ndarray:

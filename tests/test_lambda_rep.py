@@ -171,13 +171,6 @@ def test_quadrature_inner_product_and_tail_warning(rng):
         inner_product_quadrature(u, u, beta_max=2.0)
 
 
-def test_q_rule_size_guards():
-    with pytest.raises(DomainError):
-        q_rule(3, n_alpha=4)
-    with pytest.raises(DomainError):
-        q_rule(3, n_beta=4)
-
-
 def test_coefficients_recovered_by_pairing(rng):
     # c_n = B_nj (psi_n, u)_Q, evaluated by quadrature
     j = 2

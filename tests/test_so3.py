@@ -165,6 +165,4 @@ def test_haar_rule_kills_nontrivial_modes():
 
 def test_haar_rule_size_guard():
     with pytest.raises(DomainError):
-        haar_rule(2, n_phi=3)
-    with pytest.raises(DomainError):
         haar_rule(-1)

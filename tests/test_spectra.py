@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -299,6 +300,37 @@ def test_states_are_class_pure():
         warnings.simplefilter("error")
         for s, ref in J1_STATES.items():
             assert np.max(np.abs(phi_state(1, s, p).coeffs - ref)) < 1e-12
+
+
+def wang_class(coeffs: np.ndarray, j: int) -> tuple[int, int]:
+    """(parity of n, sign of c_{-n}/c_n) of a class-pure state."""
+    n = np.arange(-j, j + 1)
+    parity = int(np.abs(coeffs[n % 2 == 1]).sum() > np.abs(coeffs[n % 2 == 0]).sum())
+    sign = 1 if np.abs(coeffs - coeffs[::-1]).sum() < np.abs(coeffs + coeffs[::-1]).sum() else -1
+    return parity, sign
+
+
+@pytest.mark.parametrize(
+    "params, j", [((5.3, 2.1, 0.4), 17), ((3.0, 2.0, 1.0), 40), ((1 + 1e-6, 1.0, 0.5), 13)]
+)
+def test_doublet_labels_survive_one_ulp_of_eigenvalue_rounding(params, j, monkeypatch):
+    # the levels of a doublet can be equal to the last bit; which class gets
+    # the lower s must not follow eigh's rounding.  Each Wang block's
+    # eigenvalues move one ulp up or down, in every combination.
+    p = TopParams(*params)
+    ref = [wang_class(st.coeffs, j) for st in phi_states(j, p)]
+    original = np.linalg.eigh
+    for directions in itertools.product((np.inf, -np.inf), repeat=4):
+        blocks = iter(directions)
+
+        def nudged(a, *args, **kwargs):
+            w, v = original(a, *args, **kwargs)
+            toward = np.array([next(blocks) for _ in range(len(w))])[:, None]
+            return np.nextafter(w, toward), v
+
+        monkeypatch.setattr(np.linalg, "eigh", nudged)
+        assert [wang_class(st.coeffs, j) for st in phi_states(j, p)] == ref
+        monkeypatch.undo()
 
 
 LARGE_J_PARAMS = [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4), (100.0, 2.0, 1.0), (1 + 1e-6, 1.0, 0.5)]

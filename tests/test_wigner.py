@@ -18,29 +18,41 @@ from asymtop import (
     wigner_gram,
     wigner_small_d,
 )
-from asymtop.wigner import check_dimension, jacobi_poly, unitarity_defect
+from asymtop.wigner import check_dimension, jx_eigenbasis, unitarity_defect, wigner_D_stack
 
 
-def test_jacobi_against_scipy(rng):
-    for _ in range(50):
-        k = int(rng.integers(0, 12))
-        a = float(rng.integers(0, 6))
-        b = float(rng.integers(0, 6))
-        z = rng.uniform(-1, 1)
-        ref = eval_jacobi(k, a, b, z)
-        assert abs(jacobi_poly(k, a, b, z) - ref) < 1e-11 * max(1.0, abs(ref))
-    # one broadcast call over mixed degrees: each entry stops at its own k
-    k = rng.integers(0, 12, size=50)
-    a = rng.integers(0, 6, size=50).astype(float)
-    b = rng.integers(0, 6, size=50).astype(float)
-    z = rng.uniform(-1, 1, size=50)
-    ref = eval_jacobi(k, a, b, z)
-    assert np.all(np.abs(jacobi_poly(k, a, b, z) - ref) < 1e-11 * np.maximum(1.0, np.abs(ref)))
+def closed_form_small_d(j, m, n, theta):
+    """The Jacobi closed form with exact factorial ratios, for m >= |n|,
+
+        d^j_{mn} = (-1)^{m-n} sqrt((j+m)!(j-m)!/((j+n)!(j-n)!))
+                   * sin^{m-n}(theta/2) cos^{m+n}(theta/2) P^{(m-n, m+n)}_{j-m}(cos theta),
+
+    extended to every (m, n) by d_mn = (-1)^{m-n} d_nm = (-1)^{m-n} d_{-m,-n}.
+    """
+    sign = 1.0
+    if abs(n) > abs(m):
+        m, n, sign = n, m, (-1.0) ** (m - n)
+    if m < 0:
+        m, n, sign = -m, -n, sign * (-1.0) ** (m - n)
+    f = math.factorial
+    ratio = math.sqrt(f(j + m) * f(j - m) / (f(j + n) * f(j - n)))
+    return (
+        sign
+        * (-1.0) ** (m - n)
+        * ratio
+        * math.sin(theta / 2) ** (m - n)
+        * math.cos(theta / 2) ** (m + n)
+        * eval_jacobi(j - m, m - n, m + n, math.cos(theta))
+    )
 
 
-def test_jacobi_rejects_negative_degree():
-    with pytest.raises(DomainError):
-        jacobi_poly(-1, 0.0, 0.0, 0.3)
+def test_small_d_matrix_matches_jacobi_closed_form(rng):
+    thetas = (*rng.uniform(0.0, math.pi, size=2), math.pi / 2, math.pi)
+    for j in range(25):
+        idx = range(-j, j + 1)
+        for theta in thetas:
+            ref = np.array([[closed_form_small_d(j, m, n, theta) for n in idx] for m in idx])
+            assert np.max(np.abs(wigner_d_matrix(j, theta) - ref)) < 1e-12
 
 
 def test_small_d_j1_closed_forms(rng):
@@ -73,7 +85,7 @@ def test_small_d_at_zero_is_identity():
         np.testing.assert_allclose(wigner_d_matrix(j, 0.0), np.eye(2 * j + 1), atol=1e-14)
 
 
-@pytest.mark.parametrize("j", [10, 24, 48])
+@pytest.mark.parametrize("j", [10, 24, 48, 80, 150, 300])
 def test_small_d_matrix_matches_expm_oracle(j, rng):
     # d^j(theta) = exp(i theta J1) on the n = j..-j basis, reversed to -j..j
     j1 = angular_momentum_matrices(j)[0]
@@ -91,6 +103,31 @@ def test_small_d_matrix_stacks_over_theta(rng):
             np.testing.assert_array_equal(stacked[idx], wigner_d_matrix(j, thetas[idx]))
 
 
+def test_eigenbasis_computed_once_per_j(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    jx_eigenbasis.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rule = haar_rule(3)
+    for theta in (0.4, 1.3, 2.9):
+        wigner_d_matrix(3, theta)
+        wigner_d_matrix(3, rule.theta)
+        wigner_D_stack(3, rule)
+        wigner_small_d(3, 1, -2, theta)
+    wigner_d_matrix(1, 0.4)
+    wigner_D_stack(1, rule)
+    assert calls == [(7, 7), (3, 3)]
+    for arr in jx_eigenbasis(3):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_small_d_symmetries(rng):
     for _ in range(30):
         j = int(rng.integers(0, 6))
@@ -104,6 +141,8 @@ def test_small_d_symmetries(rng):
 
 
 def test_small_d_domain_guards():
+    with pytest.raises(DomainError):
+        wigner_d_matrix(-1, 0.3)
     with pytest.raises(DomainError):
         wigner_small_d(-1, 0, 0, 0.3)
     with pytest.raises(DomainError):
