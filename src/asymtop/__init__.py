@@ -3,10 +3,11 @@
 Three independent routes to the same 2j+1 levels per angular momentum j:
 the Hamiltonian in the Wigner basis, polynomial series solutions of the
 reduced second-order equation, and first-order generators acting on
-trigonometric polynomials of one complex angle.  The first and last are
-diagonalized as four real tridiagonal blocks, one per D2 (Wang) class.  Cross-checks between the
-routes, the reproducing kernel, and the Haar/complex-angle quadratures live
-in asymtop.verify and behind the `asymtop verify` command.
+trigonometric polynomials of one complex angle.  Each builds its own real
+entries and is solved as four symmetric tridiagonal blocks, one per D2
+class.  Cross-checks between the routes, the reproducing kernel, and the
+Haar/complex-angle quadratures live in asymtop.verify and behind the
+`asymtop verify` command.
 """
 
 from .errors import (

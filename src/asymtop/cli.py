@@ -7,8 +7,8 @@ Subcommands:
     verify   the full self-check suite, one line per check
 
 Shared flags (also settable as key=value lines in a --config file; explicit
-flags win): --A --B --C --jmax --routes --format --seed and one
---tol-<check> per check name.
+flags win, and a key that names no flag is an error): --A --B --C --jmax
+--routes --format --seed and one --tol-<check> per check name.
 
 Exit codes: 0 success, 1 verify found a failing check, 2 levels found a
 cross-route disagreement above tol-route-agreement, 3 invalid parameters or
@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Flat key=value file; blank lines and # comments are skipped."""
+    """Flat key=value file; blank lines and # comments are skipped.  Every
+    key must be one of the shared settings, so a misspelt key is an error."""
     cfg: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -122,8 +123,10 @@ def load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise DomainError(f"config line is not key=value: {raw!r}")
-        key, val = line.split("=", 1)
-        cfg[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _DEFAULTS:
+            raise DomainError(f"unknown config key {key!r} in {path}")
+        cfg[key] = val
     return cfg
 
 

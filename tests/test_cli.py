@@ -176,6 +176,16 @@ def test_config_bad_line(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_config_unknown_key(tmp_path, capsys):
+    # a misspelt key must not silently fall back to the default
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("jmax = 1\ntol-route-agrement = 1e-30\n")
+    code, out, err = run_cli(capsys, ["levels", "--config", str(cfg)])
+    assert code == 3
+    assert out == ""
+    assert "tol-route-agrement" in err
+
+
 def test_load_config_parses(tmp_path):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text("A=2\n\n# note\nseed = 5\n")

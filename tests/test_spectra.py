@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -166,15 +167,14 @@ def test_lame_agrees_with_wigner_at_large_j(j, params):
 def test_lame_rejects_unsymmetrizable_recurrence(p321, monkeypatch):
     # a companion with a negative off-diagonal product has no real symmetric
     # similar matrix; the route must refuse it instead of taking its root
-    original = spectra.lame_recurrence
+    original = spectra._lame_entries
 
-    def flipped(N, j, p):
-        T = original(N, j, p)
-        if T.shape[0] > 1:
-            T[1, 0] = -T[1, 0]
-        return T
+    def flipped(j, p):
+        entries = original(j, p)
+        entries[0][2][0] *= -1.0  # the (1, 0) entry of class 1
+        return entries
 
-    monkeypatch.setattr(spectra, "lame_recurrence", flipped)
+    monkeypatch.setattr(spectra, "_lame_entries", flipped)
     with pytest.raises(RootCountError, match="off-diagonal product"):
         lame_spectrum(4, p321)
 
@@ -190,6 +190,79 @@ def test_lame_polynomial_terminates_only_at_eigenvalues(p321):
         lame_polynomial(5, 3, levels[0].E, p321)
     with pytest.raises(DomainError):
         lame_polynomial(4, 1, 1.0, p321)  # class empty for j=1
+
+
+def mp_lame_coeffs(N, j, E, p, dps):
+    """Reference coefficients of class N at dps digits: the root nearest E,
+    refined by secant steps on the termination residual, then the forward
+    recurrence from s_0 = 1.  Independent of the package's formulas."""
+    with mpmath.workdps(dps):
+        A, B, C = (mpmath.mpf(x) for x in (p.A, p.B, p.C))
+        u, v = A - B, B - C
+        a, c = (mpmath.mpf(x) for x in ((0, 0), (0.5, 0), (0, 0.5), (0.5, 0.5))[N - 1])
+        pw = mpmath.mpf(j) / 2 - a - c
+        K = int(mpmath.floor(pw)) + 1
+        jj = j * (j + 1)
+
+        def alpha(t):
+            return 4 * t * t + (2 + 8 * a + 8 * c) * t + 8 * a * c + 4 * a + 4 * c - jj
+
+        def beta(t, E):
+            return E + 4 * (v - u) * t * t + 8 * (a * v - c * u) * t + 2 * (a * v - c * u) - jj * B
+
+        def gamma(t):
+            return -2 * u * v * t * (2 * t - 1)
+
+        def solve(E):
+            s = [mpmath.mpf(1)]
+            for k in range(1, K + 1):
+                rhs = beta(pw - k + 1, E) * s[k - 1]
+                if k >= 2:
+                    rhs += gamma(pw - k + 2) * s[k - 2]
+                if k == K:
+                    return s, rhs  # the would-be s_K must vanish
+                s.append(-rhs / alpha(pw - k))
+
+        x0, x1 = mpmath.mpf(E), mpmath.mpf(E) * (1 + mpmath.mpf(10) ** -12) + 1e-30
+        f0, f1 = solve(x0)[1], solve(x1)[1]
+        for _ in range(60):
+            if f1 == f0 or abs(x1 - x0) <= mpmath.mpf(10) ** (10 - dps) * abs(x1):
+                break
+            x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+            f1 = solve(x1)[1]
+        return np.array([float(x) for x in solve(x1)[0]])
+
+
+@pytest.mark.parametrize(
+    "params, j",
+    [
+        ((5.3, 2.1, 0.4), 20),
+        ((5.3, 2.1, 0.4), 40),
+        ((3.0, 2.0, 1.0), 20),
+        ((3.0, 2.0, 1.0), 40),
+        ((1 + 1e-6, 1.0, 0.5), 60),
+        ((100.0, 2.0, 1.0), 60),
+    ],
+)
+def test_lame_polynomial_matches_high_precision_solve(params, j):
+    # every level's series terminates, and its coefficients agree with a
+    # 100-digit forward solve.  The float forward recurrence lost 1e-8 at
+    # (5.3,2.1,0.4) and refused one level at j=40; scaling the eigenvector
+    # back through the similarity gives inf on the fifth set, 7e-9 on the last
+    p = TopParams(*params)
+    for lev in lame_spectrum(j, p):
+        got = lame_polynomial(lev.lame_class, j, lev.E, p).coeffs
+        ref = mp_lame_coeffs(lev.lame_class, j, lev.E, p, dps=100)
+        assert got[0] == 1.0
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_lame_polynomial_refuses_coefficients_past_the_float_range():
+    # at (100,2,1), j=600 the coefficients of the lowest level exceed 1e308
+    p = TopParams(100.0, 2.0, 1.0)
+    low = lame_spectrum(600, p)[0]
+    with pytest.raises(DomainError, match="float range"):
+        lame_polynomial(low.lame_class, 600, low.E, p)
 
 
 def test_lame_residual_vanishes(rng):
@@ -265,7 +338,7 @@ def test_phi_series_matches_diagonalization(rng):
                 assert np.max(np.abs(a - b)) < 1e-8
 
 
-@pytest.mark.parametrize("j", [16, 20])
+@pytest.mark.parametrize("j", [16, 20, 30])
 @pytest.mark.parametrize("params", [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4)])
 def test_phi_series_matches_diagonalization_at_larger_j(params, j):
     # inside an exact doublet the s order is a convention: match by energy
@@ -360,7 +433,7 @@ def test_h_wigner_matches_complex_j_products(p321):
         assert np.max(np.abs(h_matrix_wigner(j, p321) - ref)) < 1e-12 * max(1, j * j)
 
 
-@pytest.mark.parametrize("route", ["wigner", "lambda"])
+@pytest.mark.parametrize("route", ROUTES)
 def test_block_spectrum_makes_at_most_three_eigvalsh_calls(route, monkeypatch):
     calls = []
     original = np.linalg.eigvalsh
