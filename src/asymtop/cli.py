@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -166,7 +167,6 @@ def _settings(args):
 
 def cmd_levels(args) -> int:
     p, jmax, _seed, fmt, routes, tols = _settings(args)
-    routes = tuple(routes)
     skip_lame = False
     if "lame" in routes:
         try:
@@ -174,36 +174,44 @@ def cmd_levels(args) -> int:
         except DegenerateParamsError as exc:
             skip_lame = True
             print(f"warning: {exc}; lame column left empty", file=sys.stderr)
-    worst_rel = 0.0
-    table = []  # one tuple per row, in LEVELS_HEADER order
+    # one flat list of energies per distinct route, over every (j, s) row;
+    # each j's level list is dropped as soon as it is read
+    energies = {r: [] for r in routes if not (r == "lame" and skip_lame)}
+    classes: list[int] = []
     for j in range(jmax + 1):
-        per_route = {
-            r: spectrum(j, p, route=r)
-            for r in routes
-            if not (r == "lame" and skip_lame)
-        }
-        energies = {r: [lv.E for lv in levels] for r, levels in per_route.items()}
-        none = [None] * (2 * j + 1)
-        cls = [lv.lame_class for lv in per_route["lame"]] if "lame" in per_route else none
-        dis = none
-        if len(energies) >= 2:
-            E = np.array(list(energies.values()))
-            spread = E.max(axis=0) - E.min(axis=0)
-            rel = spread / np.maximum(1.0, np.abs(E).max(axis=0))
-            worst_rel = max(worst_rel, float(rel.max()))
-            dis = spread.tolist()
-        columns = (energies.get(r, none) for r in ROUTES)
-        table.extend(zip([j] * (2 * j + 1), range(-j, j + 1), cls, *columns, dis))
+        for r, flat in energies.items():
+            _, _, E, _, N = zip(*spectrum(j, p, route=r))
+            flat.extend(E)
+            if r == "lame":
+                classes.extend(N)
+    chain = itertools.chain.from_iterable
+    js = list(chain(itertools.repeat(j, 2 * j + 1) for j in range(jmax + 1)))
+    ss = list(chain(range(-j, j + 1) for j in range(jmax + 1)))
+    spread = None
+    worst_rel = 0.0
+    if len(energies) >= 2:
+        table = np.array(list(energies.values()))
+        spread = table.max(axis=0) - table.min(axis=0)
+        worst_rel = float((spread / np.maximum(1.0, np.abs(table).max(axis=0))).max())
+    has_class = "lame" in energies
     if fmt == "csv":
-        lines = [LEVELS_HEADER]
-        for j, s, c, *values in table:
-            cells = [str(j), str(s), "" if c is None else str(c)]
-            cells += ["" if v is None else _fmt(v) for v in values]
-            lines.append(",".join(cells))
-        print("\n".join(lines))
+        # one format string per row; + 0.0 folds -0.0 into 0, as _fmt does
+        cells = ["%d", "%d", "%d" if has_class else ""]
+        cells += ["%.17g" if r in energies else "" for r in ROUTES]
+        cells.append("" if spread is None else "%.17g")
+        columns = [js, ss] + ([classes] if has_class else [])
+        columns += [(np.array(energies[r]) + 0.0).tolist() for r in ROUTES if r in energies]
+        if spread is not None:
+            columns.append((spread + 0.0).tolist())
+        row = ",".join(cells)
+        print("\n".join([LEVELS_HEADER, *(row % values for values in zip(*columns))]))
     else:
+        absent = itertools.repeat(None)
+        columns = [js, ss, classes if has_class else absent]
+        columns += [energies.get(r, absent) for r in ROUTES]
+        columns.append(absent if spread is None else spread.tolist())
         keys = LEVELS_HEADER.split(",")
-        rows = [dict(zip(keys, row)) for row in table]
+        rows = [dict(zip(keys, values)) for values in zip(*columns)]
         print(json.dumps({"params": {"A": p.A, "B": p.B, "C": p.C}, "levels": rows}))
     if worst_rel > tols["route-agreement"]:
         print(

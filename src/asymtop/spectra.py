@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .lambda_rep import ComplexQ, FourierState, weight_vector
 from .wigner import angular_momentum_matrices, ladder_coefficients  # the former re-exported
 
 ROUTES = ("wigner", "lambda", "lame")
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,10 @@ class TopParams:
         return self.B - self.C
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
+    """One level E_{j,s} of a route; lame_class is the D2 class N of the
+    Lame route's levels and None on the others."""
+
     j: int
     s: int
     E: float
@@ -169,11 +173,12 @@ def _lambda_symmetric_entries(j: int, p: TopParams) -> tuple[np.ndarray, np.ndar
 
     The diagonal similarity that symmetrizes a matrix coupling n to n +- 2
     sets both off-diagonals to sqrt(M[n,n+2] M[n+2,n]).  The products stay in
-    range at every j; the Gram weights B_nj of the equivalent similarity
+    range at every j for parameters of moderate size (DomainError where they
+    leave it); the Gram weights B_nj of the equivalent similarity
     G^(1/2) M G^(-1/2) leave the normal float range at j = 514.
     """
     diag, upper, lower = _lambda_entries(j, p)
-    return diag, np.sqrt(upper * lower)
+    return diag, _symmetric_offdiagonal(upper, lower, f"lambda route at j={j}")
 
 
 def _wang_blocks(d: np.ndarray, e: np.ndarray, j: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -234,7 +239,9 @@ def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
     Every route builds its own real entries and takes the levels from four
     symmetric tridiagonal blocks: the Wang blocks of the wigner and lambda
     matrices, or the symmetrized Lame companions, whose levels carry their
-    class N as lame_class (exact ties in class order).
+    class N as lame_class (exact ties in class order).  Off-diagonal
+    products that leave the normal float range (parameters near 1e154 and
+    beyond, or near 1e-154 and below) raise DomainError naming the route and j.
     """
     if route not in ROUTES:
         raise DomainError(f"route must be one of {ROUTES}, got {route!r}")
@@ -248,15 +255,13 @@ def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
         blocks = _wang_blocks(*_lambda_symmetric_entries(j, p), j)
     else:
         blocks = [
-            (d, _symmetric_offdiagonal(N, up, lo))
+            (d, _symmetric_offdiagonal(up, lo, f"lame route at j={j}, class {N}"))
             for N, (d, up, lo) in enumerate(_lame_entries(j, p), 1)
         ]
     vals, labels = _block_levels(blocks)
-    classes = (labels + 1).tolist() if route == "lame" else [None] * len(vals)
-    return [
-        EnergyLevel(j=j, s=s, E=E, route=route, lame_class=N)
-        for s, E, N in zip(range(-j, j + 1), vals.tolist(), classes)
-    ]
+    classes = (labels + 1).tolist() if route == "lame" else itertools.repeat(None)
+    rows = zip(itertools.repeat(j), range(-j, j + 1), vals.tolist(), itertools.repeat(route), classes)
+    return list(map(EnergyLevel._make, rows))
 
 
 # --- Lame recurrence ---------------------------------------------------
@@ -293,19 +298,33 @@ def _lame_entries(j: int, p: TopParams) -> list[tuple[np.ndarray, np.ndarray, np
     a, c = _CLASS_A[:, None], _CLASS_C[:, None]
     pw = j / 2.0 - a - c
     t = pw - np.arange(j // 2 + 1)
-    diag = -_beta_no_e(t, a, c, j, p)
-    upper = -_alpha(t, a, c, j)  # entry k couples k-1 to k
-    lower = -_gamma(t + 1.0, p)  # entry k couples k to k-1
+    # u v overflows from parameters near 1e154: the callers refuse the
+    # resulting inf and nan entries with DomainError
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = -_beta_no_e(t, a, c, j, p)
+        upper = -_alpha(t, a, c, j)  # entry k couples k-1 to k
+        lower = -_gamma(t + 1.0, p)  # entry k couples k to k-1
     sizes = np.floor(pw[:, 0]).astype(int) + 1
     return [(diag[i, :K], upper[i, 1:K], lower[i, 1:K]) for i, K in enumerate(sizes)]
 
 
-def _symmetric_offdiagonal(N: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+def _symmetric_offdiagonal(upper: np.ndarray, lower: np.ndarray, where: str) -> np.ndarray:
     """Off-diagonal sqrt(upper lower) of the symmetric matrix similar to the
-    class-N companion; a product <= 0 leaves no real symmetric form."""
-    prods = upper * lower
-    if (prods <= 0.0).any():
-        raise RootCountError(f"class {N} recurrence has off-diagonal product {prods.min():.3e} <= 0")
+    tridiagonal one with these off-diagonals.
+
+    A product that overflows, or that falls below the normal float range
+    (down to 0) from a nonzero entry, has lost the entry: DomainError naming
+    `where`.  Products of two zero entries (A = B) stay 0.  A negative
+    product leaves no real symmetric form: RootCountError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods = upper * lower
+    if not ((prods >= _TINY) & (prods <= _HUGE)).all():  # nan fails both
+        size = np.abs(prods)
+        if (~(size <= _HUGE) | ((size < _TINY) & ((upper != 0.0) | (lower != 0.0)))).any():
+            raise DomainError(f"{where}: off-diagonal products leave the normal float range")
+        if (prods < 0.0).any():
+            raise RootCountError(f"{where}: off-diagonal product {prods.min():.3e} < 0")
     return np.sqrt(prods)
 
 
@@ -325,6 +344,8 @@ def lame_recurrence(N: int, j: int, p: TopParams) -> np.ndarray:
     T = np.diag(d)
     T.flat[1 :: K + 1] = upper
     T.flat[K :: K + 1] = lower
+    if not np.isfinite(T).all():
+        raise DomainError(f"lame route at j={j}, class {N}: companion entries leave the float range")
     return T
 
 
@@ -351,7 +372,7 @@ def lame_polynomial(N: int, j: int, E: float, p: TopParams) -> LameSeries:
     K = len(T)
     if K == 0:
         raise DomainError(f"class {N} is empty for j={j}")
-    e = _symmetric_offdiagonal(N, T.diagonal(1), T.diagonal(-1))
+    e = _symmetric_offdiagonal(T.diagonal(1), T.diagonal(-1), f"lame route at j={j}, class {N}")
     w, v = np.linalg.eigh(np.diag(T.diagonal()) + np.diag(e, 1) + np.diag(e, -1))
     i = int(np.argmin(np.abs(w - E)))
     if abs(E - w[i]) > 1e-8 * (abs(E) + j * (j + 1) * p.A + 1.0):

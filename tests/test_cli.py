@@ -3,9 +3,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from asymtop.cli import LEVELS_HEADER, WAVE_HEADER, load_config, main
+from asymtop import DegenerateParamsError, ROUTES, TopParams, require_strict, spectrum
+from asymtop.cli import LEVELS_HEADER, WAVE_HEADER, _fmt, load_config, main
 
 
 def run_cli(capsys, argv):
@@ -61,6 +63,81 @@ def test_levels_degenerate_params_warns_and_skips_lame(capsys):
     for line in out.strip().splitlines()[1:]:
         cells = line.split(",")
         assert cells[2] == "" and cells[5] == ""  # class and E_lame empty
+
+
+def levels_oracle(p: TopParams, jmax: int, routes: list[str], fmt: str) -> str:
+    """`asymtop levels` stdout rebuilt row by row from spectrum calls: one
+    level list per j and route, _fmt on every csv cell, raw floats in json."""
+    skip_lame = False
+    try:
+        require_strict(p)
+    except DegenerateParamsError:
+        skip_lame = True
+    table = []
+    for j in range(jmax + 1):
+        per_route = {r: spectrum(j, p, route=r) for r in routes if not (r == "lame" and skip_lame)}
+        energies = {r: [lv.E for lv in levels] for r, levels in per_route.items()}
+        none = [None] * (2 * j + 1)
+        cls = [lv.lame_class for lv in per_route["lame"]] if "lame" in per_route else none
+        dis = none
+        if len(energies) >= 2:
+            E = np.array(list(energies.values()))
+            dis = (E.max(axis=0) - E.min(axis=0)).tolist()
+        columns = (energies.get(r, none) for r in ROUTES)
+        table.extend(zip([j] * (2 * j + 1), range(-j, j + 1), cls, *columns, dis))
+    if fmt == "csv":
+        lines = [LEVELS_HEADER]
+        for j, s, c, *values in table:
+            cells = [str(j), str(s), "" if c is None else str(c)]
+            cells += ["" if v is None else _fmt(v) for v in values]
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
+    rows = [dict(zip(LEVELS_HEADER.split(","), row)) for row in table]
+    return json.dumps({"params": {"A": p.A, "B": p.B, "C": p.C}, "levels": rows}) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "params, jmax, routes",
+    [
+        ((3.0, 2.0, 1.0), 12, "wigner,lambda,lame"),
+        ((100.0, 2.0, 1.0), 9, "wigner,lambda,lame"),
+        ((1 + 1e-6, 1.0, 0.5), 9, "wigner"),
+        ((5.3, 2.1, 0.4), 9, "lame,lambda"),
+        ((3.0, 2.0, 1.0), 7, "wigner,wigner"),
+        ((2.0, 2.0, 1.0), 7, "wigner,lambda,lame"),  # degenerate: lame skipped
+        ((3.0, 2.0, 2.0), 6, "lame,wigner"),  # degenerate: lame skipped
+        ((3.0, 2.0, 1.0), 0, "wigner,lambda,lame"),
+        ((3.0, 2.0, 1.0), 0, "lame"),
+    ],
+)
+def test_levels_rows_match_the_per_row_oracle(capsys, params, jmax, routes, fmt):
+    A, B, C = params
+    argv = ["levels", "--jmax", str(jmax), "--routes", routes, "--format", fmt]
+    code, out, _ = run_cli(capsys, argv + ["--A", repr(A), "--B", repr(B), "--C", repr(C)])
+    assert code == 0
+    assert out == levels_oracle(TopParams(A, B, C), jmax, routes.split(","), fmt)
+
+
+def test_levels_keeps_negative_zero_in_json_only(capsys):
+    # j = 0 gives E = -0.0 on the lame route: json keeps it, csv prints 0
+    _, out, _ = run_cli(capsys, ["levels", "--jmax", "0", "--routes", "lame", "--format", "json"])
+    assert '"E_lame": -0.0' in out
+    _, out, _ = run_cli(capsys, ["levels", "--jmax", "0", "--routes", "lame"])
+    assert out.splitlines()[1] == "0,0,1,,,0,"
+
+
+def test_levels_refuses_symmetrized_entries_out_of_range(capsys):
+    huge = ["--A", "1e300", "--B", "5e299", "--C", "1e299"]
+    for route in ("lambda", "lame"):
+        code, out, err = run_cli(capsys, ["levels", "--jmax", "5", "--routes", route] + huge)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {route} route at j=")
+    tiny = ["--A", "1e-300", "--B", "5e-301", "--C", "1e-301"]
+    code, _, err = run_cli(capsys, ["levels", "--jmax", "5", "--routes", "wigner,lambda"] + tiny)
+    assert code == 3 and err.startswith("error: lambda route at j=1:")
+    code, out, _ = run_cli(capsys, ["levels", "--jmax", "5", "--routes", "wigner"] + huge)
+    assert code == 0 and len(out.splitlines()) == 1 + 36
 
 
 def test_invalid_params_exit_code(capsys):

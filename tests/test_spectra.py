@@ -10,6 +10,7 @@ from asymtop import (
     ComplexQ,
     DegenerateParamsError,
     DomainError,
+    EnergyLevel,
     NotTerminatingError,
     PoleError,
     ROUTES,
@@ -20,6 +21,7 @@ from asymtop import (
     h_matrix_wigner,
     inner_product,
     lame_polynomial,
+    lame_recurrence,
     lame_residual,
     lame_series_eval,
     lame_spectrum,
@@ -113,6 +115,18 @@ def test_spectrum_small_j(rng):
             assert got == sorted(got)
             assert np.allclose(got, ref, atol=1e-10)
             assert [lev.s for lev in lv1] == [-1, 0, 1]
+            # plain Python values in immutable records
+            for lev in lv0 + lv1:
+                assert isinstance(lev, EnergyLevel) and lev.route == route
+                assert type(lev.E) is float and type(lev.j) is int and type(lev.s) is int
+                if route == "lame":
+                    assert type(lev.lame_class) is int
+                else:
+                    assert lev.lame_class is None
+                assert lev == (lev.j, lev.s, lev.E, lev.route, lev.lame_class)
+                with pytest.raises(AttributeError):
+                    lev.E = 0.0
+            assert EnergyLevel(1, 0, 2.0, route) == EnergyLevel(1, 0, 2.0, route, None)
 
 
 def test_spectrum_j2_reference(p321):
@@ -177,6 +191,41 @@ def test_lame_rejects_unsymmetrizable_recurrence(p321, monkeypatch):
     monkeypatch.setattr(spectra, "_lame_entries", flipped)
     with pytest.raises(RootCountError, match="off-diagonal product"):
         lame_spectrum(4, p321)
+
+
+HUGE = TopParams(1e300, 5e299, 1e299)
+TINY = TopParams(1e-300, 5e-301, 1e-301)
+
+
+@pytest.mark.parametrize("p", [HUGE, TINY], ids=["1e300", "1e-300"])
+def test_wigner_route_holds_at_extreme_scales(p):
+    for j in (1, 5, 20):
+        E = np.array([lev.E for lev in spectrum(j, p, route="wigner")])
+        assert np.isfinite(E).all() and (np.diff(E) >= 0).all()
+        ref = (p.A + p.B + p.C) * j * (j + 1) * (2 * j + 1) / 3.0
+        assert E.sum() == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [HUGE, TINY], ids=["1e300", "1e-300"])
+@pytest.mark.parametrize("route", ["lambda", "lame"])
+def test_symmetrized_routes_refuse_entries_out_of_range(p, route):
+    # the products sqrt(upper lower) overflow (1e300) or underflow to 0 from
+    # nonzero entries (1e-300); at 1e-300 the lambda route used to return
+    # levels 5% off with no error
+    for j in (2, 5, 40):
+        with pytest.raises(DomainError, match=f"{route} route at j={j}"):
+            spectrum(j, p, route=route)
+
+
+@pytest.mark.parametrize("p", [HUGE, TINY], ids=["1e300", "1e-300"])
+def test_lame_building_blocks_and_states_refuse_extreme_scales(p):
+    if p is HUGE:
+        with pytest.raises(DomainError, match="lame route at j=5, class 1"):
+            lame_recurrence(1, 5, p)
+    with pytest.raises(DomainError, match="lame route at j=5, class 1"):
+        lame_polynomial(1, 5, 1.0, p)
+    with pytest.raises(DomainError, match="lambda route at j=5"):
+        phi_state(5, 0, p)
 
 
 def test_lame_polynomial_terminates_only_at_eigenvalues(p321):
