@@ -44,6 +44,7 @@ from .so3 import (
     casimir_apply,
     compose,
     euler_to_matrix,
+    field_stencil,
     haar_rule,
     inverse,
     invariant_field_apply,

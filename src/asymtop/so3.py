@@ -103,39 +103,67 @@ def inverse(g: EulerAngles) -> EulerAngles:
 
 Field = Literal["xi", "eta"]
 
-# Coefficient functions (a_phi, a_theta, a_psi) of the first-order fields.
+# Coefficients (a_phi, a_theta, a_psi) of the first-order fields.
 # xi_a are left invariant, eta_a right invariant; [xi_a, xi_b] = eps_abc xi_c,
 # [eta_a, eta_b] = eps_abc eta_c and [xi_a, eta_b] = 0.
 
 
-def _field_coeffs(side: Field, a: int, g: EulerAngles) -> tuple[float, float, float]:
-    sth = math.sin(g.theta)
-    cth = math.cos(g.theta)
-    cot = cth / sth
+def _field_coeffs(side: Field, a: int, phi, theta, psi) -> tuple[tuple[int, np.ndarray | float], ...]:
+    """The coefficients of xi_a or eta_a that are not identically zero, as
+    (coordinate, value) pairs with coordinates 0, 1, 2 = phi, theta, psi;
+    the values broadcast over the angle arrays."""
+    if side not in ("xi", "eta") or a not in (1, 2, 3):
+        raise DomainError(f"unknown field {side!r} index {a}")
+    if a == 3:
+        return ((2, 1.0),) if side == "xi" else ((0, -1.0),)
+    sth = np.sin(theta)
+    cot = np.cos(theta) / sth
     if side == "xi":
-        sps, cps = math.sin(g.psi), math.cos(g.psi)
+        sps, cps = np.sin(psi), np.cos(psi)
         if a == 1:
-            return (sps / sth, cps, -cot * sps)
-        if a == 2:
-            return (cps / sth, -sps, -cot * cps)
-        if a == 3:
-            return (0.0, 0.0, 1.0)
-    elif side == "eta":
-        sph, cph = math.sin(g.phi), math.cos(g.phi)
-        if a == 1:
-            return (cot * sph, -cph, -sph / sth)
-        if a == 2:
-            return (-cot * cph, -sph, cph / sth)
-        if a == 3:
-            return (-1.0, 0.0, 0.0)
-    raise DomainError(f"unknown field {side!r} index {a}")
+            return ((0, sps / sth), (1, cps), (2, -cot * sps))
+        return ((0, cps / sth), (1, -sps), (2, -cot * cps))
+    sph, cph = np.sin(phi), np.cos(phi)
+    if a == 1:
+        return ((0, cot * sph), (1, -cph), (2, -sph / sth))
+    return ((0, -cot * cph), (1, -sph), (2, cph / sth))
 
 
-def _check_theta(g: EulerAngles) -> None:
-    if min(abs(g.theta), abs(math.pi - g.theta)) < THETA_MARGIN:
+def _check_theta(theta) -> None:
+    dist = np.minimum(np.abs(theta), np.abs(math.pi - theta))
+    if (dist < THETA_MARGIN).any():
+        worst = float(np.ravel(theta)[np.argmin(dist)])
         raise DomainError(
-            f"theta={g.theta!r} within {THETA_MARGIN} of a coordinate singularity"
+            f"theta={worst!r} within {THETA_MARGIN} of a coordinate singularity"
         )
+
+
+def field_stencil(
+    side: Field, a: int, phi, theta, psi, h=1e-5
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Central-difference stencil of xi_a or eta_a with step h.
+
+    The centres (phi, theta, psi) and h broadcast together.  Returns the
+    shifted points, a tuple (phi, theta, psi) of arrays of shape centres +
+    (k,), and their weights c/(2h) and -c/(2h), of the same shape, where c
+    is the field's coefficient along the shifted coordinate at the centre;
+    so (X f)(centre) ~ sum(weights * f(points), axis=-1).  k is 6, or 2 for
+    a = 3, whose field moves one coordinate only.  Raises DomainError when
+    any centre's theta is within THETA_MARGIN of 0 or pi, where the
+    coefficients blow up.
+    """
+    *centre, h = np.broadcast_arrays(phi, theta, psi, h)
+    centre = np.array(centre, dtype=float)
+    _check_theta(centre[1])
+    coeffs = _field_coeffs(side, a, *centre)
+    points = np.repeat(centre[..., None], 2 * len(coeffs), axis=-1)
+    weights = np.empty(points.shape[1:])
+    for i, (axis, c) in enumerate(coeffs):
+        points[axis, ..., 2 * i] += h
+        points[axis, ..., 2 * i + 1] -= h
+        weights[..., 2 * i] = c / (2.0 * h)
+        weights[..., 2 * i + 1] = -weights[..., 2 * i]
+    return (points[0], points[1], points[2]), weights
 
 
 def invariant_field_apply(
@@ -145,30 +173,15 @@ def invariant_field_apply(
     g: EulerAngles,
     h: float = 1e-5,
 ) -> complex:
-    """Apply xi_a or eta_a to f at g by central differences of step h.
+    """Apply xi_a or eta_a to f at g: field_stencil's weights times f at
+    its points, one scalar call of f per point.
 
     Raises DomainError when theta is within THETA_MARGIN of 0 or pi, where
     the coordinate coefficients blow up.
     """
-    _check_theta(g)
-    cphi, cth, cpsi = _field_coeffs(side, a, g)
-    out = 0.0 + 0.0j
-    if cphi != 0.0:
-        out += cphi * (
-            f(EulerAngles(g.phi + h, g.theta, g.psi))
-            - f(EulerAngles(g.phi - h, g.theta, g.psi))
-        )
-    if cth != 0.0:
-        out += cth * (
-            f(EulerAngles(g.phi, g.theta + h, g.psi))
-            - f(EulerAngles(g.phi, g.theta - h, g.psi))
-        )
-    if cpsi != 0.0:
-        out += cpsi * (
-            f(EulerAngles(g.phi, g.theta, g.psi + h))
-            - f(EulerAngles(g.phi, g.theta, g.psi - h))
-        )
-    return out / (2.0 * h)
+    points, weights = field_stencil(side, a, g.phi, g.theta, g.psi, h)
+    values = [f(EulerAngles(*pt)) for pt in zip(*(x.tolist() for x in points))]
+    return complex(np.sum(weights * np.array(values, dtype=complex)))
 
 
 def casimir_apply(
@@ -185,7 +198,7 @@ def casimir_apply(
     momentum j return j(j+1) times themselves up to O(h^2).  Raises
     DomainError within THETA_MARGIN of theta = 0 or pi.
     """
-    _check_theta(g)
+    _check_theta(g.theta)
     phi, th, psi = g.phi, g.theta, g.psi
     sth = math.sin(th)
     cth = math.cos(th)

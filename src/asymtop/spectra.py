@@ -132,7 +132,9 @@ def _wigner_entries(j: int, p: TopParams) -> tuple[np.ndarray, np.ndarray]:
     """
     m, c = ladder_coefficients(j)
     half = (j * (j + 1) - m * m) / 2.0
-    return p.A * half + p.B * half + p.C * m * m, (p.B - p.A) / 4.0 * c[:-1] * c[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        entries = p.A * half + p.B * half + p.C * m * m, (p.B - p.A) / 4.0 * c[:-1] * c[1:]
+    return _finite(entries, f"wigner route at j={j}")
 
 
 def h_matrix_wigner(j: int, p: TopParams) -> np.ndarray:
@@ -145,10 +147,21 @@ def _lambda_entries(j: int, p: TopParams) -> tuple[np.ndarray, np.ndarray, np.nd
     """Diagonal, (n, n+2) and (n+2, n) coefficients of the reduced operator
     A(-il1)^2 + B(-il2)^2 + C(-il3)^2 on e^{inq}, n = -j..j."""
     n = np.arange(-j, j + 1)
-    diag = 0.5 * (p.A + p.B) * (j * (j + 1) - n * n) + p.C * n * n
-    upper = 0.25 * (p.A - p.B) * (j + n[2:]) * (j + n[2:] - 1)
-    lower = 0.25 * (p.A - p.B) * (j - n[:-2]) * (j - n[:-2] - 1)
-    return diag, upper, lower
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        diag = 0.5 * (p.A + p.B) * (j * (j + 1) - n * n) + p.C * n * n
+        upper = 0.25 * (p.A - p.B) * (j + n[2:]) * (j + n[2:] - 1)
+        lower = 0.25 * (p.A - p.B) * (j - n[:-2]) * (j - n[:-2] - 1)
+    return _finite((diag, upper, lower), f"lambda route at j={j}")
+
+
+def _finite(entries: tuple[np.ndarray, ...], where: str) -> tuple[np.ndarray, ...]:
+    """The matrix entries, or DomainError naming `where` if any of them left
+    the float range.  Checked on the entries: eigvalsh returns finite wrong
+    values from a NaN entry."""
+    for e in entries:
+        if not np.isfinite(e).all():
+            raise DomainError(f"{where}: matrix entries leave the float range")
+    return entries
 
 
 def h_matrix_lambda(j: int, p: TopParams) -> np.ndarray:
@@ -344,8 +357,10 @@ def lame_recurrence(N: int, j: int, p: TopParams) -> np.ndarray:
     T = np.diag(d)
     T.flat[1 :: K + 1] = upper
     T.flat[K :: K + 1] = lower
-    if not np.isfinite(T).all():
-        raise DomainError(f"lame route at j={j}, class {N}: companion entries leave the float range")
+    # every lower entry 2 u v t (2t - 1) has t >= 1: below the normal range
+    # (down to 0) it underflowed
+    if not (np.isfinite(T).all() and (np.abs(lower) >= _TINY).all()):
+        raise DomainError(f"lame route at j={j}, class {N}: companion entries leave the normal float range")
     return T
 
 

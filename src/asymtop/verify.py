@@ -324,10 +324,8 @@ def check_pde_residual(
         s = int(rng.integers(-j, j + 1))
         g = _random_angles(rng)
         q = _random_q(rng, beta=0.3)
-        coarse_s, coarse_v = pde_residual(q, j, s, p, g, h=4e-3)
-        fine_s, fine_v = pde_residual(q, j, s, p, g, h=2e-3)
-        coarse = np.concatenate(([coarse_s], coarse_v))
-        fine = np.concatenate(([fine_s], fine_v))
+        schrod, sym = pde_residual(q, j, s, p, g, steps=(4e-3, 2e-3))
+        coarse, fine = np.column_stack((schrod, sym))
         for big, small in zip(coarse, fine):
             if big < 1e-10 or small < 1e-300:
                 continue

@@ -33,7 +33,7 @@ from .lambda_rep import (
     q_rule,
     weight_vector,
 )
-from .so3 import EulerAngles, HaarRule, inverse, invariant_field_apply
+from .so3 import EulerAngles, HaarRule, field_stencil, inverse
 from .spectra import TopParams, phi_state, phi_states, spectrum
 from .wigner import wigner_D_matrix
 
@@ -221,48 +221,61 @@ def pde_residual(
     s: int,
     p: TopParams,
     g: EulerAngles,
-    h: float = 1e-3,
-) -> tuple[float, np.ndarray]:
+    steps: tuple[float, ...] = (4e-3, 2e-3),
+) -> tuple[np.ndarray, np.ndarray]:
     """Finite-difference residuals of the defining equations at (q, g).
 
-    Returns (|H Psi - E Psi|, the three |(eta_a + l_a) Psi|) with H built by
-    nesting the invariant fields (H = A(-i xi_1)^2 + ...) and l_a acting on
-    the complex angle by a central difference along its real part.  Both
-    converge as O(h^2).
+    Returns |H Psi - E Psi| and the three |(eta_a + l_a) Psi| at every step
+    h of `steps`, as arrays of shape (n,) and (n, 3).  H = A(-i xi_1)^2 + ...
+    nests the field stencils of so3.field_stencil: the points of the outer
+    stencil are the centres of the inner one.  l_a acts on the complex angle
+    by a central difference along its real part.  Psi is evaluated at every
+    point of every step, at g and at q +- h in one psi_grid call.  Both
+    residuals converge as O(h^2).
     """
     coeffs = phi_state(j, s, p).coeffs
     energy = spectrum(j, p, route="lambda")[s + j].E
     qv = q.value
-
-    def psi_fn(gg: EulerAngles) -> complex:
-        return complex(psi_grid(qv, coeffs, gg.phi, gg.theta, gg.psi))
-
-    weights = (p.A, p.B, p.C)
-    h_psi = 0.0 + 0.0j
+    centre = (g.phi, g.theta, g.psi)
+    h = np.asarray(steps, dtype=float)
+    # (points, outer weights, inner weights), leading axis the step: xi_a xi_a
+    # for a = 1..3, then eta_a for a = 1..3 as a nest under one outer weight 1
+    stencils = []
     for a in (1, 2, 3):
-        def first(gg: EulerAngles, a=a) -> complex:
-            return invariant_field_apply("xi", a, psi_fn, gg, h=h)
-
-        h_psi -= weights[a - 1] * invariant_field_apply("xi", a, first, g, h=h)
-    schrod = abs(h_psi - energy * psi_fn(g))
-
-    psi0 = psi_fn(g)
-    dq = (
-        complex(psi_grid(qv + h, coeffs, g.phi, g.theta, g.psi))
-        - complex(psi_grid(qv - h, coeffs, g.phi, g.theta, g.psi))
-    ) / (2.0 * h)
-    ell = (
-        -1j * cmath.sin(qv) * dq + 1j * j * cmath.cos(qv) * psi0,
-        -1j * cmath.cos(qv) * dq - 1j * j * cmath.sin(qv) * psi0,
-        dq,
+        outer, w_outer = field_stencil("xi", a, *centre, h)
+        inner, w_inner = field_stencil("xi", a, *outer, h[:, None])
+        stencils.append((inner, w_outer, w_inner))
+    for a in (1, 2, 3):
+        points, w = field_stencil("eta", a, *centre, h)
+        stencils.append((points, np.ones((len(h), 1)), w[:, None, :]))
+    q_at_g = qv + np.concatenate(([0.0], np.column_stack((h, -h)).ravel()))  # q, q + h, q - h, ...
+    phi, theta, psi = (
+        np.concatenate([pts[i].ravel() for pts, _, _ in stencils] + [np.full(len(q_at_g), x)])
+        for i, x in enumerate(centre)
     )
-    sym = np.array(
+    qs = np.concatenate((np.full(len(phi) - len(q_at_g), qv), q_at_g))
+    *chunks, at_g = np.split(
+        psi_grid(qs, coeffs, phi, theta, psi), np.cumsum([w.size for _, _, w in stencils])
+    )
+    applied = np.stack(
         [
-            abs(invariant_field_apply("eta", a, psi_fn, g, h=h) + ell[a - 1])
-            for a in (1, 2, 3)
-        ]
+            np.sum(w_outer * np.sum(w_inner * vals.reshape(w_inner.shape), axis=-1), axis=-1)
+            for (_, w_outer, w_inner), vals in zip(stencils, chunks)
+        ],
+        axis=-1,
     )
-    return schrod, sym
+    psi0 = at_g[0]
+    dq = (at_g[1::2] - at_g[2::2]) / (2.0 * h)
+    schrod = np.abs(-(applied[:, :3] @ (p.A, p.B, p.C)) - energy * psi0)
+    ell = np.stack(
+        (
+            -1j * cmath.sin(qv) * dq + 1j * j * cmath.cos(qv) * psi0,
+            -1j * cmath.cos(qv) * dq - 1j * j * cmath.sin(qv) * psi0,
+            dq,
+        ),
+        axis=-1,
+    )
+    return schrod, np.abs(applied[:, 3:] + ell)
 
 
 def so3_norm(q: ComplexQ, j: int, s: int, p: TopParams, rule: HaarRule) -> float:

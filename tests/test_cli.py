@@ -140,6 +140,15 @@ def test_levels_refuses_symmetrized_entries_out_of_range(capsys):
     assert code == 0 and len(out.splitlines()) == 1 + 36
 
 
+def test_levels_refuses_diagonal_overflow(capsys):
+    # the wigner and lambda diagonals overflow from j = 42 at A = B = 1e305
+    overflow = ["--A", "1e305", "--B", "1e305", "--C", "1"]
+    for route in ("wigner", "lambda"):
+        code, out, err = run_cli(capsys, ["levels", "--jmax", "100", "--routes", route] + overflow)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {route} route at j=42:")
+
+
 def test_invalid_params_exit_code(capsys):
     code, _, err = run_cli(capsys, ["levels", "--A", "1", "--B", "2", "--C", "3"])
     assert code == 3

@@ -10,13 +10,15 @@ from asymtop import (
     casimir_apply,
     compose,
     euler_to_matrix,
+    field_stencil,
     haar_rule,
     inverse,
     invariant_field_apply,
     matrix_to_euler,
     wigner_D,
+    wigner_small_d,
 )
-from asymtop.so3 import rot_x, rot_z
+from asymtop.so3 import THETA_MARGIN, rot_x, rot_z
 
 
 def random_angles(rng, margin=0.3):
@@ -94,6 +96,30 @@ def test_field_theta_guard():
         invariant_field_apply("xi", 1, f, EulerAngles(0.1, 1e-5, 0.2))
     with pytest.raises(DomainError):
         casimir_apply(f, EulerAngles(0.1, math.pi - 1e-5, 0.2))
+
+
+def test_field_stencil_on_arrays_equals_the_scalar_field(rng):
+    # the stencil applied to D^3_{2,-1} evaluated as arrays at all the
+    # points at once gives invariant_field_apply on the scalar callable
+    j, m, n = 3, 2, -1
+    f = lambda g: wigner_D(j, m, n, g)
+    centres = [random_angles(rng) for _ in range(4)]
+    phi, theta, psi = (np.array(x) for x in zip(*(g.as_tuple() for g in centres)))
+    for side in ("xi", "eta"):
+        for a in (1, 2, 3):
+            (pphi, ptheta, ppsi), weights = field_stencil(side, a, phi, theta, psi, 1e-5)
+            vals = np.exp(1j * (m * pphi + n * ppsi)) * wigner_small_d(j, m, n, ptheta)
+            applied = np.sum(weights * vals, axis=-1)
+            ref = [invariant_field_apply(side, a, f, g, h=1e-5) for g in centres]
+            assert np.max(np.abs(applied - ref)) < 1e-14
+
+
+def test_field_stencil_guards_every_centre():
+    theta = np.array([1.0, 0.5 * THETA_MARGIN, 2.0])
+    with pytest.raises(DomainError, match="theta"):
+        field_stencil("xi", 1, 0.3, theta, 0.2)
+    with pytest.raises(DomainError, match="theta"):
+        field_stencil("eta", 3, 0.3, math.pi - theta, 0.2)
 
 
 def test_unknown_field_rejected():

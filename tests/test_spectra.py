@@ -228,6 +228,30 @@ def test_lame_building_blocks_and_states_refuse_extreme_scales(p):
         phi_state(5, 0, p)
 
 
+def test_lame_recurrence_refuses_underflowed_entries():
+    # -2 u v underflows to 0 at 1e-300: the (k, k-1) entries used to come
+    # back as 0 with no error
+    for N, j in ((1, 5), (2, 4), (4, 6)):
+        with pytest.raises(DomainError, match=f"lame route at j={j}, class {N}"):
+            lame_recurrence(N, j, TINY)
+    assert lame_recurrence(1, 1, TINY).shape == (1, 1)  # no (k, k-1) entry
+
+
+@pytest.mark.parametrize("route", ["wigner", "lambda"])
+def test_unsymmetrized_routes_refuse_diagonal_overflow(route):
+    # (A + B) j(j+1)/2 overflows from j = 42 at A = B = 1e305, where neither
+    # route has an off-diagonal product to check; this used to give a bare
+    # numpy RuntimeWarning and LinAlgError
+    p = TopParams(1e305, 1e305, 1.0)
+    assert len(spectrum(41, p, route=route)) == 83
+    for j in (42, 100):
+        with pytest.raises(DomainError, match=f"{route} route at j={j}"):
+            spectrum(j, p, route=route)
+    matrix = h_matrix_wigner if route == "wigner" else h_matrix_lambda
+    with pytest.raises(DomainError, match=f"{route} route at j=100"):
+        matrix(100, p)
+
+
 def test_lame_polynomial_terminates_only_at_eigenvalues(p321):
     levels = lame_spectrum(3, p321)
     for lev in levels:

@@ -22,8 +22,11 @@ from asymtop import (
     kernel_factored,
     kernel_gram,
     mobius_phase,
+    invariant_field_apply,
     pde_residual,
+    phi_state,
     psi_eval,
+    psi_grid,
     psi_via_kernel,
     so3_norm,
     spectrum,
@@ -37,6 +40,7 @@ from asymtop import (
     q_rule,
     weight_vector,
 )
+from asymtop.so3 import THETA_MARGIN
 
 
 def random_g(rng):
@@ -237,16 +241,68 @@ def test_pde_residual_second_order(p321, rng):
         for s in range(-j, j + 1):
             q = random_q(rng, beta=0.4)
             g = random_g(rng)
-            sc, symc = pde_residual(q, j, s, p321, g, h=1e-3)
-            sf, symf = pde_residual(q, j, s, p321, g, h=5e-4)
-            for big, small in zip(
-                np.concatenate([[sc], symc]), np.concatenate([[sf], symf])
-            ):
+            schrod, sym = pde_residual(q, j, s, p321, g, steps=(1e-3, 5e-4))
+            coarse, fine = np.column_stack((schrod, sym))
+            for big, small in zip(coarse, fine):
                 if big < 1e-10 or small < 1e-300:
                     continue
                 assert 3.2 < big / small < 4.8
                 checked += 1
     assert checked >= 4
+
+
+def nested_pde_residual(q, j, s, p, g, h):
+    """pde_residual's residuals at one step by nested scalar composition:
+    invariant_field_apply around invariant_field_apply around one psi_grid
+    call per point.  Also returns |E Psi(g)|."""
+    coeffs = phi_state(j, s, p).coeffs
+    energy = spectrum(j, p, route="lambda")[s + j].E
+    qv = q.value
+
+    def psi_fn(gg, qq=qv):
+        return complex(psi_grid(qq, coeffs, gg.phi, gg.theta, gg.psi))
+
+    h_psi = 0.0
+    for a, weight in zip((1, 2, 3), (p.A, p.B, p.C)):
+        first = lambda gg, a=a: invariant_field_apply("xi", a, psi_fn, gg, h=h)
+        h_psi -= weight * invariant_field_apply("xi", a, first, g, h=h)
+    psi0 = psi_fn(g)
+    dq = (psi_fn(g, qv + h) - psi_fn(g, qv - h)) / (2.0 * h)
+    ell = (
+        -1j * cmath.sin(qv) * dq + 1j * j * cmath.cos(qv) * psi0,
+        -1j * cmath.cos(qv) * dq - 1j * j * cmath.sin(qv) * psi0,
+        dq,
+    )
+    sym = [abs(invariant_field_apply("eta", a, psi_fn, g, h=h) + ell[a - 1]) for a in (1, 2, 3)]
+    return abs(h_psi - energy * psi0), np.array(sym), abs(energy * psi0)
+
+
+def test_pde_residual_matches_the_nested_scalar_oracle(p321):
+    # one vectorized psi_grid call gives the residuals of the nested scalar
+    # composition up to rounding, at every j <= 4, every s and both steps
+    rng = np.random.default_rng(11)
+    steps = (4e-3, 2e-3)
+    worst = 0.0
+    for j in range(5):
+        for s in range(-j, j + 1):
+            for _ in range(3):
+                q, g = random_q(rng, beta=0.3), random_g(rng)
+                schrod, sym = pde_residual(q, j, s, p321, g, steps=steps)
+                for row, h in enumerate(steps):
+                    ref_schrod, ref_sym, scale = nested_pde_residual(q, j, s, p321, g, h)
+                    err = max(abs(schrod[row] - ref_schrod), np.max(np.abs(sym[row] - ref_sym)))
+                    worst = max(worst, err / max(1.0, scale))
+    assert worst < 1e-9
+
+
+def test_pde_residual_guards_every_stencil_centre(p321):
+    q = ComplexQ(0.3, 0.1)
+    with pytest.raises(DomainError, match="theta"):
+        pde_residual(q, 1, 0, p321, EulerAngles(0.1, 0.5 * THETA_MARGIN, 0.2))
+    # g is outside the margin, but the outer point theta - h is an inner
+    # stencil's centre within it
+    with pytest.raises(DomainError, match="theta"):
+        pde_residual(q, 1, 0, p321, EulerAngles(0.1, 1.5 * THETA_MARGIN, 0.2), steps=(2 * THETA_MARGIN,))
 
 
 def test_so3_norm_matches_delta(p321, rng):
