@@ -20,7 +20,6 @@ from .errors import (
     PoleError,
     RootCountError,
     SingularInput,
-    ToleranceError,
 )
 from .lambda_rep import (
     ComplexQ,
@@ -30,6 +29,7 @@ from .lambda_rep import (
     delta_j,
     ell_matrix,
     evaluate_state,
+    fourier_basis,
     gram_matrix,
     inner_product,
     inner_product_quadrature,

@@ -9,10 +9,6 @@ class DimensionError(ValueError):
     """Array or matrix has a shape incompatible with the requested j."""
 
 
-class ToleranceError(RuntimeError):
-    """A verified identity exceeded its tolerance."""
-
-
 class DegenerateParamsError(ValueError):
     """Moments of inertia too close for a route that needs a strict ordering."""
 

@@ -28,6 +28,9 @@ from .so3 import gauss_legendre
 from .wigner import check_dimension
 
 TWO_PI = 2.0 * math.pi
+# largest log magnitude of a basis value (e^340 ~ 1e147): sums of products of
+# two values (|Psi|^2, Gram entries, completeness) stay below e^709.78
+LOG_MAX = 340.0
 
 
 @dataclass(frozen=True)
@@ -139,17 +142,29 @@ def delta_j(q: ComplexQ, qp: ComplexQ, j: int) -> complex:
     return (2 * j + 1) / const_C(j) * (1.0 + np.cos(w)) ** j
 
 
-def evaluate_state(u: FourierState, q: ComplexQ) -> complex:
-    """Evaluate sum_n c_n e^{inq} at a complex angle.
+def fourier_basis(j: int, q, log_scale=0.0) -> np.ndarray:
+    """e^{log_scale + inq} for n = -j..j on a new trailing axis.
 
-    Raises OverflowError when |j * beta| is large enough to overflow the
-    exponentials, and for any |beta| > 50.
+    Every sum_n c_n e^{inq} of the package is this table times c.  A
+    prefactor (Psi's base^j, a quadrature weight) rides in the exponent as
+    log_scale, which broadcasts against q.  OverflowError where the largest
+    log magnitude, Re(log_scale) + j |Im q|, exceeds LOG_MAX or is NaN.
     """
-    if abs(q.beta) > 50.0 or u.j * abs(q.beta) > 700.0:
-        raise OverflowError(f"|beta|={abs(q.beta)} too large for j={u.j}")
-    z = np.exp(1j * q.value)
-    powers = z ** np.arange(-u.j, u.j + 1)
-    return complex(np.sum(u.coeffs * powers))
+    q, log_scale = np.asarray(q), np.asarray(log_scale)
+    top = log_scale.real + j * abs(q.imag)
+    if not (top <= LOG_MAX).all():
+        raise OverflowError(f"e^(inq) values reach e^{np.max(top):.4g} at j={j}, above e^{LOG_MAX:g}")
+    out = q[..., None] * (1j * np.arange(-j, j + 1))
+    out += log_scale[..., None]
+    return np.exp(out, out=out)
+
+
+def evaluate_state(u: FourierState, q: ComplexQ) -> complex:
+    """Evaluate sum_n c_n e^{inq} at a complex angle.  OverflowError for any
+    |beta| > 50, and where fourier_basis refuses (j |beta| > LOG_MAX)."""
+    if abs(q.beta) > 50.0:
+        raise OverflowError(f"|beta|={abs(q.beta)} too large")
+    return complex(fourier_basis(u.j, q.value) @ u.coeffs)
 
 
 @dataclass(frozen=True)
@@ -163,8 +178,12 @@ class QRule:
 
     j: int
     nodes: np.ndarray  # complex q points, flattened
-    weights: np.ndarray  # real, includes the measure density and kappa
+    log_weights: np.ndarray  # log of the weights (density and kappa), which underflow from j = 14
     beta_max: float
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.exp(self.log_weights)
 
 
 def default_beta_max(j: int, tol: float = 1e-12) -> float:
@@ -185,18 +204,13 @@ def q_rule(j: int, beta_max: float | None = None) -> QRule:
     alphas = TWO_PI * np.arange(n_alpha) / n_alpha
     x, wx = gauss_legendre(n_beta)
     betas = beta_max * x
-    wb = beta_max * wx
-    density = wb / (1.0 + np.cosh(2.0 * betas)) ** (j + 1)
-    kappa = 1.0 / (TWO_PI * float(np.sum(density)))
-
+    # log of the density wb / (1 + cosh 2 beta)^{j+1}, 1 + cosh 2b = (e^b + e^-b)^2 / 2
+    log_density = np.log(beta_max * wx) - (j + 1) * (2.0 * np.logaddexp(betas, -betas) - math.log(2.0))
+    top = log_density.max()  # kappa: the weights sum to 1
+    log_sum = top + math.log(n_alpha * float(np.sum(np.exp(log_density - top))))
     qs = alphas[:, None] + 1j * betas[None, :]
-    ws = np.broadcast_to((TWO_PI / n_alpha) * kappa * density[None, :], qs.shape)
-    return QRule(j=j, nodes=qs.ravel(), weights=np.ascontiguousarray(ws.ravel()), beta_max=beta_max)
-
-
-def _values_on_rule(u: FourierState, rule: QRule) -> np.ndarray:
-    phases = np.exp(1j * np.outer(rule.nodes, np.arange(-u.j, u.j + 1)))
-    return phases @ u.coeffs
+    lw = np.broadcast_to(log_density - log_sum, qs.shape)
+    return QRule(j=j, nodes=qs.ravel(), log_weights=lw.ravel(), beta_max=beta_max)
 
 
 def inner_product_quadrature(
@@ -215,14 +229,13 @@ def inner_product_quadrature(
         raise DimensionError(f"states live in different F^j: {u.j} != {v.j}")
     j = u.j
     rule = q_rule(j, beta_max=beta_max)
-    kappa = const_C(j) / TWO_PI
     norm1 = float(np.sum(np.abs(u.coeffs))) * float(np.sum(np.abs(v.coeffs)))
-    tail = TWO_PI * kappa * norm1 * 2.0 ** (j + 2) * math.exp(-2.0 * rule.beta_max)
+    tail = const_C(j) * norm1 * 2.0 ** (j + 2) * math.exp(-2.0 * rule.beta_max)  # 2 pi kappa_j = C_j
     if tail > tol:
         warnings.warn(
             f"beta tail bound {tail:.3e} exceeds tol={tol:.3e}; increase beta_max",
             ConvergenceWarning,
             stacklevel=2,
         )
-    uv = _values_on_rule(u, rule).conj() * _values_on_rule(v, rule)
-    return complex(np.sum(rule.weights * uv))
+    vals = fourier_basis(j, rule.nodes, 0.5 * rule.log_weights)  # sqrt(weight) e^{inq}
+    return complex(np.vdot(vals @ u.coeffs, vals @ v.coeffs))

@@ -58,6 +58,7 @@ from .lambda_rep import ComplexQ, FourierState, weight_vector
 from .wigner import angular_momentum_matrices, ladder_coefficients  # the former re-exported
 
 ROUTES = ("wigner", "lambda", "lame")
+SERIES_JMAX = 35  # largest j of phi_state_series (see there)
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
@@ -553,9 +554,12 @@ def phi_state_series(j: int, s: int, p: TopParams) -> FourierState:
     degree j whose Fourier coefficients are extracted by FFT, then
     normalized and phased exactly like phi_state.  The coefficients are
     accurate to rounding, but the monomial sum cancels: against phi_state the
-    error is 2e-12 / 3e-10 / 1e-7 at j = 20 / 30 / 40 on (5.3,2.1,0.4) and
-    5e-14 / 2e-12 / 7e-9 on (3,2,1), then grows silently (O(1) by j = 56).
+    error is 2e-12 / 2.5e-10 / 5.6e-9 at j = 20 / 30 / 35 on (5.3,2.1,0.4)
+    and 5e-14 / 1.6e-12 / 1.2e-11 on (3,2,1); 1.1e-8 at j = 36 on the first
+    and O(1) by j = 56, so j > SERIES_JMAX raises DomainError.
     """
+    if j > SERIES_JMAX:
+        raise DomainError(f"phi_state_series is limited to j <= {SERIES_JMAX}, got j={j}")
     require_strict(p)
     levels = lame_spectrum(j, p)
     lev = levels[s + j]

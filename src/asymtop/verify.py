@@ -22,6 +22,7 @@ from .lambda_rep import (
     casimir_matrix,
     delta_j,
     ell_matrix,
+    fourier_basis,
     gram_matrix,
     q_rule,
     weight_vector,
@@ -357,18 +358,14 @@ def check_measure_quadrature(
     """Quadrature Gram of the e^{inq} basis matches diag(1/B_nj).
 
     Entry (m, n) defects are taken relative to the geometric mean
-    sqrt(1/(B_m B_n)) of the corresponding diagonal entries.
+    sqrt(1/(B_m B_n)) of the corresponding diagonal entries: the Gram of
+    sqrt(B_n) e^{inq} is compared with the identity.
     """
     worst = 0.0
     for j in range(jmax + 1):
         rule = q_rule(j)
-        n = np.arange(-j, j + 1)
-        vals = np.exp(1j * np.outer(rule.nodes, n))
-        quad = vals.conj().T @ (rule.weights[:, None] * vals)
-        b = weight_vector(j)
-        expected = np.diag(1.0 / b)
-        rel = np.abs(quad - expected) * np.sqrt(np.outer(b, b))
-        worst = max(worst, float(np.max(rel)))
+        vals = fourier_basis(j, rule.nodes, 0.5 * rule.log_weights) * np.sqrt(weight_vector(j))
+        worst = max(worst, float(np.max(np.abs(vals.conj().T @ vals - np.eye(2 * j + 1)))))
     return _result("measure-quadrature", worst, tol)
 
 

@@ -30,6 +30,7 @@ from .lambda_rep import (
     const_C,
     delta_j,
     evaluate_state,
+    fourier_basis,
     q_rule,
     weight_vector,
 )
@@ -38,43 +39,43 @@ from .spectra import TopParams, phi_state, phi_states, spectrum
 from .wigner import wigner_D_matrix
 
 
-def mobius_phase(q: ComplexQ, g: EulerAngles) -> tuple[complex, complex]:
-    """Prefactor base and w = e^{iu} of the closed-form wavefunction.
+def _mobius(qv, phi, theta, psi):
+    """(base, w = e^{iu}, gap) of the phase map over broadcast arrays.
 
-    The base is returned unexponentiated (its j-th power multiplies the
-    state).  w is computed from the sine/cosine Moebius form, which is
-    regular where tan((q+phi)/2) blows up; the genuine pole of u (vanishing
-    denominator) raises PoleError.
+    With x = (q+phi)/2, c = cos(th/2) and s = i sin(th/2), num = c e^{ix} +
+    s e^{-ix} and den = s e^{ix} + c e^{-ix} are e^{ith/2} (cos x +- i e^{-ith}
+    sin x), free of cancellation at large |Im x|: w = e^{ipsi} num/den and
+    base = num den.  u is singular where num or den is 0; gap is the smaller
+    of each over the size of its two terms.  An exact zero is nudged to
+    1e-300 before dividing (the other factor is then >= sqrt 2).
+    """
+    c, s = np.cos(theta / 2.0), 1j * np.sin(theta / 2.0)
+    up, down = np.exp(0.5j * (qv + phi)), np.exp(-0.5j * (qv + phi))
+    num, den = c * up + s * down, s * up + c * down
+    gap = np.minimum(abs(num) / (abs(c * up) + abs(s * down)), abs(den) / (abs(s * up) + abs(c * down)))
+    num, den = num + (num == 0) * 1e-300, den + (den == 0) * 1e-300
+    return num * den, np.exp(1j * psi) * num / den, gap
+
+
+def mobius_phase(q: ComplexQ, g: EulerAngles) -> tuple[complex, complex]:
+    """Prefactor base (its j-th power multiplies the state) and w = e^{iu} of
+    the closed-form wavefunction.  PoleError where u is singular: w = 0 or
+    infinity, its num or den cancelled to below 1e-13 of its terms.
     """
     qv = q.value
     vals = (qv.real, qv.imag, g.phi, g.theta, g.psi)
     if not all(math.isfinite(t) for t in vals):
         raise SingularInput(f"non-finite input: q={qv}, g={g}")
-    x = (qv + g.phi) / 2.0
-    rot = cmath.exp(-1j * g.theta)
-    cx, sx = cmath.cos(x), cmath.sin(x)
-    den = cx - 1j * rot * sx
-    if abs(den) < 1e-13 * (abs(cx) + abs(sx)):
+    base, w, gap = _mobius(qv, g.phi, g.theta, g.psi)
+    if gap < 1e-13:
         raise PoleError(f"phase map pole at q={qv}, g={g.as_tuple()}")
-    w = cmath.exp(1j * g.psi) * (cx + 1j * rot * sx) / den
-    base = cmath.cos(g.theta) + 1j * cmath.cos(qv + g.phi) * cmath.sin(g.theta)
-    return base, w
+    return complex(base), complex(w)
 
 
-def _mobius_grid(qv: complex, phi, theta, psi):
-    """Vectorized (base, w) over angle arrays; exact pole nodes are nudged."""
-    x = (qv + phi) / 2.0
-    rot = np.exp(-1j * theta)
-    cx, sx = np.cos(x), np.sin(x)
-    den = cx - 1j * rot * sx
-    tiny = np.abs(den) < 1e-30
-    if np.any(tiny):
-        x = x + np.where(tiny, 1e-9, 0.0)
-        cx, sx = np.cos(x), np.sin(x)
-        den = cx - 1j * rot * sx
-    w = np.exp(1j * psi) * (cx + 1j * rot * sx) / den
-    base = np.cos(theta) + 1j * np.cos(qv + phi) * np.sin(theta)
-    return base, w
+def _psi(coeffs: np.ndarray, base, w) -> np.ndarray:
+    """base^j sum_n c_n w^n, with base^j inside the basis exponent."""
+    j = (len(coeffs) - 1) // 2
+    return fourier_basis(j, -1j * np.log(w), j * np.log(base)) @ coeffs
 
 
 def psi_grid(
@@ -84,23 +85,19 @@ def psi_grid(
 
     qv is the complex angle (ComplexQ.value); state is Phi_{j,s} as a
     FourierState or its 2j+1 coefficients.  The arrays broadcast together;
-    exact pole nodes of the phase map are nudged, not rejected.
+    exact pole nodes of the phase map are nudged, not rejected; OverflowError
+    where a term passes e^LOG_MAX (lambda_rep.fourier_basis).
     """
     coeffs = state.coeffs if isinstance(state, FourierState) else np.asarray(state)
-    j = (len(coeffs) - 1) // 2
-    base, w = _mobius_grid(qv, np.asarray(phi), np.asarray(theta), np.asarray(psi))
-    pows = w[..., None] ** np.arange(-j, j + 1)
-    return base**j * (pows @ coeffs)
+    base, w, _ = _mobius(qv, np.asarray(phi), np.asarray(theta), np.asarray(psi))
+    return _psi(coeffs, base, w)
 
 
 def psi_eval(
     q: ComplexQ, j: int, s: int, p: TopParams, g: EulerAngles
 ) -> complex:
-    """Closed-form wavefunction value Psi_{q,j,s}(g)."""
-    base, w = mobius_phase(q, g)
-    coeffs = phi_state(j, s, p).coeffs
-    n = np.arange(-j, j + 1)
-    return complex(base**j * np.sum(coeffs * w**n))
+    """Psi_{q,j,s}(g) by psi_grid's sum, after mobius_phase's refusals."""
+    return complex(_psi(phi_state(j, s, p).coeffs, *mobius_phase(q, g)))
 
 
 # --- kernel ------------------------------------------------------------
@@ -140,10 +137,8 @@ def kernel_factored(q: ComplexQ, qp: ComplexQ, j: int, g: EulerAngles) -> comple
 
     Must equal kernel_eval wherever the phase map is regular.
     """
-    base, w = mobius_phase(q, g)
-    eq = cmath.exp(1j * qp.value.conjugate())
-    cos_shift = 0.5 * (w / eq + eq / w)
-    return (2 * j + 1) / const_C(j) * (base * (1.0 + cos_shift)) ** j
+    base, w = mobius_phase(q, g)  # base^j sum_n B_nj e^{in(u - conj(qp))}
+    return complex(_psi(weight_vector(j), base, w * cmath.exp(-1j * qp.value.conjugate())))
 
 
 def t_matrix(j: int, g: EulerAngles) -> np.ndarray:
@@ -152,27 +147,23 @@ def t_matrix(j: int, g: EulerAngles) -> np.ndarray:
     t(identity) = I; Gram-unitary (t^H G t = G with G = diag(1/B_nj)); and
     t(g1 g2) = t(g1) t(g2).
     """
-    n = np.arange(-j, j + 1)
-    root_b = np.sqrt(weight_vector(j))
-    phase = (-1j) ** n
-    d = wigner_D_matrix(j, g)
-    return (root_b[:, None] / root_b[None, :]) * (phase[:, None] * np.conj(phase)[None, :]) * d
+    f = np.sqrt(weight_vector(j)) * fourier_basis(j, -math.pi / 2)  # sqrt(B_n) (-i)^n
+    return np.outer(f, 1.0 / f) * wigner_D_matrix(j, g)
 
 
 def t_matrix_quadrature(j: int, g: EulerAngles) -> np.ndarray:
     """t by direct double quadrature of the kernel against the basis.
 
     t_mn = B_m * Iint conj(e^{imq}) D^j_{qq'}(g) e^{inq'} dmu(q) dmu(q'),
-    summed over the q_rule nodes; used to validate the closed form at small j.
+    summed over the q_rule nodes (weights inside the basis table); used to
+    validate the closed form at small j.
     The kernel's base is x(q) . y(q') (see _kernel_factors), so base^j is a
     sum of C(j+2, 2) multinomial terms coef_a x^a(q) y^a(q'), and the double
     sum splits into one product of single sums per term: no nodes x nodes
     array is formed.
     """
     rule = q_rule(j)
-    n = np.arange(-j, j + 1)
-    left = np.exp(-1j * np.outer(np.conj(rule.nodes), n))  # conj(psi_m)(q_a)
-    right = np.exp(1j * np.outer(rule.nodes, n))
+    right = fourier_basis(j, rule.nodes, rule.log_weights)  # w_a psi_n(q_a)
     x, y = _kernel_factors(rule.nodes, rule.nodes, g.phi, g.theta, g.psi)
     lo, hi = np.triu_indices(j + 1)
     powers = np.stack([j - hi, hi - lo, lo], axis=-1)  # every (a0, a1, a2) summing to j
@@ -181,8 +172,8 @@ def t_matrix_quadrature(j: int, g: EulerAngles) -> np.ndarray:
     def monomials(f):  # prod_k f_k ** a_k per node and term
         return np.prod((f[..., None] ** np.arange(j + 1))[:, [0, 1, 2], powers], axis=-1)
 
-    lhs = left.T @ (rule.weights[:, None] * monomials(x))  # (2j+1, terms)
-    rhs = (rule.weights[:, None] * monomials(y)).T @ right  # (terms, 2j+1)
+    lhs = right.conj().T @ monomials(x)  # (2j+1, terms)
+    rhs = monomials(y).T @ right  # (terms, 2j+1)
     scale = (2 * j + 1) / const_C(j) * weight_vector(j)
     return scale[:, None] * ((lhs * coef) @ rhs)
 
@@ -206,10 +197,8 @@ def state_jms(j: int, m: int, s: int, p: TopParams) -> np.ndarray:
     """
     if abs(m) > j:
         raise DomainError(f"|m| must be <= j={j}")
-    coeffs = phi_state(j, s, p).coeffs
-    n = np.arange(-j, j + 1)
-    phase = np.exp(-0.5j * math.pi * (m - n))
-    return coeffs * phase / np.sqrt(weight_vector(j)) / math.sqrt(2 * j + 1)
+    phase = fourier_basis(j, math.pi / 2, -0.5j * math.pi * m)  # e^{-i pi (m-n)/2}
+    return phi_state(j, s, p).coeffs * phase / np.sqrt(weight_vector(j)) / math.sqrt(2 * j + 1)
 
 
 # --- residuals and norms -------------------------------------------------
@@ -325,8 +314,8 @@ def kernel_gram(
 
 def completeness_defect(j: int, p: TopParams, q: ComplexQ) -> float:
     """|sum_s |Phi_{j,s}(q)|^2/(2j+1) - delta_j(q, conj(q))|."""
-    total = sum(abs(evaluate_state(state, q)) ** 2 for state in phi_states(j, p))
-    return abs(total / (2 * j + 1) - delta_j(q, q, j))
+    values = np.array([u.coeffs for u in phi_states(j, p)]) @ fourier_basis(j, q.value)
+    return abs(np.vdot(values, values).real / (2 * j + 1) - delta_j(q, q, j))
 
 
 def uncertainty(q: ComplexQ, j: int) -> float:

@@ -177,6 +177,13 @@ def test_wave_bad_quantum_numbers(capsys):
     assert code == 3
 
 
+def test_wave_refuses_overflowing_values(capsys):
+    # Psi reaches 1.4e335 on this grid (40-digit mpmath at g = (0, pi/3, 0))
+    code, out, err = run_cli(capsys, ["wave", "--j", "40", "--s", "0", "--q-im", "20"])
+    assert code == 3 and out == ""
+    assert err.startswith("error:")
+
+
 def test_kernel_rows(capsys):
     base = ["kernel", "--j", "1", "--q-re", "0.3", "--qp-re", "1.0", "--g-theta", "0.5"]
     code, out, _ = run_cli(capsys, base)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,13 +15,16 @@ from asymtop import (
     delta_j,
     ell_matrix,
     evaluate_state,
+    fourier_basis,
     gram_matrix,
     inner_product,
     inner_product_quadrature,
+    phi_state,
     q_rule,
     weight_B,
     weight_vector,
 )
+from asymtop.lambda_rep import LOG_MAX
 
 
 def test_weight_values():
@@ -169,6 +173,31 @@ def test_quadrature_inner_product_and_tail_warning(rng):
     assert abs(quad - exact) < 1e-8 * max(1.0, abs(exact))
     with pytest.warns(ConvergenceWarning):
         inner_product_quadrature(u, u, beta_max=2.0)
+
+
+@pytest.mark.parametrize("j", [15, 23, 30, 40])
+def test_quadrature_norm_of_states_at_larger_j(p321, j):
+    # from j = 14 the weights at the beta cutoff underflow where |Phi|^2
+    # overflows; sqrt(weight) rides inside each node value instead
+    u = phi_state(j, 0, p321)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = inner_product_quadrature(u, u)
+    assert abs(norm - (2 * j + 1)) <= 1e-9 * (2 * j + 1)
+
+
+def test_fourier_basis_values_and_overflow_rule(rng):
+    j = 3
+    q = rng.uniform(-1, 1, size=4) + 1j * rng.uniform(-1, 1, size=4)
+    scale = rng.uniform(-1, 1, size=4) + 1j * rng.uniform(-1, 1, size=4)
+    ref = np.exp(scale[:, None] + 1j * np.outer(q, np.arange(-j, j + 1)))
+    assert np.max(np.abs(fourier_basis(j, q, scale) - ref) / np.abs(ref)) < 1e-14
+    assert fourier_basis(0, 0.3).shape == (1,)
+    # the largest value is e^{Re scale + j |Im q|}: e^-300 e^{10 * 60} is in range
+    assert np.isfinite(fourier_basis(10, 60j, -300.0)).all()
+    for q, scale in ((35j, 0.0), (-35j, 0.0), (0.0, LOG_MAX + 1.0), (complex(0.0, np.nan), 0.0)):
+        with pytest.raises(OverflowError):
+            fourier_basis(10, q, scale)
 
 
 def test_coefficients_recovered_by_pairing(rng):

@@ -411,7 +411,7 @@ def test_phi_series_matches_diagonalization(rng):
                 assert np.max(np.abs(a - b)) < 1e-8
 
 
-@pytest.mark.parametrize("j", [16, 20, 30])
+@pytest.mark.parametrize("j", [16, 20, 30, spectra.SERIES_JMAX])
 @pytest.mark.parametrize("params", [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4)])
 def test_phi_series_matches_diagonalization_at_larger_j(params, j):
     # inside an exact doublet the s order is a convention: match by energy
@@ -422,6 +422,11 @@ def test_phi_series_matches_diagonalization_at_larger_j(params, j):
         b = phi_state_series(j, s, p).coeffs
         near = np.flatnonzero(np.abs(E - E[s + j]) <= 1e-12 * abs(E[s + j]))
         assert min(np.max(np.abs(states[k] - b)) for k in near) < 1e-8
+
+
+def test_phi_series_refuses_past_its_limit(p321):
+    with pytest.raises(DomainError, match="limited to j <= "):
+        phi_state_series(spectra.SERIES_JMAX + 1, 0, p321)
 
 
 def class_impurity(coeffs: np.ndarray, j: int) -> float:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from asymtop import (
     IDENTITY,
@@ -15,6 +17,7 @@ from asymtop import (
     TopParams,
     completeness_defect,
     delta_j,
+    evaluate_state,
     gram_matrix,
     haar_rule,
     kernel_conj_defect,
@@ -348,3 +351,50 @@ def test_uncertainty_bound(rng):
     for j in range(1, 11):
         qc = random_q(rng)
         assert uncertainty(qc, j) > j
+
+
+@st.composite
+def evaluation_points(draw):
+    """(j, s, params, q, g) with j <= 60, |Im q| <= 60, theta at or near 0 and
+    pi, and, on half the draws, q on a singular point of the phase map."""
+    j = draw(st.integers(0, 60))
+    s = draw(st.integers(-j, j))
+    params = draw(st.sampled_from([(3.0, 2.0, 1.0), (5.3, 2.1, 0.4)]))
+    angle = st.floats(0.0, 2.0 * math.pi)
+    theta = draw(st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, 1e-9, math.pi - 1e-9, math.pi])))
+    alpha, beta, phi, psi = draw(angle), draw(st.floats(-60.0, 60.0)), draw(angle), draw(angle)
+    if draw(st.booleans()):
+        # num or den of the map vanishes where tan((q+phi)/2) = -+i e^{i theta}
+        try:
+            x = cmath.atan(draw(st.sampled_from([1j, -1j])) * cmath.exp(1j * theta))
+        except ValueError:  # tan x = +-i: the point is at infinity
+            reject()
+        beta, phi = 2.0 * x.imag, 2.0 * x.real - alpha
+        if abs(beta) > 60.0:
+            reject()
+    return j, s, TopParams(*params), ComplexQ(alpha, beta), EulerAngles(phi, theta, psi)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(evaluation_points())
+def test_every_e_inq_evaluator_is_finite_or_refuses(point):
+    j, s, p, q, g = point
+    state = phi_state(j, s, p)
+    evaluators = {
+        "evaluate_state": lambda: evaluate_state(state, q),
+        "psi_grid": lambda: complex(psi_grid(q.value, state, g.phi, g.theta, g.psi)),
+        "psi_eval": lambda: psi_eval(q, j, s, p, g),
+        "psi_via_kernel": lambda: psi_via_kernel(q, j, s, p, g),
+        "completeness_defect": lambda: completeness_defect(j, p, q),
+        "kernel_factored": lambda: kernel_factored(q, q, j, g),
+    }
+    values = {}
+    for name, evaluate in evaluators.items():
+        try:
+            values[name] = evaluate()
+        except (OverflowError, PoleError, SingularInput, DomainError):
+            continue
+        assert cmath.isfinite(values[name]), name
+    if "psi_eval" in values and "psi_grid" in values:
+        a, b = values["psi_eval"], values["psi_grid"]
+        assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
