@@ -34,6 +34,7 @@ from .lambda_rep import (
     inner_product,
     inner_product_quadrature,
     q_rule,
+    scaled_power,
     weight_B,
     weight_vector,
 )
@@ -54,6 +55,7 @@ from .spectra import (
     ROUTES,
     EnergyLevel,
     LameSeries,
+    SpectrumTable,
     TopParams,
     h_matrix_lambda,
     h_matrix_wigner,
@@ -68,6 +70,7 @@ from .spectra import (
     require_strict,
     rho_map,
     spectrum,
+    spectrum_range,
 )
 from .verify import CheckResult, run_all
 from .wavefunctions import (

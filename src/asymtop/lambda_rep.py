@@ -136,10 +136,33 @@ def inner_product(u: FourierState, v: FourierState) -> complex:
 def delta_j(q: ComplexQ, qp: ComplexQ, j: int) -> complex:
     """Reproducing kernel delta_j(q, conj(qp)) = sum_n B_nj e^{in(q - conj(qp))}.
 
-    Closed form (2j+1)/C_j * (1 + cos(q - conj(qp)))^j.
+    Closed form (2j+1)/C_j * (1 + cos(q - conj(qp)))^j, refused as
+    scaled_power refuses.
     """
     w = q.value - qp.value.conjugate()
-    return (2 * j + 1) / const_C(j) * (1.0 + np.cos(w)) ** j
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite base is refused
+        base = 1.0 + np.cos(w)
+    return scaled_power((2 * j + 1) / const_C(j), base, j)
+
+
+def _refuse_past_log_max(top, j: int) -> None:
+    """OverflowError where a log magnitude `top` exceeds LOG_MAX or is NaN."""
+    if not (np.asarray(top) <= LOG_MAX).all():
+        raise OverflowError(f"e^(inq) values reach e^{np.max(top):.4g} at j={j}, above e^{LOG_MAX:g}")
+
+
+def scaled_power(prefactor: float, base, j: int):
+    """prefactor * base^j, the closed form of a sum over e^{inq} (delta_j and
+    the kernel); broadcasts over base.
+
+    The direct power, after the rule of fourier_basis on its log magnitude,
+    log(prefactor) + j log|base|: OverflowError past LOG_MAX or at NaN.
+    """
+    if j:
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf is in range
+            top = math.log(prefactor) + j * np.log(np.abs(base))
+        _refuse_past_log_max(top, j)
+    return prefactor * base**j
 
 
 def fourier_basis(j: int, q, log_scale=0.0) -> np.ndarray:
@@ -151,9 +174,7 @@ def fourier_basis(j: int, q, log_scale=0.0) -> np.ndarray:
     log magnitude, Re(log_scale) + j |Im q|, exceeds LOG_MAX or is NaN.
     """
     q, log_scale = np.asarray(q), np.asarray(log_scale)
-    top = log_scale.real + j * abs(q.imag)
-    if not (top <= LOG_MAX).all():
-        raise OverflowError(f"e^(inq) values reach e^{np.max(top):.4g} at j={j}, above e^{LOG_MAX:g}")
+    _refuse_past_log_max(log_scale.real + j * abs(q.imag), j)
     out = q[..., None] * (1j * np.arange(-j, j + 1))
     out += log_scale[..., None]
     return np.exp(out, out=out)

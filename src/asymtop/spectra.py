@@ -13,14 +13,17 @@ each integer j, exactly 2j+1 levels E_{j,s}.  This module computes them by
 
 and constructs the eigenstates Phi_{j,s} normalized to (Phi,Phi)_Q = 2j+1.
 
-Every route is solved as four real symmetric tridiagonal blocks, one per D2
-class, of sizes K_N = (j//2+1, ceil(j/2), ceil(j/2), j//2) for N = 1..4,
-with one eigvalsh call per distinct block size.  Both matrices couple n
-only to n +- 2 and commute with n -> -n, so the Wang basis e_n +- e_{-n}
-splits each into its class blocks; the states are the eigenvectors of the
-lambda blocks.  State coefficients scale like sqrt(B_nj), which leaves the
-normal float range at j = 514; from there on the states raise DomainError
-while the levels stay exact.
+Every route is solved as four real symmetric tridiagonal blocks per j, one
+per D2 class, of sizes K_N = (j//2+1, ceil(j/2), ceil(j/2), j//2) for
+N = 1..4.  spectrum_range builds the blocks of a whole j range at once:
+each route's closed forms are evaluated once over flat (class, j, k) index
+arrays, and one eigvalsh call per distinct block size, over all j, solves
+them; spectrum is the range with one j.  Both matrices couple n only to
+n +- 2 and commute with n -> -n, so the Wang basis e_n +- e_{-n} splits each
+into its class blocks; the states are the eigenvectors of the lambda
+blocks.  State coefficients scale like sqrt(B_nj), which leaves the normal
+float range at j = 514; from there on the states raise DomainError while
+the levels stay exact.
 
 The Lame route works on the cubic P(rho) = (rho-A)(rho-B)(rho-C).  With
 x = rho - B, u = A - B, v = B - C, a solution of
@@ -40,6 +43,7 @@ products make it similar to a symmetric block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,7 +59,7 @@ from .errors import (
     RootCountError,
 )
 from .lambda_rep import ComplexQ, FourierState, weight_vector
-from .wigner import angular_momentum_matrices, ladder_coefficients  # the former re-exported
+from .wigner import angular_momentum_matrices, ladder_coefficient  # the former re-exported
 
 ROUTES = ("wigner", "lambda", "lame")
 SERIES_JMAX = 35  # largest j of phi_state_series (see there)
@@ -123,36 +127,35 @@ def require_strict(p: TopParams) -> None:
         )
 
 
-def _wigner_entries(j: int, p: TopParams) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and second off-diagonal of A J1^2 + B J2^2 + C J3^2 on the
-    basis m = j..-j.
+# --- closed forms ------------------------------------------------------
+# Each takes j and an index (m or n) as ints or broadcasting int arrays, so
+# the dense matrices and the flat class blocks of spectrum_range evaluate the
+# same expressions.
 
-    Closed forms: (J1^2)_mm = (J2^2)_mm = (j(j+1) - m^2)/2, and the entries
-    coupling m to m-2 are -c c'/4 in J1^2 and +c c'/4 in J2^2, with c, c'
-    the ladder coefficients of the steps m -> m-1 -> m-2.
-    """
-    m, c = ladder_coefficients(j)
+
+def _wigner_diagonal(j, m, p: TopParams):
+    """(A J1^2 + B J2^2 + C J3^2)_mm: (J1^2)_mm = (J2^2)_mm = (j(j+1) - m^2)/2."""
     half = (j * (j + 1) - m * m) / 2.0
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        entries = p.A * half + p.B * half + p.C * m * m, (p.B - p.A) / 4.0 * c[:-1] * c[1:]
-    return _finite(entries, f"wigner route at j={j}")
+    return p.A * half + p.B * half + p.C * m * m
 
 
-def h_matrix_wigner(j: int, p: TopParams) -> np.ndarray:
-    """Real matrix of A J1^2 + B J2^2 + C J3^2 on the basis m = j..-j."""
-    d, e = _wigner_entries(j, p)
-    return np.diag(d) + np.diag(e, 2) + np.diag(e, -2)
+def _wigner_offdiagonal(j, m, p: TopParams):
+    """The entry coupling m to m-2: -c c'/4 in J1^2 and +c c'/4 in J2^2, with
+    c, c' the ladder coefficients of the steps m -> m-1 -> m-2."""
+    return (p.B - p.A) / 4.0 * ladder_coefficient(j, m) * ladder_coefficient(j, m - 1)
 
 
-def _lambda_entries(j: int, p: TopParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal, (n, n+2) and (n+2, n) coefficients of the reduced operator
-    A(-il1)^2 + B(-il2)^2 + C(-il3)^2 on e^{inq}, n = -j..j."""
-    n = np.arange(-j, j + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        diag = 0.5 * (p.A + p.B) * (j * (j + 1) - n * n) + p.C * n * n
-        upper = 0.25 * (p.A - p.B) * (j + n[2:]) * (j + n[2:] - 1)
-        lower = 0.25 * (p.A - p.B) * (j - n[:-2]) * (j - n[:-2] - 1)
-    return _finite((diag, upper, lower), f"lambda route at j={j}")
+def _lambda_diagonal(j, n, p: TopParams):
+    """Coefficient of e^{inq} in A(-il1)^2 + B(-il2)^2 + C(-il3)^2 e^{inq}."""
+    return 0.5 * (p.A + p.B) * (j * (j + 1) - n * n) + p.C * n * n
+
+
+def _lambda_offdiagonals(j, n, p: TopParams):
+    """The (n, n+2) and (n+2, n) coefficients of the same operator."""
+    return (
+        0.25 * (p.A - p.B) * (j + n + 2) * (j + n + 1),
+        0.25 * (p.A - p.B) * (j - n) * (j - n - 1),
+    )
 
 
 def _finite(entries: tuple[np.ndarray, ...], where: str) -> tuple[np.ndarray, ...]:
@@ -165,6 +168,15 @@ def _finite(entries: tuple[np.ndarray, ...], where: str) -> tuple[np.ndarray, ..
     return entries
 
 
+def h_matrix_wigner(j: int, p: TopParams) -> np.ndarray:
+    """Real matrix of A J1^2 + B J2^2 + C J3^2 on the basis m = j..-j."""
+    m = np.arange(j, -j - 1, -1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        d, e = _wigner_diagonal(j, m, p), _wigner_offdiagonal(j, m[:-2], p)
+    _finite((d, e), f"wigner route at j={j}")
+    return np.diag(d) + np.diag(e, 2) + np.diag(e, -2)
+
+
 def h_matrix_lambda(j: int, p: TopParams) -> np.ndarray:
     """Matrix of A(-il1)^2 + B(-il2)^2 + C(-il3)^2 on the e^{inq} basis.
 
@@ -173,7 +185,10 @@ def h_matrix_lambda(j: int, p: TopParams) -> np.ndarray:
     product of the generator matrices is checked by verify's
     gram-hermiticity check.
     """
-    diag, upper, lower = _lambda_entries(j, p)
+    n = np.arange(-j, j + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        diag, (upper, lower) = _lambda_diagonal(j, n, p), _lambda_offdiagonals(j, n[:-2], p)
+    _finite((diag, upper, lower), f"lambda route at j={j}")
     out = np.diag(diag).astype(complex)
     k = np.arange(2 * j - 1)
     out[k + 2, k] = lower
@@ -181,100 +196,266 @@ def h_matrix_lambda(j: int, p: TopParams) -> np.ndarray:
     return out
 
 
-def _lambda_symmetric_entries(j: int, p: TopParams) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the symmetric matrix similar to
-    h_matrix_lambda.
+# --- class blocks of a j range -------------------------------------------
 
-    The diagonal similarity that symmetrizes a matrix coupling n to n +- 2
-    sets both off-diagonals to sqrt(M[n,n+2] M[n+2,n]).  The products stay in
-    range at every j for parameters of moderate size (DomainError where they
-    leave it); the Gram weights B_nj of the equivalent similarity
-    G^(1/2) M G^(-1/2) leave the normal float range at j = 514.
+# First n of the Wang classes (parity of n, sign of e_n +- e_{-n}) in block
+# order (even, -), (even, +), (odd, -), (odd, +), and the sign of each
+_WANG_FIRST = np.array([2, 0, 1, 1])
+_WANG_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
+# 2(a + c) of the Lame classes N = 1..4: class N has (j - that)//2 + 1 terms
+_LAME_FIRST = np.array([0, 1, 1, 2])
+
+
+class _Layout(NamedTuple):
+    """Flat index arrays of the four class blocks at every j of a range.
+
+    Blocks run in (class, j) order; at j, class i has K = (j - first_i)//2 + 1
+    entries (none below 0), the same four sizes in both families.  Diagonal
+    entries carry their j, class index and x: n for the Wang family, the
+    exponent t = p - k for the Lame one.  Off-diagonal entries, one per
+    neighbour pair (k, k+1) of a block, carry the same with x the n of the
+    coupling n -> n+2, or t = p - k - 1; the Wang family appends the n = -1 -> 1
+    coupling of every j >= 1, which shifts the first diagonal entry of the two
+    odd blocks (`odd_first`).  `plus_first` marks the first coupling of the
+    (even, +) blocks, where e_0 enters alone.  `groups` holds, per block size
+    K, the (blocks, K) diagonal and (blocks, K-1) off-diagonal positions of
+    every block of that size; `spans` the diagonal and off-diagonal slices
+    of each class.
     """
-    diag, upper, lower = _lambda_entries(j, p)
-    return diag, _symmetric_offdiagonal(upper, lower, f"lambda route at j={j}")
+
+    j: np.ndarray
+    cls: np.ndarray
+    x: np.ndarray
+    off_j: np.ndarray
+    off_cls: np.ndarray
+    off_x: np.ndarray
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    spans: tuple[tuple[slice, slice], ...]
+    odd_first: np.ndarray
+    plus_first: np.ndarray
 
 
-def _wang_blocks(d: np.ndarray, e: np.ndarray, j: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Fold a matrix into its four D2 (Wang) class blocks.
+def _layout(start: int, stop: int, family: str) -> _Layout:
+    """The read-only layout of j = start..stop-1 for family "wang" or "lame".
 
-    d is the diagonal over n = -j..j and e the (n, n+2) off-diagonal of a
-    real symmetric matrix that couples n only to n +- 2 and commutes with
-    n -> -n.  In the Wang basis e_n +- e_{-n} (n >= 0, e_0 alone, normalized)
-    it splits into four tridiagonal blocks, one per class (parity of n,
-    sign).  Returns their (diagonal, off-diagonal) pairs in the order of
-    _wang_basis: (even, -), (even, +), (odd, -), (odd, +).
+    Ranges of up to _CACHED_SPAN j come from a small cache, so single-j
+    calls skip the build; a longer range is built per call, which costs
+    little next to its eigvalsh calls and keeps no memory.
     """
-    even_d, even_e = d[j::2], e[j::2]
-    odd_d, odd_e = d[j + 1 :: 2], e[j + 1 :: 2]
-    # e_0 enters the even + block alone, so its coupling to e_2 +- e_{-2}
-    # gains sqrt(2); the n = -1, 1 coupling shifts the first odd diagonal
-    plus_e = even_e.copy()
-    plus_e[:1] *= math.sqrt(2.0)
-    shift = np.zeros_like(odd_d)
-    shift[:1] = e[j - 1 : j]
-    return [
-        (even_d[1:], even_e[1:]),
-        (even_d, plus_e),
-        (odd_d - shift, odd_e),
-        (odd_d + shift, odd_e),
-    ]
+    if stop - start <= _CACHED_SPAN:
+        return _cached_layout(start, stop, family)
+    return _build_layout(start, stop, family)
 
 
-def _stacks(blocks: list[tuple[np.ndarray, np.ndarray]]):
-    """Yield (slices, stacked tridiagonal matrices), one stack per distinct
-    nonzero block size, so each size costs one LAPACK call.  The slices place
-    each stacked block in the concatenation of all blocks, in block order."""
-    sizes = [len(d) for d, _ in blocks]
-    starts = [0, *itertools.accumulate(sizes)]
-    for K in sorted(set(sizes) - {0}):
-        members = [i for i, k in enumerate(sizes) if k == K]
-        T = np.zeros((len(members), K, K))
-        flat = T.reshape(len(members), K * K)  # a view: strided slices fill T
-        flat[:, :: K + 1] = [blocks[m][0] for m in members]
-        flat[:, 1 :: K + 1] = flat[:, K :: K + 1] = [blocks[m][1] for m in members]
-        yield [slice(starts[m], starts[m] + K) for m in members], T
+def _build_layout(start: int, stop: int, family: str) -> _Layout:
+    """The layout itself.  Its integers are int32 (class indices int8) up to
+    j = 46340, where j(j+1) still fits; every closed form multiplies by a
+    float before any larger integer product."""
+    index = np.int32 if stop <= 46341 else np.int64
+    js = np.arange(start, stop, dtype=index)
+    first = _WANG_FIRST if family == "wang" else _LAME_FIRST
+    sizes = np.maximum((js - first[:, None]) // 2 + 1, 0).astype(index)
+    K, pairs = sizes.ravel(), np.maximum(sizes - 1, 0).ravel()
+    block_j, block_cls = np.tile(js, 4), np.repeat(np.arange(4, dtype=np.int8), len(js))
+    d_start, o_start = np.cumsum(K, dtype=index) - K, np.cumsum(pairs, dtype=index) - pairs
+    j, cls = np.repeat(block_j, K), np.repeat(block_cls, K)
+    k = np.arange(len(j), dtype=index) - np.repeat(d_start, K)
+    off_j, off_cls = np.repeat(block_j, pairs), np.repeat(block_cls, pairs)
+    i = np.arange(len(off_j), dtype=index) - np.repeat(o_start, pairs)
+    if family == "wang":
+        x, off_x = first[cls].astype(index) + 2 * k, first[off_cls].astype(index) + 2 * i
+        shifted = js[js >= 1]
+        off_j = np.concatenate([off_j, shifted])
+        off_cls = np.concatenate([off_cls, np.full(len(shifted), 2, dtype=np.int8)])
+        off_x = np.concatenate([off_x, np.full(len(shifted), -1, dtype=index)])
+        odd_first = d_start.reshape(4, -1)[2:, js >= 1]
+        plus_first = o_start.reshape(4, -1)[1, js >= 2]
+    else:
+        x = j / 2.0 - _CLASS_A[cls] - _CLASS_C[cls] - k
+        off_x = off_j / 2.0 - _CLASS_A[off_cls] - _CLASS_C[off_cls] - (i + 1)
+        odd_first, plus_first = np.zeros((2, 0), dtype=index), np.zeros(0, dtype=index)
+    # entries sorted by the size of their block: each size's blocks, in
+    # block order, are one (blocks, K) slice of the sort
+    d_sorted = np.argsort(np.repeat(K, K), kind="stable").astype(index)
+    o_sorted = np.argsort(np.repeat(K, pairs), kind="stable").astype(index)
+    groups, d0, o0 = [], 0, 0
+    for size, count in enumerate(np.bincount(K).tolist()):
+        if size and count:
+            d1, o1 = d0 + count * size, o0 + count * (size - 1)
+            groups.append((d_sorted[d0:d1].reshape(count, size), o_sorted[o0:o1].reshape(count, size - 1)))
+            d0, o0 = d1, o1
+    d_ends = np.cumsum(K.reshape(4, -1).sum(axis=1)).tolist()
+    o_ends = np.cumsum(pairs.reshape(4, -1).sum(axis=1)).tolist()
+    spans = tuple(
+        (slice(d0, d1), slice(o0, o1)) for d0, d1, o0, o1 in zip([0, *d_ends], d_ends, [0, *o_ends], o_ends)
+    )
+    for a in (j, cls, x, off_j, off_cls, off_x, odd_first, plus_first, d_sorted, o_sorted):
+        a.flags.writeable = False
+    return _Layout(j, cls, x, off_j, off_cls, off_x, tuple(groups), spans, odd_first, plus_first)
 
 
-def _block_levels(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of all blocks, ascending, and the index of the block each
-    came from: one eigvalsh per size.  Exact ties keep block order."""
-    vals = np.empty(sum(len(d) for d, _ in blocks))
-    for spans, T in _stacks(blocks):
-        for span, w in zip(spans, np.linalg.eigvalsh(T)):
-            vals[span] = w
-    order = np.argsort(vals, kind="stable")
-    return vals[order], np.repeat(np.arange(len(blocks)), [len(d) for d, _ in blocks])[order]
+_CACHED_SPAN = 41  # the j = 0..40 of `levels --jmax 40` and every single j
+_cached_layout = functools.lru_cache(maxsize=32)(_build_layout)
 
 
-def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
-    """All 2j+1 levels, ascending, labeled s = -j..j.
+def _wang_entries(route: str, js: range, p: TopParams) -> tuple[_Layout, np.ndarray, np.ndarray]:
+    """Layout, diagonal and off-diagonal of the Wang blocks of the wigner or
+    lambda matrix at every j of js.
 
-    Every route builds its own real entries and takes the levels from four
-    symmetric tridiagonal blocks: the Wang blocks of the wigner and lambda
-    matrices, or the symmetrized Lame companions, whose levels carry their
-    class N as lame_class (exact ties in class order).  Off-diagonal
+    Both matrices are real symmetric (lambda after setting both
+    off-diagonals to sqrt(M[n,n+2] M[n+2,n])), couple n only to n +- 2 and
+    commute with n -> -n, so the Wang basis e_n +- e_{-n} (n >= 0, e_0
+    alone, normalized) splits each into four tridiagonal blocks, one per
+    class.  The wigner matrix, on m = j..-j, is read at m = -n.
+    """
+    lay = _layout(js.start, js.stop, "wang")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if route == "wigner":
+            d = _wigner_diagonal(lay.j, -lay.x, p)
+            e = upper = _wigner_offdiagonal(lay.off_j, -lay.off_x, p)
+            lower = None
+        else:
+            d = _lambda_diagonal(lay.j, lay.x, p)
+            upper, lower = _lambda_offdiagonals(lay.off_j, lay.off_x, p)
+        _refuse_out_of_range(route, lay, d, upper, lower)
+        if lower is not None:
+            e = np.sqrt(upper * lower)
+        # e_0 enters the (even, +) block alone, so its coupling to
+        # e_2 +- e_{-2} gains sqrt(2); the n = -1, 1 coupling shifts the
+        # first odd diagonal entries
+        e[lay.plus_first] *= math.sqrt(2.0)
+        shift = e[len(e) - lay.odd_first.shape[1] :]
+        d[lay.odd_first[0]] -= shift
+        d[lay.odd_first[1]] += shift
+        # the shift can take a first odd entry up to 1.5x past the largest
+        # diagonal entry; the sqrt(2) coupling stays below it (wigner) or
+        # below sqrt(max float) (lambda)
+        if not np.isfinite(d[lay.odd_first]).all():
+            _refuse_out_of_range(route, lay, d, e)
+    return lay, d, e
+
+
+def _product_faults(upper: np.ndarray, lower: np.ndarray, prods: np.ndarray):
+    """Masks of the off-diagonal products that lost their entries (NaN,
+    overflow, or below the normal float range from a nonzero entry; two zero
+    entries, A = B, give an exact 0) and of the negative ones."""
+    size = np.abs(prods)
+    lost = ~(size <= _HUGE) | ((size < _TINY) & ((upper != 0.0) | (lower != 0.0)))
+    return lost, prods < 0.0
+
+
+def _symmetric_offdiagonal(upper: np.ndarray, lower: np.ndarray, where: str) -> np.ndarray:
+    """Off-diagonal sqrt(upper lower) of the symmetric matrix similar to the
+    tridiagonal one with these off-diagonals.
+
+    A lost product (_product_faults) raises DomainError naming `where`; a
+    negative product leaves no real symmetric form: RootCountError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods = upper * lower
+    if not ((prods >= _TINY) & (prods <= _HUGE)).all():  # nan fails both
+        lost, negative = _product_faults(upper, lower, prods)
+        if lost.any():
+            raise DomainError(f"{where}: off-diagonal products leave the normal float range")
+        if negative.any():
+            raise RootCountError(f"{where}: off-diagonal product {prods.min():.3e} < 0")
+    return np.sqrt(prods)
+
+
+def _refuse_out_of_range(route: str, lay: _Layout, d, upper, lower=None) -> None:
+    """Refuse entries out of the float range with one check of the flat arrays.
+
+    d is the diagonal; upper and lower the off-diagonals of a matrix to be
+    symmetrized, or upper alone of a symmetric one.  On a fault, the first
+    offending j (and class, for the Lame route) raises what a single-j call
+    raises: DomainError for non-finite entries, then _symmetric_offdiagonal's
+    error for its products.
+    """
+    if lower is None:
+        o_bad = ~np.isfinite(upper)
+    else:  # products in the normal range imply finite entries
+        prods = upper * lower  # under the caller's errstate
+        o_bad = ~((prods >= _TINY) & (prods <= _HUGE))
+    if not o_bad.any() and np.isfinite(d).all():
+        return
+    by_class = route == "lame"
+    d_key = 4 * lay.j + lay.cls if by_class else lay.j
+    o_key = 4 * lay.off_j + lay.off_cls if by_class else lay.off_j
+    if lower is not None:
+        o_bad = ~np.isfinite(upper) | np.logical_or(*_product_faults(upper, lower, prods))
+    bad = np.concatenate([d_key[~np.isfinite(d)], o_key[o_bad]])
+    if not bad.size:
+        return  # only products of two zero entries
+    key = int(bad.min())
+    where = f"{route} route at j={key // 4}, class {key % 4 + 1}" if by_class else f"{route} route at j={key}"
+    d_at, o_at = d[d_key == key], o_key == key
+    if lower is None:
+        _finite((d_at, upper[o_at]), where)
+    else:
+        _finite((d_at, upper[o_at], lower[o_at]), where)
+        _symmetric_offdiagonal(upper[o_at], lower[o_at], where)
+
+
+def _tridiagonal_stack(d: np.ndarray, e: np.ndarray, di: np.ndarray, oi: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrices with diagonals d[di] and
+    off-diagonals e[oi], stacked on the first axis."""
+    count, K = di.shape
+    T = np.zeros((count, K, K))
+    flat = T.reshape(count, K * K)  # a view: strided slices fill T
+    flat[:, :: K + 1] = d[di]
+    flat[:, 1 :: K + 1] = flat[:, K :: K + 1] = e[oi]
+    return T
+
+
+class SpectrumTable(NamedTuple):
+    """The levels of one route at every j of the range js, flat in (j, s)
+    order: E_{j,s} is E[j*j - js.start**2 + j + s].  lame_class holds the
+    class N of each Lame level and is None on the other routes."""
+
+    js: range
+    E: np.ndarray
+    lame_class: np.ndarray | None
+
+
+def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTable:
+    """All levels at every j of the range js (step 1, j >= 0), ascending per j.
+
+    Every route builds its own real entries, over the whole range at once,
+    and takes the levels from four symmetric tridiagonal blocks per j: the
+    Wang blocks of the wigner and lambda matrices, or the symmetrized Lame
+    companions.  Blocks of one size, over all j and classes, are one stacked
+    eigvalsh call.  Exact ties keep class order.  Entries or off-diagonal
     products that leave the normal float range (parameters near 1e154 and
-    beyond, or near 1e-154 and below) raise DomainError naming the route and j.
+    beyond, or near 1e-154 and below) raise DomainError naming the route and
+    the smallest offending j.
     """
     if route not in ROUTES:
         raise DomainError(f"route must be one of {ROUTES}, got {route!r}")
-    if j < 0:
+    if js.start < 0:
         raise DomainError("j must be >= 0")
-    if route == "wigner":
-        # on m = j..-j; both arrays are palindromes (H commutes with m -> -m),
-        # so they read the same on n = -j..j
-        blocks = _wang_blocks(*_wigner_entries(j, p), j)
-    elif route == "lambda":
-        blocks = _wang_blocks(*_lambda_symmetric_entries(j, p), j)
+    if js.step != 1:
+        raise DomainError(f"need consecutive j, got step {js.step}")
+    if route == "lame":
+        lay = _layout(js.start, js.stop, "lame")
+        d, upper, lower = map(np.concatenate, zip(*_lame_entries(js, p)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _refuse_out_of_range(route, lay, d, upper, lower)
+        e = np.sqrt(upper * lower)
     else:
-        blocks = [
-            (d, _symmetric_offdiagonal(up, lo, f"lame route at j={j}, class {N}"))
-            for N, (d, up, lo) in enumerate(_lame_entries(j, p), 1)
-        ]
-    vals, labels = _block_levels(blocks)
-    classes = (labels + 1).tolist() if route == "lame" else itertools.repeat(None)
-    rows = zip(itertools.repeat(j), range(-j, j + 1), vals.tolist(), itertools.repeat(route), classes)
+        lay, d, e = _wang_entries(route, js, p)
+    vals = np.empty(len(d))
+    for di, oi in lay.groups:
+        vals[di] = np.linalg.eigvalsh(_tridiagonal_stack(d, e, di, oi))
+    order = np.lexsort((vals, lay.j))  # stable: ties keep (class, k) order
+    return SpectrumTable(js, vals[order], lay.cls[order] + 1 if route == "lame" else None)
+
+
+def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
+    """All 2j+1 levels, ascending, labeled s = -j..j: spectrum_range at one
+    j, as EnergyLevel rows (the Lame levels carry their class)."""
+    table = spectrum_range(range(j, j + 1), p, route)
+    classes = table.lame_class.tolist() if route == "lame" else itertools.repeat(None)
+    rows = zip(itertools.repeat(j), range(-j, j + 1), table.E.tolist(), itertools.repeat(route), classes)
     return list(map(EnergyLevel._make, rows))
 
 
@@ -299,47 +480,27 @@ def _gamma(t, p: TopParams):
     return -2.0 * p.u * p.v * t * (2 * t - 1)
 
 
-def _lame_entries(j: int, p: TopParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Diagonal, (k, k+1) and (k+1, k) entries of the four class companions.
+def _lame_entries(js: range, p: TopParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Diagonal, (k, k+1) and (k+1, k) entries of the class companions at
+    every j of js: one triple per class N = 1..4, its blocks in j order.
 
     Class N has leading power p = j/2 - a - c and K_N = floor(p) + 1 terms,
     one per exponent p - k >= 0.  Its K_N recurrence equations, linear in E,
     read T s = E s with diagonal -beta(p-k), upper entries -alpha(p-k-1) and
-    lower entries -gamma(p-k).  Each quadratic is evaluated once for all
-    four classes.
+    lower entries -gamma(p-k).  Each quadratic is evaluated once over the
+    flat layout of all classes and j.
     """
     require_strict(p)
-    a, c = _CLASS_A[:, None], _CLASS_C[:, None]
-    pw = j / 2.0 - a - c
-    t = pw - np.arange(j // 2 + 1)
+    lay = _layout(js.start, js.stop, "lame")
+    a, c = _CLASS_A[lay.cls], _CLASS_C[lay.cls]
+    off_a, off_c = _CLASS_A[lay.off_cls], _CLASS_C[lay.off_cls]
     # u v overflows from parameters near 1e154: the callers refuse the
     # resulting inf and nan entries with DomainError
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = -_beta_no_e(t, a, c, j, p)
-        upper = -_alpha(t, a, c, j)  # entry k couples k-1 to k
-        lower = -_gamma(t + 1.0, p)  # entry k couples k to k-1
-    sizes = np.floor(pw[:, 0]).astype(int) + 1
-    return [(diag[i, :K], upper[i, 1:K], lower[i, 1:K]) for i, K in enumerate(sizes)]
-
-
-def _symmetric_offdiagonal(upper: np.ndarray, lower: np.ndarray, where: str) -> np.ndarray:
-    """Off-diagonal sqrt(upper lower) of the symmetric matrix similar to the
-    tridiagonal one with these off-diagonals.
-
-    A product that overflows, or that falls below the normal float range
-    (down to 0) from a nonzero entry, has lost the entry: DomainError naming
-    `where`.  Products of two zero entries (A = B) stay 0.  A negative
-    product leaves no real symmetric form: RootCountError.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        prods = upper * lower
-    if not ((prods >= _TINY) & (prods <= _HUGE)).all():  # nan fails both
-        size = np.abs(prods)
-        if (~(size <= _HUGE) | ((size < _TINY) & ((upper != 0.0) | (lower != 0.0)))).any():
-            raise DomainError(f"{where}: off-diagonal products leave the normal float range")
-        if (prods < 0.0).any():
-            raise RootCountError(f"{where}: off-diagonal product {prods.min():.3e} < 0")
-    return np.sqrt(prods)
+        diag = -_beta_no_e(lay.x, a, c, lay.j, p)
+        upper = -_alpha(lay.off_x, off_a, off_c, lay.off_j)
+        lower = -_gamma(lay.off_x + 1.0, p)
+    return [(diag[d], upper[o], lower[o]) for d, o in lay.spans]
 
 
 def lame_recurrence(N: int, j: int, p: TopParams) -> np.ndarray:
@@ -353,7 +514,7 @@ def lame_recurrence(N: int, j: int, p: TopParams) -> np.ndarray:
         raise DomainError(f"class must be 1..4, got {N}")
     if j < 0:
         raise DomainError("j must be >= 0")
-    d, upper, lower = _lame_entries(j, p)[N - 1]
+    d, upper, lower = _lame_entries(range(j, j + 1), p)[N - 1]
     K = len(d)
     T = np.diag(d)
     T.flat[1 :: K + 1] = upper
@@ -488,43 +649,32 @@ def _fix_phase(rows: np.ndarray, j: int) -> np.ndarray:
     return rows * phase[:, None]
 
 
-def _wang_basis(j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Wang basis of F^j by index: n >= 0 and the sign of each vector
-    e_n + sign e_{-n} (e_0 alone), ordered so the four D2 classes (parity of
-    n, sign) are the contiguous blocks of _wang_blocks."""
-    evens, odds = np.arange(0, j + 1, 2), np.arange(1, j + 1, 2)
-    n = np.concatenate([evens[1:], evens, odds, odds])
-    sign = np.repeat([-1.0, 1.0, -1.0, 1.0], [len(evens) - 1, len(evens), len(odds), len(odds)])
-    return n, sign
-
-
 def _state_rows(j: int, p: TopParams) -> np.ndarray:
     """Unphased coefficients of Phi_{j,s}, s = -j..j, one state per row.
 
-    H commutes with n -> -n and couples n only to n +- 2, so the Wang basis
-    splits its symmetrized form into four tridiagonal D2-class blocks.  Each
-    eigenvector comes from its own block, so it is class-pure even inside
-    near-degenerate (always cross-class) doublets.  Back in the e^{inq}
-    basis the coefficients scale like sqrt(B_nj) ~ 2^-j at the edges, so j
-    is refused where B_nj leaves the normal float range.
+    The eigenvectors of the lambda route's Wang blocks (_wang_entries), one
+    eigh per block size.  Each comes from its own block, so it is class-pure
+    even inside near-degenerate (always cross-class) doublets.  Back in the
+    e^{inq} basis the coefficients scale like sqrt(B_nj) ~ 2^-j at the
+    edges, so j is refused where B_nj leaves the normal float range.
     """
     b = weight_vector(j)
     if b.min() < np.finfo(float).tiny:
         raise DomainError(
             f"states at j={j} need B_nj down to {b.min():.3e}, below the normal float range"
         )
-    blocks = _wang_blocks(*_lambda_symmetric_entries(j, p), j)
-    n, sign = _wang_basis(j)
+    lay, d, e = _wang_entries("lambda", range(j, j + 1), p)
+    n = lay.x  # Wang vector e_n + sign e_{-n}, e_0 alone
     scale = np.where(n == 0, 1.0, math.sqrt(0.5)) * np.sqrt((2 * j + 1) * b[j + n])
-    pos, neg, signed = j + n, j - n, sign * scale
+    pos, neg, signed = j + n, j - n, _WANG_SIGN[lay.cls] * scale
     vals = np.empty(2 * j + 1)
     out = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
-    for spans, T in _stacks(blocks):
-        w, v = np.linalg.eigh(T)
-        for block, wm, vm in zip(spans, w, v):  # its Wang vectors and states
-            vals[block] = wm
-            out[block, pos[block]] = vm.T * scale[block]
-            out[block, neg[block]] = vm.T * signed[block]
+    for di, oi in lay.groups:
+        w, v = np.linalg.eigh(_tridiagonal_stack(d, e, di, oi))
+        vals[di] = w
+        rows, states = di[:, :, None], v.transpose(0, 2, 1)  # a state per row
+        out[rows, pos[di][:, None, :]] = states * scale[di][:, None, :]
+        out[rows, neg[di][:, None, :]] = states * signed[di][:, None, :]
     # levels within 8 ulp of max|E| of each other are one doublet to the
     # solver (at (3,2,1), j=40, doublets come out up to 6 ulp apart, distinct
     # levels 100+): such runs go by Wang class, the block order of vals

@@ -32,6 +32,7 @@ from .lambda_rep import (
     evaluate_state,
     fourier_basis,
     q_rule,
+    scaled_power,
     weight_vector,
 )
 from .so3 import EulerAngles, HaarRule, field_stencil, inverse
@@ -122,9 +123,12 @@ def _kernel_factors(qv, qpv, phi, theta, psi):
 
 
 def _kernel_values(qv, qpv, j: int, phi, theta, psi):
-    """Kernel D^j as arrays; broadcasts over all five argument arrays."""
-    x, y = _kernel_factors(qv, qpv, phi, theta, psi)
-    return (2 * j + 1) / const_C(j) * np.sum(x * y, axis=-1) ** j
+    """Kernel D^j as arrays; broadcasts over all five argument arrays.
+    OverflowError where a value passes e^LOG_MAX (lambda_rep.scaled_power)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite base is refused
+        x, y = _kernel_factors(qv, qpv, phi, theta, psi)
+        base = np.sum(x * y, axis=-1)
+    return scaled_power((2 * j + 1) / const_C(j), base, j)
 
 
 def kernel_eval(q: ComplexQ, qp: ComplexQ, j: int, g: EulerAngles) -> complex:

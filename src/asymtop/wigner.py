@@ -23,13 +23,19 @@ from .errors import DimensionError, DomainError
 from .so3 import EulerAngles, HaarRule
 
 
+def ladder_coefficient(j, m):
+    """sqrt(j(j+1) - m(m-1)), the ladder coefficient of the step m -> m-1;
+    broadcasts over integer or integer-valued j and m."""
+    return np.sqrt(j * (j + 1) - m * (m - 1))
+
+
 def ladder_coefficients(j: int) -> tuple[np.ndarray, np.ndarray]:
-    """m = j..-j and the ladder coefficients c = sqrt(j(j+1) - m m') of the
-    steps m -> m' = m-1 (a palindrome), shared by every spin-j matrix."""
+    """m = j..-j and the ladder coefficients of the steps m -> m-1 (a
+    palindrome), shared by every spin-j matrix."""
     if j < 0:
         raise DomainError("j must be >= 0")
     m = np.arange(j, -j - 1, -1, dtype=float)
-    return m, np.sqrt(j * (j + 1) - m[:-1] * m[1:])
+    return m, ladder_coefficient(j, m[:-1])
 
 
 def angular_momentum_matrices(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

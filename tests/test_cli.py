@@ -327,3 +327,11 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(LEVELS_HEADER)
+
+
+def test_kernel_refuses_overflowing_values(capsys):
+    # base^40 reaches e^1544 here; this used to print nan and exit 0
+    argv = ["kernel", "--j", "40", "--q-im", "20", "--qp-im", "20", "--g-theta", "0.5"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "j=40" in err

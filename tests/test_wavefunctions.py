@@ -44,6 +44,7 @@ from asymtop import (
     weight_vector,
 )
 from asymtop.so3 import THETA_MARGIN
+from asymtop.wavefunctions import _kernel_factors
 
 
 def random_g(rng):
@@ -398,3 +399,27 @@ def test_every_e_inq_evaluator_is_finite_or_refuses(point):
     if "psi_eval" in values and "psi_grid" in values:
         a, b = values["psi_eval"], values["psi_grid"]
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
+
+
+def test_closed_form_powers_refuse_past_log_max():
+    # (1 + cosh 120)^10 ~ e^1190: this used to overflow to nan with a bare
+    # RuntimeWarning
+    with pytest.raises(OverflowError, match="at j=10"):
+        uncertainty(ComplexQ(0.0, 60.0), 10)
+    with pytest.raises(OverflowError, match="at j=40"):
+        kernel_eval(ComplexQ(0.0, 20.0), ComplexQ(0.0, 20.0), 40, EulerAngles(0.0, 0.5, 0.0))
+    # cos of the angle itself overflows here; at j = 0 the power is 1
+    with pytest.raises(OverflowError):
+        delta_j(ComplexQ(0.0, 400.0), ComplexQ(0.0, 400.0), 1)
+    assert delta_j(ComplexQ(0.0, 400.0), ComplexQ(0.0, 400.0), 0) == 1.0
+
+
+def test_closed_form_powers_keep_their_bits_in_range():
+    # the range rule only reads log magnitudes: in range, the values are the
+    # direct powers, bit for bit
+    q, qp, g = ComplexQ(0.7, 0.3), ComplexQ(2.1, -0.4), EulerAngles(0.4, 1.1, 2.5)
+    for j in (0, 1, 5, 30):
+        pref = (2 * j + 1) / const_C(j)
+        assert delta_j(q, qp, j) == pref * (1.0 + np.cos(q.value - qp.value.conjugate())) ** j
+        x, y = _kernel_factors(q.value, qp.value, g.phi, g.theta, g.psi)
+        assert kernel_eval(q, qp, j, g) == complex(pref * np.sum(x * y, axis=-1) ** j)
