@@ -34,7 +34,6 @@ from .lambda_rep import (
     inner_product,
     inner_product_quadrature,
     q_rule,
-    scaled_power,
     weight_B,
     weight_vector,
 )
@@ -55,6 +54,7 @@ from .spectra import (
     ROUTES,
     EnergyLevel,
     LameSeries,
+    SpectrumBatch,
     SpectrumTable,
     TopParams,
     h_matrix_lambda,

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DegenerateParamsError, DomainError
 from .lambda_rep import ComplexQ, delta_j
 from .so3 import IDENTITY, EulerAngles
-from .spectra import ROUTES, TopParams, phi_state, require_strict, spectrum_range
+from .spectra import ROUTES, SpectrumBatch, TopParams, phi_state, require_strict, spectrum
 from .verify import CHECKS, run_all
 from .wavefunctions import kernel_conj_defect, kernel_eval, psi_grid
 
@@ -174,10 +174,18 @@ def cmd_levels(args) -> int:
         except DegenerateParamsError as exc:
             skip_lame = True
             print(f"warning: {exc}; lame column left empty", file=sys.stderr)
-    # one table per distinct route, flat over every (j, s) row
-    tables = {r: spectrum_range(range(jmax + 1), p, r) for r in routes if not (r == "lame" and skip_lame)}
-    energies = {r: t.E for r, t in tables.items()}
-    classes = tables["lame"].lame_class.tolist() if "lame" in tables else []
+    # one flat list of energies per distinct route, over every (j, s) row;
+    # each route solves all of 0..jmax in one batch, and j runs outermost so
+    # a refusal names the smallest offending j over all routes
+    energies = {r: [] for r in routes if not (r == "lame" and skip_lame)}
+    classes: list[int] = []
+    batch = SpectrumBatch(range(jmax + 1))
+    for j in batch.js:
+        for r, flat in energies.items():
+            _, _, E, _, N = zip(*spectrum(j, p, route=r, batch=batch))
+            flat.extend(E)
+            if r == "lame":
+                classes.extend(N)
     chain = itertools.chain.from_iterable
     js = list(chain(itertools.repeat(j, 2 * j + 1) for j in range(jmax + 1)))
     ss = list(chain(range(-j, j + 1) for j in range(jmax + 1)))
@@ -194,7 +202,7 @@ def cmd_levels(args) -> int:
         cells += ["%.17g" if r in energies else "" for r in ROUTES]
         cells.append("" if spread is None else "%.17g")
         columns = [js, ss] + ([classes] if has_class else [])
-        columns += [(energies[r] + 0.0).tolist() for r in ROUTES if r in energies]
+        columns += [(np.array(energies[r]) + 0.0).tolist() for r in ROUTES if r in energies]
         if spread is not None:
             columns.append((spread + 0.0).tolist())
         row = ",".join(cells)
@@ -202,7 +210,7 @@ def cmd_levels(args) -> int:
     else:
         absent = itertools.repeat(None)
         columns = [js, ss, classes if has_class else absent]
-        columns += [energies[r].tolist() if r in energies else absent for r in ROUTES]
+        columns += [energies.get(r, absent) for r in ROUTES]
         columns.append(absent if spread is None else spread.tolist())
         keys = LEVELS_HEADER.split(",")
         rows = [dict(zip(keys, values)) for values in zip(*columns)]

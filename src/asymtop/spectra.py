@@ -18,7 +18,8 @@ per D2 class, of sizes K_N = (j//2+1, ceil(j/2), ceil(j/2), j//2) for
 N = 1..4.  spectrum_range builds the blocks of a whole j range at once:
 each route's closed forms are evaluated once over flat (class, j, k) index
 arrays, and one eigvalsh call per distinct block size, over all j, solves
-them; spectrum is the range with one j.  Both matrices couple n only to
+them.  spectrum is the range with one j, or reads its j from the table of a
+SpectrumBatch, which solves its range once per route.  Both matrices couple n only to
 n +- 2 and commute with n -> -n, so the Wang basis e_n +- e_{-n} splits each
 into its class blocks; the states are the eigenvectors of the lambda
 blocks.  State coefficients scale like sqrt(B_nj), which leaves the normal
@@ -219,8 +220,7 @@ class _Layout(NamedTuple):
     odd blocks (`odd_first`).  `plus_first` marks the first coupling of the
     (even, +) blocks, where e_0 enters alone.  `groups` holds, per block size
     K, the (blocks, K) diagonal and (blocks, K-1) off-diagonal positions of
-    every block of that size; `spans` the diagonal and off-diagonal slices
-    of each class.
+    every block of that size.
     """
 
     j: np.ndarray
@@ -230,7 +230,6 @@ class _Layout(NamedTuple):
     off_cls: np.ndarray
     off_x: np.ndarray
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-    spans: tuple[tuple[slice, slice], ...]
     odd_first: np.ndarray
     plus_first: np.ndarray
 
@@ -284,14 +283,9 @@ def _build_layout(start: int, stop: int, family: str) -> _Layout:
             d1, o1 = d0 + count * size, o0 + count * (size - 1)
             groups.append((d_sorted[d0:d1].reshape(count, size), o_sorted[o0:o1].reshape(count, size - 1)))
             d0, o0 = d1, o1
-    d_ends = np.cumsum(K.reshape(4, -1).sum(axis=1)).tolist()
-    o_ends = np.cumsum(pairs.reshape(4, -1).sum(axis=1)).tolist()
-    spans = tuple(
-        (slice(d0, d1), slice(o0, o1)) for d0, d1, o0, o1 in zip([0, *d_ends], d_ends, [0, *o_ends], o_ends)
-    )
     for a in (j, cls, x, off_j, off_cls, off_x, odd_first, plus_first, d_sorted, o_sorted):
         a.flags.writeable = False
-    return _Layout(j, cls, x, off_j, off_cls, off_x, tuple(groups), spans, odd_first, plus_first)
+    return _Layout(j, cls, x, off_j, off_cls, off_x, tuple(groups), odd_first, plus_first)
 
 
 _CACHED_SPAN = 41  # the j = 0..40 of `levels --jmax 40` and every single j
@@ -408,11 +402,10 @@ def _tridiagonal_stack(d: np.ndarray, e: np.ndarray, di: np.ndarray, oi: np.ndar
 
 
 class SpectrumTable(NamedTuple):
-    """The levels of one route at every j of the range js, flat in (j, s)
+    """The levels of one route at every j of a range js, flat in (j, s)
     order: E_{j,s} is E[j*j - js.start**2 + j + s].  lame_class holds the
     class N of each Lame level and is None on the other routes."""
 
-    js: range
     E: np.ndarray
     lame_class: np.ndarray | None
 
@@ -447,15 +440,50 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
     for di, oi in lay.groups:
         vals[di] = np.linalg.eigvalsh(_tridiagonal_stack(d, e, di, oi))
     order = np.lexsort((vals, lay.j))  # stable: ties keep (class, k) order
-    return SpectrumTable(js, vals[order], lay.cls[order] + 1 if route == "lame" else None)
+    return SpectrumTable(vals[order], lay.cls[order] + 1 if route == "lame" else None)
 
 
-def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
-    """All 2j+1 levels, ascending, labeled s = -j..j: spectrum_range at one
-    j, as EnergyLevel rows (the Lame levels carry their class)."""
-    table = spectrum_range(range(j, j + 1), p, route)
-    classes = table.lame_class.tolist() if route == "lame" else itertools.repeat(None)
-    rows = zip(itertools.repeat(j), range(-j, j + 1), table.E.tolist(), itertools.repeat(route), classes)
+class SpectrumBatch:
+    """A range of j (step 1, j >= 0) whose levels spectrum solves together.
+
+    The first spectrum call at a j of the range, for a given p and route,
+    solves every j of it with one spectrum_range call; the batch keeps that
+    table for the calls at its other j, and frees it with itself.  A range
+    that spectrum_range refuses is kept as None and solved one j at a time,
+    so each j below the first offending one still gets its levels.
+    """
+
+    def __init__(self, js: range):
+        self.js = js
+        self._tables: dict[tuple[TopParams, str], SpectrumTable | None] = {}
+
+    def table(self, p: TopParams, route: str) -> SpectrumTable | None:
+        key = (p, route)
+        if key not in self._tables:
+            try:
+                self._tables[key] = spectrum_range(self.js, p, route)
+            except (DomainError, DegenerateParamsError, RootCountError):
+                self._tables[key] = None
+        return self._tables[key]
+
+
+def spectrum(
+    j: int, p: TopParams, route: str = "wigner", *, batch: SpectrumBatch | None = None
+) -> list[EnergyLevel]:
+    """All 2j+1 levels, ascending, labeled s = -j..j, as EnergyLevel rows
+    (the Lame levels carry their class): spectrum_range at one j, or read
+    from the table of `batch`, whose range holds j.  Both give the same
+    rows and raise the same errors."""
+    table, start = None, j
+    if batch is not None:
+        if j not in batch.js:
+            raise DomainError(f"j={j} is not in the batch {batch.js}")
+        table, start = batch.table(p, route), batch.js.start
+    if table is None:
+        table, start = spectrum_range(range(j, j + 1), p, route), j
+    at = slice(j * j - start * start, (j + 1) ** 2 - start * start)
+    classes = table.lame_class[at].tolist() if route == "lame" else itertools.repeat(None)
+    rows = zip(itertools.repeat(j), range(-j, j + 1), table.E[at].tolist(), itertools.repeat(route), classes)
     return list(map(EnergyLevel._make, rows))
 
 
@@ -500,7 +528,13 @@ def _lame_entries(js: range, p: TopParams) -> list[tuple[np.ndarray, np.ndarray,
         diag = -_beta_no_e(lay.x, a, c, lay.j, p)
         upper = -_alpha(lay.off_x, off_a, off_c, lay.off_j)
         lower = -_gamma(lay.off_x + 1.0, p)
-    return [(diag[d], upper[o], lower[o]) for d, o in lay.spans]
+    # blocks run in class order: each class is one slice of the flat arrays
+    d_ends = np.searchsorted(lay.cls, np.arange(5)).tolist()
+    o_ends = np.searchsorted(lay.off_cls, np.arange(5)).tolist()
+    return [
+        (diag[d0:d1], upper[o0:o1], lower[o0:o1])
+        for d0, d1, o0, o1 in zip(d_ends, d_ends[1:], o_ends, o_ends[1:])
+    ]
 
 
 def lame_recurrence(N: int, j: int, p: TopParams) -> np.ndarray:

@@ -28,7 +28,7 @@ from .lambda_rep import (
     weight_vector,
 )
 from .so3 import IDENTITY, EulerAngles, compose, haar_rule
-from .spectra import ROUTES, TopParams, h_matrix_lambda, spectrum_range
+from .spectra import ROUTES, SpectrumBatch, TopParams, h_matrix_lambda, spectrum
 from .wavefunctions import (
     completeness_defect,
     kernel_conj_defect,
@@ -116,11 +116,13 @@ def route_agreement_defects(p: TopParams, jmax: int) -> tuple[float, float]:
 
     Trace rule: sum_s E_{j,s} = (A+B+C) j(j+1)(2j+1)/3.
     """
-    tables = {r: spectrum_range(range(jmax + 1), p, r).E for r in ROUTES}
+    batch = SpectrumBatch(range(jmax + 1))  # each route solves all of it at once
     worst_route = 0.0
     worst_trace = 0.0
-    for j in range(jmax + 1):
-        energies = {r: E[j * j : (j + 1) ** 2] for r, E in tables.items()}
+    for j in batch.js:
+        energies = {
+            r: np.array([lv.E for lv in spectrum(j, p, route=r, batch=batch)]) for r in ROUTES
+        }
         scale = np.maximum(1.0, np.abs(energies["wigner"]))
         for r in ("lambda", "lame"):
             worst_route = max(

@@ -149,6 +149,17 @@ def test_levels_refuses_diagonal_overflow(capsys):
         assert err.startswith(f"error: {route} route at j=42:")
 
 
+def test_levels_refusal_names_the_smallest_j_over_all_routes(capsys):
+    # the lambda products (A-B)^2 overflow from j = 1; the wigner entries
+    # only from j = 45: the refusal is the lambda one, as one j at a time
+    params = ["--A", "1e305", "--B", "5e304", "--C", "1"]
+    code, out, err = run_cli(capsys, ["levels", "--jmax", "80"] + params)
+    assert code == 3 and out == ""
+    assert err.startswith("error: lambda route at j=1: off-diagonal products")
+    code, _, err = run_cli(capsys, ["levels", "--jmax", "80", "--routes", "wigner"] + params)
+    assert code == 3 and err.startswith("error: wigner route at j=")
+
+
 def test_invalid_params_exit_code(capsys):
     code, _, err = run_cli(capsys, ["levels", "--A", "1", "--B", "2", "--C", "3"])
     assert code == 3

