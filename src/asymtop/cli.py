@@ -179,13 +179,13 @@ def cmd_levels(args) -> int:
     # a refusal names the smallest offending j over all routes
     energies = {r: [] for r in routes if not (r == "lame" and skip_lame)}
     classes: list[int] = []
-    batch = SpectrumBatch(range(jmax + 1))
-    for j in batch.js:
-        for r, flat in energies.items():
-            _, _, E, _, N = zip(*spectrum(j, p, route=r, batch=batch))
-            flat.extend(E)
-            if r == "lame":
-                classes.extend(N)
+    with SpectrumBatch(range(jmax + 1)) as batch:
+        for j in batch.js:
+            for r, flat in energies.items():
+                _, _, E, _, N = zip(*spectrum(j, p, route=r))
+                flat.extend(E)
+                if r == "lame":
+                    classes.extend(N)
     chain = itertools.chain.from_iterable
     js = list(chain(itertools.repeat(j, 2 * j + 1) for j in range(jmax + 1)))
     ss = list(chain(range(-j, j + 1) for j in range(jmax + 1)))

@@ -17,6 +17,7 @@ All matrices are indexed by n = -j..j ascending.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -84,8 +85,12 @@ def const_C(j: int) -> float:
     return math.exp(math.lgamma(2 * j + 2) - j * math.log(2.0) - 2.0 * math.lgamma(j + 1))
 
 
+@functools.lru_cache(maxsize=64)
 def weight_vector(j: int) -> np.ndarray:
-    return weight_B(np.arange(-j, j + 1), j)
+    """B_nj for n = -j..j, read-only, once per j."""
+    b = weight_B(np.arange(-j, j + 1), j)
+    b.flags.writeable = False
+    return b
 
 
 def ell_matrix(a: int, j: int) -> np.ndarray:
@@ -213,8 +218,9 @@ def default_beta_max(j: int, tol: float = 1e-12) -> float:
     return 0.5 * math.log(max(kappa, 1.0) * 2.0 ** (j + 2) * TWO_PI / tol) + 1.0
 
 
-def q_rule(j: int, beta_max: float | None = None) -> QRule:
-    """Build the product rule: uniform alpha grid x Gauss-Legendre in beta."""
+def _product_grid(j: int, beta_max: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(alphas, betas, log weight of each beta, beta_max) of q_rule's product
+    grid: node alpha_a + i beta_b has log weight log_weights[b]."""
     if beta_max is None:
         beta_max = default_beta_max(j)
     n_alpha = 2 * j + 4
@@ -229,8 +235,14 @@ def q_rule(j: int, beta_max: float | None = None) -> QRule:
     log_density = np.log(beta_max * wx) - (j + 1) * (2.0 * np.logaddexp(betas, -betas) - math.log(2.0))
     top = log_density.max()  # kappa: the weights sum to 1
     log_sum = top + math.log(n_alpha * float(np.sum(np.exp(log_density - top))))
+    return alphas, betas, log_density - log_sum, beta_max
+
+
+def q_rule(j: int, beta_max: float | None = None) -> QRule:
+    """Build the product rule: uniform alpha grid x Gauss-Legendre in beta."""
+    alphas, betas, log_weights, beta_max = _product_grid(j, beta_max)
     qs = alphas[:, None] + 1j * betas[None, :]
-    lw = np.broadcast_to(log_density - log_sum, qs.shape)
+    lw = np.broadcast_to(log_weights, qs.shape)
     return QRule(j=j, nodes=qs.ravel(), log_weights=lw.ravel(), beta_max=beta_max)
 
 
@@ -244,19 +256,23 @@ def inner_product_quadrature(
 
     Warns with ConvergenceWarning when the analytic beta-tail bound
     (integrand <= ||u||_1 ||v||_1 kappa_j 2^{j+1} e^{-2|beta|}) exceeds tol at
-    the chosen cutoff.
+    the chosen cutoff.  The rule is q_rule's product grid, and
+    sqrt(w_b) e^{in(alpha_a + i beta_b)} = e^{in alpha_a} sqrt(w_b) e^{-n beta_b},
+    so each state's values on the grid are one (alpha, n) x (n, beta) matrix
+    product of two fourier_basis tables: no node-by-n table is formed.
     """
     if u.j != v.j:
         raise DimensionError(f"states live in different F^j: {u.j} != {v.j}")
     j = u.j
-    rule = q_rule(j, beta_max=beta_max)
+    alphas, betas, log_weights, beta_max = _product_grid(j, beta_max)
     norm1 = float(np.sum(np.abs(u.coeffs))) * float(np.sum(np.abs(v.coeffs)))
-    tail = const_C(j) * norm1 * 2.0 ** (j + 2) * math.exp(-2.0 * rule.beta_max)  # 2 pi kappa_j = C_j
+    tail = const_C(j) * norm1 * 2.0 ** (j + 2) * math.exp(-2.0 * beta_max)  # 2 pi kappa_j = C_j
     if tail > tol:
         warnings.warn(
             f"beta tail bound {tail:.3e} exceeds tol={tol:.3e}; increase beta_max",
             ConvergenceWarning,
             stacklevel=2,
         )
-    vals = fourier_basis(j, rule.nodes, 0.5 * rule.log_weights)  # sqrt(weight) e^{inq}
-    return complex(np.vdot(vals @ u.coeffs, vals @ v.coeffs))
+    along_alpha = fourier_basis(j, alphas)  # e^{in alpha}
+    along_beta = fourier_basis(j, 1j * betas, 0.5 * log_weights).T  # sqrt(w) e^{-n beta}
+    return complex(np.vdot((along_alpha * u.coeffs) @ along_beta, (along_alpha * v.coeffs) @ along_beta))

@@ -18,13 +18,18 @@ per D2 class, of sizes K_N = (j//2+1, ceil(j/2), ceil(j/2), j//2) for
 N = 1..4.  spectrum_range builds the blocks of a whole j range at once:
 each route's closed forms are evaluated once over flat (class, j, k) index
 arrays, and one eigvalsh call per distinct block size, over all j, solves
-them.  spectrum is the range with one j, or reads its j from the table of a
-SpectrumBatch, which solves its range once per route.  Both matrices couple n only to
+them.  spectrum is the range with one j.  Both matrices couple n only to
 n +- 2 and commute with n -> -n, so the Wang basis e_n +- e_{-n} splits each
 into its class blocks; the states are the eigenvectors of the lambda
 blocks.  State coefficients scale like sqrt(B_nj), which leaves the normal
 float range at j = 514; from there on the states raise DomainError while
 the levels stay exact.
+
+A command that asks about the same j many times opens
+`with SpectrumBatch(js):`.  Inside it spectrum reads its j from one
+spectrum_range table per route, and phi_state and phi_states phase rows of
+one diagonalization per (j, p); all of it is freed when the block exits.
+Outside a batch every call solves afresh and nothing is kept.
 
 The Lame route works on the cubic P(rho) = (rho-A)(rho-B)(rho-C).  With
 x = rho - B, u = A - B, v = B - C, a solution of
@@ -44,6 +49,7 @@ products make it similar to a symmetric block.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import math
@@ -444,20 +450,41 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
 
 
 class SpectrumBatch:
-    """A range of j (step 1, j >= 0) whose levels spectrum solves together.
+    """The solved levels and states of a range of j (step 1, j >= 0), shared
+    by every spectrum, phi_state and phi_states call inside
+    `with SpectrumBatch(js):`.
 
-    The first spectrum call at a j of the range, for a given p and route,
-    solves every j of it with one spectrum_range call; the batch keeps that
-    table for the calls at its other j, and frees it with itself.  A range
-    that spectrum_range refuses is kept as None and solved one j at a time,
-    so each j below the first offending one still gets its levels.
+    Levels: the first spectrum call at a j of the range, for a given p and
+    route, solves every j of it with one spectrum_range call, and the calls
+    at its other j slice that table.  A range that spectrum_range refuses is
+    kept as None and solved one j at a time, so each j below the first
+    offending one still gets its levels.  States: the unphased rows of one
+    _state_rows solve per (j, p), read-only.  A j outside the range raises
+    DomainError.  Batches nest: the innermost one serves, and leaving it
+    (also by an exception) makes the enclosing one active again.  Leaving
+    the `with` block frees the batch's tables and states.
     """
 
     def __init__(self, js: range):
         self.js = js
         self._tables: dict[tuple[TopParams, str], SpectrumTable | None] = {}
+        self._states: dict[tuple[int, TopParams], np.ndarray] = {}
 
-    def table(self, p: TopParams, route: str) -> SpectrumTable | None:
+    def __enter__(self) -> SpectrumBatch:
+        self._token = _ACTIVE_BATCH.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _ACTIVE_BATCH.reset(self._token)
+        self._tables.clear()
+        self._states.clear()
+
+    def _require(self, j: int) -> None:
+        if j not in self.js:
+            raise DomainError(f"j={j} is not in the batch {self.js}")
+
+    def _table(self, j: int, p: TopParams, route: str) -> SpectrumTable | None:
+        self._require(j)
         key = (p, route)
         if key not in self._tables:
             try:
@@ -466,19 +493,30 @@ class SpectrumBatch:
                 self._tables[key] = None
         return self._tables[key]
 
+    def _rows(self, j: int, p: TopParams) -> np.ndarray:
+        self._require(j)
+        key = (j, p)
+        if key not in self._states:
+            rows = _state_rows(j, p)
+            rows.flags.writeable = False
+            self._states[key] = rows
+        return self._states[key]
 
-def spectrum(
-    j: int, p: TopParams, route: str = "wigner", *, batch: SpectrumBatch | None = None
-) -> list[EnergyLevel]:
+
+_ACTIVE_BATCH: contextvars.ContextVar[SpectrumBatch | None] = contextvars.ContextVar(
+    "asymtop_spectrum_batch", default=None
+)
+
+
+def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
     """All 2j+1 levels, ascending, labeled s = -j..j, as EnergyLevel rows
     (the Lame levels carry their class): spectrum_range at one j, or read
-    from the table of `batch`, whose range holds j.  Both give the same
-    rows and raise the same errors."""
+    from the table of the active SpectrumBatch, whose range must hold j.
+    Both give the same rows and raise the same errors."""
     table, start = None, j
+    batch = _ACTIVE_BATCH.get()
     if batch is not None:
-        if j not in batch.js:
-            raise DomainError(f"j={j} is not in the batch {batch.js}")
-        table, start = batch.table(p, route), batch.js.start
+        table, start = batch._table(j, p, route), batch.js.start
     if table is None:
         table, start = spectrum_range(range(j, j + 1), p, route), j
     at = slice(j * j - start * start, (j + 1) ** 2 - start * start)
@@ -718,16 +756,22 @@ def _state_rows(j: int, p: TopParams) -> np.ndarray:
     return out[order[np.lexsort((order, run))]]
 
 
+def _solved_rows(j: int, p: TopParams) -> np.ndarray:
+    """_state_rows(j, p), from the active SpectrumBatch if there is one."""
+    batch = _ACTIVE_BATCH.get()
+    return _state_rows(j, p) if batch is None else batch._rows(j, p)
+
+
 def phi_state(j: int, s: int, p: TopParams) -> FourierState:
     """Eigenstate Phi_{j,s}: (Phi,Phi)_Q = 2j+1, one D2 class, deterministic phase."""
     if abs(s) > j:
         raise DomainError(f"|s| must be <= j={j}")
-    return FourierState(j=j, coeffs=_fix_phase(_state_rows(j, p)[s + j : s + j + 1], j)[0])
+    return FourierState(j=j, coeffs=_fix_phase(_solved_rows(j, p)[s + j : s + j + 1], j)[0])
 
 
 def phi_states(j: int, p: TopParams) -> list[FourierState]:
     """All 2j+1 states Phi_{j,s}, s = -j..j, from one diagonalization."""
-    return [FourierState(j=j, coeffs=c) for c in _fix_phase(_state_rows(j, p), j)]
+    return [FourierState(j=j, coeffs=c) for c in _fix_phase(_solved_rows(j, p), j)]
 
 
 def phi_state_series(j: int, s: int, p: TopParams) -> FourierState:

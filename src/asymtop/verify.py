@@ -116,24 +116,22 @@ def route_agreement_defects(p: TopParams, jmax: int) -> tuple[float, float]:
 
     Trace rule: sum_s E_{j,s} = (A+B+C) j(j+1)(2j+1)/3.
     """
-    batch = SpectrumBatch(range(jmax + 1))  # each route solves all of it at once
     worst_route = 0.0
     worst_trace = 0.0
-    for j in batch.js:
-        energies = {
-            r: np.array([lv.E for lv in spectrum(j, p, route=r, batch=batch)]) for r in ROUTES
-        }
-        scale = np.maximum(1.0, np.abs(energies["wigner"]))
-        for r in ("lambda", "lame"):
-            worst_route = max(
-                worst_route,
-                float(np.max(np.abs(energies[r] - energies["wigner"]) / scale)),
+    with SpectrumBatch(range(jmax + 1)) as batch:  # each route solves all of it at once
+        for j in batch.js:
+            energies = {r: np.array([lv.E for lv in spectrum(j, p, route=r)]) for r in ROUTES}
+            scale = np.maximum(1.0, np.abs(energies["wigner"]))
+            for r in ("lambda", "lame"):
+                worst_route = max(
+                    worst_route,
+                    float(np.max(np.abs(energies[r] - energies["wigner"]) / scale)),
+                )
+            target = (p.A + p.B + p.C) * j * (j + 1) * (2 * j + 1) / 3.0
+            worst_trace = max(
+                worst_trace,
+                abs(float(np.sum(energies["wigner"])) - target) / max(1.0, target),
             )
-        target = (p.A + p.B + p.C) * j * (j + 1) * (2 * j + 1) / 3.0
-        worst_trace = max(
-            worst_trace,
-            abs(float(np.sum(energies["wigner"])) - target) / max(1.0, target),
-        )
     return worst_route, worst_trace
 
 
@@ -394,6 +392,10 @@ def run_all(
     """Run every check of CHECKS, in order, at min(jmax, its jmax).
 
     tols maps check names to tolerances that replace the table's defaults.
+    The checks share one SpectrumBatch over every j they ask for, so each
+    (j, p) is diagonalized for its states once per run.
     """
     tols = tols or {}
-    return [c.run(p, min(jmax, c.jmax), seed, tols.get(c.name, c.tol)) for c in CHECKS]
+    caps = [min(jmax, c.jmax) for c in CHECKS]
+    with SpectrumBatch(range(max(caps) + 1)):
+        return [c.run(p, cap, seed, tols.get(c.name, c.tol)) for c, cap in zip(CHECKS, caps)]

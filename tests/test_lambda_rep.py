@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -184,6 +185,35 @@ def test_quadrature_norm_of_states_at_larger_j(p321, j):
         warnings.simplefilter("error")
         norm = inner_product_quadrature(u, u)
     assert abs(norm - (2 * j + 1)) <= 1e-9 * (2 * j + 1)
+
+
+def test_quadrature_inner_product_is_the_node_sum_without_a_node_table(p321, rng):
+    # the alpha x beta factored sum against the flat sum over q_rule's nodes
+    j = 5
+    u = FourierState(j=j, coeffs=rng.normal(size=11) + 1j * rng.normal(size=11))
+    v = phi_state(j, 2, p321)
+    rule = q_rule(j)
+    vals = fourier_basis(j, rule.nodes, 0.5 * rule.log_weights)
+    flat = np.vdot(vals @ u.coeffs, vals @ v.coeffs)
+    assert abs(inner_product_quadrature(u, v) - flat) < 1e-13 * abs(flat)
+    # at j = 40 the node-by-n table alone is 126336 x 81 complex values (164 MB)
+    w = phi_state(40, 0, p321)
+    inner_product_quadrature(w, w)  # the Gauss-Legendre nodes are cached per size
+    tracemalloc.start()
+    try:
+        inner_product_quadrature(w, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
+
+
+def test_weight_vector_is_cached_and_read_only():
+    b = weight_vector(7)
+    assert weight_vector(7) is b
+    assert np.array_equal(b, weight_B(np.arange(-7, 8), 7))
+    with pytest.raises(ValueError):
+        b[0] = 2.0
 
 
 def test_fourier_basis_values_and_overflow_rule(rng):

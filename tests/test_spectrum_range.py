@@ -15,6 +15,8 @@ from asymtop import (
     h_matrix_lambda,
     h_matrix_wigner,
     lame_recurrence,
+    phi_state,
+    phi_states,
     spectrum,
     spectrum_range,
 )
@@ -166,11 +168,12 @@ def test_layout_is_cached_and_read_only():
 @pytest.mark.parametrize("route", ROUTES)
 def test_batched_spectrum_is_the_single_j_call(route):
     p = TopParams(5.3, 2.1, 0.4)
-    batch = SpectrumBatch(range(3, 40))
-    for j in batch.js:
-        assert spectrum(j, p, route, batch=batch) == spectrum(j, p, route)
-    with pytest.raises(DomainError, match="not in the batch"):
-        spectrum(2, p, route, batch=batch)
+    single = {j: spectrum(j, p, route) for j in range(3, 40)}  # outside any batch
+    with SpectrumBatch(range(3, 40)) as batch:
+        for j in batch.js:
+            assert spectrum(j, p, route) == single[j]
+        with pytest.raises(DomainError, match="not in the batch"):
+            spectrum(2, p, route)
 
 
 def test_batch_solves_each_route_once(monkeypatch):
@@ -182,17 +185,77 @@ def test_batch_solves_each_route_once(monkeypatch):
         return original(js, p, route)
 
     monkeypatch.setattr(spectra, "spectrum_range", counted)
-    p, batch = TopParams(3.0, 2.0, 1.0), SpectrumBatch(range(12))
-    for j in batch.js:
-        for route in ROUTES:
-            spectrum(j, p, route, batch=batch)
+    p = TopParams(3.0, 2.0, 1.0)
+    with SpectrumBatch(range(12)) as batch:
+        for j in batch.js:
+            for route in ROUTES:
+                spectrum(j, p, route)
     assert calls == [(batch.js, route) for route in ROUTES]
 
 
 def test_refused_batch_serves_each_j_below_the_first_offending_one():
     overflow = TopParams(1e305, 1e305, 1.0)  # diagonals overflow from j = 42
-    batch = SpectrumBatch(range(101))
-    for route in ("wigner", "lambda"):
-        assert spectrum(41, overflow, route, batch=batch) == spectrum(41, overflow, route)
-        with pytest.raises(DomainError, match=f"^{route} route at j=42:"):
-            spectrum(42, overflow, route, batch=batch)
+    single = {route: spectrum(41, overflow, route) for route in ("wigner", "lambda")}
+    with SpectrumBatch(range(101)):
+        for route in ("wigner", "lambda"):
+            assert spectrum(41, overflow, route) == single[route]
+            with pytest.raises(DomainError, match=f"^{route} route at j=42:"):
+                spectrum(42, overflow, route)
+
+
+def count_state_solves(monkeypatch) -> list[int]:
+    """The j of every _state_rows call from now on."""
+    solved = []
+    original = spectra._state_rows
+    monkeypatch.setattr(spectra, "_state_rows", lambda j, p: solved.append(j) or original(j, p))
+    return solved
+
+
+@pytest.mark.parametrize("params", RANGE_PARAMS[:3])
+def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
+    p = TopParams(*params)
+    single = {j: [phi_state(j, s, p).coeffs for s in range(-j, j + 1)] for j in range(9)}
+    every = {j: [u.coeffs for u in phi_states(j, p)] for j in range(9)}
+    solved = count_state_solves(monkeypatch)
+    with SpectrumBatch(range(9)):
+        for j in range(9):
+            for s in range(-j, j + 1):
+                got = phi_state(j, s, p)
+                assert got.coeffs.tobytes() == single[j][s + j].tobytes()
+                got.coeffs[:] = 7.0  # the caller's copy, not the batch's rows
+            states = phi_states(j, p)
+            assert [u.coeffs.tobytes() for u in states] == [c.tobytes() for c in every[j]]
+            states[0].coeffs[:] = 7.0
+            assert phi_state(j, -j, p).coeffs.tobytes() == single[j][0].tobytes()
+        with pytest.raises(DomainError, match="not in the batch"):
+            phi_state(9, 0, p)
+    assert sorted(solved) == list(range(9))  # one solve per j
+    # outside the batch nothing is kept: every call solves again
+    phi_state(4, 0, p)
+    phi_states(4, p)
+    assert solved[9:] == [4, 4]
+
+
+def test_nested_batches_restore_the_outer_one(monkeypatch):
+    p = TopParams(3.0, 2.0, 1.0)
+    outer, inner = SpectrumBatch(range(10)), SpectrumBatch(range(3))
+    with outer:
+        with inner:
+            spectrum(2, p)
+            with pytest.raises(DomainError, match=r"not in the batch range\(0, 3\)"):
+                spectrum(5, p)
+        assert len(spectrum(5, p)) == 11  # the outer batch serves j = 5 again
+        with pytest.raises(RuntimeError):
+            with inner:
+                raise RuntimeError("leave by an exception")
+        assert len(spectrum(5, p)) == 11
+        with pytest.raises(DomainError, match=r"not in the batch range\(0, 10\)"):
+            phi_state(12, 0, p)
+    assert len(spectrum(12, p)) == 25  # no batch is active
+    # leaving a batch frees its states: entering it again solves again
+    solved = count_state_solves(monkeypatch)
+    for _ in range(2):
+        with inner:
+            phi_state(2, 0, p)
+            phi_state(2, 1, p)
+    assert solved == [2, 2]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from asymtop import TopParams, haar_rule, verify, wigner_gram
+from asymtop import TopParams, haar_rule, spectra, verify, wigner_gram
 from asymtop.cli import main
 from asymtop.verify import (
     CHECKS,
@@ -78,3 +78,31 @@ def test_wigner_orthogonality_builds_each_stack_once(monkeypatch):
     result = check_wigner_orthogonality(jmax=5)
     assert result.defect == worst
     assert sorted(built) == sorted(jt for j in range(6) for jt in range(j + 1))
+
+
+def test_run_all_solves_each_state_once_and_no_level_past_the_caps(monkeypatch):
+    solved, ranges = [], []
+    rows, table = spectra._state_rows, spectra.spectrum_range
+    monkeypatch.setattr(spectra, "_state_rows", lambda j, p: solved.append(j) or rows(j, p))
+    monkeypatch.setattr(
+        spectra, "spectrum_range", lambda js, p, route="wigner": ranges.append(js) or table(js, p, route)
+    )
+    run_all(P321, jmax=10)
+    assert sorted(solved) == sorted(set(solved)) and solved
+    solved.clear()
+    ranges.clear()
+    run_all(P321, jmax=300)
+    assert solved and max(solved) <= 6
+    assert ranges and max(js.stop - 1 for js in ranges) <= max(c.jmax for c in CHECKS)
+
+
+@pytest.mark.parametrize("params", [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4), (100.0, 2.0, 1.0)])
+@pytest.mark.parametrize("jmax", [4, 10])
+def test_run_all_is_every_check_run_alone(params, jmax):
+    # the shared batch changes no bit of any result
+    p = TopParams(*params)
+    alone = [c.run(p, min(jmax, c.jmax), 42, c.tol) for c in CHECKS]
+    batched = run_all(p, jmax=jmax)
+    assert [(r.name, r.defect.hex(), r.tol, r.passed) for r in batched] == [
+        (r.name, r.defect.hex(), r.tol, r.passed) for r in alone
+    ]
