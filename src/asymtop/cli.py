@@ -12,7 +12,7 @@ flags win, and a key that names no flag is an error): --A --B --C --jmax
 
 Exit codes: 0 success, 1 verify found a failing check, 2 levels found a
 cross-route disagreement above tol-route-agreement, 3 invalid parameters or
-anything else that prevented computation.  All output is deterministic for a
+anything else that prevented computation, running out of memory included.  All output is deterministic for a
 fixed command line: data rows go to stdout, diagnostics to stderr.
 """
 
@@ -328,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

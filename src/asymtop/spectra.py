@@ -18,7 +18,10 @@ per D2 class, of sizes K_N = (j//2+1, ceil(j/2), ceil(j/2), j//2) for
 N = 1..4.  spectrum_range builds the blocks of a whole j range at once:
 each route's closed forms are evaluated once over flat (class, j, k) index
 arrays, and one eigvalsh call per distinct block size, over all j, solves
-them.  spectrum is the range with one j.  Both matrices couple n only to
+them.  spectrum is the range with one j.  One builder (_class_blocks) serves
+all three routes, and one rule (_checked_offdiagonal) refuses entries out of
+the float range there and in h_matrix_wigner, h_matrix_lambda and
+lame_polynomial.  Both matrices couple n only to
 n +- 2 and commute with n -> -n, so the Wang basis e_n +- e_{-n} splits each
 into its class blocks; the states are the eigenvectors of the lambda
 blocks.  State coefficients scale like sqrt(B_nj), which leaves the normal
@@ -165,22 +168,12 @@ def _lambda_offdiagonals(j, n, p: TopParams):
     )
 
 
-def _finite(entries: tuple[np.ndarray, ...], where: str) -> tuple[np.ndarray, ...]:
-    """The matrix entries, or DomainError naming `where` if any of them left
-    the float range.  Checked on the entries: eigvalsh returns finite wrong
-    values from a NaN entry."""
-    for e in entries:
-        if not np.isfinite(e).all():
-            raise DomainError(f"{where}: matrix entries leave the float range")
-    return entries
-
-
 def h_matrix_wigner(j: int, p: TopParams) -> np.ndarray:
     """Real matrix of A J1^2 + B J2^2 + C J3^2 on the basis m = j..-j."""
     m = np.arange(j, -j - 1, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         d, e = _wigner_diagonal(j, m, p), _wigner_offdiagonal(j, m[:-2], p)
-    _finite((d, e), f"wigner route at j={j}")
+    _checked_offdiagonal("wigner", j, d, e)
     return np.diag(d) + np.diag(e, 2) + np.diag(e, -2)
 
 
@@ -195,7 +188,8 @@ def h_matrix_lambda(j: int, p: TopParams) -> np.ndarray:
     n = np.arange(-j, j + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         diag, (upper, lower) = _lambda_diagonal(j, n, p), _lambda_offdiagonals(j, n[:-2], p)
-    _finite((diag, upper, lower), f"lambda route at j={j}")
+    # entries only: the matrix is returned unsymmetrized, so no product is formed
+    _checked_offdiagonal("lambda", j, diag, np.concatenate((upper, lower)))
     out = np.diag(diag).astype(complex)
     k = np.arange(2 * j - 1)
     out[k + 2, k] = lower
@@ -298,102 +292,94 @@ _CACHED_SPAN = 41  # the j = 0..40 of `levels --jmax 40` and every single j
 _cached_layout = functools.lru_cache(maxsize=32)(_build_layout)
 
 
-def _wang_entries(route: str, js: range, p: TopParams) -> tuple[_Layout, np.ndarray, np.ndarray]:
-    """Layout, diagonal and off-diagonal of the Wang blocks of the wigner or
-    lambda matrix at every j of js.
+def _class_blocks(route: str, js: range, p: TopParams) -> tuple[_Layout, np.ndarray, np.ndarray]:
+    """Layout, diagonal and symmetric off-diagonal of the four class blocks
+    of `route` at every j of js, refused by _checked_offdiagonal.
 
-    Both matrices are real symmetric (lambda after setting both
-    off-diagonals to sqrt(M[n,n+2] M[n+2,n])), couple n only to n +- 2 and
-    commute with n -> -n, so the Wang basis e_n +- e_{-n} (n >= 0, e_0
+    The wigner and lambda matrices are real symmetric (lambda after setting
+    both off-diagonals to sqrt(M[n,n+2] M[n+2,n])), couple n only to n +- 2
+    and commute with n -> -n, so the Wang basis e_n +- e_{-n} (n >= 0, e_0
     alone, normalized) splits each into four tridiagonal blocks, one per
-    class.  The wigner matrix, on m = j..-j, is read at m = -n.
+    class.  The wigner matrix, on m = j..-j, is read at m = -n.  The Lame
+    blocks are the symmetrized class companions of _lame_entries.
     """
+    if route == "lame":
+        lay, d, upper, lower = _lame_entries(js, p)
+        return lay, d, _checked_offdiagonal(route, lay, d, upper, lower)
     lay = _layout(js.start, js.stop, "wang")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         if route == "wigner":
-            d = _wigner_diagonal(lay.j, -lay.x, p)
-            e = upper = _wigner_offdiagonal(lay.off_j, -lay.off_x, p)
-            lower = None
+            d, offs = _wigner_diagonal(lay.j, -lay.x, p), (_wigner_offdiagonal(lay.off_j, -lay.off_x, p),)
         else:
-            d = _lambda_diagonal(lay.j, lay.x, p)
-            upper, lower = _lambda_offdiagonals(lay.off_j, lay.off_x, p)
-        _refuse_out_of_range(route, lay, d, upper, lower)
-        if lower is not None:
-            e = np.sqrt(upper * lower)
-        # e_0 enters the (even, +) block alone, so its coupling to
-        # e_2 +- e_{-2} gains sqrt(2); the n = -1, 1 coupling shifts the
-        # first odd diagonal entries
-        e[lay.plus_first] *= math.sqrt(2.0)
-        shift = e[len(e) - lay.odd_first.shape[1] :]
+            d, offs = _lambda_diagonal(lay.j, lay.x, p), _lambda_offdiagonals(lay.off_j, lay.off_x, p)
+        # the n = -1, 1 coupling shifts the first odd diagonal entries, up to
+        # 1.5x past the largest diagonal entry, so they are checked shifted;
+        # both lambda off-diagonals hold the same float u there, and
+        # sqrt(u u) = u in binary floating point wherever u u is in range
+        shift = offs[0][len(offs[0]) - lay.odd_first.shape[1] :]
         d[lay.odd_first[0]] -= shift
         d[lay.odd_first[1]] += shift
-        # the shift can take a first odd entry up to 1.5x past the largest
-        # diagonal entry; the sqrt(2) coupling stays below it (wigner) or
-        # below sqrt(max float) (lambda)
-        if not np.isfinite(d[lay.odd_first]).all():
-            _refuse_out_of_range(route, lay, d, e)
+    e = _checked_offdiagonal(route, lay, d, *offs)
+    # e_0 enters the (even, +) block alone, so its coupling to e_2 +- e_{-2}
+    # gains sqrt(2): it stays below the largest diagonal entry (wigner) or
+    # below sqrt(max float) (lambda)
+    e[lay.plus_first] *= math.sqrt(2.0)
     return lay, d, e
 
 
-def _product_faults(upper: np.ndarray, lower: np.ndarray, prods: np.ndarray):
-    """Masks of the off-diagonal products that lost their entries (NaN,
-    overflow, or below the normal float range from a nonzero entry; two zero
-    entries, A = B, give an exact 0) and of the negative ones."""
-    size = np.abs(prods)
-    lost = ~(size <= _HUGE) | ((size < _TINY) & ((upper != 0.0) | (lower != 0.0)))
-    return lost, prods < 0.0
+def _key(route: str, j, cls):
+    """The key refusals are ordered by: j, or 4j + class on the lame route."""
+    return 4 * j + cls if route == "lame" else j
 
 
-def _symmetric_offdiagonal(upper: np.ndarray, lower: np.ndarray, where: str) -> np.ndarray:
-    """Off-diagonal sqrt(upper lower) of the symmetric matrix similar to the
-    tridiagonal one with these off-diagonals.
+def _refusal(error: type, route: str, key: int, what: str) -> Exception:
+    """`error` naming the route and j (and class) of `key`, with that j as
+    its attribute j (spectrum_range solves the range below it)."""
+    j, cls = (key // 4, f", class {key % 4 + 1}") if route == "lame" else (key, "")
+    refusal = error(f"{route} route at j={j}{cls}: {what}")
+    refusal.j = j
+    return refusal
 
-    A lost product (_product_faults) raises DomainError naming `where`; a
-    negative product leaves no real symmetric form: RootCountError.
+
+def _checked_offdiagonal(route: str, keys: int | _Layout, d, upper, lower=None) -> np.ndarray:
+    """The off-diagonal of the real symmetric tridiagonal matrix with
+    diagonal d and off-diagonal upper, or of the one similar to the matrix
+    with off-diagonals upper and lower: sqrt(upper lower).  The one
+    float-range rule for matrix entries.
+
+    keys is the _key of every entry, or the _Layout of the entries, whose
+    keys are formed only on a fault.  The smallest offending key raises:
+      1. DomainError if an entry is not finite (eigvalsh returns finite
+         wrong values from a NaN entry);
+      2. else DomainError if a product lost its entries: NaN, overflow, or
+         below the normal range from a nonzero entry (A = B gives an exact 0);
+      3. else RootCountError if a product is negative: no symmetric form.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        prods = upper * lower
-    if not ((prods >= _TINY) & (prods <= _HUGE)).all():  # nan fails both
-        lost, negative = _product_faults(upper, lower, prods)
-        if lost.any():
-            raise DomainError(f"{where}: off-diagonal products leave the normal float range")
-        if negative.any():
-            raise RootCountError(f"{where}: off-diagonal product {prods.min():.3e} < 0")
-    return np.sqrt(prods)
-
-
-def _refuse_out_of_range(route: str, lay: _Layout, d, upper, lower=None) -> None:
-    """Refuse entries out of the float range with one check of the flat arrays.
-
-    d is the diagonal; upper and lower the off-diagonals of a matrix to be
-    symmetrized, or upper alone of a symmetric one.  On a fault, the first
-    offending j (and class, for the Lame route) raises what a single-j call
-    raises: DomainError for non-finite entries, then _symmetric_offdiagonal's
-    error for its products.
-    """
-    if lower is None:
-        o_bad = ~np.isfinite(upper)
-    else:  # products in the normal range imply finite entries
-        prods = upper * lower  # under the caller's errstate
-        o_bad = ~((prods >= _TINY) & (prods <= _HUGE))
-    if not o_bad.any() and np.isfinite(d).all():
-        return
-    by_class = route == "lame"
-    d_key = 4 * lay.j + lay.cls if by_class else lay.j
-    o_key = 4 * lay.off_j + lay.off_cls if by_class else lay.off_j
+        prods = upper if lower is None else upper * lower
+    # products in the normal range imply finite entries; nan fails both
+    fine = np.isfinite(upper) if lower is None else (prods >= _TINY) & (prods <= _HUGE)
+    if fine.all() and np.isfinite(d).all():
+        return upper if lower is None else np.sqrt(prods)
+    lay = keys if isinstance(keys, _Layout) else None
+    d_key = np.broadcast_to(keys if lay is None else _key(route, lay.j, lay.cls), d.shape)
+    o_key = np.broadcast_to(keys if lay is None else _key(route, lay.off_j, lay.off_cls), prods.shape)
+    entries, lost, negative = np.isfinite(upper), False, False
     if lower is not None:
-        o_bad = ~np.isfinite(upper) | np.logical_or(*_product_faults(upper, lower, prods))
-    bad = np.concatenate([d_key[~np.isfinite(d)], o_key[o_bad]])
-    if not bad.size:
-        return  # only products of two zero entries
+        size = np.abs(prods)
+        entries &= np.isfinite(lower)
+        lost = ~(size <= _HUGE) | ((size < _TINY) & ((upper != 0.0) | (lower != 0.0)))
+        negative = prods < 0.0
+    bad = np.concatenate([d_key[~np.isfinite(d)], o_key[~entries | lost | negative]])
+    if not bad.size:  # only products of two zero entries
+        return np.sqrt(prods)
     key = int(bad.min())
-    where = f"{route} route at j={key // 4}, class {key % 4 + 1}" if by_class else f"{route} route at j={key}"
-    d_at, o_at = d[d_key == key], o_key == key
-    if lower is None:
-        _finite((d_at, upper[o_at]), where)
-    else:
-        _finite((d_at, upper[o_at], lower[o_at]), where)
-        _symmetric_offdiagonal(upper[o_at], lower[o_at], where)
+    d_at, o_at = d_key == key, o_key == key
+    if not (np.isfinite(d[d_at]).all() and entries[o_at].all()):
+        raise _refusal(DomainError, route, key, "matrix entries leave the float range")
+    if (lost & o_at).any():
+        raise _refusal(DomainError, route, key, "off-diagonal products leave the normal float range")
+    raise _refusal(RootCountError, route, key, f"off-diagonal product {prods[o_at].min():.3e} < 0")
 
 
 def _tridiagonal_stack(d: np.ndarray, e: np.ndarray, di: np.ndarray, oi: np.ndarray) -> np.ndarray:
@@ -423,10 +409,14 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
     and takes the levels from four symmetric tridiagonal blocks per j: the
     Wang blocks of the wigner and lambda matrices, or the symmetrized Lame
     companions.  Blocks of one size, over all j and classes, are one stacked
-    eigvalsh call.  Exact ties keep class order.  Entries or off-diagonal
-    products that leave the normal float range (parameters near 1e154 and
-    beyond, or near 1e-154 and below) raise DomainError naming the route and
-    the smallest offending j.
+    eigvalsh call.  Exact ties keep class order.
+
+    The smallest j (and class, on the Lame route) that a single-j call
+    refuses raises what that call raises: first _checked_offdiagonal's
+    errors for its entries and off-diagonal products (parameters near 1e154
+    and beyond, or near 1e-154 and below, on the symmetrized routes; near
+    max float / j^2 on all), then DomainError where its levels leave the
+    float range although its entries do not.
     """
     if route not in ROUTES:
         raise DomainError(f"route must be one of {ROUTES}, got {route!r}")
@@ -434,17 +424,21 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
         raise DomainError("j must be >= 0")
     if js.step != 1:
         raise DomainError(f"need consecutive j, got step {js.step}")
-    if route == "lame":
-        lay = _layout(js.start, js.stop, "lame")
-        d, upper, lower = map(np.concatenate, zip(*_lame_entries(js, p)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            _refuse_out_of_range(route, lay, d, upper, lower)
-        e = np.sqrt(upper * lower)
-    else:
-        lay, d, e = _wang_entries(route, js, p)
+    try:
+        lay, d, e = _class_blocks(route, js, p)
+    except (DomainError, RootCountError) as refusal:
+        # a single-j call checks its levels after its entries, so a j below
+        # the first one refused here may still refuse its levels
+        if refusal.j > js.start:
+            spectrum_range(range(js.start, refusal.j), p, route)
+        raise
     vals = np.empty(len(d))
     for di, oi in lay.groups:
         vals[di] = np.linalg.eigvalsh(_tridiagonal_stack(d, e, di, oi))
+    if not np.isfinite(vals).all():  # entries near max float, levels past it
+        bad = ~np.isfinite(vals)
+        key = int(_key(route, lay.j[bad], lay.cls[bad]).min())
+        raise _refusal(DomainError, route, key, "levels leave the float range")
     order = np.lexsort((vals, lay.j))  # stable: ties keep (class, k) order
     return SpectrumTable(vals[order], lay.cls[order] + 1 if route == "lame" else None)
 
@@ -546,9 +540,9 @@ def _gamma(t, p: TopParams):
     return -2.0 * p.u * p.v * t * (2 * t - 1)
 
 
-def _lame_entries(js: range, p: TopParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Diagonal, (k, k+1) and (k+1, k) entries of the class companions at
-    every j of js: one triple per class N = 1..4, its blocks in j order.
+def _lame_entries(js: range, p: TopParams) -> tuple[_Layout, np.ndarray, np.ndarray, np.ndarray]:
+    """Layout, diagonal, (k, k+1) and (k+1, k) entries of the class
+    companions at every j of js, flat in the layout's (class, j) block order.
 
     Class N has leading power p = j/2 - a - c and K_N = floor(p) + 1 terms,
     one per exponent p - k >= 0.  Its K_N recurrence equations, linear in E,
@@ -566,13 +560,7 @@ def _lame_entries(js: range, p: TopParams) -> list[tuple[np.ndarray, np.ndarray,
         diag = -_beta_no_e(lay.x, a, c, lay.j, p)
         upper = -_alpha(lay.off_x, off_a, off_c, lay.off_j)
         lower = -_gamma(lay.off_x + 1.0, p)
-    # blocks run in class order: each class is one slice of the flat arrays
-    d_ends = np.searchsorted(lay.cls, np.arange(5)).tolist()
-    o_ends = np.searchsorted(lay.off_cls, np.arange(5)).tolist()
-    return [
-        (diag[d0:d1], upper[o0:o1], lower[o0:o1])
-        for d0, d1, o0, o1 in zip(d_ends, d_ends[1:], o_ends, o_ends[1:])
-    ]
+    return lay, diag, upper, lower
 
 
 def lame_recurrence(N: int, j: int, p: TopParams) -> np.ndarray:
@@ -580,13 +568,17 @@ def lame_recurrence(N: int, j: int, p: TopParams) -> np.ndarray:
 
     Its eigenvalues are the admissible energies of class N: a K x K
     tridiagonal matrix (K may be 0), built dense from the entries that
-    spectrum solves as a symmetric block.
+    spectrum solves as a symmetric block.  It is not symmetrized, so only
+    its entries are checked: DomainError where one is not finite or a lower
+    entry underflowed.
     """
     if N not in (1, 2, 3, 4):
         raise DomainError(f"class must be 1..4, got {N}")
     if j < 0:
         raise DomainError("j must be >= 0")
-    d, upper, lower = _lame_entries(range(j, j + 1), p)[N - 1]
+    lay, d, upper, lower = _lame_entries(range(j, j + 1), p)
+    mine = lay.off_cls == N - 1
+    d, upper, lower = d[lay.cls == N - 1], upper[mine], lower[mine]
     K = len(d)
     T = np.diag(d)
     T.flat[1 :: K + 1] = upper
@@ -621,7 +613,7 @@ def lame_polynomial(N: int, j: int, E: float, p: TopParams) -> LameSeries:
     K = len(T)
     if K == 0:
         raise DomainError(f"class {N} is empty for j={j}")
-    e = _symmetric_offdiagonal(T.diagonal(1), T.diagonal(-1), f"lame route at j={j}, class {N}")
+    e = _checked_offdiagonal("lame", 4 * j + N - 1, T.diagonal(), T.diagonal(1), T.diagonal(-1))
     w, v = np.linalg.eigh(np.diag(T.diagonal()) + np.diag(e, 1) + np.diag(e, -1))
     i = int(np.argmin(np.abs(w - E)))
     if abs(E - w[i]) > 1e-8 * (abs(E) + j * (j + 1) * p.A + 1.0):
@@ -724,18 +716,20 @@ def _fix_phase(rows: np.ndarray, j: int) -> np.ndarray:
 def _state_rows(j: int, p: TopParams) -> np.ndarray:
     """Unphased coefficients of Phi_{j,s}, s = -j..j, one state per row.
 
-    The eigenvectors of the lambda route's Wang blocks (_wang_entries), one
+    The eigenvectors of the lambda route's Wang blocks (_class_blocks), one
     eigh per block size.  Each comes from its own block, so it is class-pure
     even inside near-degenerate (always cross-class) doublets.  Back in the
     e^{inq} basis the coefficients scale like sqrt(B_nj) ~ 2^-j at the
-    edges, so j is refused where B_nj leaves the normal float range.
+    edges, so j is refused where the smallest B_nj leaves the normal float
+    range (from j = 514), in closed form before any array of size j is
+    built.
     """
+    # the smallest B_nj, (j!)^2 / (2j)! at n = +-j, before any array of size j
+    b_min = np.exp(2.0 * math.lgamma(j + 1.0) - math.lgamma(2.0 * j + 1.0))
+    if b_min < _TINY:
+        raise DomainError(f"states at j={j} need B_nj down to {b_min:.3e}, below the normal float range")
     b = weight_vector(j)
-    if b.min() < np.finfo(float).tiny:
-        raise DomainError(
-            f"states at j={j} need B_nj down to {b.min():.3e}, below the normal float range"
-        )
-    lay, d, e = _wang_entries("lambda", range(j, j + 1), p)
+    lay, d, e = _class_blocks("lambda", range(j, j + 1), p)
     n = lay.x  # Wang vector e_n + sign e_{-n}, e_0 alone
     scale = np.where(n == 0, 1.0, math.sqrt(0.5)) * np.sqrt((2 * j + 1) * b[j + n])
     pos, neg, signed = j + n, j - n, _WANG_SIGN[lay.cls] * scale

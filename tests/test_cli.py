@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from asymtop import DegenerateParamsError, ROUTES, TopParams, require_strict, spectrum
+from asymtop import DegenerateParamsError, ROUTES, TopParams, cli, require_strict, spectrum
 from asymtop.cli import LEVELS_HEADER, WAVE_HEADER, _fmt, load_config, main
 
 
@@ -328,6 +328,17 @@ def test_wave_refuses_states_past_the_float_range(capsys):
         code, out, err = run_cli(capsys, ["wave", "--j", "560", "--s", "0"])
     assert code == 3 and out == ""
     assert "j=560" in err
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    # `levels --jmax 1000000` asks numpy for terabytes; exit 1 is verify's
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "spectrum", exhausted)
+    code, out, err = run_cli(capsys, ["levels", "--jmax", "2"])
+    assert code == 3 and out == ""
+    assert err == "error: Unable to allocate 7.28 TiB\n"
 
 
 def test_module_entry_point():

@@ -183,14 +183,16 @@ def test_lame_rejects_unsymmetrizable_recurrence(p321, monkeypatch):
     # similar matrix; the route must refuse it instead of taking its root
     original = spectra._lame_entries
 
-    def flipped(j, p):
-        entries = original(j, p)
-        entries[0][2][0] *= -1.0  # the (1, 0) entry of class 1
-        return entries
+    def flipped(js, p):
+        lay, d, upper, lower = original(js, p)
+        lower[np.flatnonzero(lay.off_cls == 0)[0]] *= -1.0  # the (1, 0) entry of class 1
+        return lay, d, upper, lower
 
     monkeypatch.setattr(spectra, "_lame_entries", flipped)
     with pytest.raises(RootCountError, match="off-diagonal product"):
         lame_spectrum(4, p321)
+    with pytest.raises(RootCountError, match="^lame route at j=4, class 1: off-diagonal product"):
+        lame_polynomial(1, 4, 0.0, p321)
 
 
 HUGE = TopParams(1e300, 5e299, 1e299)
@@ -547,6 +549,18 @@ def test_routes_agree_past_the_weight_underflow(j):
             phi_state(j, 0, p)
         with pytest.raises(DomainError, match=f"j={j}"):
             phi_states(j, p)
+
+
+def test_states_refuse_past_the_weight_underflow_before_any_array(p321, monkeypatch):
+    # the smallest B_nj is checked in closed form before anything of size j
+    # is built: `asymtop wave --j 100000000` used to build all of B_nj first
+    def no_weights(j):
+        raise AssertionError(f"weight_vector({j}) was called")
+
+    monkeypatch.setattr(spectra, "weight_vector", no_weights)
+    for j in (514, 600, 100_000_000):
+        with pytest.raises(DomainError, match=f"^states at j={j} need B_nj down to"):
+            phi_state(j, 0, p321)
 
 
 def test_phase_makes_first_nonvanishing_derivative_positive():

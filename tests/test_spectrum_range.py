@@ -1,11 +1,15 @@
 """spectrum_range: every level of a j range from one flat build per route."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymtop import (
+    DegenerateParamsError,
     DomainError,
     ROUTES,
     RootCountError,
@@ -63,6 +67,60 @@ def test_range_table_is_the_per_j_rows_on_drawn_tops(point):
     p, js = point
     for route in ROUTES:
         assert_table_is_per_j_rows(spectrum_range(js, p, route), js, p, route)
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def tops_and_ranges_over_the_float_range(draw):
+    """The strategy above over the whole float range: relative gaps
+    1e-9..3 (or 0: A = B, B = C), B/C up to 2500 so that A/C reaches 1e4,
+    ranges of up to 15 j from 0..60, any route, and scales log-uniform over
+    1e-308..1e308 or over the band where the diagonals overflow in js."""
+    gap_u = draw(st.one_of(st.just(0.0), log_uniform(1e-9, 3.0)))
+    gap_v = draw(st.one_of(st.just(0.0), log_uniform(1e-9, 3.0), log_uniform(3.0, 2500.0)))
+    start = draw(st.integers(0, 60))
+    js = range(start, start + draw(st.integers(1, 15)))
+    ratio = (1.0 + gap_u) * (1.0 + gap_v)  # A / C
+    # the band: A where the diagonals, about A j^2, leave the float range
+    # inside js, a few decades that log-uniform scales rarely reach (A <=
+    # 1e308 in both)
+    top = 308.0 - math.log10(ratio)
+    lo, hi = (min(math.log10(np.finfo(float).max / j**2 / ratio), top) for j in (js.stop, js.start + 1))
+    c = 10.0 ** draw(st.one_of(st.floats(-308.0, top), st.floats(lo, hi)))
+    b = c * (1.0 + gap_v)
+    return TopParams(b * (1.0 + gap_u), b, c), js, draw(st.sampled_from(ROUTES))
+
+
+def assert_ascending_levels(table: SpectrumTable, js: range):
+    assert len(table.E) == js.stop**2 - js.start**2
+    assert np.isfinite(table.E).all()
+    for j in js:
+        assert (np.diff(table.E[j * j - js.start**2 : (j + 1) ** 2 - js.start**2]) >= 0).all()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tops_and_ranges_over_the_float_range())
+def test_range_solves_or_refuses_at_its_first_offending_j(point):
+    # a refusal names a j of the range, the single-j call there raises the
+    # same error and the range below it solves: no route refuses a j it
+    # would serve alone
+    p, js, route = point
+    try:
+        assert_ascending_levels(spectrum_range(js, p, route), js)
+    except DegenerateParamsError:
+        assert route == "lame"
+        with pytest.raises(DegenerateParamsError):
+            spectra.require_strict(p)
+    except (DomainError, RootCountError) as refusal:
+        j = int(re.match(rf"{route} route at j=(\d+)", str(refusal)).group(1))
+        assert j in js
+        with pytest.raises((DomainError, RootCountError)) as single:
+            spectrum(j, p, route)
+        assert (type(single.value), str(single.value)) == (type(refusal), str(refusal))
+        assert_ascending_levels(spectrum_range(range(js.start, j), p, route), range(js.start, j))
 
 
 def symmetric_levels(m: np.ndarray) -> np.ndarray:
@@ -128,15 +186,33 @@ def test_range_refuses_odd_entries_the_fold_takes_out_of_range():
     p = TopParams(1.9 / 0.75 * (1e308 / (j * (j + 1))), 1.0, 0.5)
     with pytest.raises(DomainError, match=f"^wigner route at j={j}: matrix entries"):
         spectrum_range(range(j, j + 1), p, "wigner")
+    # in a range the shifted entries count with the others: j = 3 has
+    # diagonal entries past the float range, j = 2 only a shifted one, and
+    # the range used to name j = 3
+    p = TopParams(3.821905949940881e307, 1.9109529749704406e307, 1.9109529749704406e307)
+    with pytest.raises(DomainError, match="^wigner route at j=2: matrix entries"):
+        spectrum_range(range(4), p, "wigner")
+
+
+def test_range_refuses_levels_past_the_float_range():
+    # every entry at j = 17 is finite, but its top level, about A j^2, is
+    # not: it used to come back as inf with no error, and the range named
+    # j = 18, the first j with entries past the float range
+    p = TopParams(6.324555320336759e305, 3.1622776601683794e305, 3.1622776601683794e305)
+    assert np.isfinite(spectrum_range(range(17), p, "wigner").E).all()
+    for js in (range(17, 18), range(3, 19)):
+        with pytest.raises(DomainError, match="^wigner route at j=17: levels leave the float range"):
+            spectrum_range(js, p, "wigner")
 
 
 def test_range_refuses_unsymmetrizable_lame_blocks(monkeypatch):
     original = spectra._lame_entries
 
     def flipped(js, p):
-        entries = original(js, p)
-        entries[2][2][-1] *= -1.0  # the last (k+1, k) entry of class 3 at js[-1]
-        return entries
+        lay, d, upper, lower = original(js, p)
+        last = np.flatnonzero((lay.off_cls == 2) & (lay.off_j == 9))[-1:]
+        lower[last] *= -1.0  # the last (k+1, k) entry of class 3 at j = 9
+        return lay, d, upper, lower
 
     monkeypatch.setattr(spectra, "_lame_entries", flipped)
     with pytest.raises(RootCountError, match="^lame route at j=9, class 3: off-diagonal product"):
