@@ -41,8 +41,14 @@ LEVELS_HEADER = "j,s,class,E_wigner,E_lambda,E_lame,max_disagreement"
 WAVE_HEADER = "phi,theta,psi,re_psi,im_psi"
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % (float(x) + 0.0)  # +0.0 folds -0.0 into 0
+def _csv(header: str, columns: list[tuple[str, object]]) -> None:
+    """Print header and one row per entry of the (cell format, values)
+    columns, with one format string per row.  A "" format is an empty cell
+    (its values are not read), and "%.17g" cells print x + 0.0, which folds
+    -0.0 into 0."""
+    cells = [(np.asarray(v, dtype=float) + 0.0).tolist() if f == "%.17g" else v for f, v in columns if f]
+    row = ",".join(f for f, _ in columns)
+    print("\n".join([header, *(row % values for values in zip(*cells))]))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,16 +203,9 @@ def cmd_levels(args) -> int:
         worst_rel = float((spread / np.maximum(1.0, np.abs(table).max(axis=0))).max())
     has_class = "lame" in energies
     if fmt == "csv":
-        # one format string per row; + 0.0 folds -0.0 into 0, as _fmt does
-        cells = ["%d", "%d", "%d" if has_class else ""]
-        cells += ["%.17g" if r in energies else "" for r in ROUTES]
-        cells.append("" if spread is None else "%.17g")
-        columns = [js, ss] + ([classes] if has_class else [])
-        columns += [(np.array(energies[r]) + 0.0).tolist() for r in ROUTES if r in energies]
-        if spread is not None:
-            columns.append((spread + 0.0).tolist())
-        row = ",".join(cells)
-        print("\n".join([LEVELS_HEADER, *(row % values for values in zip(*columns))]))
+        columns = [("%d", js), ("%d", ss), ("%d" if has_class else "", classes)]
+        columns += [("%.17g" if r in energies else "", energies.get(r)) for r in ROUTES]
+        _csv(LEVELS_HEADER, columns + [("" if spread is None else "%.17g", spread)])
     else:
         absent = itertools.repeat(None)
         columns = [js, ss, classes if has_class else absent]
@@ -242,9 +241,7 @@ def cmd_wave(args) -> int:
         [phi_g.ravel(), th_g.ravel(), psi_g.ravel(), vals.real, vals.imag]
     )
     if fmt == "csv":
-        print(WAVE_HEADER)
-        for row in cols:
-            print(",".join(_fmt(x) for x in row))
+        _csv(WAVE_HEADER, [("%.17g", col) for col in cols.T])
     else:
         print(
             json.dumps(
@@ -280,9 +277,7 @@ def cmd_kernel(args) -> int:
         out["delta_im"] = expected.imag
         out["identity_defect"] = abs(kernel_eval(q, qp, j, IDENTITY) - expected)
     if fmt == "csv":
-        print("quantity,value")
-        for key, value in out.items():
-            print(f"{key},{_fmt(value)}")
+        _csv("quantity,value", [("%s", out.keys()), ("%.17g", list(out.values()))])
     else:
         print(json.dumps(out))
     return 0
@@ -293,9 +288,8 @@ def cmd_verify(args) -> int:
     require_strict(p)
     results = run_all(p, jmax=jmax, seed=seed, tols=tols)
     if fmt == "csv":
-        print("check,passed,defect,tol")
-        for r in results:
-            print(f"{r.name},{'true' if r.passed else 'false'},{_fmt(r.defect)},{_fmt(r.tol)}")
+        names, passed, defects, limits = zip(*((r.name, str(r.passed).lower(), r.defect, r.tol) for r in results))
+        _csv("check,passed,defect,tol", [("%s", names), ("%s", passed), ("%.17g", defects), ("%.17g", limits)])
     else:
         print(
             json.dumps(

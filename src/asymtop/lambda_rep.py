@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceWarning, DimensionError, DomainError
-from .so3 import gauss_legendre
-from .wigner import check_dimension
+from .so3 import TWO_PI, gauss_legendre
 
-TWO_PI = 2.0 * math.pi
 # largest log magnitude of a basis value (e^340 ~ 1e147): sums of products of
 # two values (|Psi|^2, Gram entries, completeness) stay below e^709.78
 LOG_MAX = 340.0
@@ -51,6 +49,14 @@ class ComplexQ:
     @property
     def value(self) -> complex:
         return complex(self.alpha, self.beta)
+
+
+def check_dimension(j: int, vec: np.ndarray) -> np.ndarray:
+    """Validate a length-(2j+1) coefficient vector; returns it as complex."""
+    arr = np.asarray(vec, dtype=complex)
+    if arr.shape != (2 * j + 1,):
+        raise DimensionError(f"expected shape ({2 * j + 1},), got {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,12 @@ float range at j = 514; from there on the states raise DomainError while
 the levels stay exact.
 
 A command that asks about the same j many times opens
-`with SpectrumBatch(js):`.  Inside it spectrum reads its j from one
-spectrum_range table per route, and phi_state and phi_states phase rows of
-one diagonalization per (j, p); all of it is freed when the block exits.
-Outside a batch every call solves afresh and nothing is kept.
+`with SpectrumBatch(js):`.  A batch only changes how often something is
+solved, never what a call returns or raises: inside it spectrum reads a j
+of js from one spectrum_range table per route, and phi_state and
+phi_states slice the phased states of one diagonalization per (j, p); all
+of it is freed when the block exits.  Outside a batch, and for a j outside
+js, every call solves afresh and nothing is kept.
 
 The Lame route works on the cubic P(rho) = (rho-A)(rho-B)(rho-C).  With
 x = rho - B, u = A - B, v = B - C, a solution of
@@ -444,19 +446,19 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
 
 
 class SpectrumBatch:
-    """The solved levels and states of a range of j (step 1, j >= 0), shared
-    by every spectrum, phi_state and phi_states call inside
-    `with SpectrumBatch(js):`.
+    """A cache of solved levels and states, shared by every spectrum,
+    phi_state and phi_states call inside `with SpectrumBatch(js):` (js a
+    range of j, step 1, j >= 0).  It only changes how often something is
+    solved, never what a call returns or raises.
 
-    Levels: the first spectrum call at a j of the range, for a given p and
-    route, solves every j of it with one spectrum_range call, and the calls
-    at its other j slice that table.  A range that spectrum_range refuses is
-    kept as None and solved one j at a time, so each j below the first
-    offending one still gets its levels.  States: the unphased rows of one
-    _state_rows solve per (j, p), read-only.  A j outside the range raises
-    DomainError.  Batches nest: the innermost one serves, and leaving it
-    (also by an exception) makes the enclosing one active again.  Leaving
-    the `with` block frees the batch's tables and states.
+    Levels: the first spectrum call at a j of js, for a given p and route,
+    solves every j of it with one spectrum_range call, and the calls at its
+    other j slice that table.  A range that spectrum_range refuses is kept
+    as None and solved one j at a time, as is every j outside js.  States:
+    the phased rows of one _state_rows solve per (j, p), at any j,
+    read-only.  Batches nest: the innermost one serves, and leaving it (also
+    by an exception) makes the enclosing one active again.  Leaving the
+    `with` block frees the batch's tables and states.
     """
 
     def __init__(self, js: range):
@@ -473,12 +475,7 @@ class SpectrumBatch:
         self._tables.clear()
         self._states.clear()
 
-    def _require(self, j: int) -> None:
-        if j not in self.js:
-            raise DomainError(f"j={j} is not in the batch {self.js}")
-
-    def _table(self, j: int, p: TopParams, route: str) -> SpectrumTable | None:
-        self._require(j)
+    def _table(self, p: TopParams, route: str) -> SpectrumTable | None:
         key = (p, route)
         if key not in self._tables:
             try:
@@ -488,10 +485,9 @@ class SpectrumBatch:
         return self._tables[key]
 
     def _rows(self, j: int, p: TopParams) -> np.ndarray:
-        self._require(j)
         key = (j, p)
         if key not in self._states:
-            rows = _state_rows(j, p)
+            rows = _fix_phase(_state_rows(j, p), j)
             rows.flags.writeable = False
             self._states[key] = rows
         return self._states[key]
@@ -505,12 +501,11 @@ _ACTIVE_BATCH: contextvars.ContextVar[SpectrumBatch | None] = contextvars.Contex
 def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
     """All 2j+1 levels, ascending, labeled s = -j..j, as EnergyLevel rows
     (the Lame levels carry their class): spectrum_range at one j, or read
-    from the table of the active SpectrumBatch, whose range must hold j.
-    Both give the same rows and raise the same errors."""
-    table, start = None, j
-    batch = _ACTIVE_BATCH.get()
-    if batch is not None:
-        table, start = batch._table(j, p, route), batch.js.start
+    from the table of the active SpectrumBatch if its range holds j.  Both
+    give the same rows and raise the same errors."""
+    batch, table = _ACTIVE_BATCH.get(), None
+    if batch is not None and j in batch.js:
+        table, start = batch._table(p, route), batch.js.start
     if table is None:
         table, start = spectrum_range(range(j, j + 1), p, route), j
     at = slice(j * j - start * start, (j + 1) ** 2 - start * start)
@@ -750,22 +745,26 @@ def _state_rows(j: int, p: TopParams) -> np.ndarray:
     return out[order[np.lexsort((order, run))]]
 
 
-def _solved_rows(j: int, p: TopParams) -> np.ndarray:
-    """_state_rows(j, p), from the active SpectrumBatch if there is one."""
+def _phased_rows(j: int, p: TopParams, at: slice) -> np.ndarray:
+    """Rows `at` of _state_rows(j, p), phased by _fix_phase: a writable copy
+    of the active SpectrumBatch's rows, or, outside a batch, only those rows
+    phased (at j = 48 phasing all of them costs several times one)."""
     batch = _ACTIVE_BATCH.get()
-    return _state_rows(j, p) if batch is None else batch._rows(j, p)
+    if batch is None:
+        return _fix_phase(_state_rows(j, p)[at], j)
+    return batch._rows(j, p)[at].copy()
 
 
 def phi_state(j: int, s: int, p: TopParams) -> FourierState:
     """Eigenstate Phi_{j,s}: (Phi,Phi)_Q = 2j+1, one D2 class, deterministic phase."""
     if abs(s) > j:
         raise DomainError(f"|s| must be <= j={j}")
-    return FourierState(j=j, coeffs=_fix_phase(_solved_rows(j, p)[s + j : s + j + 1], j)[0])
+    return FourierState(j=j, coeffs=_phased_rows(j, p, slice(s + j, s + j + 1))[0])
 
 
 def phi_states(j: int, p: TopParams) -> list[FourierState]:
     """All 2j+1 states Phi_{j,s}, s = -j..j, from one diagonalization."""
-    return [FourierState(j=j, coeffs=c) for c in _fix_phase(_solved_rows(j, p), j)]
+    return [FourierState(j=j, coeffs=c) for c in _phased_rows(j, p, slice(None))]
 
 
 def phi_state_series(j: int, s: int, p: TopParams) -> FourierState:

@@ -112,26 +112,26 @@ def _random_q(rng: np.random.Generator, beta: float = 0.7) -> ComplexQ:
 
 
 def route_agreement_defects(p: TopParams, jmax: int) -> tuple[float, float]:
-    """(cross-route, trace-rule) relative defects over j <= jmax.
+    """(cross-route, trace-rule) relative defects over j <= jmax, from
+    the active SpectrumBatch's tables inside run_all.
 
     Trace rule: sum_s E_{j,s} = (A+B+C) j(j+1)(2j+1)/3.
     """
     worst_route = 0.0
     worst_trace = 0.0
-    with SpectrumBatch(range(jmax + 1)) as batch:  # each route solves all of it at once
-        for j in batch.js:
-            energies = {r: np.array([lv.E for lv in spectrum(j, p, route=r)]) for r in ROUTES}
-            scale = np.maximum(1.0, np.abs(energies["wigner"]))
-            for r in ("lambda", "lame"):
-                worst_route = max(
-                    worst_route,
-                    float(np.max(np.abs(energies[r] - energies["wigner"]) / scale)),
-                )
-            target = (p.A + p.B + p.C) * j * (j + 1) * (2 * j + 1) / 3.0
-            worst_trace = max(
-                worst_trace,
-                abs(float(np.sum(energies["wigner"])) - target) / max(1.0, target),
+    for j in range(jmax + 1):
+        energies = {r: np.array([lv.E for lv in spectrum(j, p, route=r)]) for r in ROUTES}
+        scale = np.maximum(1.0, np.abs(energies["wigner"]))
+        for r in ("lambda", "lame"):
+            worst_route = max(
+                worst_route,
+                float(np.max(np.abs(energies[r] - energies["wigner"]) / scale)),
             )
+        target = (p.A + p.B + p.C) * j * (j + 1) * (2 * j + 1) / 3.0
+        worst_trace = max(
+            worst_trace,
+            abs(float(np.sum(energies["wigner"])) - target) / max(1.0, target),
+        )
     return worst_route, worst_trace
 
 
@@ -246,10 +246,9 @@ def check_kernel_group(
         gram_scale = max(1.0, float(np.max(gram)))
         for _ in range(2):
             g1, g2 = _random_angles(rng), _random_angles(rng)
-            lhs = t_matrix(j, compose(g1, g2))
-            rhs = t_matrix(j, g1) @ t_matrix(j, g2)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             t1 = t_matrix(j, g1)
+            lhs = t_matrix(j, compose(g1, g2))
+            worst = max(worst, float(np.max(np.abs(lhs - t1 @ t_matrix(j, g2)))))
             worst = max(
                 worst,
                 float(np.max(np.abs(t1.conj().T @ gram @ t1 - gram))) / gram_scale,
@@ -392,8 +391,9 @@ def run_all(
     """Run every check of CHECKS, in order, at min(jmax, its jmax).
 
     tols maps check names to tolerances that replace the table's defaults.
-    The checks share one SpectrumBatch over every j they ask for, so each
-    (j, p) is diagonalized for its states once per run.
+    The checks share one SpectrumBatch over every j they ask for, which
+    changes no result, only how often it is solved: each route's levels
+    once, and the states of each (j, p) once, phased once, per run.
     """
     tols = tols or {}
     caps = [min(jmax, c.jmax) for c in CHECKS]

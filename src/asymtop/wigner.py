@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .so3 import EulerAngles, HaarRule
 
 
@@ -144,11 +144,3 @@ def unitarity_defect(j: int, theta_values: np.ndarray) -> float:
     """Max deviation of sum_n conj(D_{mn}) D_{mt n} from delta_{m mt}."""
     d = wigner_d_matrix(j, np.atleast_1d(theta_values))
     return float(np.max(np.abs(d @ d.swapaxes(-1, -2) - np.eye(2 * j + 1)), initial=0.0))
-
-
-def check_dimension(j: int, vec: np.ndarray) -> np.ndarray:
-    """Validate a length-(2j+1) coefficient vector; returns it as complex."""
-    arr = np.asarray(vec, dtype=complex)
-    if arr.shape != (2 * j + 1,):
-        raise DimensionError(f"expected shape ({2 * j + 1},), got {arr.shape}")
-    return arr

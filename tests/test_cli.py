@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from asymtop import DegenerateParamsError, ROUTES, TopParams, cli, require_strict, spectrum
-from asymtop.cli import LEVELS_HEADER, WAVE_HEADER, _fmt, load_config, main
+from asymtop.cli import LEVELS_HEADER, WAVE_HEADER, load_config, main
 
 
 def run_cli(capsys, argv):
@@ -67,7 +67,8 @@ def test_levels_degenerate_params_warns_and_skips_lame(capsys):
 
 def levels_oracle(p: TopParams, jmax: int, routes: list[str], fmt: str) -> str:
     """`asymtop levels` stdout rebuilt row by row from spectrum calls: one
-    level list per j and route, _fmt on every csv cell, raw floats in json."""
+    level list per j and route, "%.17g" of x + 0.0 (no -0) in every csv
+    float cell, raw floats in json."""
     skip_lame = False
     try:
         require_strict(p)
@@ -89,7 +90,7 @@ def levels_oracle(p: TopParams, jmax: int, routes: list[str], fmt: str) -> str:
         lines = [LEVELS_HEADER]
         for j, s, c, *values in table:
             cells = [str(j), str(s), "" if c is None else str(c)]
-            cells += ["" if v is None else _fmt(v) for v in values]
+            cells += ["" if v is None else "%.17g" % (v + 0.0) for v in values]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
     rows = [dict(zip(LEVELS_HEADER.split(","), row)) for row in table]

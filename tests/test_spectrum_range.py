@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from asymtop import (
     DegenerateParamsError,
     DomainError,
+    EnergyLevel,
     ROUTES,
     RootCountError,
     SpectrumBatch,
@@ -241,15 +242,34 @@ def test_layout_is_cached_and_read_only():
         lay.x[0] = 1
 
 
+def bits(value):
+    """Levels and states down to their bytes (so -0.0 is not 0.0)."""
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    if isinstance(value, EnergyLevel):
+        return value._replace(E=value.E.hex())
+    return value.coeffs.tobytes()
+
+
+def outcome(call, *args):
+    """The bits of call(*args), or the type and message of what it raises."""
+    try:
+        return bits(call(*args))
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_batched_spectrum_is_the_single_j_call(route):
-    p = TopParams(5.3, 2.1, 0.4)
-    single = {j: spectrum(j, p, route) for j in range(3, 40)}  # outside any batch
-    with SpectrumBatch(range(3, 40)) as batch:
-        for j in batch.js:
-            assert spectrum(j, p, route) == single[j]
-        with pytest.raises(DomainError, match="not in the batch"):
-            spectrum(2, p, route)
+    # j inside and outside the batch's range, on a served range and on ranges
+    # that refuse from j = 42 (wigner, lambda), from j = 1 or 2 (lambda, lame)
+    # or at every j (lame on A = B): the same rows or the same error
+    js = range(-1, 55)
+    for params in [(5.3, 2.1, 0.4), (1e305, 1e305, 1.0), (1e-300, 5e-301, 1e-301)]:
+        p = TopParams(*params)
+        single = [outcome(spectrum, j, p, route) for j in js]  # outside any batch
+        with SpectrumBatch(range(3, 50)):
+            assert [outcome(spectrum, j, p, route) for j in js] == single
 
 
 def test_batch_solves_each_route_once(monkeypatch):
@@ -290,44 +310,49 @@ def count_state_solves(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("params", RANGE_PARAMS[:3])
 def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
     p = TopParams(*params)
-    single = {j: [phi_state(j, s, p).coeffs for s in range(-j, j + 1)] for j in range(9)}
-    every = {j: [u.coeffs for u in phi_states(j, p)] for j in range(9)}
+    js = range(11)  # the batch's range holds j < 6: states are kept at any j
+    single = {j: [outcome(phi_state, j, s, p) for s in range(-j, j + 1)] for j in js}
+    every = {j: outcome(phi_states, j, p) for j in js}
+    refusals = [(phi_state, 3, 4, p), (phi_state, -1, 0, p), (phi_state, 600, 0, p), (phi_states, 600, p)]
+    refused = [outcome(*call) for call in refusals]
     solved = count_state_solves(monkeypatch)
-    with SpectrumBatch(range(9)):
-        for j in range(9):
+    with SpectrumBatch(range(6)):
+        for j in js:
             for s in range(-j, j + 1):
-                got = phi_state(j, s, p)
-                assert got.coeffs.tobytes() == single[j][s + j].tobytes()
-                got.coeffs[:] = 7.0  # the caller's copy, not the batch's rows
-            states = phi_states(j, p)
-            assert [u.coeffs.tobytes() for u in states] == [c.tobytes() for c in every[j]]
-            states[0].coeffs[:] = 7.0
-            assert phi_state(j, -j, p).coeffs.tobytes() == single[j][0].tobytes()
-        with pytest.raises(DomainError, match="not in the batch"):
-            phi_state(9, 0, p)
-    assert sorted(solved) == list(range(9))  # one solve per j
+                assert outcome(phi_state, j, s, p) == single[j][s + j]
+                phi_state(j, s, p).coeffs[:] = 7.0  # the caller's copy, not the batch's rows
+            assert outcome(phi_states, j, p) == every[j]
+            phi_states(j, p)[0].coeffs[:] = 7.0
+            assert outcome(phi_state, j, -j, p) == single[j][0]
+        assert [outcome(*call) for call in refusals] == refused
+    assert sorted(solved) == [*js, 600, 600]  # one solve per j; a refused j is not kept
     # outside the batch nothing is kept: every call solves again
     phi_state(4, 0, p)
     phi_states(4, p)
-    assert solved[9:] == [4, 4]
+    assert solved[13:] == [4, 4]
 
 
 def test_nested_batches_restore_the_outer_one(monkeypatch):
     p = TopParams(3.0, 2.0, 1.0)
+    single = {j: spectrum(j, p) for j in (2, 5, 12)}
+    ranges = []
+    original = spectra.spectrum_range
+    monkeypatch.setattr(
+        spectra, "spectrum_range", lambda js, p, route="wigner": ranges.append(js) or original(js, p, route)
+    )
     outer, inner = SpectrumBatch(range(10)), SpectrumBatch(range(3))
     with outer:
         with inner:
-            spectrum(2, p)
-            with pytest.raises(DomainError, match=r"not in the batch range\(0, 3\)"):
-                spectrum(5, p)
-        assert len(spectrum(5, p)) == 11  # the outer batch serves j = 5 again
+            assert spectrum(2, p) == single[2]
+            assert spectrum(5, p) == single[5]  # past the inner range: solved alone
+        assert spectrum(5, p) == single[5]  # the outer batch serves j = 5 again
         with pytest.raises(RuntimeError):
             with inner:
                 raise RuntimeError("leave by an exception")
-        assert len(spectrum(5, p)) == 11
-        with pytest.raises(DomainError, match=r"not in the batch range\(0, 10\)"):
-            phi_state(12, 0, p)
-    assert len(spectrum(12, p)) == 25  # no batch is active
+        assert spectrum(5, p) == single[5]
+        assert spectrum(12, p) == single[12]
+    assert spectrum(12, p) == single[12]  # no batch is active
+    assert ranges == [range(3), range(5, 6), range(10), range(12, 13), range(12, 13)]
     # leaving a batch frees its states: entering it again solves again
     solved = count_state_solves(monkeypatch)
     for _ in range(2):

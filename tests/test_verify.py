@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from asymtop import TopParams, haar_rule, spectra, verify, wigner_gram
+from asymtop import ROUTES, TopParams, haar_rule, spectra, verify, wigner_gram
 from asymtop.cli import main
 from asymtop.verify import (
     CHECKS,
@@ -81,19 +81,23 @@ def test_wigner_orthogonality_builds_each_stack_once(monkeypatch):
 
 
 def test_run_all_solves_each_state_once_and_no_level_past_the_caps(monkeypatch):
-    solved, ranges = [], []
-    rows, table = spectra._state_rows, spectra.spectrum_range
+    solved, phased, ranges = [], [], []
+    rows, phase, table = spectra._state_rows, spectra._fix_phase, spectra.spectrum_range
     monkeypatch.setattr(spectra, "_state_rows", lambda j, p: solved.append(j) or rows(j, p))
+    monkeypatch.setattr(spectra, "_fix_phase", lambda r, j: phased.append(j) or phase(r, j))
     monkeypatch.setattr(
-        spectra, "spectrum_range", lambda js, p, route="wigner": ranges.append(js) or table(js, p, route)
+        spectra, "spectrum_range", lambda js, p, route="wigner": ranges.append((js, route)) or table(js, p, route)
     )
-    run_all(P321, jmax=10)
-    assert sorted(solved) == sorted(set(solved)) and solved
-    solved.clear()
-    ranges.clear()
+    for jmax in (4, 10):
+        run_all(P321, jmax=jmax)
+        # one range solve per route, one solve and one phasing per (j, p)
+        assert sorted(route for _, route in ranges) == sorted(ROUTES)
+        assert sorted(solved) == sorted(set(solved)) == sorted(phased) and solved
+        for calls in (solved, phased, ranges):
+            calls.clear()
     run_all(P321, jmax=300)
     assert solved and max(solved) <= 6
-    assert ranges and max(js.stop - 1 for js in ranges) <= max(c.jmax for c in CHECKS)
+    assert ranges and max(js.stop - 1 for js, _ in ranges) <= max(c.jmax for c in CHECKS)
 
 
 @pytest.mark.parametrize("params", [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4), (100.0, 2.0, 1.0)])

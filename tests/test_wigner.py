@@ -18,7 +18,8 @@ from asymtop import (
     wigner_gram,
     wigner_small_d,
 )
-from asymtop.wigner import check_dimension, jx_eigenbasis, unitarity_defect, wigner_D_stack
+from asymtop.lambda_rep import check_dimension
+from asymtop.wigner import jx_eigenbasis, unitarity_defect, wigner_D_stack
 
 
 def closed_form_small_d(j, m, n, theta):
