@@ -203,19 +203,53 @@ def evaluate_state(u: FourierState, q: ComplexQ) -> complex:
 class QRule:
     """Quadrature rule for integrals against dmu_j over alpha, beta.
 
-    kappa is calibrated on the beta sub-rule itself so (psi_0, psi_0)_Q = 1
-    holds exactly; the closed form kappa_j = C_j / (2 pi) agrees to rule
-    accuracy.
+    The product of a uniform alpha grid (`alphas`) and Gauss-Legendre nodes
+    in beta (`betas`, with `beta_log_weights`, the log of the density and
+    kappa; the weights underflow from j = 14).  kappa is calibrated on the
+    beta sub-rule itself so (psi_0, psi_0)_Q = 1 holds exactly; the closed
+    form kappa_j = C_j / (2 pi) agrees to rule accuracy.
+
+    Node alpha_a + i beta_b has weight w_b, and sqrt(w_b) e^{inq} there is
+    A[a, n] B[b, n] with A = e^{in alpha_a} and B = sqrt(w_b) e^{-n beta_b}.
+    The node sum then factors by axis: the Gram of the basis over the nodes
+    is the Hadamard product (A^H A) o (B^H B) of one Gram per axis.
+
+    nodes, log_weights and weights are the flattened product grid, alpha
+    slowest, built on first use and read-only.
     """
 
     j: int
-    nodes: np.ndarray  # complex q points, flattened
-    log_weights: np.ndarray  # log of the weights (density and kappa), which underflow from j = 14
+    alphas: np.ndarray
+    betas: np.ndarray
+    beta_log_weights: np.ndarray
     beta_max: float
+
+    @functools.cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
+        qs = self.alphas[:, None] + 1j * self.betas[None, :]
+        flat = (qs.ravel(), np.broadcast_to(self.beta_log_weights, qs.shape).ravel())
+        for arr in flat:
+            arr.flags.writeable = False
+        return flat
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """Complex q points, flattened."""
+        return self._grid[0]
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        """Log weight of each node."""
+        return self._grid[1]
 
     @property
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
+
+    def basis_by_axis(self, power: float) -> tuple[np.ndarray, np.ndarray]:
+        """(e^{in alpha_a}, w_b^power e^{-n beta_b}) from fourier_basis, n on
+        the last axis: w^power e^{inq} at node (a, b) is their product."""
+        return fourier_basis(self.j, self.alphas), fourier_basis(self.j, 1j * self.betas, power * self.beta_log_weights)
 
 
 def default_beta_max(j: int, tol: float = 1e-12) -> float:
@@ -224,9 +258,8 @@ def default_beta_max(j: int, tol: float = 1e-12) -> float:
     return 0.5 * math.log(max(kappa, 1.0) * 2.0 ** (j + 2) * TWO_PI / tol) + 1.0
 
 
-def _product_grid(j: int, beta_max: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(alphas, betas, log weight of each beta, beta_max) of q_rule's product
-    grid: node alpha_a + i beta_b has log weight log_weights[b]."""
+def q_rule(j: int, beta_max: float | None = None) -> QRule:
+    """Build the product rule: uniform alpha grid x Gauss-Legendre in beta."""
     if beta_max is None:
         beta_max = default_beta_max(j)
     n_alpha = 2 * j + 4
@@ -234,22 +267,32 @@ def _product_grid(j: int, beta_max: float | None) -> tuple[np.ndarray, np.ndarra
     # error ~ exp(-n pi / beta_max) with a prefactor growing in j (the
     # pole order is j+1), so n must scale with beta_max and j
     n_beta = 224 + 32 * j
-    alphas = TWO_PI * np.arange(n_alpha) / n_alpha
     x, wx = gauss_legendre(n_beta)
     betas = beta_max * x
     # log of the density wb / (1 + cosh 2 beta)^{j+1}, 1 + cosh 2b = (e^b + e^-b)^2 / 2
     log_density = np.log(beta_max * wx) - (j + 1) * (2.0 * np.logaddexp(betas, -betas) - math.log(2.0))
     top = log_density.max()  # kappa: the weights sum to 1
     log_sum = top + math.log(n_alpha * float(np.sum(np.exp(log_density - top))))
-    return alphas, betas, log_density - log_sum, beta_max
+    return QRule(
+        j=j,
+        alphas=TWO_PI * np.arange(n_alpha) / n_alpha,
+        betas=betas,
+        beta_log_weights=log_density - log_sum,
+        beta_max=beta_max,
+    )
 
 
-def q_rule(j: int, beta_max: float | None = None) -> QRule:
-    """Build the product rule: uniform alpha grid x Gauss-Legendre in beta."""
-    alphas, betas, log_weights, beta_max = _product_grid(j, beta_max)
-    qs = alphas[:, None] + 1j * betas[None, :]
-    lw = np.broadcast_to(log_weights, qs.shape)
-    return QRule(j=j, nodes=qs.ravel(), log_weights=lw.ravel(), beta_max=beta_max)
+def quadrature_gram(rule: QRule) -> np.ndarray:
+    """Gram of sqrt(B_n) e^{inq}, n = -j..j, over the rule's nodes: the
+    identity when the rule integrates the pairing diag(1/B_nj) exactly.
+
+    Summed by axes (QRule): the Hadamard product of the alpha Gram of
+    e^{in alpha_a} and the beta Gram of the real sqrt(w_b B_n) e^{-n beta_b}.
+    OverflowError where fourier_basis refuses the node table.
+    """
+    along_alpha, along_beta = rule.basis_by_axis(0.5)
+    along_beta = along_beta.real * np.sqrt(weight_vector(rule.j))
+    return (along_alpha.conj().T @ along_alpha) * (along_beta.T @ along_beta)
 
 
 def inner_product_quadrature(
@@ -265,20 +308,19 @@ def inner_product_quadrature(
     the chosen cutoff.  The rule is q_rule's product grid, and
     sqrt(w_b) e^{in(alpha_a + i beta_b)} = e^{in alpha_a} sqrt(w_b) e^{-n beta_b},
     so each state's values on the grid are one (alpha, n) x (n, beta) matrix
-    product of two fourier_basis tables: no node-by-n table is formed.
+    product of the rule's two axis tables: no node-by-n table is formed.
     """
     if u.j != v.j:
         raise DimensionError(f"states live in different F^j: {u.j} != {v.j}")
     j = u.j
-    alphas, betas, log_weights, beta_max = _product_grid(j, beta_max)
+    rule = q_rule(j, beta_max)
     norm1 = float(np.sum(np.abs(u.coeffs))) * float(np.sum(np.abs(v.coeffs)))
-    tail = const_C(j) * norm1 * 2.0 ** (j + 2) * math.exp(-2.0 * beta_max)  # 2 pi kappa_j = C_j
+    tail = const_C(j) * norm1 * 2.0 ** (j + 2) * math.exp(-2.0 * rule.beta_max)  # 2 pi kappa_j = C_j
     if tail > tol:
         warnings.warn(
             f"beta tail bound {tail:.3e} exceeds tol={tol:.3e}; increase beta_max",
             ConvergenceWarning,
             stacklevel=2,
         )
-    along_alpha = fourier_basis(j, alphas)  # e^{in alpha}
-    along_beta = fourier_basis(j, 1j * betas, 0.5 * log_weights).T  # sqrt(w) e^{-n beta}
-    return complex(np.vdot((along_alpha * u.coeffs) @ along_beta, (along_alpha * v.coeffs) @ along_beta))
+    along_alpha, along_beta = rule.basis_by_axis(0.5)  # e^{in alpha}, sqrt(w) e^{-n beta}
+    return complex(np.vdot((along_alpha * u.coeffs) @ along_beta.T, (along_alpha * v.coeffs) @ along_beta.T))

@@ -234,15 +234,52 @@ def casimir_apply(
 class HaarRule:
     """Product quadrature rule on SO(3), total weight 1.
 
-    Uniform grids in phi and psi, Gauss-Legendre in cos theta.  Exact for
-    every product conj(D^j_{mn}) D^jt_{mt nt} with j, jt <= degree.
+    Uniform grids in phi and psi (the same `azimuths`), Gauss-Legendre in
+    cos theta (`polar_nodes` are the angles, `polar_weights` the Legendre
+    weights, summing to 2).  Exact for every product conj(D^j_{mn})
+    D^jt_{mt nt} with j, jt <= degree.
+
+    A node (phi_a, theta_b, psi_c) has weight w_b / (2 n^2), n azimuths, so
+    the sum of a product f(phi) g(theta) h(psi) over the nodes is the product
+    of one sum per axis.  The Gram of the D-functions is therefore a Hadamard
+    product: G[m, n, mt, nt] = P[m, n, mt, nt] F(mt - m) F(nt - n), with
+    P = sum_b (w_b/2) d^j_{mn}(theta_b) d^jt_{mt nt}(theta_b) and F(k) the
+    mean of e^{ik phi_a} over the azimuths (wigner.wigner_gram).
+
+    phi, theta, psi and weights are the flattened (phi, theta, psi) grid,
+    phi slowest, built on first use and read-only.
     """
 
     degree: int
-    phi: np.ndarray
-    theta: np.ndarray
-    psi: np.ndarray
-    weights: np.ndarray  # aligned with the flattened (phi, theta, psi) grid
+    azimuths: np.ndarray
+    polar_nodes: np.ndarray
+    polar_weights: np.ndarray
+
+    @functools.cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        n = len(self.azimuths)
+        phi, theta, psi = np.meshgrid(self.azimuths, self.polar_nodes, self.azimuths, indexing="ij")
+        w = np.broadcast_to(self.polar_weights[None, :, None] / (2.0 * n * n), phi.shape)
+        flat = (phi.ravel(), theta.ravel(), psi.ravel(), np.ascontiguousarray(w.ravel()))
+        for arr in flat:
+            arr.flags.writeable = False
+        return flat
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self._grid[0]
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self._grid[1]
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self._grid[2]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._grid[3]
 
 
 @functools.lru_cache(maxsize=16)
@@ -267,18 +304,10 @@ def haar_rule(degree: int) -> HaarRule:
     if degree < 0:
         raise DomainError("degree must be >= 0")
     n_az = 2 * degree + 1
-    n_gl = degree + 1
-
-    az = TWO_PI * np.arange(n_az) / n_az
-    x, wx = gauss_legendre(n_gl)
-    th = np.arccos(x)
-
-    phi_g, th_g, psi_g = np.meshgrid(az, th, az, indexing="ij")
-    w_g = np.broadcast_to(wx[None, :, None] / (2.0 * n_az * n_az), phi_g.shape)
+    x, wx = gauss_legendre(degree + 1)
     return HaarRule(
         degree=degree,
-        phi=phi_g.ravel(),
-        theta=th_g.ravel(),
-        psi=psi_g.ravel(),
-        weights=np.ascontiguousarray(w_g.ravel()),
+        azimuths=TWO_PI * np.arange(n_az) / n_az,
+        polar_nodes=np.arccos(x),
+        polar_weights=wx,
     )

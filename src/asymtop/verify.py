@@ -22,10 +22,9 @@ from .lambda_rep import (
     casimir_matrix,
     delta_j,
     ell_matrix,
-    fourier_basis,
     gram_matrix,
     q_rule,
-    weight_vector,
+    quadrature_gram,
 )
 from .so3 import IDENTITY, EulerAngles, compose, haar_rule
 from .spectra import ROUTES, SpectrumBatch, TopParams, h_matrix_lambda, spectrum
@@ -41,7 +40,7 @@ from .wavefunctions import (
     t_matrix_quadrature,
     uncertainty,
 )
-from .wigner import angular_momentum_matrices, unitarity_defect, wigner_D_stack
+from .wigner import angular_momentum_matrices, unitarity_defect, wigner_gram
 
 
 @dataclass(frozen=True)
@@ -209,21 +208,15 @@ def check_wigner_orthogonality(
     jmax: int = _SPEC["wigner-orthogonality"].jmax,
     tol: float = _SPEC["wigner-orthogonality"].tol,
 ) -> CheckResult:
-    """Haar orthogonality of the D-functions plus row unitarity of d(theta).
-
-    The Gram tensors of wigner_gram for every jt <= j, with the weighted D^j
-    stack built once per j instead of once per jt.
-    """
+    """Haar orthogonality of the D-functions plus row unitarity of d(theta):
+    the Gram tensor of wigner_gram for every jt <= j on the rule of degree j."""
     worst = 0.0
     thetas = np.linspace(0.2, math.pi - 0.2, 5)
     for j in range(jmax + 1):
         worst = max(worst, unitarity_defect(j, thetas))
         rule = haar_rule(j)
-        d_j = wigner_D_stack(j, rule)
-        weighted = (rule.weights[:, None, None] * d_j).conj().reshape(len(d_j), -1)
         for jt in range(j + 1):
-            d_jt = d_j if jt == j else wigner_D_stack(jt, rule)
-            gram = weighted.T @ d_jt.reshape(len(d_jt), -1)
+            gram = wigner_gram(j, jt, rule).reshape((2 * j + 1) ** 2, -1)
             expected = np.eye(len(gram)) / (2 * j + 1) if jt == j else 0.0
             worst = max(worst, float(np.max(np.abs(gram - expected))))
     return _result("wigner-orthogonality", worst, tol)
@@ -357,13 +350,11 @@ def check_measure_quadrature(
 
     Entry (m, n) defects are taken relative to the geometric mean
     sqrt(1/(B_m B_n)) of the corresponding diagonal entries: the Gram of
-    sqrt(B_n) e^{inq} is compared with the identity.
+    sqrt(B_n) e^{inq} (quadrature_gram) is compared with the identity.
     """
     worst = 0.0
     for j in range(jmax + 1):
-        rule = q_rule(j)
-        vals = fourier_basis(j, rule.nodes, 0.5 * rule.log_weights) * np.sqrt(weight_vector(j))
-        worst = max(worst, float(np.max(np.abs(vals.conj().T @ vals - np.eye(2 * j + 1)))))
+        worst = max(worst, float(np.max(np.abs(quadrature_gram(q_rule(j)) - np.eye(2 * j + 1)))))
     return _result("measure-quadrature", worst, tol)
 
 

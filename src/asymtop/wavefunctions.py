@@ -159,15 +159,17 @@ def t_matrix_quadrature(j: int, g: EulerAngles) -> np.ndarray:
     """t by direct double quadrature of the kernel against the basis.
 
     t_mn = B_m * Iint conj(e^{imq}) D^j_{qq'}(g) e^{inq'} dmu(q) dmu(q'),
-    summed over the q_rule nodes (weights inside the basis table); used to
-    validate the closed form at small j.
+    summed over the q_rule nodes (weights inside the basis table, the outer
+    product of its alpha and beta tables); used to validate the closed form
+    at small j.
     The kernel's base is x(q) . y(q') (see _kernel_factors), so base^j is a
     sum of C(j+2, 2) multinomial terms coef_a x^a(q) y^a(q'), and the double
     sum splits into one product of single sums per term: no nodes x nodes
     array is formed.
     """
     rule = q_rule(j)
-    right = fourier_basis(j, rule.nodes, rule.log_weights)  # w_a psi_n(q_a)
+    along_alpha, along_beta = rule.basis_by_axis(1.0)
+    right = (along_alpha[:, None] * along_beta).reshape(-1, 2 * j + 1)  # w psi_n(q) per node
     x, y = _kernel_factors(rule.nodes, rule.nodes, g.phi, g.theta, g.psi)
     lo, hi = np.triu_indices(j + 1)
     powers = np.stack([j - hi, hi - lo, lo], axis=-1)  # every (a0, a1, a2) summing to j

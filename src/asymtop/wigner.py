@@ -16,6 +16,7 @@ lambda) between the others.  An array of theta is one broadcast evaluation.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -55,15 +56,32 @@ def angular_momentum_matrices(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def jx_eigenbasis(j: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues -j..j and eigenvectors of P* J_1 P, read-only, once per j.
 
+    The off-diagonals c/2 are a palindrome, so the matrix commutes with the
+    reversal k -> 2j-k and is block diagonal on the reversal-even vectors
+    (e_k + e_{2j-k})/sqrt 2 and e_j, k < j, and the reversal-odd ones
+    (e_k - e_{2j-k})/sqrt 2.  Each block is the leading block of the matrix,
+    of size j+1 (its last off-diagonal times sqrt 2) and j: two half-size
+    eigh calls.
+
     Row k = n + j of the vectors carries s_k = (-1)^(k//2): the phase
     i^(k-k') of d^j is s_k s_k' times 1, -i or i (k, k' of equal parity;
     k even; k odd).
     """
     _, c = ladder_coefficients(j)
-    half = np.diag(c / 2.0, 1)
-    lam, v = np.linalg.eigh(half + half.T)
-    lam = np.rint(lam)
-    v = v * ((-1.0) ** (np.arange(2 * j + 1) // 2))[:, None]
+    half = np.diag(c[:j] / 2.0, 1)
+    half[j - 1 : j, j] *= math.sqrt(2.0)  # e_j meets e_{j-1} and e_{j+1}
+    block = half + half.T
+    lam_even, u_even = np.linalg.eigh(block)
+    lam_odd, u_odd = np.linalg.eigh(block[:j, :j])
+    v = np.zeros((2 * j + 1, 2 * j + 1))
+    v[j, : j + 1] = u_even[j]
+    v[:j, : j + 1] = v[2 * j : j : -1, : j + 1] = u_even[:j] / math.sqrt(2.0)
+    v[:j, j + 1 :] = u_odd / math.sqrt(2.0)
+    v[2 * j : j : -1, j + 1 :] = -v[:j, j + 1 :]
+    lam = np.concatenate((lam_even, lam_odd))
+    order = np.argsort(lam)
+    lam = np.rint(lam[order])
+    v = v[:, order] * ((-1.0) ** (np.arange(2 * j + 1) // 2))[:, None]
     lam.flags.writeable = False
     v.flags.writeable = False
     return lam, v
@@ -113,31 +131,29 @@ def wigner_D_matrix(j: int, g: EulerAngles) -> np.ndarray:
     )
 
 
-def wigner_D_stack(j: int, rule: HaarRule) -> np.ndarray:
-    """D^j at every node of a Haar rule, shape (nodes, 2j+1, 2j+1)."""
-    thetas, inv = np.unique(rule.theta, return_inverse=True)
-    n = np.arange(-j, j + 1)
-    d = np.exp(1j * np.outer(rule.phi, n))[:, :, None] * wigner_d_matrix(j, thetas)[inv]
-    return d * np.exp(1j * np.outer(rule.psi, n))[:, None, :]
-
-
 def wigner_gram(j: int, jt: int, rule: HaarRule) -> np.ndarray:
     """Haar-quadrature Gram tensor G[m, n, mt, nt] of conj(D^j) with D^jt.
 
-    Equals delta_{j,jt} delta_{m,mt} delta_{n,nt} / (2j+1) when the rule is
-    exact at max(j, jt).
+    The rule's node sum factors by axis (HaarRule), so G is the Hadamard
+    product of the polar sum P[m, n, mt, nt] = sum_b (w_b/2) d^j_{mn}(theta_b)
+    d^jt_{mt nt}(theta_b) with F(mt - m) F(nt - n), where F(k) is the mean of
+    e^{ik phi_a} over the rule's azimuths, summed on that grid.  Equals
+    delta_{j,jt} delta_{m,mt} delta_{n,nt} / (2j+1) when the rule is exact at
+    max(j, jt).
     """
     if rule.degree < max(j, jt):
         raise DomainError(
             f"rule of degree {rule.degree} cannot integrate j={j}, jt={jt} products"
         )
-    dj = wigner_D_stack(j, rule)
-    djt = dj if jt == j else wigner_D_stack(jt, rule)
-
-    # one BLAS product over the nodes, each stack flattened to (nodes, entries)
-    weighted = (rule.weights[:, None, None] * dj).conj().reshape(len(dj), -1)
-    gram = weighted.T @ djt.reshape(len(djt), -1)
-    return gram.reshape(dj.shape[1:] + djt.shape[1:])
+    dim, dim_t = 2 * j + 1, 2 * jt + 1
+    # F(k) for k = -(j+jt)..j+jt, then F(mt - m) for every (m, mt)
+    f = np.exp(1j * np.outer(rule.azimuths, np.arange(-j - jt, j + jt + 1))).mean(axis=0)
+    az = f[np.arange(-jt, jt + 1) - np.arange(-j, j + 1)[:, None] + j + jt]
+    nodes = len(rule.polar_nodes)
+    d = wigner_d_matrix(j, rule.polar_nodes).reshape(nodes, -1)
+    dt = d if jt == j else wigner_d_matrix(jt, rule.polar_nodes).reshape(nodes, -1)
+    polar = ((0.5 * rule.polar_weights[:, None] * d).T @ dt).reshape(dim, dim, dim_t, dim_t)
+    return polar * az[:, None, :, None] * az[None, :, None, :]
 
 
 def unitarity_defect(j: int, theta_values: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from asymtop import (
     weight_B,
     weight_vector,
 )
-from asymtop.lambda_rep import LOG_MAX
+from asymtop.lambda_rep import LOG_MAX, QRule, default_beta_max, quadrature_gram
 
 
 def test_weight_values():
@@ -153,6 +153,42 @@ def test_quadrature_gram_is_diagonal():
         b = weight_vector(j)
         rel = np.abs(quad - np.diag(1.0 / b)) * np.sqrt(np.outer(b, b))
         assert np.max(rel) < 1e-8
+
+
+def test_q_rule_flat_grid_is_the_product_of_its_axes():
+    for j in (0, 1, 4, 15):
+        rule = q_rule(j)
+        beta_max = default_beta_max(j)
+        n_alpha = 2 * j + 4
+        alphas = 2.0 * math.pi * np.arange(n_alpha) / n_alpha
+        x, wx = np.polynomial.legendre.leggauss(224 + 32 * j)
+        betas = beta_max * x
+        log_density = np.log(beta_max * wx) - (j + 1) * (2.0 * np.logaddexp(betas, -betas) - math.log(2.0))
+        top = log_density.max()
+        log_weights = log_density - (top + math.log(n_alpha * float(np.sum(np.exp(log_density - top)))))
+        qs = alphas[:, None] + 1j * betas[None, :]
+        for got, want in ((rule.nodes, qs.ravel()), (rule.log_weights, np.broadcast_to(log_weights, qs.shape).ravel())):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert rule.beta_max == beta_max
+        assert rule.nodes is rule.nodes  # built once
+
+
+def test_quadrature_gram_by_axes_is_the_node_sum():
+    for j in range(5):
+        rule = q_rule(j)
+        vals = fourier_basis(j, rule.nodes, 0.5 * rule.log_weights) * np.sqrt(weight_vector(j))
+        assert np.max(np.abs(quadrature_gram(rule) - vals.conj().T @ vals)) <= 1e-14
+    # the node table's refusal: at j = 4, |beta| = 90 gives e^360, past LOG_MAX
+    def one_node(beta):
+        return QRule(j=4, alphas=np.zeros(1), betas=np.array([beta]), beta_log_weights=np.zeros(1), beta_max=90.0)
+
+    assert np.isfinite(quadrature_gram(one_node(-80.0))).all()
+    for beta in (90.0, -90.0, np.nan):
+        with pytest.raises(OverflowError):
+            fourier_basis(4, one_node(beta).nodes, 0.5 * one_node(beta).log_weights)
+        with pytest.raises(OverflowError):
+            quadrature_gram(one_node(beta))
 
 
 def test_measure_normalization_closed_form():

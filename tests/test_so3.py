@@ -189,6 +189,22 @@ def test_haar_rule_kills_nontrivial_modes():
         assert abs(np.sum(rule.weights * vals)) < 1e-14
 
 
+def test_haar_rule_flat_grid_is_the_meshgrid_of_its_axes():
+    for degree in (0, 1, 4, 7):
+        rule = haar_rule(degree)
+        n_az = 2 * degree + 1
+        az = 2.0 * math.pi * np.arange(n_az) / n_az
+        x, wx = np.polynomial.legendre.leggauss(degree + 1)
+        phi, theta, psi = np.meshgrid(az, np.arccos(x), az, indexing="ij")
+        w = np.ascontiguousarray(np.broadcast_to(wx[None, :, None] / (2.0 * n_az * n_az), phi.shape).ravel())
+        for got, want in zip((rule.phi, rule.theta, rule.psi, rule.weights), (phi.ravel(), theta.ravel(), psi.ravel(), w)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert rule.phi is rule.phi  # built once
+        with pytest.raises(AttributeError):
+            rule.phi = az
+
+
 def test_haar_rule_size_guard():
     with pytest.raises(DomainError):
         haar_rule(-1)

@@ -60,7 +60,7 @@ def test_pde_residual_not_fooled_by_rounding_near_the_pole():
     assert check_pde_residual(p, seed=582196194).passed
 
 
-def test_wigner_orthogonality_builds_each_stack_once(monkeypatch):
+def test_wigner_orthogonality_is_the_per_pair_gram(monkeypatch):
     # the per-pair oracle: wigner_gram for every jt <= j, plus d unitarity
     worst = 0.0
     thetas = np.linspace(0.2, math.pi - 0.2, 5)
@@ -72,12 +72,11 @@ def test_wigner_orthogonality_builds_each_stack_once(monkeypatch):
             eye = np.eye(2 * j + 1)
             expected = np.einsum("mp,nq->mnpq", eye, eye) / (2 * j + 1) if jt == j else 0.0
             worst = max(worst, float(np.max(np.abs(gram - expected))))
-    built = []
-    original = verify.wigner_D_stack
-    monkeypatch.setattr(verify, "wigner_D_stack", lambda j, rule: built.append(j) or original(j, rule))
+    pairs = []
+    monkeypatch.setattr(verify, "wigner_gram", lambda j, jt, rule: pairs.append((j, jt, rule.degree)) or wigner_gram(j, jt, rule))
     result = check_wigner_orthogonality(jmax=5)
     assert result.defect == worst
-    assert sorted(built) == sorted(jt for j in range(6) for jt in range(j + 1))
+    assert pairs == [(j, jt, j) for j in range(6) for jt in range(j + 1)]
 
 
 def test_run_all_solves_each_state_once_and_no_level_past_the_caps(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -19,7 +20,7 @@ from asymtop import (
     wigner_small_d,
 )
 from asymtop.lambda_rep import check_dimension
-from asymtop.wigner import jx_eigenbasis, unitarity_defect, wigner_D_stack
+from asymtop.wigner import jx_eigenbasis, ladder_coefficients, unitarity_defect
 
 
 def closed_form_small_d(j, m, n, theta):
@@ -118,15 +119,71 @@ def test_eigenbasis_computed_once_per_j(monkeypatch):
     for theta in (0.4, 1.3, 2.9):
         wigner_d_matrix(3, theta)
         wigner_d_matrix(3, rule.theta)
-        wigner_D_stack(3, rule)
+        wigner_gram(3, 3, rule)
         wigner_small_d(3, 1, -2, theta)
     wigner_d_matrix(1, 0.4)
-    wigner_D_stack(1, rule)
-    assert calls == [(7, 7), (3, 3)]
+    wigner_gram(3, 1, rule)
+    # per j, one eigh of the reversal-even block (size j+1) and one of the odd (size j)
+    assert calls == [(4, 4), (3, 3), (2, 2), (1, 1)]
     for arr in jx_eigenbasis(3):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _small_d_from_full_eigh(j, theta):
+    """d^j from one eigh of the whole (2j+1)-square tridiagonal form."""
+    _, c = ladder_coefficients(j)
+    half = np.diag(c / 2.0, 1)
+    lam, v = np.linalg.eigh(half + half.T)
+    v = v * ((-1.0) ** (np.arange(2 * j + 1) // 2))[:, None]
+    t = np.asarray(theta, dtype=float)[..., None, None] * np.rint(lam)
+    even, odd = v[0::2], v[1::2]
+    out = np.empty(t.shape[:-2] + (2 * j + 1, 2 * j + 1))
+    out[..., 0::2, 0::2] = (even * np.cos(t)) @ even.T
+    out[..., 1::2, 1::2] = (odd * np.cos(t)) @ odd.T
+    out[..., 0::2, 1::2] = (even * np.sin(t)) @ odd.T
+    out[..., 1::2, 0::2] = -out[..., 0::2, 1::2].swapaxes(-1, -2)
+    return out
+
+
+@pytest.mark.parametrize("j", [*range(11), 24, 48, 80])
+def test_reversal_split_matches_one_full_size_eigh(j):
+    thetas = np.array([0.0, 0.3, 1.1, math.pi / 2, 2.5, math.pi])
+    assert np.max(np.abs(wigner_d_matrix(j, thetas) - _small_d_from_full_eigh(j, thetas))) <= 1e-14
+
+
+def _small_d_mpmath(j, theta):
+    """d^j(theta) from Wigner's finite sum at 40 digits: the entries with
+    m >= |n|, the rest by d_mn = (-1)^{m-n} d_nm = d_{-n,-m}."""
+    with mpmath.workdps(40):
+        c, s = mpmath.cos(mpmath.mpf(theta) / 2), mpmath.sin(mpmath.mpf(theta) / 2)
+        f = [mpmath.factorial(k) for k in range(2 * j + 1)]
+        canonical = {}
+        for m in range(j + 1):
+            for n in range(-m, m + 1):
+                total = mpmath.mpf(0)
+                for k in range(max(0, n - m), min(j + n, j - m) + 1):
+                    term = c ** (2 * j + n - m - 2 * k) * s ** (m - n + 2 * k)
+                    term /= f[j + n - k] * f[k] * f[m - n + k] * f[j - m - k]
+                    total += -term if (m - n + k) % 2 else term
+                canonical[m, n] = float(total * mpmath.sqrt(f[j + m] * f[j - m] * f[j + n] * f[j - n]))
+    out = np.empty((2 * j + 1, 2 * j + 1))
+    for m in range(-j, j + 1):
+        for n in range(-j, j + 1):
+            a, b, sign = m, n, 1.0
+            if abs(b) > abs(a):
+                a, b, sign = b, a, (-1.0) ** (m - n)
+            if a < 0:
+                a, b, sign = -a, -b, sign * (-1.0) ** (m - n)
+            out[m + j, n + j] = sign * canonical[a, b]
+    return out
+
+
+def test_small_d_matches_40_digit_sum_at_j48():
+    # one full-size eigh was off by 4.3e-15 and 8.0e-15 at these angles, the split by 2.6e-15 and 2.7e-15
+    for theta in (1.1, 2.9):
+        assert np.max(np.abs(wigner_d_matrix(48, theta) - _small_d_mpmath(48, theta))) <= 7.0e-15
 
 
 def test_small_d_symmetries(rng):
