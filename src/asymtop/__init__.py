@@ -30,10 +30,12 @@ from .lambda_rep import (
     ell_matrix,
     evaluate_state,
     fourier_basis,
+    fourier_sum,
     gram_matrix,
     inner_product,
     inner_product_quadrature,
     q_rule,
+    state_values,
     weight_B,
     weight_vector,
 )
@@ -75,15 +77,21 @@ from .spectra import (
 from .verify import CheckResult, run_all
 from .wavefunctions import (
     completeness_defect,
+    completeness_defects,
     kernel_conj_defect,
     kernel_eval,
     kernel_factored,
+    kernel_factored_from_phase,
     kernel_gram,
+    kernel_values,
     mobius_phase,
+    phase_map,
     pde_residual,
     psi_eval,
     psi_grid,
+    psi_from_phase,
     psi_via_kernel,
+    psi_via_kernel_values,
     so3_norm,
     state_jms,
     t_matrix,

@@ -168,12 +168,15 @@ def scaled_power(prefactor: float, base, j: int):
 
     The direct power, after the rule of fourier_basis on its log magnitude,
     log(prefactor) + j log|base|: OverflowError past LOG_MAX or at NaN.
+    np.power rounds an array as it rounds one value (the ** operator squares
+    complex arrays with fused multiply-adds), so a point of an array call
+    equals its one-point call.
     """
     if j:
         with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf is in range
             top = math.log(prefactor) + j * np.log(np.abs(base))
         _refuse_past_log_max(top, j)
-    return prefactor * base**j
+    return prefactor * np.power(base, j)
 
 
 def fourier_basis(j: int, q, log_scale=0.0) -> np.ndarray:
@@ -191,12 +194,33 @@ def fourier_basis(j: int, q, log_scale=0.0) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def fourier_sum(q, coeffs, log_scale=0.0) -> np.ndarray:
+    """sum_n c_n e^{log_scale + inq} at every point of q: the fourier_basis
+    table contracted with coeffs, one row per point or one row for all.
+
+    Each point is its own dot product, so it rounds as a one-point call
+    does (a matrix-vector product over many points rounds differently).
+    """
+    coeffs = np.asarray(coeffs)
+    basis = fourier_basis((coeffs.shape[-1] - 1) // 2, q, log_scale)
+    return (basis[..., None, :] @ coeffs[..., :, None])[..., 0, 0]
+
+
+def state_values(q, coeffs) -> np.ndarray:
+    """evaluate_state at every point of the complex angles q, with one
+    coefficient row per point or one row for all (fourier_sum).
+    OverflowError for any |Im q| > 50, and where fourier_basis refuses
+    (j |Im q| > LOG_MAX)."""
+    beta = np.abs(np.imag(q))
+    if np.count_nonzero(beta > 50.0):
+        raise OverflowError(f"|beta|={np.max(beta)} too large")
+    return fourier_sum(q, coeffs)
+
+
 def evaluate_state(u: FourierState, q: ComplexQ) -> complex:
-    """Evaluate sum_n c_n e^{inq} at a complex angle.  OverflowError for any
-    |beta| > 50, and where fourier_basis refuses (j |beta| > LOG_MAX)."""
-    if abs(q.beta) > 50.0:
-        raise OverflowError(f"|beta|={abs(q.beta)} too large")
-    return complex(fourier_basis(u.j, q.value) @ u.coeffs)
+    """Evaluate sum_n c_n e^{inq} at a complex angle: state_values at one
+    point, with its refusals."""
+    return complex(state_values(q.value, u.coeffs))
 
 
 @dataclass(frozen=True)

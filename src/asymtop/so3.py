@@ -247,7 +247,8 @@ class HaarRule:
     mean of e^{ik phi_a} over the azimuths (wigner.wigner_gram).
 
     phi, theta, psi and weights are the flattened (phi, theta, psi) grid,
-    phi slowest, built on first use and read-only.
+    phi slowest, built on first use and read-only; so are the d^j tables at
+    the polar nodes (polar_d), once per j.
     """
 
     degree: int
@@ -280,6 +281,21 @@ class HaarRule:
     @property
     def weights(self) -> np.ndarray:
         return self._grid[3]
+
+    @functools.cached_property
+    def _polar_d(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def polar_d(self, j: int) -> np.ndarray:
+        """wigner.wigner_d_matrix(j, polar_nodes), shape (nodes, 2j+1, 2j+1):
+        every wigner_gram on this rule with j or jt = j reads this one table."""
+        if j not in self._polar_d:
+            from .wigner import wigner_d_matrix  # wigner imports this module
+
+            table = wigner_d_matrix(j, self.polar_nodes)
+            table.flags.writeable = False
+            self._polar_d[j] = table
+        return self._polar_d[j]
 
 
 @functools.lru_cache(maxsize=16)

@@ -7,6 +7,11 @@ checks, the jmax each is specified at and its default tolerance.  The
 check_* defaults, run_all (which caps the caller's jmax per check so quick
 runs stay quick), and the CLI's --tol-<name> flags and tol-<name> config
 keys all come from it.
+
+The sampled checks kernel-group, bridge and completeness draw everything
+first, in the original order, then evaluate each j once over all of its
+draws with the array entry points (a stacked t_matrix, kernel_values,
+phase_map, ...), each point of which equals its one-point call bit for bit.
 """
 
 from __future__ import annotations
@@ -26,16 +31,16 @@ from .lambda_rep import (
     q_rule,
     quadrature_gram,
 )
-from .so3 import IDENTITY, EulerAngles, compose, haar_rule
-from .spectra import ROUTES, SpectrumBatch, TopParams, h_matrix_lambda, spectrum
+from .so3 import IDENTITY, EulerAngles, compose, haar_rule, inverse
+from .spectra import ROUTES, SpectrumBatch, TopParams, h_matrix_lambda, phi_state, spectrum
 from .wavefunctions import (
-    completeness_defect,
-    kernel_conj_defect,
-    kernel_eval,
-    kernel_factored,
+    completeness_defects,
+    kernel_factored_from_phase,
+    kernel_values,
     pde_residual,
-    psi_eval,
-    psi_via_kernel,
+    phase_map,
+    psi_from_phase,
+    psi_via_kernel_values,
     t_matrix,
     t_matrix_quadrature,
     uncertainty,
@@ -108,6 +113,21 @@ def _random_angles(rng: np.random.Generator) -> EulerAngles:
 
 def _random_q(rng: np.random.Generator, beta: float = 0.7) -> ComplexQ:
     return ComplexQ(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-beta, beta))
+
+
+def _stacked(gs: list[EulerAngles]) -> EulerAngles:
+    """The rotations gs as one EulerAngles of angle arrays."""
+    return EulerAngles(*np.array([g.as_tuple() for g in gs]).T)
+
+
+def _values(qs: list[ComplexQ]) -> np.ndarray:
+    return np.array([q.value for q in qs])
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, rounded as abs of one complex value is (np.abs of
+    a complex array can differ in the last bit)."""
+    return np.hypot(z.real, z.imag)
 
 
 def route_agreement_defects(p: TopParams, jmax: int) -> tuple[float, float]:
@@ -229,31 +249,41 @@ def check_kernel_group(
 ) -> CheckResult:
     """t is a representation: t(e) = I, t(g1 g2) = t(g1) t(g2), t^H G t = G;
     the kernel at the identity reproduces delta_j and obeys the conjugation
-    symmetry conj(D_{qq'}(g)) = D_{q'q}(g^{-1})."""
+    symmetry conj(D_{qq'}(g)) = D_{q'q}(g^{-1}).
+
+    Per j: one stacked t for the identity and (g1, g1 g2, g2) of each draw,
+    and one kernel evaluation at (q, q', e), (q, q', g1) and (q', q, g1^{-1})
+    of each draw.
+    """
     rng = np.random.default_rng(seed)
+    draws = [
+        [(_random_angles(rng), _random_angles(rng), _random_q(rng), _random_q(rng)) for _ in range(2)]
+        for _ in range(jmax + 1)
+    ]
     worst = 0.0
-    for j in range(jmax + 1):
-        eye = np.eye(2 * j + 1)
-        worst = max(worst, float(np.max(np.abs(t_matrix(j, IDENTITY) - eye))))
+    for j, samples in enumerate(draws):
+        rotations = [IDENTITY] + [g for g1, g2, _, _ in samples for g in (g1, compose(g1, g2), g2)]
+        t = t_matrix(j, _stacked(rotations))
+        t1, t12, t2 = t[1::3], t[2::3], t[3::3]
         gram = gram_matrix(j)
         gram_scale = max(1.0, float(np.max(gram)))
-        for _ in range(2):
-            g1, g2 = _random_angles(rng), _random_angles(rng)
-            t1 = t_matrix(j, g1)
-            lhs = t_matrix(j, compose(g1, g2))
-            worst = max(worst, float(np.max(np.abs(lhs - t1 @ t_matrix(j, g2)))))
-            worst = max(
-                worst,
-                float(np.max(np.abs(t1.conj().T @ gram @ t1 - gram))) / gram_scale,
-            )
-            q, qp = _random_q(rng), _random_q(rng)
-            expected = delta_j(q, qp, j)
-            d_id = abs(kernel_eval(q, qp, j, IDENTITY) - expected)
-            worst = max(worst, d_id / max(1.0, abs(expected)))
-            k_val = kernel_eval(q, qp, j, g1)
-            worst = max(
-                worst, kernel_conj_defect(q, qp, j, g1) / max(1.0, abs(k_val))
-            )
+        worst = max(
+            worst,
+            float(np.max(np.abs(t[0] - np.eye(2 * j + 1)))),
+            float(np.max(np.abs(t12 - t1 @ t2))),
+            float(np.max(np.abs(t1.conj().swapaxes(-1, -2) @ gram @ t1 - gram))) / gram_scale,
+        )
+        points = [pt for g1, _, q, qp in samples for pt in ((q, qp, IDENTITY), (q, qp, g1), (qp, q, inverse(g1)))]
+        lead, trail, gs = zip(*points)
+        at = _stacked(gs)
+        k = kernel_values(_values(lead), _values(trail), j, at.phi, at.theta, at.psi)
+        k_id, k_g, k_inv = k.reshape(-1, 3).T
+        expected = np.array([delta_j(q, qp, j) for _, _, q, qp in samples])
+        worst = max(
+            worst,
+            float(np.max(_modulus(k_id - expected) / np.maximum(1.0, _modulus(expected)))),
+            float(np.max(_modulus(k_g.conj() - k_inv) / np.maximum(1.0, _modulus(k_g)))),
+        )
     return _result("kernel-group", worst, tol)
 
 
@@ -273,23 +303,36 @@ def check_bridge(
 def bridge_defects(
     p: TopParams, jmax: int = _SPEC["bridge"].jmax, seed: int = 42
 ) -> tuple[float, float]:
-    """(closed-form, quadrature) parts of the bridge check."""
+    """(closed-form, quadrature) parts of the bridge check.
+
+    The closed-form part takes the phase map of every draw at once; then,
+    per j, Psi and the factored kernel from it, Psi via one stacked t and
+    the kernel in one evaluation.
+    """
     rng = np.random.default_rng(seed)
+    draws = [
+        [(_random_angles(rng), _random_q(rng), _random_q(rng), int(rng.integers(-j, j + 1))) for _ in range(2)]
+        for j in range(jmax + 1)
+    ]
+    quad_draws = [_random_angles(rng) for _ in range(min(jmax, 2) + 1)]
+    gs, qs, qps, _ = zip(*(sample for samples in draws for sample in samples))
+    at, qv, qpv = _stacked(gs), _values(qs), _values(qps)
+    base, w = phase_map(qv, at.phi, at.theta, at.psi)
     d_matrix = 0.0
-    for j in range(jmax + 1):
-        for _ in range(2):
-            g = _random_angles(rng)
-            q, qp = _random_q(rng), _random_q(rng)
-            s = int(rng.integers(-j, j + 1))
-            v1 = psi_eval(q, j, s, p, g)
-            v2 = psi_via_kernel(q, j, s, p, g)
-            d_matrix = max(d_matrix, abs(v1 - v2) / max(1.0, abs(v1)))
-            k1 = kernel_eval(q, qp, j, g)
-            k2 = kernel_factored(q, qp, j, g)
-            d_matrix = max(d_matrix, abs(k1 - k2) / max(1.0, abs(k1)))
+    for j, samples in enumerate(draws):
+        k = slice(2 * j, 2 * j + 2)
+        states = np.array([phi_state(j, s, p).coeffs for _, _, _, s in samples])
+        v1 = psi_from_phase(states, base[k], w[k])
+        v2 = psi_via_kernel_values(qv[k], states, at.phi[k], at.theta[k], at.psi[k])
+        k1 = kernel_values(qv[k], qpv[k], j, at.phi[k], at.theta[k], at.psi[k])
+        k2 = kernel_factored_from_phase(qpv[k], j, base[k], w[k])
+        d_matrix = max(
+            d_matrix,
+            float(np.max(_modulus(v1 - v2) / np.maximum(1.0, _modulus(v1)))),
+            float(np.max(_modulus(k1 - k2) / np.maximum(1.0, _modulus(k1)))),
+        )
     d_quad = 0.0
-    for j in range(min(jmax, 2) + 1):
-        g = _random_angles(rng)
+    for j, g in enumerate(quad_draws):
         d_quad = max(
             d_quad, float(np.max(np.abs(t_matrix_quadrature(j, g) - t_matrix(j, g))))
         )
@@ -333,12 +376,11 @@ def check_completeness(
 ) -> CheckResult:
     """sum_s |Phi_{j,s}(q)|^2 / (2j+1) = delta_j(q, conj(q)), relative."""
     rng = np.random.default_rng(seed)
+    draws = [[_random_q(rng, beta=0.5) for _ in range(2)] for _ in range(jmax + 1)]
     worst = 0.0
-    for j in range(jmax + 1):
-        for _ in range(2):
-            q = _random_q(rng, beta=0.5)
-            scale = max(1.0, float(delta_j(q, q, j).real))
-            worst = max(worst, completeness_defect(j, p, q) / scale)
+    for j, qs in enumerate(draws):
+        scale = np.array([max(1.0, float(delta_j(q, q, j).real)) for q in qs])
+        worst = max(worst, float(np.max(completeness_defects(j, p, qs) / scale)))
     return _result("completeness", worst, tol)
 
 

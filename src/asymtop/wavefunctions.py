@@ -29,10 +29,11 @@ from .lambda_rep import (
     FourierState,
     const_C,
     delta_j,
-    evaluate_state,
     fourier_basis,
+    fourier_sum,
     q_rule,
     scaled_power,
+    state_values,
     weight_vector,
 )
 from .so3 import EulerAngles, HaarRule, field_stencil, inverse
@@ -40,43 +41,71 @@ from .spectra import TopParams, phi_state, phi_states, spectrum
 from .wigner import wigner_D_matrix
 
 
+def _times(a, b):
+    """a * b with each real product and sum rounded on its own, as numpy
+    rounds the product of two complex scalars; numpy's loop over complex
+    arrays fuses them into multiply-adds and can differ in the last bit."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+    return a * b
+
+
 def _mobius(qv, phi, theta, psi):
-    """(base, w = e^{iu}, gap) of the phase map over broadcast arrays.
+    """(num, den, gap) of the phase map over broadcast arrays.
 
     With x = (q+phi)/2, c = cos(th/2) and s = i sin(th/2), num = c e^{ix} +
     s e^{-ix} and den = s e^{ix} + c e^{-ix} are e^{ith/2} (cos x +- i e^{-ith}
-    sin x), free of cancellation at large |Im x|: w = e^{ipsi} num/den and
-    base = num den.  u is singular where num or den is 0; gap is the smaller
-    of each over the size of its two terms.  An exact zero is nudged to
-    1e-300 before dividing (the other factor is then >= sqrt 2).
+    sin x), free of cancellation at large |Im x|: base = num den and w =
+    e^{ipsi} num/den.  u is singular where num or den is 0; gap is the
+    smaller of each over the size of its two terms.  An exact zero is nudged
+    to 1e-300 before dividing (the other factor is then >= sqrt 2).  Each
+    product here has a real or an imaginary factor, so num and den round
+    the same alone and in an array.
     """
-    c, s = np.cos(theta / 2.0), 1j * np.sin(theta / 2.0)
+    half = theta / 2.0
+    c, s = np.cos(half), 1j * np.sin(half)
     up, down = np.exp(0.5j * (qv + phi)), np.exp(-0.5j * (qv + phi))
-    num, den = c * up + s * down, s * up + c * down
-    gap = np.minimum(abs(num) / (abs(c * up) + abs(s * down)), abs(den) / (abs(s * up) + abs(c * down)))
-    num, den = num + (num == 0) * 1e-300, den + (den == 0) * 1e-300
-    return num * den, np.exp(1j * psi) * num / den, gap
+    cu, sd, su, cd = c * up, s * down, s * up, c * down
+    num, den = cu + sd, su + cd
+    gap = np.minimum(abs(num) / (abs(cu) + abs(sd)), abs(den) / (abs(su) + abs(cd)))
+    return num + (num == 0) * 1e-300, den + (den == 0) * 1e-300, gap
+
+
+def phase_map(qv, phi, theta, psi) -> tuple[np.ndarray, np.ndarray]:
+    """mobius_phase at every point of the broadcast complex angles qv and
+    Euler-angle arrays: (base, w) arrays, each point equal to its one-point
+    call bit for bit.  Refuses as mobius_phase does at any point (the moduli
+    in gap may round apart in the last bit, which only a gap within an ulp
+    of the 1e-13 bar can show).
+    """
+    inputs = (qv, phi, theta, psi)
+    if not all(np.isfinite(x).all() if isinstance(x, np.ndarray) else cmath.isfinite(x) for x in inputs):
+        raise SingularInput(f"non-finite input: q={qv}, g={(phi, theta, psi)}")
+    num, den, gap = _mobius(qv, phi, theta, psi)
+    if np.count_nonzero(gap < 1e-13):
+        raise PoleError(f"phase map pole at q={qv}, g={(phi, theta, psi)}")
+    return _times(num, den), _times(np.exp(1j * psi), num) / den
 
 
 def mobius_phase(q: ComplexQ, g: EulerAngles) -> tuple[complex, complex]:
     """Prefactor base (its j-th power multiplies the state) and w = e^{iu} of
-    the closed-form wavefunction.  PoleError where u is singular: w = 0 or
-    infinity, its num or den cancelled to below 1e-13 of its terms.
+    the closed-form wavefunction.  SingularInput at a non-finite input;
+    PoleError where u is singular: w = 0 or infinity, its num or den
+    cancelled to below 1e-13 of its terms.
     """
-    qv = q.value
-    vals = (qv.real, qv.imag, g.phi, g.theta, g.psi)
-    if not all(math.isfinite(t) for t in vals):
-        raise SingularInput(f"non-finite input: q={qv}, g={g}")
-    base, w, gap = _mobius(qv, g.phi, g.theta, g.psi)
-    if gap < 1e-13:
-        raise PoleError(f"phase map pole at q={qv}, g={g.as_tuple()}")
+    base, w = phase_map(q.value, g.phi, g.theta, g.psi)
     return complex(base), complex(w)
 
 
-def _psi(coeffs: np.ndarray, base, w) -> np.ndarray:
-    """base^j sum_n c_n w^n, with base^j inside the basis exponent."""
-    j = (len(coeffs) - 1) // 2
-    return fourier_basis(j, -1j * np.log(w), j * np.log(base)) @ coeffs
+def psi_from_phase(coeffs, base, w) -> np.ndarray:
+    """Psi = base^j sum_n c_n w^n at each phase (base, w) of phase_map, with
+    base^j inside the basis exponent.  coeffs holds the 2j+1 coefficients
+    on its last axis, one row per point or one row for all; each point
+    equals its one-point call bit for bit (lambda_rep.fourier_sum).
+    """
+    coeffs = np.asarray(coeffs)
+    j = (coeffs.shape[-1] - 1) // 2
+    return fourier_sum(-1j * np.log(w), coeffs, j * np.log(base))
 
 
 def psi_grid(
@@ -87,18 +116,22 @@ def psi_grid(
     qv is the complex angle (ComplexQ.value); state is Phi_{j,s} as a
     FourierState or its 2j+1 coefficients.  The arrays broadcast together;
     exact pole nodes of the phase map are nudged, not rejected; OverflowError
-    where a term passes e^LOG_MAX (lambda_rep.fourier_basis).
+    where a term passes e^LOG_MAX (lambda_rep.fourier_basis).  The grid is
+    one matrix-vector product, with base and w as array products, so a
+    value can differ from psi_eval at its point in the last bit.
     """
     coeffs = state.coeffs if isinstance(state, FourierState) else np.asarray(state)
-    base, w, _ = _mobius(qv, np.asarray(phi), np.asarray(theta), np.asarray(psi))
-    return _psi(coeffs, base, w)
+    j = (len(coeffs) - 1) // 2
+    num, den, _ = _mobius(qv, np.asarray(phi), np.asarray(theta), np.asarray(psi))
+    w = np.exp(1j * np.asarray(psi)) * num / den
+    return fourier_basis(j, -1j * np.log(w), j * np.log(num * den)) @ coeffs
 
 
 def psi_eval(
     q: ComplexQ, j: int, s: int, p: TopParams, g: EulerAngles
 ) -> complex:
-    """Psi_{q,j,s}(g) by psi_grid's sum, after mobius_phase's refusals."""
-    return complex(_psi(phi_state(j, s, p).coeffs, *mobius_phase(q, g)))
+    """Psi_{q,j,s}(g): psi_from_phase of phi_state at mobius_phase."""
+    return complex(psi_from_phase(phi_state(j, s, p).coeffs, *mobius_phase(q, g)))
 
 
 # --- kernel ------------------------------------------------------------
@@ -122,9 +155,11 @@ def _kernel_factors(qv, qpv, phi, theta, psi):
     return np.stack(np.broadcast_arrays(*x), axis=-1), np.stack(y, axis=-1)
 
 
-def _kernel_values(qv, qpv, j: int, phi, theta, psi):
-    """Kernel D^j as arrays; broadcasts over all five argument arrays.
-    OverflowError where a value passes e^LOG_MAX (lambda_rep.scaled_power)."""
+def kernel_values(qv, qpv, j: int, phi, theta, psi) -> np.ndarray:
+    """Closed-form kernel D^j_{qq'}(g) at every point of the five broadcast
+    arrays (qv, qpv complex angles, the second entering conjugated); each
+    point equals its kernel_eval call bit for bit.  OverflowError where a
+    value passes e^LOG_MAX (lambda_rep.scaled_power)."""
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite base is refused
         x, y = _kernel_factors(qv, qpv, phi, theta, psi)
         base = np.sum(x * y, axis=-1)
@@ -133,23 +168,29 @@ def _kernel_values(qv, qpv, j: int, phi, theta, psi):
 
 def kernel_eval(q: ComplexQ, qp: ComplexQ, j: int, g: EulerAngles) -> complex:
     """Closed-form kernel D^j_{qq'}(g); the second angle enters conjugated."""
-    return complex(_kernel_values(q.value, qp.value, j, g.phi, g.theta, g.psi))
+    return complex(kernel_values(q.value, qp.value, j, g.phi, g.theta, g.psi))
+
+
+def kernel_factored_from_phase(qpv, j: int, base, w) -> np.ndarray:
+    """The kernel as prefactor times the reproducing delta of the shifted
+    angle, base^j sum_n B_nj e^{in(u - conj(qp))}, at each phase (base, w =
+    e^{iu}) of phase_map and complex angle qpv; each point equals its
+    kernel_factored call bit for bit."""
+    return psi_from_phase(weight_vector(j), base, _times(w, np.exp(-1j * np.conjugate(qpv))))
 
 
 def kernel_factored(q: ComplexQ, qp: ComplexQ, j: int, g: EulerAngles) -> complex:
-    """Kernel as prefactor times the reproducing delta of the shifted angle.
-
-    Must equal kernel_eval wherever the phase map is regular.
-    """
-    base, w = mobius_phase(q, g)  # base^j sum_n B_nj e^{in(u - conj(qp))}
-    return complex(_psi(weight_vector(j), base, w * cmath.exp(-1j * qp.value.conjugate())))
+    """kernel_factored_from_phase at mobius_phase(q, g); must equal
+    kernel_eval wherever the phase map is regular."""
+    return complex(kernel_factored_from_phase(qp.value, j, *mobius_phase(q, g)))
 
 
 def t_matrix(j: int, g: EulerAngles) -> np.ndarray:
     """Matrix of the kernel action on e^{inq}: rows/columns n = -j..j.
 
     t(identity) = I; Gram-unitary (t^H G t = G with G = diag(1/B_nj)); and
-    t(g1 g2) = t(g1) t(g2).
+    t(g1 g2) = t(g1) t(g2).  Stacks over arrays of angles as
+    wigner_D_matrix does.
     """
     f = np.sqrt(weight_vector(j)) * fourier_basis(j, -math.pi / 2)  # sqrt(B_n) (-i)^n
     return np.outer(f, 1.0 / f) * wigner_D_matrix(j, g)
@@ -176,7 +217,12 @@ def t_matrix_quadrature(j: int, g: EulerAngles) -> np.ndarray:
     coef = np.array([math.comb(j, a0) * math.comb(j - a0, a1) for a0, a1, _ in powers])
 
     def monomials(f):  # prod_k f_k ** a_k per node and term
-        return np.prod((f[..., None] ** np.arange(j + 1))[:, [0, 1, 2], powers], axis=-1)
+        table = [np.ones_like(f.T), f.T]
+        while len(table) <= j:  # f ** k by repeated products, for k <= 3 the bits of **
+            table.append(_times(table[-1], f.T))
+        table = np.stack(table)  # (power, factor, node)
+        a0, a1, a2 = powers.T
+        return (table[a0, 0] * table[a1, 1] * table[a2, 2]).T
 
     lhs = right.conj().T @ monomials(x)  # (2j+1, terms)
     rhs = monomials(y).T @ right  # (terms, 2j+1)
@@ -184,12 +230,22 @@ def t_matrix_quadrature(j: int, g: EulerAngles) -> np.ndarray:
     return scale[:, None] * ((lhs * coef) @ rhs)
 
 
+def psi_via_kernel_values(qv, coeffs, phi, theta, psi) -> np.ndarray:
+    """Psi through the kernel action, t(g) Phi evaluated at q, at every
+    point of the broadcast arrays (coeffs as in psi_from_phase); refuses as
+    lambda_rep.state_values does.  Each point equals its psi_via_kernel
+    call bit for bit.
+    """
+    coeffs = np.asarray(coeffs)
+    t = t_matrix((coeffs.shape[-1] - 1) // 2, EulerAngles(phi, theta, psi))
+    return state_values(qv, (t @ coeffs[..., None])[..., 0])
+
+
 def psi_via_kernel(
     q: ComplexQ, j: int, s: int, p: TopParams, g: EulerAngles
 ) -> complex:
     """Psi through the kernel action on Phi; must equal psi_eval."""
-    coeffs = t_matrix(j, g) @ phi_state(j, s, p).coeffs
-    return evaluate_state(FourierState(j=j, coeffs=coeffs), q)
+    return complex(psi_via_kernel_values(q.value, phi_state(j, s, p).coeffs, g.phi, g.theta, g.psi))
 
 
 # --- Wigner-basis eigenvectors ------------------------------------------
@@ -307,8 +363,8 @@ def kernel_gram(
         points.append((shared, shared2, shared, shared2))
     defect = 0.0
     for qq, qp, qt, qtp in points:
-        left = _kernel_values(qq.value, qp.value, j, rule.phi, rule.theta, rule.psi)
-        right = _kernel_values(qt.value, qtp.value, jt, rule.phi, rule.theta, rule.psi)
+        left = kernel_values(qq.value, qp.value, j, rule.phi, rule.theta, rule.psi)
+        right = kernel_values(qt.value, qtp.value, jt, rule.phi, rule.theta, rule.psi)
         quad = complex(np.sum(rule.weights * np.conj(left) * right))
         if j == jt:
             expected = delta_j(qt, qq, j) * delta_j(qp, qtp, j) / (2 * j + 1)
@@ -318,10 +374,20 @@ def kernel_gram(
     return defect
 
 
+def completeness_defects(j: int, p: TopParams, qs: list[ComplexQ]) -> np.ndarray:
+    """completeness_defect at every q of qs, from one phi_states read; each
+    equals its completeness_defect call bit for bit."""
+    rows = np.array([u.coeffs for u in phi_states(j, p)])
+    basis = fourier_basis(j, np.array([q.value for q in qs]))
+    values = (rows @ basis[..., None])[..., 0]  # Phi_{j,s}(q), a row per q
+    return np.array(
+        [abs(np.vdot(v, v).real / (2 * j + 1) - delta_j(q, q, j)) for v, q in zip(values, qs)]
+    )
+
+
 def completeness_defect(j: int, p: TopParams, q: ComplexQ) -> float:
     """|sum_s |Phi_{j,s}(q)|^2/(2j+1) - delta_j(q, conj(q))|."""
-    values = np.array([u.coeffs for u in phi_states(j, p)]) @ fourier_basis(j, q.value)
-    return abs(np.vdot(values, values).real / (2 * j + 1) - delta_j(q, q, j))
+    return completeness_defects(j, p, [q])[0]
 
 
 def uncertainty(q: ComplexQ, j: int) -> float:

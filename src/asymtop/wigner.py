@@ -122,13 +122,15 @@ def wigner_d_matrix(j: int, theta) -> np.ndarray:
 
 
 def wigner_D_matrix(j: int, g: EulerAngles) -> np.ndarray:
-    """Full D^j(g) matrix, rows/cols n = -j..j ascending."""
-    n = np.arange(-j, j + 1)
-    return (
-        np.exp(1j * n * g.phi)[:, None]
-        * wigner_d_matrix(j, g.theta)
-        * np.exp(1j * n * g.psi)[None, :]
-    )
+    """Full D^j(g) matrix, rows/cols n = -j..j ascending.
+
+    g's angles may be arrays; they broadcast together and the result stacks
+    one matrix per rotation, with shape angles.shape + (2j+1, 2j+1), each
+    equal to its one-rotation call.
+    """
+    n = 1j * np.arange(-j, j + 1)
+    left, right = np.exp(np.multiply.outer(g.phi, n)), np.exp(np.multiply.outer(g.psi, n))
+    return left[..., :, None] * wigner_d_matrix(j, g.theta) * right[..., None, :]
 
 
 def wigner_gram(j: int, jt: int, rule: HaarRule) -> np.ndarray:
@@ -137,7 +139,8 @@ def wigner_gram(j: int, jt: int, rule: HaarRule) -> np.ndarray:
     The rule's node sum factors by axis (HaarRule), so G is the Hadamard
     product of the polar sum P[m, n, mt, nt] = sum_b (w_b/2) d^j_{mn}(theta_b)
     d^jt_{mt nt}(theta_b) with F(mt - m) F(nt - n), where F(k) is the mean of
-    e^{ik phi_a} over the rule's azimuths, summed on that grid.  Equals
+    e^{ik phi_a} over the rule's azimuths, summed on that grid.  The d tables
+    are the rule's (HaarRule.polar_d), built once per rule and j.  Equals
     delta_{j,jt} delta_{m,mt} delta_{n,nt} / (2j+1) when the rule is exact at
     max(j, jt).
     """
@@ -150,8 +153,8 @@ def wigner_gram(j: int, jt: int, rule: HaarRule) -> np.ndarray:
     f = np.exp(1j * np.outer(rule.azimuths, np.arange(-j - jt, j + jt + 1))).mean(axis=0)
     az = f[np.arange(-jt, jt + 1) - np.arange(-j, j + 1)[:, None] + j + jt]
     nodes = len(rule.polar_nodes)
-    d = wigner_d_matrix(j, rule.polar_nodes).reshape(nodes, -1)
-    dt = d if jt == j else wigner_d_matrix(jt, rule.polar_nodes).reshape(nodes, -1)
+    d = rule.polar_d(j).reshape(nodes, -1)
+    dt = rule.polar_d(jt).reshape(nodes, -1)
     polar = ((0.5 * rule.polar_weights[:, None] * d).T @ dt).reshape(dim, dim, dim_t, dim_t)
     return polar * az[:, None, :, None] * az[None, :, None, :]
 

@@ -19,6 +19,7 @@ from asymtop import (
     wigner_small_d,
 )
 from asymtop.so3 import THETA_MARGIN, rot_x, rot_z
+from asymtop.wigner import wigner_d_matrix
 
 
 def random_angles(rng, margin=0.3):
@@ -203,6 +204,11 @@ def test_haar_rule_flat_grid_is_the_meshgrid_of_its_axes():
         assert rule.phi is rule.phi  # built once
         with pytest.raises(AttributeError):
             rule.phi = az
+        for j in range(degree + 1):
+            table = rule.polar_d(j)
+            assert table.tobytes() == wigner_d_matrix(j, rule.polar_nodes).tobytes()
+            assert not table.flags.writeable
+            assert rule.polar_d(j) is table  # built once per rule and j
 
 
 def test_haar_rule_size_guard():

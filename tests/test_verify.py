@@ -4,11 +4,36 @@ import math
 import numpy as np
 import pytest
 
-from asymtop import ROUTES, TopParams, haar_rule, spectra, verify, wigner_gram
+from asymtop import (
+    IDENTITY,
+    ROUTES,
+    ComplexQ,
+    EulerAngles,
+    PoleError,
+    TopParams,
+    compose,
+    completeness_defect,
+    delta_j,
+    gram_matrix,
+    haar_rule,
+    kernel_conj_defect,
+    kernel_eval,
+    kernel_factored,
+    psi_eval,
+    psi_via_kernel,
+    spectra,
+    t_matrix,
+    t_matrix_quadrature,
+    verify,
+    wigner_gram,
+)
 from asymtop.cli import main
 from asymtop.verify import (
     CHECKS,
+    check_bridge,
+    check_completeness,
     check_gram_hermiticity,
+    check_kernel_group,
     check_pde_residual,
     check_wigner_orthogonality,
     run_all,
@@ -109,3 +134,91 @@ def test_run_all_is_every_check_run_alone(params, jmax):
     assert [(r.name, r.defect.hex(), r.tol, r.passed) for r in batched] == [
         (r.name, r.defect.hex(), r.tol, r.passed) for r in alone
     ]
+
+
+# per-draw formulations of the sampled checks: one scalar call per draw and
+# layer, with the draws taken in the checks' order
+
+
+def _kernel_group_per_draw(jmax, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for j in range(jmax + 1):
+        eye = np.eye(2 * j + 1)
+        worst = max(worst, float(np.max(np.abs(t_matrix(j, IDENTITY) - eye))))
+        gram = gram_matrix(j)
+        gram_scale = max(1.0, float(np.max(gram)))
+        for _ in range(2):
+            g1, g2 = verify._random_angles(rng), verify._random_angles(rng)
+            t1 = t_matrix(j, g1)
+            worst = max(worst, float(np.max(np.abs(t_matrix(j, compose(g1, g2)) - t1 @ t_matrix(j, g2)))))
+            worst = max(worst, float(np.max(np.abs(t1.conj().T @ gram @ t1 - gram))) / gram_scale)
+            q, qp = verify._random_q(rng), verify._random_q(rng)
+            expected = delta_j(q, qp, j)
+            worst = max(worst, abs(kernel_eval(q, qp, j, IDENTITY) - expected) / max(1.0, abs(expected)))
+            worst = max(worst, kernel_conj_defect(q, qp, j, g1) / max(1.0, abs(kernel_eval(q, qp, j, g1))))
+    return worst
+
+
+def _bridge_per_draw(p, jmax, seed):
+    rng = np.random.default_rng(seed)
+    d_matrix = 0.0
+    for j in range(jmax + 1):
+        for _ in range(2):
+            g = verify._random_angles(rng)
+            q, qp = verify._random_q(rng), verify._random_q(rng)
+            s = int(rng.integers(-j, j + 1))
+            v1 = psi_eval(q, j, s, p, g)
+            d_matrix = max(d_matrix, abs(v1 - psi_via_kernel(q, j, s, p, g)) / max(1.0, abs(v1)))
+            k1 = kernel_eval(q, qp, j, g)
+            d_matrix = max(d_matrix, abs(k1 - kernel_factored(q, qp, j, g)) / max(1.0, abs(k1)))
+    d_quad = 0.0
+    for j in range(min(jmax, 2) + 1):
+        g = verify._random_angles(rng)
+        d_quad = max(d_quad, float(np.max(np.abs(t_matrix_quadrature(j, g) - t_matrix(j, g)))))
+    return max(d_matrix, 1e-4 * d_quad)
+
+
+def _completeness_per_draw(p, jmax, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for j in range(jmax + 1):
+        for _ in range(2):
+            q = verify._random_q(rng, beta=0.5)
+            worst = max(worst, completeness_defect(j, p, q) / max(1.0, float(delta_j(q, q, j).real)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_sampled_checks_equal_their_per_draw_formulation(seed):
+    # draws first, then each j once over its draws: the same defect bit for bit
+    p = TopParams(5.3, 2.1, 0.4)
+    with spectra.SpectrumBatch(range(6)):
+        for jmax in range(6):
+            assert check_kernel_group(jmax, seed).defect == _kernel_group_per_draw(jmax, seed)
+            assert check_bridge(p, jmax, seed).defect == _bridge_per_draw(p, jmax, seed)
+            assert check_completeness(p, jmax, seed).defect == _completeness_per_draw(p, jmax, seed)
+
+
+def test_bridge_refuses_a_draw_on_the_phase_map_pole(monkeypatch):
+    # the second draw at j = 1 (the fourth rotation and the seventh q drawn)
+    # sits where the phase map is singular; psi_eval refuses it, and so
+    # must the batched check
+    pole_q, pole_g = ComplexQ(math.pi / 2, 0.0), EulerAngles(0.0, math.pi / 2, 0.0)
+    with pytest.raises(PoleError):
+        psi_eval(pole_q, 1, 0, P321, pole_g)
+    angles, qs = verify._random_angles, verify._random_q
+    drawn = {"angles": 0, "q": 0}
+
+    def angles_at_pole(rng):
+        drawn["angles"] += 1
+        return pole_g if drawn["angles"] == 4 else angles(rng)
+
+    def q_at_pole(rng, beta=0.7):
+        drawn["q"] += 1
+        return pole_q if drawn["q"] == 7 else qs(rng, beta)
+
+    monkeypatch.setattr(verify, "_random_angles", angles_at_pole)
+    monkeypatch.setattr(verify, "_random_q", q_at_pole)
+    with pytest.raises(PoleError):
+        check_bridge(P321, jmax=3)

@@ -12,10 +12,12 @@ from asymtop import (
     ComplexQ,
     DomainError,
     EulerAngles,
+    FourierState,
     PoleError,
     SingularInput,
     TopParams,
     completeness_defect,
+    completeness_defects,
     delta_j,
     evaluate_state,
     gram_matrix,
@@ -23,8 +25,14 @@ from asymtop import (
     kernel_conj_defect,
     kernel_eval,
     kernel_factored,
+    kernel_factored_from_phase,
     kernel_gram,
+    kernel_values,
     mobius_phase,
+    phase_map,
+    psi_from_phase,
+    psi_via_kernel_values,
+    state_values,
     invariant_field_apply,
     pde_residual,
     phi_state,
@@ -82,6 +90,43 @@ def test_mobius_phase_guards():
         mobius_phase(ComplexQ(math.nan, 0.0), IDENTITY)
     with pytest.raises(SingularInput):
         mobius_phase(ComplexQ(0.0, 0.0), EulerAngles(0.0, math.inf, 0.0))
+    # the array map refuses when any one point is refused
+    qv, phi, theta = np.array([0.3 + 0.1j, math.pi / 2]), np.array([0.4, 0.0]), np.array([1.1, math.pi / 2])
+    with pytest.raises(PoleError):
+        phase_map(qv, phi, theta, 2.5)
+    with pytest.raises(SingularInput):
+        phase_map(qv, phi, np.array([1.1, math.inf]), 2.5)
+    with pytest.raises(SingularInput):
+        phase_map(qv, phi, theta, np.array([2.5, math.nan]))
+
+
+def test_array_entry_points_are_their_one_point_calls(p321, rng):
+    # each point of an array call equals its one-point call, bit for bit
+    for j in (0, 1, 4, 9):
+        qs, qps = [random_q(rng, beta=3.0) for _ in range(5)], [random_q(rng, beta=3.0) for _ in range(5)]
+        gs = [random_g(rng) for _ in range(5)]
+        ss = [int(s) for s in rng.integers(-j, j + 1, size=5)]
+        qv, qpv = np.array([q.value for q in qs]), np.array([q.value for q in qps])
+        at = EulerAngles(*np.array([g.as_tuple() for g in gs]).T)
+        states = np.array([phi_state(j, s, p321).coeffs for s in ss])
+        base, w = phase_map(qv, at.phi, at.theta, at.psi)
+        cases = {
+            "mobius_phase": (np.stack([base, w], axis=-1), [mobius_phase(q, g) for q, g in zip(qs, gs)]),
+            "psi_eval": (psi_from_phase(states, base, w), [psi_eval(q, j, s, p321, g) for q, s, g in zip(qs, ss, gs)]),
+            "psi_via_kernel": (
+                psi_via_kernel_values(qv, states, at.phi, at.theta, at.psi),
+                [psi_via_kernel(q, j, s, p321, g) for q, s, g in zip(qs, ss, gs)],
+            ),
+            "kernel_eval": (kernel_values(qv, qpv, j, at.phi, at.theta, at.psi), [kernel_eval(q, qp, j, g) for q, qp, g in zip(qs, qps, gs)]),
+            "kernel_factored": (
+                kernel_factored_from_phase(qpv, j, base, w),
+                [kernel_factored(q, qp, j, g) for q, qp, g in zip(qs, qps, gs)],
+            ),
+            "evaluate_state": (state_values(qv, states), [evaluate_state(FourierState(j, c), q) for c, q in zip(states, qs)]),
+            "completeness_defect": (completeness_defects(j, p321, qs), [completeness_defect(j, p321, q) for q in qs]),
+        }
+        for name, (together, alone) in cases.items():
+            assert np.asarray(together).tobytes() == np.array(alone).astype(np.asarray(together).dtype).tobytes(), (name, j)
 
 
 def test_j1_closed_forms(p321, rng):
@@ -388,6 +433,7 @@ def test_every_e_inq_evaluator_is_finite_or_refuses(point):
         "psi_via_kernel": lambda: psi_via_kernel(q, j, s, p, g),
         "completeness_defect": lambda: completeness_defect(j, p, q),
         "kernel_factored": lambda: kernel_factored(q, q, j, g),
+        "kernel_values": lambda: complex(kernel_values(q.value, q.value, j, g.phi, g.theta, g.psi)),
     }
     values = {}
     for name, evaluate in evaluators.items():

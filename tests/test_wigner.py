@@ -13,6 +13,7 @@ from asymtop import (
     angular_momentum_matrices,
     compose,
     haar_rule,
+    t_matrix,
     wigner_D,
     wigner_D_matrix,
     wigner_d_matrix,
@@ -97,12 +98,22 @@ def test_small_d_matrix_matches_expm_oracle(j, rng):
 
 
 def test_small_d_matrix_stacks_over_theta(rng):
-    thetas = rng.uniform(0.0, math.pi, size=(2, 3))
-    for j in (0, 2, 7):
-        stacked = wigner_d_matrix(j, thetas)
-        assert stacked.shape == (2, 3, 2 * j + 1, 2 * j + 1)
-        for idx in np.ndindex(thetas.shape):
-            np.testing.assert_array_equal(stacked[idx], wigner_d_matrix(j, thetas[idx]))
+    # d over theta, D and t over all three angles (phi a scalar once, to
+    # broadcast): each stacked matrix is its one-angle call, bit for bit
+    angles = [rng.uniform(0.0, top, size=(2, 3)) for top in (2 * math.pi, math.pi, 2 * math.pi)]
+    evaluators = {
+        "d": lambda j, phi, theta, psi: wigner_d_matrix(j, theta),
+        "D": lambda j, phi, theta, psi: wigner_D_matrix(j, EulerAngles(phi, theta, psi)),
+        "t": lambda j, phi, theta, psi: t_matrix(j, EulerAngles(phi, theta, psi)),
+        "D, one phi": lambda j, phi, theta, psi: wigner_D_matrix(j, EulerAngles(0.3, theta, psi)),
+    }
+    for name, evaluate in evaluators.items():
+        for j in (0, 2, 7):
+            stacked = evaluate(j, *angles)
+            assert stacked.shape == (2, 3, 2 * j + 1, 2 * j + 1), name
+            for idx in np.ndindex(angles[1].shape):
+                alone = evaluate(j, *(a[idx] for a in angles))
+                np.testing.assert_array_equal(stacked[idx], alone, err_msg=name)
 
 
 def test_eigenbasis_computed_once_per_j(monkeypatch):
@@ -208,12 +219,14 @@ def test_small_d_domain_guards():
 
 
 def test_big_d_matches_elementwise(rng):
-    g = EulerAngles(0.7, 1.2, 2.1)
+    gs = [EulerAngles(0.7, 1.2, 2.1), EulerAngles(3.9, 0.4, 5.5), EulerAngles(6.1, 2.9, 0.2)]
+    stacked = EulerAngles(*np.array([g.as_tuple() for g in gs]).T)
     for j in (0, 1, 3):
-        mat = wigner_D_matrix(j, g)
-        for m in range(-j, j + 1):
-            for n in range(-j, j + 1):
-                assert abs(mat[m + j, n + j] - wigner_D(j, m, n, g)) < 1e-14
+        mats = [wigner_D_matrix(j, gs[0])] + list(wigner_D_matrix(j, stacked))
+        for mat, g in zip(mats, gs[:1] + gs):
+            for m in range(-j, j + 1):
+                for n in range(-j, j + 1):
+                    assert abs(mat[m + j, n + j] - wigner_D(j, m, n, g)) < 1e-14
 
 
 def test_representation_property(rng):
