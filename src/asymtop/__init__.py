@@ -78,6 +78,7 @@ from .verify import CheckResult, run_all
 from .wavefunctions import (
     completeness_defect,
     completeness_defects,
+    completeness_sides,
     kernel_conj_defect,
     kernel_eval,
     kernel_factored,
@@ -87,6 +88,8 @@ from .wavefunctions import (
     mobius_phase,
     phase_map,
     pde_residual,
+    pde_residual_from_stencils,
+    pde_stencils,
     psi_eval,
     psi_grid,
     psi_from_phase,

@@ -41,14 +41,32 @@ LEVELS_HEADER = "j,s,class,E_wigner,E_lambda,E_lame,max_disagreement"
 WAVE_HEADER = "phi,theta,psi,re_psi,im_psi"
 
 
+def _rows(head: str, row: str, columns: list[tuple[str, object]], sep: str, tail: str) -> None:
+    """Print head, then row % (one value of each column) for every row,
+    joined by sep, then tail: one format string per row.
+
+    columns are the (cell format, values) pairs of row's cells; a format
+    with no % is a constant cell (its values are not read).  "%.17g" cells
+    print x + 0.0, which folds -0.0 into 0; "%r" cells print the float's
+    repr, as json.dumps does (-0.0 included), and refuse a non-finite
+    value, which JSON cannot hold.
+    """
+    cells = []
+    for f, v in columns:
+        if f in ("%.17g", "%r"):
+            v = np.asarray(v, dtype=float)
+            if f == "%r" and not np.isfinite(v).all():
+                raise ValueError("non-finite value in JSON output")
+            v = (v + 0.0 if f == "%.17g" else v).tolist()
+        if "%" in f:
+            cells.append(v)
+    print(head + sep.join(row % values for values in zip(*cells)) + tail)
+
+
 def _csv(header: str, columns: list[tuple[str, object]]) -> None:
-    """Print header and one row per entry of the (cell format, values)
-    columns, with one format string per row.  A "" format is an empty cell
-    (its values are not read), and "%.17g" cells print x + 0.0, which folds
-    -0.0 into 0."""
-    cells = [(np.asarray(v, dtype=float) + 0.0).tolist() if f == "%.17g" else v for f, v in columns if f]
-    row = ",".join(f for f, _ in columns)
-    print("\n".join([header, *(row % values for values in zip(*cells))]))
+    """Print header and one CSV row per entry of the (cell format, values)
+    columns (_rows); a "" format is an empty cell."""
+    _rows(header + "\n", ",".join(f for f, _ in columns), columns, "\n", "")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,13 +225,13 @@ def cmd_levels(args) -> int:
         columns += [("%.17g" if r in energies else "", energies.get(r)) for r in ROUTES]
         _csv(LEVELS_HEADER, columns + [("" if spread is None else "%.17g", spread)])
     else:
-        absent = itertools.repeat(None)
-        columns = [js, ss, classes if has_class else absent]
-        columns += [energies.get(r, absent) for r in ROUTES]
-        columns.append(absent if spread is None else spread.tolist())
         keys = LEVELS_HEADER.split(",")
-        rows = [dict(zip(keys, values)) for values in zip(*columns)]
-        print(json.dumps({"params": {"A": p.A, "B": p.B, "C": p.C}, "levels": rows}))
+        cells = [("%d", js), ("%d", ss), ("%d" if has_class else "null", classes)]
+        cells += [("%r" if r in energies else "null", energies.get(r)) for r in ROUTES]
+        cells.append(("null" if spread is None else "%r", spread))
+        row = "{" + ", ".join(f'"{k}": {f}' for k, (f, _) in zip(keys, cells)) + "}"
+        head = json.dumps({"params": {"A": p.A, "B": p.B, "C": p.C}, "levels": []})[:-2]  # up to "levels": [
+        _rows(head, row, cells, ", ", "]}")
     if worst_rel > tols["route-agreement"]:
         print(
             f"error: cross-route disagreement {worst_rel:.3e} exceeds "

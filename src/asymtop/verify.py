@@ -8,10 +8,11 @@ check_* defaults, run_all (which caps the caller's jmax per check so quick
 runs stay quick), and the CLI's --tol-<name> flags and tol-<name> config
 keys all come from it.
 
-The sampled checks kernel-group, bridge and completeness draw everything
-first, in the original order, then evaluate each j once over all of its
-draws with the array entry points (a stacked t_matrix, kernel_values,
-phase_map, ...), each point of which equals its one-point call bit for bit.
+The sampled checks kernel-group, bridge, pde-residual and completeness draw
+everything first, in the original order, then evaluate each j once over all
+of its draws with the array entry points (a stacked t_matrix, kernel_values,
+phase_map, pde_stencils, ...), each point of which equals its one-point call
+bit for bit.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .lambda_rep import (
 from .so3 import IDENTITY, EulerAngles, compose, haar_rule, inverse
 from .spectra import ROUTES, SpectrumBatch, TopParams, h_matrix_lambda, phi_state, spectrum
 from .wavefunctions import (
-    completeness_defects,
+    completeness_sides,
     kernel_factored_from_phase,
     kernel_values,
-    pde_residual,
+    pde_residual_from_stencils,
+    pde_stencils,
     phase_map,
     psi_from_phase,
     psi_via_kernel_values,
@@ -352,14 +354,19 @@ def check_pde_residual(
     of the nested central differences; at h = 5e-4 rounding can already
     dominate near theta = 0 or pi and the ratio is noise.  Residuals below
     1e-10 are skipped.
+
+    The nested stencils of every draw come from one pde_stencils call on
+    the stacked centres; then, per j, one psi_grid call (as pde_residual).
     """
     rng = np.random.default_rng(seed)
+    draws = [(int(rng.integers(-j, j + 1)), _random_angles(rng), _random_q(rng, beta=0.3)) for j in range(jmax + 1)]
+    steps = (4e-3, 2e-3)
+    at = _stacked([g for _, g, _ in draws])
+    stencils = pde_stencils(at.phi, at.theta, at.psi, steps)
     worst = 0.0
-    for j in range(jmax + 1):
-        s = int(rng.integers(-j, j + 1))
-        g = _random_angles(rng)
-        q = _random_q(rng, beta=0.3)
-        schrod, sym = pde_residual(q, j, s, p, g, steps=(4e-3, 2e-3))
+    for j, (s, g, q) in enumerate(draws):
+        own = [tuple(x[j] for x in st) for st in stencils]
+        schrod, sym = pde_residual_from_stencils(own, q, j, s, p, g, steps)
         coarse, fine = np.column_stack((schrod, sym))
         for big, small in zip(coarse, fine):
             if big < 1e-10 or small < 1e-300:
@@ -374,13 +381,14 @@ def check_completeness(
     seed: int = 42,
     tol: float = _SPEC["completeness"].tol,
 ) -> CheckResult:
-    """sum_s |Phi_{j,s}(q)|^2 / (2j+1) = delta_j(q, conj(q)), relative."""
+    """sum_s |Phi_{j,s}(q)|^2 / (2j+1) = delta_j(q, conj(q)), relative to
+    max(1, delta_j), which is taken once per draw (completeness_sides)."""
     rng = np.random.default_rng(seed)
     draws = [[_random_q(rng, beta=0.5) for _ in range(2)] for _ in range(jmax + 1)]
     worst = 0.0
     for j, qs in enumerate(draws):
-        scale = np.array([max(1.0, float(delta_j(q, q, j).real)) for q in qs])
-        worst = max(worst, float(np.max(completeness_defects(j, p, qs) / scale)))
+        sums, deltas = completeness_sides(j, p, qs)
+        worst = max(worst, max(abs(a - b) / max(1.0, float(b.real)) for a, b in zip(sums, deltas)))
     return _result("completeness", worst, tol)
 
 

@@ -200,34 +200,33 @@ def t_matrix_quadrature(j: int, g: EulerAngles) -> np.ndarray:
     """t by direct double quadrature of the kernel against the basis.
 
     t_mn = B_m * Iint conj(e^{imq}) D^j_{qq'}(g) e^{inq'} dmu(q) dmu(q'),
-    summed over the q_rule nodes (weights inside the basis table, the outer
-    product of its alpha and beta tables); used to validate the closed form
-    at small j.
-    The kernel's base is x(q) . y(q') (see _kernel_factors), so base^j is a
-    sum of C(j+2, 2) multinomial terms coef_a x^a(q) y^a(q'), and the double
-    sum splits into one product of single sums per term: no nodes x nodes
-    array is formed.
+    summed over the q_rule nodes; used to validate the closed form at small
+    j.  The sum is taken by axis, as quadrature_gram is.  The kernel's base
+    is trigonometric of degree 1 in L = phi + q and in L' = conj(q') - psi,
+    so base^j = sum_{r, r'} c_{rr'} e^{irL} e^{ir'L'} over |r|, |r'| <= j,
+    with c from j 2-D convolutions of the 3 x 3 table of base (phi and psi
+    ride in the table as e^{ir phi} e^{-ir' psi}).  On the product grid
+    e^{irq} factors by axis, and the double node sum becomes
+    Q c Q[::-1] with Q_mr = sum_nodes w conj(e^{imq}) e^{irq}: the Hadamard
+    product of one alpha and one beta table product of fourier_basis, the
+    log weights in the exponent.  No node-sized kernel table is formed;
+    OverflowError where fourier_basis refuses a table.
     """
-    rule = q_rule(j)
-    along_alpha, along_beta = rule.basis_by_axis(1.0)
-    right = (along_alpha[:, None] * along_beta).reshape(-1, 2 * j + 1)  # w psi_n(q) per node
-    x, y = _kernel_factors(rule.nodes, rule.nodes, g.phi, g.theta, g.psi)
-    lo, hi = np.triu_indices(j + 1)
-    powers = np.stack([j - hi, hi - lo, lo], axis=-1)  # every (a0, a1, a2) summing to j
-    coef = np.array([math.comb(j, a0) * math.comb(j - a0, a1) for a0, a1, _ in powers])
-
-    def monomials(f):  # prod_k f_k ** a_k per node and term
-        table = [np.ones_like(f.T), f.T]
-        while len(table) <= j:  # f ** k by repeated products, for k <= 3 the bits of **
-            table.append(_times(table[-1], f.T))
-        table = np.stack(table)  # (power, factor, node)
-        a0, a1, a2 = powers.T
-        return (table[a0, 0] * table[a1, 1] * table[a2, 2]).T
-
-    lhs = right.conj().T @ monomials(x)  # (2j+1, terms)
-    rhs = monomials(y).T @ right  # (terms, 2j+1)
+    along_alpha, along_beta = q_rule(j).basis_by_axis(0.5)
+    gram = (along_alpha.conj().T @ along_alpha) * (along_beta.T @ along_beta)
+    cos_th, half_sin = math.cos(g.theta), 0.5j * math.sin(g.theta)
+    corner, anti = (cos_th - 1.0) / 4.0, (cos_th + 1.0) / 4.0
+    step = np.array([[corner, half_sin, anti], [half_sin, cos_th, half_sin], [anti, half_sin, corner]])
+    step *= np.outer(fourier_basis(1, g.phi), fourier_basis(1, -g.psi))  # rows r, columns r' = -1, 0, 1
+    coef = np.ones((1, 1), dtype=complex)
+    for _ in range(j):  # base^(k+1) = base^k base
+        n = len(coef)
+        grown = np.zeros((n + 2, n + 2), dtype=complex)
+        for (r, rp), c in np.ndenumerate(step):
+            grown[r : r + n, rp : rp + n] += c * coef
+        coef = grown
     scale = (2 * j + 1) / const_C(j) * weight_vector(j)
-    return scale[:, None] * ((lhs * coef) @ rhs)
+    return scale[:, None] * (gram @ coef @ gram[::-1])
 
 
 def psi_via_kernel_values(qv, coeffs, phi, theta, psi) -> np.ndarray:
@@ -266,6 +265,75 @@ def state_jms(j: int, m: int, s: int, p: TopParams) -> np.ndarray:
 # --- residuals and norms -------------------------------------------------
 
 
+def pde_stencils(phi, theta, psi, steps) -> list[tuple[np.ndarray, ...]]:
+    """The nested field stencils of pde_residual at every centre of the
+    broadcast angle arrays, from 9 field_stencil calls for all centres.
+
+    One (phi, theta, psi, outer weights, inner weights) per field, xi_a xi_a
+    for a = 1..3, then eta_a for a = 1..3 as a nest under one outer weight
+    1; each array has the centres' shape leading, then the step of `steps`,
+    and a centre's slice equals the stencil built at that centre alone.
+    DomainError where field_stencil refuses a centre.
+    """
+    h = np.asarray(steps, dtype=float)
+    centre = [x[..., None] for x in np.broadcast_arrays(phi, theta, psi)]
+    stencils = []
+    for a in (1, 2, 3):
+        outer, w_outer = field_stencil("xi", a, *centre, h)
+        inner, w_inner = field_stencil("xi", a, *outer, h[:, None])
+        stencils.append((*inner, w_outer, w_inner))
+    for a in (1, 2, 3):
+        points, w = field_stencil("eta", a, *centre, h)
+        stencils.append((*points, np.ones(w.shape[:-1] + (1,)), w[..., None, :]))
+    return stencils
+
+
+def pde_residual_from_stencils(
+    stencils: list[tuple[np.ndarray, ...]],
+    q: ComplexQ,
+    j: int,
+    s: int,
+    p: TopParams,
+    g: EulerAngles,
+    steps: tuple[float, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """pde_residual at (q, g) from the stencils pde_stencils built at g
+    with these steps, one psi_grid call for every point of every step."""
+    coeffs = phi_state(j, s, p).coeffs
+    energy = spectrum(j, p, route="lambda")[s + j].E
+    qv = q.value
+    centre = (g.phi, g.theta, g.psi)
+    h = np.asarray(steps, dtype=float)
+    q_at_g = qv + np.concatenate(([0.0], np.column_stack((h, -h)).ravel()))  # q, q + h, q - h, ...
+    phi, theta, psi = (
+        np.concatenate([st[i].ravel() for st in stencils] + [np.full(len(q_at_g), x)])
+        for i, x in enumerate(centre)
+    )
+    qs = np.concatenate((np.full(len(phi) - len(q_at_g), qv), q_at_g))
+    *chunks, at_g = np.split(
+        psi_grid(qs, coeffs, phi, theta, psi), np.cumsum([st[4].size for st in stencils])
+    )
+    applied = np.stack(
+        [
+            np.sum(w_outer * np.sum(w_inner * vals.reshape(w_inner.shape), axis=-1), axis=-1)
+            for (*_, w_outer, w_inner), vals in zip(stencils, chunks)
+        ],
+        axis=-1,
+    )
+    psi0 = at_g[0]
+    dq = (at_g[1::2] - at_g[2::2]) / (2.0 * h)
+    schrod = np.abs(-(applied[:, :3] @ (p.A, p.B, p.C)) - energy * psi0)
+    ell = np.stack(
+        (
+            -1j * cmath.sin(qv) * dq + 1j * j * cmath.cos(qv) * psi0,
+            -1j * cmath.cos(qv) * dq - 1j * j * cmath.sin(qv) * psi0,
+            dq,
+        ),
+        axis=-1,
+    )
+    return schrod, np.abs(applied[:, 3:] + ell)
+
+
 def pde_residual(
     q: ComplexQ,
     j: int,
@@ -282,51 +350,11 @@ def pde_residual(
     stencil are the centres of the inner one.  l_a acts on the complex angle
     by a central difference along its real part.  Psi is evaluated at every
     point of every step, at g and at q +- h in one psi_grid call.  Both
-    residuals converge as O(h^2).
+    residuals converge as O(h^2).  pde_residual_from_stencils of
+    pde_stencils at g.
     """
-    coeffs = phi_state(j, s, p).coeffs
-    energy = spectrum(j, p, route="lambda")[s + j].E
-    qv = q.value
-    centre = (g.phi, g.theta, g.psi)
-    h = np.asarray(steps, dtype=float)
-    # (points, outer weights, inner weights), leading axis the step: xi_a xi_a
-    # for a = 1..3, then eta_a for a = 1..3 as a nest under one outer weight 1
-    stencils = []
-    for a in (1, 2, 3):
-        outer, w_outer = field_stencil("xi", a, *centre, h)
-        inner, w_inner = field_stencil("xi", a, *outer, h[:, None])
-        stencils.append((inner, w_outer, w_inner))
-    for a in (1, 2, 3):
-        points, w = field_stencil("eta", a, *centre, h)
-        stencils.append((points, np.ones((len(h), 1)), w[:, None, :]))
-    q_at_g = qv + np.concatenate(([0.0], np.column_stack((h, -h)).ravel()))  # q, q + h, q - h, ...
-    phi, theta, psi = (
-        np.concatenate([pts[i].ravel() for pts, _, _ in stencils] + [np.full(len(q_at_g), x)])
-        for i, x in enumerate(centre)
-    )
-    qs = np.concatenate((np.full(len(phi) - len(q_at_g), qv), q_at_g))
-    *chunks, at_g = np.split(
-        psi_grid(qs, coeffs, phi, theta, psi), np.cumsum([w.size for _, _, w in stencils])
-    )
-    applied = np.stack(
-        [
-            np.sum(w_outer * np.sum(w_inner * vals.reshape(w_inner.shape), axis=-1), axis=-1)
-            for (_, w_outer, w_inner), vals in zip(stencils, chunks)
-        ],
-        axis=-1,
-    )
-    psi0 = at_g[0]
-    dq = (at_g[1::2] - at_g[2::2]) / (2.0 * h)
-    schrod = np.abs(-(applied[:, :3] @ (p.A, p.B, p.C)) - energy * psi0)
-    ell = np.stack(
-        (
-            -1j * cmath.sin(qv) * dq + 1j * j * cmath.cos(qv) * psi0,
-            -1j * cmath.cos(qv) * dq - 1j * j * cmath.sin(qv) * psi0,
-            dq,
-        ),
-        axis=-1,
-    )
-    return schrod, np.abs(applied[:, 3:] + ell)
+    stencils = pde_stencils(g.phi, g.theta, g.psi, steps)
+    return pde_residual_from_stencils(stencils, q, j, s, p, g, steps)
 
 
 def so3_norm(q: ComplexQ, j: int, s: int, p: TopParams, rule: HaarRule) -> float:
@@ -374,15 +402,22 @@ def kernel_gram(
     return defect
 
 
-def completeness_defects(j: int, p: TopParams, qs: list[ComplexQ]) -> np.ndarray:
-    """completeness_defect at every q of qs, from one phi_states read; each
-    equals its completeness_defect call bit for bit."""
+def completeness_sides(j: int, p: TopParams, qs: list[ComplexQ]) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of the completeness relation at every q of qs:
+    sum_s |Phi_{j,s}(q)|^2/(2j+1), from one phi_states read, and
+    delta_j(q, conj(q)), one delta_j call per q."""
     rows = np.array([u.coeffs for u in phi_states(j, p)])
     basis = fourier_basis(j, np.array([q.value for q in qs]))
     values = (rows @ basis[..., None])[..., 0]  # Phi_{j,s}(q), a row per q
-    return np.array(
-        [abs(np.vdot(v, v).real / (2 * j + 1) - delta_j(q, q, j)) for v, q in zip(values, qs)]
-    )
+    sums = np.array([np.vdot(v, v).real / (2 * j + 1) for v in values])
+    return sums, np.array([delta_j(q, q, j) for q in qs])
+
+
+def completeness_defects(j: int, p: TopParams, qs: list[ComplexQ]) -> np.ndarray:
+    """completeness_defect at every q of qs, |difference| of the
+    completeness_sides; each equals its completeness_defect call bit for
+    bit."""
+    return np.array([abs(a - b) for a, b in zip(*completeness_sides(j, p, qs))])
 
 
 def completeness_defect(j: int, p: TopParams, q: ComplexQ) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -126,6 +127,16 @@ def test_levels_keeps_negative_zero_in_json_only(capsys):
     assert '"E_lame": -0.0' in out
     _, out, _ = run_cli(capsys, ["levels", "--jmax", "0", "--routes", "lame"])
     assert out.splitlines()[1] == "0,0,1,,,0,"
+
+
+def test_levels_json_refuses_a_non_finite_value(capsys, monkeypatch):
+    # JSON has no NaN: the writer raises instead of printing it
+    solve = cli.spectrum
+    monkeypatch.setattr(
+        cli, "spectrum", lambda j, p, route: [lv._replace(E=math.nan) if j == 1 else lv for lv in solve(j, p, route=route)]
+    )
+    code, out, err = run_cli(capsys, ["levels", "--jmax", "2", "--routes", "wigner", "--format", "json"])
+    assert code == 3 and out == "" and "non-finite" in err
 
 
 def test_levels_refuses_symmetrized_entries_out_of_range(capsys):

@@ -19,12 +19,14 @@ from asymtop import (
     kernel_conj_defect,
     kernel_eval,
     kernel_factored,
+    pde_residual,
     psi_eval,
     psi_via_kernel,
     spectra,
     t_matrix,
     t_matrix_quadrature,
     verify,
+    wavefunctions,
     wigner_gram,
 )
 from asymtop.cli import main
@@ -189,6 +191,21 @@ def _completeness_per_draw(p, jmax, seed):
     return worst
 
 
+def _pde_residual_per_draw(p, jmax, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for j in range(jmax + 1):
+        s = int(rng.integers(-j, j + 1))
+        g = verify._random_angles(rng)
+        q = verify._random_q(rng, beta=0.3)
+        schrod, sym = pde_residual(q, j, s, p, g, steps=(4e-3, 2e-3))
+        coarse, fine = np.column_stack((schrod, sym))
+        for big, small in zip(coarse, fine):
+            if big >= 1e-10 and small >= 1e-300:
+                worst = max(worst, abs(big / small - 4.0))
+    return worst
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 def test_sampled_checks_equal_their_per_draw_formulation(seed):
     # draws first, then each j once over its draws: the same defect bit for bit
@@ -198,6 +215,26 @@ def test_sampled_checks_equal_their_per_draw_formulation(seed):
             assert check_kernel_group(jmax, seed).defect == _kernel_group_per_draw(jmax, seed)
             assert check_bridge(p, jmax, seed).defect == _bridge_per_draw(p, jmax, seed)
             assert check_completeness(p, jmax, seed).defect == _completeness_per_draw(p, jmax, seed)
+            assert check_pde_residual(p, jmax, seed).defect == _pde_residual_per_draw(p, jmax, seed)
+
+
+def test_completeness_takes_delta_j_once_per_draw(monkeypatch):
+    calls = []
+    for module in (verify, wavefunctions):
+        monkeypatch.setattr(module, "delta_j", lambda q, qp, j, f=module.delta_j: calls.append(j) or f(q, qp, j))
+    check_completeness(P321, jmax=6)
+    assert sorted(calls) == [j for j in range(7) for _ in range(2)]
+
+
+def test_pde_residual_builds_its_stencils_once_per_check(monkeypatch):
+    # 9 field_stencil calls on the stacked centres of every draw, whatever jmax
+    calls = []
+    stencil = wavefunctions.field_stencil
+    monkeypatch.setattr(wavefunctions, "field_stencil", lambda *a: calls.append(np.shape(a[2])) or stencil(*a))
+    for jmax in (0, 3):
+        check_pde_residual(P321, jmax)
+        assert len(calls) == 9 and all(shape[0] == jmax + 1 for shape in calls)
+        calls.clear()
 
 
 def test_bridge_refuses_a_draw_on_the_phase_map_pole(monkeypatch):

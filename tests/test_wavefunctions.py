@@ -35,6 +35,7 @@ from asymtop import (
     state_values,
     invariant_field_apply,
     pde_residual,
+    pde_stencils,
     phi_state,
     psi_eval,
     psi_grid,
@@ -51,6 +52,8 @@ from asymtop import (
     q_rule,
     weight_vector,
 )
+from asymtop import wavefunctions
+from asymtop.lambda_rep import QRule
 from asymtop.so3 import THETA_MARGIN
 from asymtop.wavefunctions import _kernel_factors
 
@@ -220,11 +223,27 @@ def _t_quadrature_brute_force(j, g, block=256):
 
 
 def test_t_matrix_quadrature_matches_brute_force_double_sum(rng):
-    for j in (0, 1, 2):
+    for j in range(5):
         g = random_g(rng)
         ref = _t_quadrature_brute_force(j, g)
         got = t_matrix_quadrature(j, g)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_t_matrix_quadrature_sums_by_axis(rng, monkeypatch):
+    # the node grid and the kernel's node factors are never read
+    g = random_g(rng)
+    expected = [t_matrix_quadrature(j, g) for j in range(4)]
+
+    def refuse(*args):
+        raise AssertionError("node-grid path taken")
+
+    monkeypatch.setattr(QRule, "nodes", property(refuse))
+    monkeypatch.setattr(wavefunctions, "_kernel_factors", refuse)
+    for j, want in enumerate(expected):
+        assert np.array_equal(t_matrix_quadrature(j, g), want)
+    with pytest.raises(AssertionError):
+        q_rule(1).nodes
 
 
 def test_t_matrix_quadrature_at_larger_j(rng):
@@ -342,6 +361,25 @@ def test_pde_residual_matches_the_nested_scalar_oracle(p321):
                     err = max(abs(schrod[row] - ref_schrod), np.max(np.abs(sym[row] - ref_sym)))
                     worst = max(worst, err / max(1.0, scale))
     assert worst < 1e-9
+
+
+def test_pde_stencils_on_stacked_centres_equal_each_centre_alone(rng):
+    gs = [random_g(rng) for _ in range(5)] + [EulerAngles(0, 1, 2)]
+    phi, theta, psi = np.array([g.as_tuple() for g in gs], dtype=float).T
+    steps = (4e-3, 2e-3)
+    stacked = pde_stencils(phi, theta, psi, steps)
+    assert len(stacked) == 6
+    for i, g in enumerate(gs):
+        alone = pde_stencils(g.phi, g.theta, g.psi, steps)
+        for together, single in zip(stacked, alone):
+            assert len(together) == len(single) == 5
+            for x, y in zip(together, single):
+                assert x[i].shape == y.shape and x[i].tobytes() == y.tobytes()
+    # a 2-D array of centres keeps its shape in front
+    grid = pde_stencils(phi.reshape(2, 3), theta.reshape(2, 3), psi.reshape(2, 3), steps)
+    for together, flat in zip(grid, stacked):
+        for x, y in zip(together, flat):
+            assert np.array_equal(x.reshape(y.shape), y)
 
 
 def test_pde_residual_guards_every_stencil_centre(p321):
