@@ -77,7 +77,6 @@ from .spectra import (
 from .verify import CheckResult, run_all
 from .wavefunctions import (
     completeness_defect,
-    completeness_defects,
     completeness_sides,
     kernel_conj_defect,
     kernel_eval,

@@ -1,19 +1,25 @@
 """Command line interface.
 
-Subcommands:
+Subcommands, and the shared settings each one reads:
     levels   energy levels by every requested route, with cross-route defects
-    wave     closed-form wavefunction sampled on an Euler-angle grid
-    kernel   reproducing kernel at one point, with optional identity check
+             (A B C jmax routes format tol-route-agreement)
+    wave     closed-form wavefunction sampled on an Euler-angle grid (A B C format)
+    kernel   reproducing kernel at one point, with optional identity check (format)
     verify   the full self-check suite, one line per check
+             (A B C jmax format seed, and tol-<check> for every check name)
 
-Shared flags (also settable as key=value lines in a --config file; explicit
-flags win, and a key that names no flag is an error): --A --B --C --jmax
---routes --format --seed and one --tol-<check> per check name.
+Each shared setting is declared once, in SETTINGS.  A subcommand takes the
+settings it reads as --flags and refuses the others as unrecognized (exit 3).
+Each setting is also a key=value line of a --config file: an explicit flag
+wins, then the file, then the default.  One file serves every subcommand: a
+key that names a setting the subcommand does not read is skipped, and a key
+that names no setting is an error.
 
 Exit codes: 0 success, 1 verify found a failing check, 2 levels found a
 cross-route disagreement above tol-route-agreement, 3 invalid parameters or
-anything else that prevented computation, running out of memory included.  All output is deterministic for a
-fixed command line: data rows go to stdout, diagnostics to stderr.
+anything else that prevented computation, running out of memory included.
+All output is deterministic for a fixed command line: data rows go to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -34,8 +40,18 @@ from .spectra import ROUTES, SpectrumBatch, TopParams, phi_state, require_strict
 from .verify import CHECKS, run_all
 from .wavefunctions import kernel_conj_defect, kernel_eval, psi_grid
 
-_DEFAULTS = {"A": 3.0, "B": 2.0, "C": 1.0, "jmax": 4, "seed": 42, "routes": ",".join(ROUTES), "format": "csv"}
-_DEFAULTS.update({f"tol-{c.name}": c.tol for c in CHECKS})
+# Every shared setting: name -> (type, default, --help text).  A tuple type
+# is the setting's choices.
+SETTINGS = {
+    "A": (float, 3.0, "largest coefficient"),
+    "B": (float, 2.0, "middle coefficient"),
+    "C": (float, 1.0, "smallest coefficient"),
+    "jmax": (int, 4, "largest j (default 4)"),
+    "routes": (str, ",".join(ROUTES), "comma-separated subset of %s (levels only)" % ",".join(ROUTES)),
+    "format": (("csv", "json"), "csv", None),
+    "seed": (int, 42, "seed for sampled checks"),
+    **{f"tol-{c.name}": (float, c.tol, f"tolerance for the {c.name} check (default {c.tol:g})") for c in CHECKS},
+}
 
 LEVELS_HEADER = "j,s,class,E_wigner,E_lambda,E_lame,max_disagreement"
 WAVE_HEADER = "phi,theta,psi,re_psi,im_psi"
@@ -77,26 +93,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _add_shared(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--A", type=float, default=None, help="largest coefficient")
-    sp.add_argument("--B", type=float, default=None, help="middle coefficient")
-    sp.add_argument("--C", type=float, default=None, help="smallest coefficient")
-    sp.add_argument("--jmax", type=int, default=None, help="largest j (default 4)")
-    sp.add_argument(
-        "--routes",
-        default=None,
-        help="comma-separated subset of %s (levels only)" % ",".join(ROUTES),
-    )
-    sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-    sp.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
+def _subcommand(sub, name: str, text: str, run, names: str, checks=()) -> argparse.ArgumentParser:
+    """The subparser of run: a --flag for each named setting, then --config,
+    then --tol-<c> for each check name c.  Each flag defaults to None, so
+    that main can tell a given flag from an absent one."""
+    sp = sub.add_parser(name, help=text)
+
+    def flag(setting: str) -> None:
+        kind, _, doc = SETTINGS[setting]
+        choices = kind if isinstance(kind, tuple) else None
+        sp.add_argument(f"--{setting}", type=None if choices else kind, choices=choices, default=None, help=doc)
+
+    tols = [f"tol-{c}" for c in checks]
+    sp.set_defaults(run=run, settings=names.split() + tols)
+    for setting in names.split():
+        flag(setting)
     sp.add_argument("--config", default=None, help="key=value file; flags override")
-    for c in CHECKS:
-        sp.add_argument(
-            f"--tol-{c.name}",
-            type=float,
-            default=None,
-            help=f"tolerance for the {c.name} check (default {c.tol:g})",
-        )
+    for setting in tols:
+        flag(setting)
+    return sp
 
 
 @functools.cache
@@ -105,20 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     unchanged and every flag defaults to None, so calls share nothing."""
     parser = _Parser(prog="asymtop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    _subcommand(sub, "levels", "energy levels by every route", cmd_levels, "A B C jmax routes format", ["route-agreement"])
 
-    p_levels = sub.add_parser("levels", help="energy levels by every route")
-    _add_shared(p_levels)
-
-    p_wave = sub.add_parser("wave", help="sample one wavefunction on a grid")
-    _add_shared(p_wave)
+    p_wave = _subcommand(sub, "wave", "sample one wavefunction on a grid", cmd_wave, "A B C format")
     p_wave.add_argument("--j", type=int, required=True)
     p_wave.add_argument("--s", type=int, required=True)
     p_wave.add_argument("--q-re", type=float, default=0.0)
     p_wave.add_argument("--q-im", type=float, default=0.0)
     p_wave.add_argument("--grid-n", type=int, default=8, help="points per angle")
 
-    p_kernel = sub.add_parser("kernel", help="kernel value at one point")
-    _add_shared(p_kernel)
+    p_kernel = _subcommand(sub, "kernel", "kernel value at one point", cmd_kernel, "format")
     p_kernel.add_argument("--j", type=int, required=True)
     p_kernel.add_argument("--q-re", type=float, default=0.0)
     p_kernel.add_argument("--q-im", type=float, default=0.0)
@@ -133,14 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report delta_j and the kernel-at-identity defect",
     )
 
-    p_verify = sub.add_parser("verify", help="run the self-check suite")
-    _add_shared(p_verify)
+    _subcommand(sub, "verify", "run the self-check suite", cmd_verify, "A B C jmax format seed", [c.name for c in CHECKS])
     return parser
 
 
 def load_config(path: str) -> dict[str, str]:
     """Flat key=value file; blank lines and # comments are skipped.  Every
-    key must be one of the shared settings, so a misspelt key is an error."""
+    key must name a setting of SETTINGS, so a misspelt key is an error."""
     cfg: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -149,48 +159,32 @@ def load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise DomainError(f"config line is not key=value: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in SETTINGS:
             raise DomainError(f"unknown config key {key!r} in {path}")
         cfg[key] = val
     return cfg
 
 
-def _resolve(args, cfg: dict[str, str], key: str, cast):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cast(cfg[key])
-    return _DEFAULTS[key]
-
-
-def _settings(args):
-    cfg = load_config(args.config) if args.config else {}
-    p = TopParams(
-        A=_resolve(args, cfg, "A", float),
-        B=_resolve(args, cfg, "B", float),
-        C=_resolve(args, cfg, "C", float),
-    )
-    jmax = int(_resolve(args, cfg, "jmax", int))
-    if jmax < 0:
-        raise DomainError("jmax must be >= 0")
-    seed = int(_resolve(args, cfg, "seed", int))
-    fmt = getattr(args, "fmt", None) or cfg.get("format") or _DEFAULTS["format"]
-    if fmt not in ("csv", "json"):
-        raise DomainError(f"unknown format {fmt!r}")
-    routes = str(_resolve(args, cfg, "routes", str))
-    route_list = tuple(r.strip() for r in routes.split(",") if r.strip())
-    for r in route_list:
-        if r not in ROUTES:
-            raise DomainError(f"unknown route {r!r}; choose from {ROUTES}")
-    if not route_list:
-        raise DomainError("at least one route is required")
-    tols = {c.name: _resolve(args, cfg, f"tol-{c.name}", float) for c in CHECKS}
-    return p, jmax, seed, fmt, route_list, tols
+def _parse(name: str, text: str):
+    """A config file's value of a setting, read as its flag reads it."""
+    kind = SETTINGS[name][0]
+    if not isinstance(kind, tuple):
+        return kind(text)
+    if text not in kind:
+        raise DomainError(f"unknown {name} {text!r}")
+    return text
 
 
 def cmd_levels(args) -> int:
-    p, jmax, _seed, fmt, routes, tols = _settings(args)
+    p, jmax = TopParams(args.A, args.B, args.C), args.jmax
+    if jmax < 0:
+        raise DomainError("jmax must be >= 0")
+    routes = tuple(r.strip() for r in args.routes.split(",") if r.strip())
+    for r in routes:
+        if r not in ROUTES:
+            raise DomainError(f"unknown route {r!r}; choose from {ROUTES}")
+    if not routes:
+        raise DomainError("at least one route is required")
     skip_lame = False
     if "lame" in routes:
         try:
@@ -220,7 +214,7 @@ def cmd_levels(args) -> int:
         spread = table.max(axis=0) - table.min(axis=0)
         worst_rel = float((spread / np.maximum(1.0, np.abs(table).max(axis=0))).max())
     has_class = "lame" in energies
-    if fmt == "csv":
+    if args.format == "csv":
         columns = [("%d", js), ("%d", ss), ("%d" if has_class else "", classes)]
         columns += [("%.17g" if r in energies else "", energies.get(r)) for r in ROUTES]
         _csv(LEVELS_HEADER, columns + [("" if spread is None else "%.17g", spread)])
@@ -232,10 +226,10 @@ def cmd_levels(args) -> int:
         row = "{" + ", ".join(f'"{k}": {f}' for k, (f, _) in zip(keys, cells)) + "}"
         head = json.dumps({"params": {"A": p.A, "B": p.B, "C": p.C}, "levels": []})[:-2]  # up to "levels": [
         _rows(head, row, cells, ", ", "]}")
-    if worst_rel > tols["route-agreement"]:
+    if worst_rel > args.tol_route_agreement:
         print(
             f"error: cross-route disagreement {worst_rel:.3e} exceeds "
-            f"tol-route-agreement {tols['route-agreement']:.3e}",
+            f"tol-route-agreement {args.tol_route_agreement:.3e}",
             file=sys.stderr,
         )
         return 2
@@ -243,7 +237,7 @@ def cmd_levels(args) -> int:
 
 
 def cmd_wave(args) -> int:
-    p, _jmax, _seed, fmt, _routes, _tols = _settings(args)
+    p = TopParams(args.A, args.B, args.C)
     j, s, n = args.j, args.s, args.grid_n
     if j < 0 or abs(s) > j:
         raise DomainError(f"need j >= 0 and |s| <= j, got j={j}, s={s}")
@@ -258,7 +252,7 @@ def cmd_wave(args) -> int:
     cols = np.column_stack(
         [phi_g.ravel(), th_g.ravel(), psi_g.ravel(), vals.real, vals.imag]
     )
-    if fmt == "csv":
+    if args.format == "csv":
         _csv(WAVE_HEADER, [("%.17g", col) for col in cols.T])
     else:
         print(
@@ -276,7 +270,6 @@ def cmd_wave(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    _p, _jmax, _seed, fmt, _routes, _tols = _settings(args)
     j = args.j
     if j < 0:
         raise DomainError("j must be >= 0")
@@ -294,7 +287,7 @@ def cmd_kernel(args) -> int:
         out["delta_re"] = expected.real
         out["delta_im"] = expected.imag
         out["identity_defect"] = abs(kernel_eval(q, qp, j, IDENTITY) - expected)
-    if fmt == "csv":
+    if args.format == "csv":
         _csv("quantity,value", [("%s", out.keys()), ("%.17g", list(out.values()))])
     else:
         print(json.dumps(out))
@@ -302,10 +295,13 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    p, jmax, seed, fmt, _routes, tols = _settings(args)
+    p = TopParams(args.A, args.B, args.C)
+    if args.jmax < 0:
+        raise DomainError("jmax must be >= 0")
     require_strict(p)
-    results = run_all(p, jmax=jmax, seed=seed, tols=tols)
-    if fmt == "csv":
+    tols = {c.name: getattr(args, "tol_" + c.name.replace("-", "_")) for c in CHECKS}
+    results = run_all(p, jmax=args.jmax, seed=args.seed, tols=tols)
+    if args.format == "csv":
         names, passed, defects, limits = zip(*((r.name, str(r.passed).lower(), r.defect, r.tol) for r in results))
         _csv("check,passed,defect,tol", [("%s", names), ("%s", passed), ("%.17g", defects), ("%.17g", limits)])
     else:
@@ -332,14 +328,13 @@ def cmd_verify(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
-    handlers = {
-        "levels": cmd_levels,
-        "wave": cmd_wave,
-        "kernel": cmd_kernel,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        # each setting the subcommand reads: its flag, else the config file, else its default
+        cfg = load_config(args.config) if args.config else {}
+        for name in args.settings:
+            if getattr(args, dest := name.replace("-", "_")) is None:
+                setattr(args, dest, _parse(name, cfg[name]) if name in cfg else SETTINGS[name][1])
+        return args.run(args)
     except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -413,16 +413,11 @@ def completeness_sides(j: int, p: TopParams, qs: list[ComplexQ]) -> tuple[np.nda
     return sums, np.array([delta_j(q, q, j) for q in qs])
 
 
-def completeness_defects(j: int, p: TopParams, qs: list[ComplexQ]) -> np.ndarray:
-    """completeness_defect at every q of qs, |difference| of the
-    completeness_sides; each equals its completeness_defect call bit for
-    bit."""
-    return np.array([abs(a - b) for a, b in zip(*completeness_sides(j, p, qs))])
-
-
 def completeness_defect(j: int, p: TopParams, q: ComplexQ) -> float:
-    """|sum_s |Phi_{j,s}(q)|^2/(2j+1) - delta_j(q, conj(q))|."""
-    return completeness_defects(j, p, [q])[0]
+    """|sum_s |Phi_{j,s}(q)|^2/(2j+1) - delta_j(q, conj(q))|, the two
+    completeness_sides at q."""
+    (total,), (delta,) = completeness_sides(j, p, [q])
+    return abs(total - delta)
 
 
 def uncertainty(q: ComplexQ, j: int) -> float:

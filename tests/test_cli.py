@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from asymtop import DegenerateParamsError, ROUTES, TopParams, cli, require_strict, spectrum
-from asymtop.cli import LEVELS_HEADER, WAVE_HEADER, load_config, main
+from asymtop.cli import LEVELS_HEADER, WAVE_HEADER, build_parser, load_config, main
 
 
 def run_cli(capsys, argv):
@@ -369,3 +369,114 @@ def test_kernel_refuses_overflowing_values(capsys):
     code, out, err = run_cli(capsys, argv)
     assert code == 3 and out == ""
     assert err.startswith("error:") and "j=40" in err
+
+
+# the shared settings each subcommand reads, and the defaults they have always had
+REQUIRED = {"levels": [], "wave": ["--j", "1", "--s", "0"], "kernel": ["--j", "1"], "verify": ["--jmax", "0"]}
+DEFAULTS = {"A": 3.0, "B": 2.0, "C": 1.0, "jmax": 4, "routes": "wigner,lambda,lame", "format": "csv", "seed": 42}
+TOLS = {
+    "route-agreement": 1e-8,
+    "casimir": 1e-10,
+    "commutators": 1e-10,
+    "gram-hermiticity": 1e-12,
+    "wigner-orthogonality": 1e-10,
+    "kernel-group": 1e-10,
+    "bridge": 1e-10,
+    "pde-residual": 0.8,
+    "completeness": 1e-8,
+    "measure-quadrature": 1e-6,
+    "uncertainty": 1e-10,
+}
+TAKES = {
+    "levels": ["A", "B", "C", "jmax", "routes", "format", "tol-route-agreement"],
+    "wave": ["A", "B", "C", "format"],
+    "kernel": ["format"],
+    "verify": ["A", "B", "C", "jmax", "format", "seed"] + [f"tol-{name}" for name in TOLS],
+}
+
+
+@pytest.mark.parametrize("command", list(TAKES))
+def test_each_subcommand_takes_only_the_settings_it_reads(capsys, command):
+    for name, (_, default, _) in cli.SETTINGS.items():
+        argv = [command, *REQUIRED[command], f"--{name}", str(default)]
+        if name in TAKES[command]:
+            assert getattr(build_parser().parse_args(argv), name.replace("-", "_")) == default
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 3 and out == "", name
+        assert f"unrecognized arguments: --{name}" in err
+
+
+def test_settings_keep_their_defaults(capsys, monkeypatch):
+    assert {name: default for name, (_, default, _) in cli.SETTINGS.items()} == {
+        **DEFAULTS,
+        **{f"tol-{name}": tol for name, tol in TOLS.items()},
+    }
+    # and main hands them to each subcommand
+    calls = []
+    solve, states, checks = cli.spectrum, cli.phi_state, cli.run_all
+    monkeypatch.setattr(cli, "spectrum", lambda j, p, route: calls.append((j, p, route)) or solve(j, p, route=route))
+    monkeypatch.setattr(cli, "phi_state", lambda j, s, p: calls.append(p) or states(j, s, p))
+    monkeypatch.setattr(
+        cli, "run_all", lambda p, jmax, seed, tols: calls.append((p, jmax, seed, tols)) or checks(p, jmax=0, seed=seed, tols=tols)
+    )
+    top = TopParams(3.0, 2.0, 1.0)
+    code, out, _ = run_cli(capsys, ["levels"])
+    assert code == 0 and out.startswith(LEVELS_HEADER)
+    assert calls == [(j, top, route) for j in range(5) for route in ROUTES]
+    calls.clear()
+    code, out, _ = run_cli(capsys, ["wave", "--j", "1", "--s", "0"])
+    assert code == 0 and out.startswith(WAVE_HEADER) and calls == [top]
+    code, out, _ = run_cli(capsys, ["kernel", "--j", "1"])
+    assert code == 0 and out.startswith("quantity,value\n")
+    calls.clear()
+    code, out, _ = run_cli(capsys, ["verify"])
+    assert code == 0 and out.startswith("check,passed,defect,tol\n")
+    assert calls == [(top, 4, 42, TOLS)]
+
+
+@pytest.mark.parametrize("eps, code", [(0.9e-8, 0), (1.1e-8, 2)])
+def test_levels_route_agreement_defaults_to_1e_8(capsys, monkeypatch, eps, code):
+    # one route's levels moved by a relative eps: the default tolerance sits between
+    solve = cli.spectrum
+    monkeypatch.setattr(
+        cli, "spectrum", lambda j, p, route: [lv._replace(E=lv.E * (1 + eps * (route == "lame"))) for lv in solve(j, p, route=route)]
+    )
+    assert run_cli(capsys, ["levels", "--jmax", "3"])[0] == code
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["kernel", "--j", "3", "--identity-check"], "A = 1\nB = 2\nC = 3\n"),  # a top kernel never reads
+        (["wave", "--j", "2", "--s", "1"], "routes = bogus\njmax = -1\nseed = x\n"),  # nor wave these
+    ],
+)
+def test_config_settings_a_subcommand_does_not_read_are_skipped(tmp_path, capsys, argv, text):
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, argv)[1]
+
+
+@pytest.mark.parametrize("command", list(TAKES))
+def test_config_unknown_key_on_every_subcommand(tmp_path, capsys, command):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("jmax = 0\nfromat = json\n")
+    code, out, err = run_cli(capsys, [command, *REQUIRED[command], "--config", str(cfg)])
+    assert code == 3 and out == ""
+    assert err == f"error: unknown config key 'fromat' in {cfg}\n"
+
+
+@pytest.mark.parametrize("command", list(TAKES))
+def test_config_format_outside_its_choices(tmp_path, capsys, command):
+    # the file's value is checked as the flag's choices check it; an empty
+    # value is refused too, not read as the default
+    cfg = tmp_path / "format.cfg"
+    for value in ("xml", ""):
+        cfg.write_text(f"format = {value}\n")
+        code, out, err = run_cli(capsys, [command, *REQUIRED[command], "--config", str(cfg)])
+        assert (code, out, err) == (3, "", f"error: unknown format {value!r}\n")

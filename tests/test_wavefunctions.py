@@ -17,7 +17,7 @@ from asymtop import (
     SingularInput,
     TopParams,
     completeness_defect,
-    completeness_defects,
+    completeness_sides,
     delta_j,
     evaluate_state,
     gram_matrix,
@@ -126,7 +126,10 @@ def test_array_entry_points_are_their_one_point_calls(p321, rng):
                 [kernel_factored(q, qp, j, g) for q, qp, g in zip(qs, qps, gs)],
             ),
             "evaluate_state": (state_values(qv, states), [evaluate_state(FourierState(j, c), q) for c, q in zip(states, qs)]),
-            "completeness_defect": (completeness_defects(j, p321, qs), [completeness_defect(j, p321, q) for q in qs]),
+            "completeness_sides": (
+                np.stack(completeness_sides(j, p321, qs), axis=-1),
+                [np.concatenate(completeness_sides(j, p321, [q])) for q in qs],
+            ),
         }
         for name, (together, alone) in cases.items():
             assert np.asarray(together).tobytes() == np.array(alone).astype(np.asarray(together).dtype).tobytes(), (name, j)
