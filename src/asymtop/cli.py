@@ -93,6 +93,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+class _Subparser(_Parser):
+    # a subcommand refuses what follows it and it does not take, with its
+    # own usage line (argparse leaves such arguments to the top parser)
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _subcommand(sub, name: str, text: str, run, names: str, checks=()) -> argparse.ArgumentParser:
     """The subparser of run: a --flag for each named setting, then --config,
     then --tol-<c> for each check name c.  Each flag defaults to None, so
@@ -119,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The asymtop parser, built once per process: parse_args leaves it
     unchanged and every flag defaults to None, so calls share nothing."""
     parser = _Parser(prog="asymtop", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
     _subcommand(sub, "levels", "energy levels by every route", cmd_levels, "A B C jmax routes format", ["route-agreement"])
 
     p_wave = _subcommand(sub, "wave", "sample one wavefunction on a grid", cmd_wave, "A B C format")

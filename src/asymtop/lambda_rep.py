@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .caching import BytesCache, LazyTables
 from .errors import ConvergenceWarning, DimensionError, DomainError
 from .so3 import TWO_PI, gauss_legendre
 
@@ -125,9 +126,15 @@ def ell_matrix(a: int, j: int) -> np.ndarray:
 
 def casimir_matrix(j: int) -> np.ndarray:
     """Matrix of (-i l1)^2 + (-i l2)^2 + (-i l3)^2; equals j(j+1) I."""
-    total = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
-    for a in (1, 2, 3):
-        m = -1j * ell_matrix(a, j)
+    return casimir_from([ell_matrix(a, j) for a in (1, 2, 3)])
+
+
+def casimir_from(ells) -> np.ndarray:
+    """(-i l1)^2 + (-i l2)^2 + (-i l3)^2 of the matrices ells = (l1, l2, l3),
+    or of three equal stacks of them, one product per matrix."""
+    total = np.zeros(np.shape(ells[0]), dtype=complex)
+    for ell in ells:
+        m = -1j * ell
         total += m @ m
     return total
 
@@ -223,8 +230,13 @@ def evaluate_state(u: FourierState, q: ComplexQ) -> complex:
     return complex(state_values(q.value, u.coeffs))
 
 
+# q_rule keeps its rules, their flattened grids included, in this many bytes
+Q_CACHE_BYTES = 32 << 20
+_Q_RULES = BytesCache(Q_CACHE_BYTES)
+
+
 @dataclass(frozen=True)
-class QRule:
+class QRule(LazyTables):
     """Quadrature rule for integrals against dmu_j over alpha, beta.
 
     The product of a uniform alpha grid (`alphas`) and Gauss-Legendre nodes
@@ -239,7 +251,8 @@ class QRule:
     is the Hadamard product (A^H A) o (B^H B) of one Gram per axis.
 
     nodes, log_weights and weights are the flattened product grid, alpha
-    slowest, built on first use and read-only.
+    slowest, built on first use (LazyTables): read-only, and counted in
+    nbytes against q_rule's Q_CACHE_BYTES.
     """
 
     j: int
@@ -248,23 +261,21 @@ class QRule:
     beta_log_weights: np.ndarray
     beta_max: float
 
-    @functools.cached_property
-    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
+    _cache = _Q_RULES
+
+    def _flat_grid(self) -> tuple[np.ndarray, np.ndarray]:
         qs = self.alphas[:, None] + 1j * self.betas[None, :]
-        flat = (qs.ravel(), np.broadcast_to(self.beta_log_weights, qs.shape).ravel())
-        for arr in flat:
-            arr.flags.writeable = False
-        return flat
+        return qs.ravel(), np.broadcast_to(self.beta_log_weights, qs.shape).ravel()
 
     @property
     def nodes(self) -> np.ndarray:
         """Complex q points, flattened."""
-        return self._grid[0]
+        return self.table("grid", self._flat_grid)[0]
 
     @property
     def log_weights(self) -> np.ndarray:
         """Log weight of each node."""
-        return self._grid[1]
+        return self.table("grid", self._flat_grid)[1]
 
     @property
     def weights(self) -> np.ndarray:
@@ -283,9 +294,15 @@ def default_beta_max(j: int, tol: float = 1e-12) -> float:
 
 
 def q_rule(j: int, beta_max: float | None = None) -> QRule:
-    """Build the product rule: uniform alpha grid x Gauss-Legendre in beta."""
-    if beta_max is None:
-        beta_max = default_beta_max(j)
+    """The product rule, uniform alpha grid x Gauss-Legendre in beta, with
+    cutoff beta_max (default_beta_max(j) when None): built once per process
+    and cutoff while it stays within Q_CACHE_BYTES (caching)."""
+    return _q_rule(j, default_beta_max(j) if beta_max is None else beta_max)
+
+
+@_Q_RULES.memoize
+def _q_rule(j: int, beta_max: float) -> QRule:
+    """q_rule's build, keyed by (j, beta_max)."""
     n_alpha = 2 * j + 4
     # integrand poles at beta = +-i pi/2 bound the Gauss-Legendre rate:
     # error ~ exp(-n pi / beta_max) with a prefactor growing in j (the
@@ -297,13 +314,13 @@ def q_rule(j: int, beta_max: float | None = None) -> QRule:
     log_density = np.log(beta_max * wx) - (j + 1) * (2.0 * np.logaddexp(betas, -betas) - math.log(2.0))
     top = log_density.max()  # kappa: the weights sum to 1
     log_sum = top + math.log(n_alpha * float(np.sum(np.exp(log_density - top))))
-    return QRule(
-        j=j,
-        alphas=TWO_PI * np.arange(n_alpha) / n_alpha,
-        betas=betas,
-        beta_log_weights=log_density - log_sum,
-        beta_max=beta_max,
-    )
+    axes = (TWO_PI * np.arange(n_alpha) / n_alpha, betas, log_density - log_sum)
+    for arr in axes:
+        arr.flags.writeable = False
+    return QRule(j, *axes, beta_max=beta_max)
+
+
+q_rule.cache_clear = _q_rule.cache_clear
 
 
 def quadrature_gram(rule: QRule) -> np.ndarray:

@@ -17,6 +17,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
+from .caching import BytesCache, LazyTables
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -230,8 +231,13 @@ def casimir_apply(
     )
 
 
+# haar_rule keeps its rules, their polar_d tables included, in this many bytes
+HAAR_CACHE_BYTES = 32 << 20
+_HAAR_RULES = BytesCache(HAAR_CACHE_BYTES)
+
+
 @dataclass(frozen=True)
-class HaarRule:
+class HaarRule(LazyTables):
     """Product quadrature rule on SO(3), total weight 1.
 
     Uniform grids in phi and psi (the same `azimuths`), Gauss-Legendre in
@@ -246,9 +252,10 @@ class HaarRule:
     P = sum_b (w_b/2) d^j_{mn}(theta_b) d^jt_{mt nt}(theta_b) and F(k) the
     mean of e^{ik phi_a} over the azimuths (wigner.wigner_gram).
 
-    phi, theta, psi and weights are the flattened (phi, theta, psi) grid,
-    phi slowest, built on first use and read-only; so are the d^j tables at
-    the polar nodes (polar_d), once per j.
+    The flattened (phi, theta, psi) grid (phi, theta, psi and weights, phi
+    slowest) and the d^j tables at the polar nodes (polar_d, once per j) are
+    built on first use (LazyTables): read-only, and counted in nbytes
+    against haar_rule's HAAR_CACHE_BYTES.
     """
 
     degree: int
@@ -256,46 +263,36 @@ class HaarRule:
     polar_nodes: np.ndarray
     polar_weights: np.ndarray
 
-    @functools.cached_property
-    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    _cache = _HAAR_RULES
+
+    def _flat_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(self.azimuths)
         phi, theta, psi = np.meshgrid(self.azimuths, self.polar_nodes, self.azimuths, indexing="ij")
         w = np.broadcast_to(self.polar_weights[None, :, None] / (2.0 * n * n), phi.shape)
-        flat = (phi.ravel(), theta.ravel(), psi.ravel(), np.ascontiguousarray(w.ravel()))
-        for arr in flat:
-            arr.flags.writeable = False
-        return flat
+        return phi.ravel(), theta.ravel(), psi.ravel(), np.ascontiguousarray(w.ravel())
 
     @property
     def phi(self) -> np.ndarray:
-        return self._grid[0]
+        return self.table("grid", self._flat_grid)[0]
 
     @property
     def theta(self) -> np.ndarray:
-        return self._grid[1]
+        return self.table("grid", self._flat_grid)[1]
 
     @property
     def psi(self) -> np.ndarray:
-        return self._grid[2]
+        return self.table("grid", self._flat_grid)[2]
 
     @property
     def weights(self) -> np.ndarray:
-        return self._grid[3]
-
-    @functools.cached_property
-    def _polar_d(self) -> dict[int, np.ndarray]:
-        return {}
+        return self.table("grid", self._flat_grid)[3]
 
     def polar_d(self, j: int) -> np.ndarray:
         """wigner.wigner_d_matrix(j, polar_nodes), shape (nodes, 2j+1, 2j+1):
         every wigner_gram on this rule with j or jt = j reads this one table."""
-        if j not in self._polar_d:
-            from .wigner import wigner_d_matrix  # wigner imports this module
+        from .wigner import wigner_d_matrix  # wigner imports this module
 
-            table = wigner_d_matrix(j, self.polar_nodes)
-            table.flags.writeable = False
-            self._polar_d[j] = table
-        return self._polar_d[j]
+        return self.table(j, lambda: (wigner_d_matrix(j, self.polar_nodes),))[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -310,8 +307,10 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@_HAAR_RULES.memoize
 def haar_rule(degree: int) -> HaarRule:
-    """Build a normalized Haar rule exact through Wigner degree `degree`.
+    """The normalized Haar rule exact through Wigner degree `degree`, built
+    once per process while it stays within HAAR_CACHE_BYTES (caching).
 
     Uses 2*degree+1 azimuthal points (products carry frequencies up to
     2*degree) and degree+1 Gauss-Legendre nodes in cos theta (the surviving
@@ -321,9 +320,6 @@ def haar_rule(degree: int) -> HaarRule:
         raise DomainError("degree must be >= 0")
     n_az = 2 * degree + 1
     x, wx = gauss_legendre(degree + 1)
-    return HaarRule(
-        degree=degree,
-        azimuths=TWO_PI * np.arange(n_az) / n_az,
-        polar_nodes=np.arccos(x),
-        polar_weights=wx,
-    )
+    azimuths, polar_nodes = TWO_PI * np.arange(n_az) / n_az, np.arccos(x)
+    azimuths.flags.writeable = polar_nodes.flags.writeable = False
+    return HaarRule(degree=degree, azimuths=azimuths, polar_nodes=polar_nodes, polar_weights=wx)

@@ -13,24 +13,35 @@ everything first, in the original order, then evaluate each j once over all
 of its draws with the array entry points (a stacked t_matrix, kernel_values,
 phase_map, pde_stencils, ...), each point of which equals its one-point call
 bit for bit.
+
+The tables that do not depend on the top are built once per process and
+shared read-only, each cache bounded in bytes (caching.BytesCache):
+haar_rule's rules with their polar_d tables (so3.HAAR_CACHE_BYTES), q_rule's
+rules (lambda_rep.Q_CACHE_BYTES) and the GeneratorStacks of casimir,
+commutators and gram-hermiticity (STACK_CACHE_BYTES), 32 MiB each.  Those
+three checks take batched products over a stack of j (padding a j to the
+size of its chunk changes no bit) and reduce per j; gram-hermiticity still
+calls h_matrix_lambda(j, p) once per j.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .caching import BytesCache
 from .lambda_rep import (
     ComplexQ,
-    casimir_matrix,
+    casimir_from,
     delta_j,
     ell_matrix,
     gram_matrix,
     q_rule,
     quadrature_gram,
+    weight_vector,
 )
 from .so3 import IDENTITY, EulerAngles, compose, haar_rule, inverse
 from .spectra import ROUTES, SpectrumBatch, TopParams, h_matrix_lambda, phi_state, spectrum
@@ -66,6 +77,11 @@ class Check:
     run_all puts on the caller's jmax.  run(p, jmax, seed, tol) calls the
     check_* function through its module-level name at call time, so a
     wrapper put on that name (a tracer, a test's monkeypatch) sees the call.
+    A wrapper on a builder of a per-process table (haar_rule, q_rule,
+    generator_stack, or ell_matrix, angular_momentum_matrices and
+    weight_vector, which generator_stack reads) sees only the calls that
+    build, the first in a process; cache_clear() on haar_rule, q_rule or
+    generator_stack empties its cache.
     """
 
     name: str
@@ -170,31 +186,108 @@ def check_route_agreement(
     return _result("route-agreement", max(d_route, 100.0 * d_trace), tol)
 
 
+# generator_stack keeps its stacks in this many bytes, each at most CHUNK_BYTES
+STACK_CACHE_BYTES = 32 << 20
+CHUNK_BYTES = 4 << 20
+_STACKS = BytesCache(STACK_CACHE_BYTES)
+
+
+class GeneratorStack(NamedTuple):
+    """The generators at j = js[0]..js[-1], zero-padded and centred on one
+    grid n = -N..N, N = js[-1]: item k holds j = js[k] in rows and columns
+    N - j..N + j and zeros elsewhere, so a batched product of stacks is the
+    stack of the per-j products, bit for bit.
+
+    ell[a - 1] stacks lambda_rep.ell_matrix(a, j), spin[a - 1] the J_a of
+    wigner.angular_momentum_matrices(j), eye the identity of each block and
+    gram the Gram diagonal 1/weight_vector(j).  Read-only.
+    """
+
+    js: np.ndarray
+    ell: np.ndarray
+    spin: np.ndarray
+    eye: np.ndarray
+    gram: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(arr.nbytes for arr in self)
+
+
+def _centred(blocks: list[np.ndarray], n: int) -> np.ndarray:
+    """The blocks (vectors or square matrices of size 2j+1) stacked,
+    zero-padded and centred to size n on every axis."""
+    out = np.zeros((len(blocks),) + (n,) * blocks[0].ndim, dtype=np.result_type(*blocks))
+    for k, block in enumerate(blocks):
+        c = slice((n - len(block)) // 2, (n + len(block)) // 2)
+        out[(k,) + (c,) * block.ndim] = block
+    return out
+
+
+@_STACKS.memoize
+def generator_stack(lo: int, hi: int) -> GeneratorStack:
+    """The GeneratorStack of j = lo..hi, built once per process while it
+    stays within STACK_CACHE_BYTES (caching)."""
+    js, n = range(lo, hi + 1), 2 * hi + 1
+    spins = [angular_momentum_matrices(j) for j in js]
+    stack = GeneratorStack(
+        np.array(js),
+        np.stack([_centred([ell_matrix(a, j) for j in js], n) for a in (1, 2, 3)]),
+        np.stack([_centred([m[a] for m in spins], n) for a in range(3)]),
+        _centred([np.eye(2 * j + 1) for j in js], n),
+        _centred([1.0 / weight_vector(j) for j in js], n),
+    )
+    for arr in stack:
+        arr.flags.writeable = False
+    return stack
+
+
+def _chunks(jmax: int):
+    """(lo, hi) of the j chunks that cover 0..jmax; the last is cut at jmax.
+
+    hi = lo + 4 + lo // 4: at small j one chunk saves calls, at large j
+    padding each j to its chunk's last costs about a third more products.
+    An item holds 104 bytes per entry of its n x n grid (six complex
+    generators and the identity); a chunk holds at most CHUNK_BYTES, or
+    one j.
+    """
+    lo = 0
+    while lo <= jmax:
+        hi = lo + 4 + lo // 4
+        hi = min(hi, lo + max(0, CHUNK_BYTES // (104 * (2 * hi + 1) ** 2) - 1), jmax)
+        yield lo, hi
+        lo = hi + 1
+
+
+def generator_stacks(jmax: int) -> list[GeneratorStack]:
+    """The GeneratorStacks of j = 0..jmax, chunk by chunk."""
+    return [generator_stack(lo, hi) for lo, hi in _chunks(jmax)]
+
+
 def check_casimir(
     jmax: int = _SPEC["casimir"].jmax, tol: float = _SPEC["casimir"].tol
 ) -> CheckResult:
-    """l-matrix and J-matrix Casimirs equal j(j+1) I."""
+    """l-matrix and J-matrix Casimirs equal j(j+1) I: batched over each
+    GeneratorStack, the l one by lambda_rep.casimir_from."""
     worst = 0.0
-    for j in range(jmax + 1):
-        eye = np.eye(2 * j + 1)
-        worst = max(worst, float(np.max(np.abs(casimir_matrix(j) - j * (j + 1) * eye))))
-        j1, j2, j3 = angular_momentum_matrices(j)
-        total = j1 @ j1 + j2 @ j2 + j3 @ j3
-        worst = max(worst, float(np.max(np.abs(total - j * (j + 1) * eye))))
+    for st in generator_stacks(jmax):
+        target = (st.js * (st.js + 1))[:, None, None] * st.eye
+        j1, j2, j3 = st.spin
+        for total in (casimir_from(st.ell), j1 @ j1 + j2 @ j2 + j3 @ j3):
+            worst = max(worst, float(np.max(np.abs(total - target))))
     return _result("casimir", worst, tol)
 
 
 def check_commutators(
     jmax: int = _SPEC["commutators"].jmax, tol: float = _SPEC["commutators"].tol
 ) -> CheckResult:
-    """[l_a, l_b] = eps_abc l_c and [J_a, J_b] = i eps_abc J_c."""
+    """[l_a, l_b] = eps_abc l_c and [J_a, J_b] = i eps_abc J_c, batched over
+    each GeneratorStack."""
     worst = 0.0
-    for j in range(jmax + 1):
-        ells = {a: ell_matrix(a, j) for a in (1, 2, 3)}
-        js = dict(zip((1, 2, 3), angular_momentum_matrices(j)))
-        for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            d1 = ells[a] @ ells[b] - ells[b] @ ells[a] - ells[c]
-            d2 = js[a] @ js[b] - js[b] @ js[a] - 1j * js[c]
+    for st in generator_stacks(jmax):
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            d1 = st.ell[a] @ st.ell[b] - st.ell[b] @ st.ell[a] - st.ell[c]
+            d2 = st.spin[a] @ st.spin[b] - st.spin[b] @ st.spin[a] - 1j * st.spin[c]
             worst = max(worst, float(np.max(np.abs(d1))), float(np.max(np.abs(d2))))
     return _result("commutators", worst, tol)
 
@@ -210,19 +303,20 @@ def check_gram_hermiticity(
 
     Self-adjointness defects are relative to the size of G M, whose entries
     grow like 1/B_nj; the construction defect is relative to max(1, |H|).
+    Batched over each GeneratorStack, with h_matrix_lambda(j, p) per j; G is
+    diagonal, so G M and M^H G are products with its diagonal.
     """
     worst = 0.0
-    for j in range(jmax + 1):
-        gram = gram_matrix(j)
-        h = h_matrix_lambda(j, p)
-        gens = [-1j * ell_matrix(a, j) for a in (1, 2, 3)]
+    for st in generator_stacks(jmax):
+        h = _centred([h_matrix_lambda(int(j), p) for j in st.js], st.gram.shape[-1])
+        gens = -1j * st.ell
         from_ops = sum(w * m @ m for w, m in zip((p.A, p.B, p.C), gens))
-        scale = max(1.0, float(np.max(np.abs(h))))
-        worst = max(worst, float(np.max(np.abs(from_ops - h))) / scale)
-        for m in [h] + gens:
-            lhs = gram @ m
-            d = float(np.max(np.abs(lhs - m.conj().T @ gram)))
-            worst = max(worst, d / max(1.0, float(np.max(np.abs(lhs)))))
+        scale = np.maximum(1.0, np.max(np.abs(h), axis=(-2, -1)))
+        worst = max(worst, float(np.max(np.max(np.abs(from_ops - h), axis=(-2, -1)) / scale)))
+        for m in [h, *gens]:
+            lhs = st.gram[..., :, None] * m
+            d = np.max(np.abs(lhs - m.conj().swapaxes(-1, -2) * st.gram[..., None, :]), axis=(-2, -1))
+            worst = max(worst, float(np.max(d / np.maximum(1.0, np.max(np.abs(lhs), axis=(-2, -1))))))
     return _result("gram-hermiticity", worst, tol)
 
 

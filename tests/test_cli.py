@@ -409,6 +409,22 @@ def test_each_subcommand_takes_only_the_settings_it_reads(capsys, command):
         assert f"unrecognized arguments: --{name}" in err
 
 
+@pytest.mark.parametrize("command", list(TAKES))
+def test_unrecognized_argument_shows_the_subcommand_usage(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command], "--bogus", "1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3 and out == ""
+    assert err.startswith(f"usage: asymtop {command} [-h]")
+    assert "error: unrecognized arguments: --bogus 1" in err
+    # before the subcommand, an argument is the top parser's
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", command, *REQUIRED[command]])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3 and out == ""
+    assert err.startswith("usage: asymtop [-h] {levels,wave,kernel,verify}")
+
+
 def test_settings_keep_their_defaults(capsys, monkeypatch):
     assert {name: default for name, (_, default, _) in cli.SETTINGS.items()} == {
         **DEFAULTS,

@@ -25,6 +25,7 @@ from asymtop import (
     weight_B,
     weight_vector,
 )
+from asymtop import lambda_rep
 from asymtop.lambda_rep import LOG_MAX, QRule, default_beta_max, quadrature_gram
 
 
@@ -172,6 +173,30 @@ def test_q_rule_flat_grid_is_the_product_of_its_axes():
             assert not got.flags.writeable
         assert rule.beta_max == beta_max
         assert rule.nodes is rule.nodes  # built once
+
+
+def test_q_rule_is_cached_and_read_only(cold_caches):
+    rule = q_rule(2)
+    assert q_rule(2) is rule and q_rule(2, default_beta_max(2)) is rule
+    assert q_rule(2, 9.0) is not rule and q_rule(2, 9.0).beta_max == 9.0
+    for arr in (rule.alphas, rule.betas, rule.beta_log_weights, rule.nodes, rule.log_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    q_rule.cache_clear()
+    assert q_rule(2) is not rule
+
+
+def test_q_rule_cache_stays_within_its_byte_bound(cold_caches, monkeypatch):
+    # a rule counts its flattened grid once built, and the cache trims then
+    monkeypatch.setattr(lambda_rep._Q_RULES, "limit", 1 << 20)
+    built = 0
+    for j in range(12):
+        rule = q_rule(j)
+        rule.nodes
+        built += rule.nbytes
+        assert 0 < lambda_rep._Q_RULES.nbytes <= 1 << 20
+    assert built > 1 << 20  # the bound binds
+    assert q_rule(11) is q_rule(11)
 
 
 def test_quadrature_gram_by_axes_is_the_node_sum():

@@ -211,6 +211,19 @@ def test_haar_rule_flat_grid_is_the_meshgrid_of_its_axes():
             assert rule.polar_d(j) is table  # built once per rule and j
 
 
+def test_haar_rule_is_cached_and_read_only(cold_caches):
+    rule = haar_rule(3)
+    assert haar_rule(3) is rule
+    for arr in (rule.azimuths, rule.polar_nodes, rule.polar_weights, rule.phi, rule.weights, rule.polar_d(2)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert rule.nbytes == sum(
+        a.nbytes for a in (rule.azimuths, rule.polar_nodes, rule.polar_weights, rule.phi, rule.theta, rule.psi, rule.weights, rule.polar_d(2))
+    )
+    haar_rule.cache_clear()
+    assert haar_rule(3) is not rule
+
+
 def test_haar_rule_size_guard():
     with pytest.raises(DomainError):
         haar_rule(-1)

@@ -11,10 +11,14 @@ from asymtop import (
     EulerAngles,
     PoleError,
     TopParams,
+    angular_momentum_matrices,
+    casimir_matrix,
     compose,
     completeness_defect,
     delta_j,
+    ell_matrix,
     gram_matrix,
+    h_matrix_lambda,
     haar_rule,
     kernel_conj_defect,
     kernel_eval,
@@ -22,6 +26,7 @@ from asymtop import (
     pde_residual,
     psi_eval,
     psi_via_kernel,
+    so3,
     spectra,
     t_matrix,
     t_matrix_quadrature,
@@ -33,6 +38,8 @@ from asymtop.cli import main
 from asymtop.verify import (
     CHECKS,
     check_bridge,
+    check_casimir,
+    check_commutators,
     check_completeness,
     check_gram_hermiticity,
     check_kernel_group,
@@ -43,6 +50,7 @@ from asymtop.verify import (
 from asymtop.wigner import unitarity_defect
 
 P321 = TopParams(3.0, 2.0, 1.0)
+TOPS = [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4), (100.0, 2.0, 1.0), (1 + 1e-6, 1.0, 0.5)]
 NAMES = [c.name for c in CHECKS]
 
 
@@ -71,9 +79,10 @@ def test_cli_flags_and_config_keys_follow_the_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("target", ["h_matrix_lambda", "ell_matrix"])
-def test_gram_hermiticity_compares_ode_and_operator_constructions(monkeypatch, target):
+def test_gram_hermiticity_compares_ode_and_operator_constructions(monkeypatch, cold_caches, target):
     # a uniform 1e-9 rescale keeps every matrix Gram-self-adjoint, so only the
-    # ODE-vs-generator-product identity can see it
+    # ODE-vs-generator-product identity can see it; ell_matrix is read by
+    # generator_stack, whose cache the fixture empties
     original = getattr(verify, target)
     monkeypatch.setattr(verify, target, lambda *args: (1.0 + 1e-9) * original(*args))
     result = check_gram_hermiticity(P321)
@@ -106,6 +115,26 @@ def test_wigner_orthogonality_is_the_per_pair_gram(monkeypatch):
     assert pairs == [(j, jt, j) for j in range(6) for jt in range(j + 1)]
 
 
+def test_haar_rule_cache_stays_within_its_byte_bound(monkeypatch, cold_caches):
+    # the tables check_wigner_orthogonality(jmax=40) builds: d^jt at the
+    # polar nodes of every rule of degree j <= 40, for jt <= j (its Grams,
+    # up to 6561 x 6561 entries, are left out)
+    built = 0
+    for j in range(41):
+        rule = haar_rule(j)
+        for jt in range(j + 1):
+            built += rule.polar_d(jt).nbytes
+            assert so3._HAAR_RULES.nbytes <= so3.HAAR_CACHE_BYTES
+    assert built > 4 * so3.HAAR_CACHE_BYTES  # the bound binds
+    assert haar_rule(40) is rule
+    # the check itself, under a bound that binds at jmax 8, changes no bit
+    expected = check_wigner_orthogonality(jmax=8).defect
+    haar_rule.cache_clear()
+    monkeypatch.setattr(so3._HAAR_RULES, "limit", 100 << 10)
+    assert check_wigner_orthogonality(jmax=8).defect == expected
+    assert 0 < so3._HAAR_RULES.nbytes <= 100 << 10
+
+
 def test_run_all_solves_each_state_once_and_no_level_past_the_caps(monkeypatch):
     solved, phased, ranges = [], [], []
     rows, phase, table = spectra._state_rows, spectra._fix_phase, spectra.spectrum_range
@@ -128,14 +157,108 @@ def test_run_all_solves_each_state_once_and_no_level_past_the_caps(monkeypatch):
 
 @pytest.mark.parametrize("params", [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4), (100.0, 2.0, 1.0)])
 @pytest.mark.parametrize("jmax", [4, 10])
-def test_run_all_is_every_check_run_alone(params, jmax):
-    # the shared batch changes no bit of any result
+def test_run_all_is_every_check_run_alone(cold_caches, params, jmax):
+    # the shared batch changes no bit of any result, and neither do the
+    # per-process caches: the first run_all builds every rule and stack
     p = TopParams(*params)
+    runs = [run_all(p, jmax=jmax), run_all(p, jmax=jmax)]
     alone = [c.run(p, min(jmax, c.jmax), 42, c.tol) for c in CHECKS]
-    batched = run_all(p, jmax=jmax)
-    assert [(r.name, r.defect.hex(), r.tol, r.passed) for r in batched] == [
-        (r.name, r.defect.hex(), r.tol, r.passed) for r in alone
-    ]
+    for batched in runs:
+        assert [(r.name, r.defect.hex(), r.tol, r.passed) for r in batched] == [
+            (r.name, r.defect.hex(), r.tol, r.passed) for r in alone
+        ]
+
+
+# per-j formulations of the generator checks: one matrix per j and layer
+
+
+def _casimir_per_j(jmax):
+    worst = 0.0
+    for j in range(jmax + 1):
+        eye = np.eye(2 * j + 1)
+        worst = max(worst, float(np.max(np.abs(casimir_matrix(j) - j * (j + 1) * eye))))
+        j1, j2, j3 = angular_momentum_matrices(j)
+        total = j1 @ j1 + j2 @ j2 + j3 @ j3
+        worst = max(worst, float(np.max(np.abs(total - j * (j + 1) * eye))))
+    return worst
+
+
+def _commutators_per_j(jmax):
+    worst = 0.0
+    for j in range(jmax + 1):
+        ells = {a: ell_matrix(a, j) for a in (1, 2, 3)}
+        js = dict(zip((1, 2, 3), angular_momentum_matrices(j)))
+        for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            d1 = ells[a] @ ells[b] - ells[b] @ ells[a] - ells[c]
+            d2 = js[a] @ js[b] - js[b] @ js[a] - 1j * js[c]
+            worst = max(worst, float(np.max(np.abs(d1))), float(np.max(np.abs(d2))))
+    return worst
+
+
+def _gram_hermiticity_per_j(p, jmax):
+    worst = 0.0
+    for j in range(jmax + 1):
+        gram = gram_matrix(j)
+        h = h_matrix_lambda(j, p)
+        gens = [-1j * ell_matrix(a, j) for a in (1, 2, 3)]
+        from_ops = sum(w * m @ m for w, m in zip((p.A, p.B, p.C), gens))
+        scale = max(1.0, float(np.max(np.abs(h))))
+        worst = max(worst, float(np.max(np.abs(from_ops - h))) / scale)
+        for m in [h] + gens:
+            lhs = gram @ m
+            d = float(np.max(np.abs(lhs - m.conj().T @ gram)))
+            worst = max(worst, d / max(1.0, float(np.max(np.abs(lhs)))))
+    return worst
+
+
+@pytest.mark.parametrize("params", TOPS)
+def test_generator_checks_equal_their_per_j_formulation(cold_caches, params):
+    # stacked products and per-j reductions: the same defect bit for bit, on
+    # whole chunks and on chunks cut at jmax (at 0, 1 and 20)
+    p = TopParams(*params)
+    for jmax in (0, 1, 4, 10, 20):
+        assert check_casimir(jmax).defect == _casimir_per_j(jmax)
+        assert check_commutators(jmax).defect == _commutators_per_j(jmax)
+        assert check_gram_hermiticity(p, jmax).defect == _gram_hermiticity_per_j(p, jmax)
+
+
+def test_generator_stack_is_the_per_j_tables_centred_and_read_only(cold_caches):
+    for lo, hi in verify._chunks(20):
+        st = verify.generator_stack(lo, hi)
+        assert verify.generator_stack(lo, hi) is st
+        for k, j in enumerate(st.js):
+            c = slice(hi - j, hi + j + 1)
+            blocks = [(st.ell[a - 1, k], ell_matrix(a, j)) for a in (1, 2, 3)]
+            blocks += [(st.spin[a, k], m) for a, m in enumerate(angular_momentum_matrices(j))]
+            for stacked, block in blocks + [(st.eye[k], np.eye(2 * j + 1))]:
+                assert stacked[c, c].tobytes() == block.tobytes()
+                assert np.count_nonzero(stacked) == np.count_nonzero(block)
+            assert st.gram[k, c].tobytes() == np.diag(gram_matrix(j)).tobytes()
+            assert np.count_nonzero(st.gram[k]) == 2 * j + 1
+        for arr in (st.js, st.ell, st.spin, st.eye, st.gram):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    assert verify._STACKS.nbytes <= verify.STACK_CACHE_BYTES
+
+
+def _one_entry_off(m):
+    m = m.copy()
+    m[0, 1] += 1e-9
+    return m
+
+
+@pytest.mark.parametrize("table", ["ell_matrix", "angular_momentum_matrices"])
+@pytest.mark.parametrize("at", [1, 20])
+def test_one_entry_off_by_1e_9_fails_casimir_and_commutators(monkeypatch, cold_caches, table, at):
+    # the stacks are built from the per-j tables, once: a 1e-9 error in one
+    # entry of l_1 or J_1 at one j must reach both checks
+    ell, spin = verify.ell_matrix, verify.angular_momentum_matrices
+    if table == "ell_matrix":
+        monkeypatch.setattr(verify, table, lambda a, j: _one_entry_off(ell(a, j)) if (a, j) == (1, at) else ell(a, j))
+    else:
+        monkeypatch.setattr(verify, table, lambda j: (_one_entry_off(spin(j)[0]), *spin(j)[1:]) if j == at else spin(j))
+    for result in (check_casimir(20), check_commutators(20)):
+        assert not result.passed and result.defect > 1e-10, result
 
 
 # per-draw formulations of the sampled checks: one scalar call per draw and
