@@ -10,7 +10,6 @@ quadrature rule normalized to total weight 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal
@@ -295,13 +294,49 @@ class HaarRule(LazyTables):
         return self.table(j, lambda: (wigner_d_matrix(j, self.polar_nodes),))[0]
 
 
-@functools.lru_cache(maxsize=16)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
 
-    Computed once per n and shared by haar_rule and lambda_rep.q_rule.
+    Newton's method in theta = arccos x on the cosine series
+    P_n(cos theta) = sum_k g_k g_{n-k} cos((n - 2k) theta), g_k = binom(2k, k)/4^k
+    (Swarztrauber 2002), from theta_k = (4k - 1) pi / (4n + 2): three steps
+    converge, a fourth evaluation gives dP_n/dtheta at the nodes, and the
+    weights are 2 / (dP_n/dtheta)^2.  Only theta <= pi/2 is solved; the rest
+    is its mirror, so x and w are exactly symmetric and the middle node of an
+    odd n is exactly 0.  Against 40-digit Newton the nodes are within 1 eps
+    and the weights within 3e-14 relative (n <= 40 and 224..1504, the n of
+    tests/test_so3.py).
+
+    The series is folded onto the n//2 + 1 frequencies n - 2k and summed as
+    e^{in theta} sum_a e^{-2iBa theta} sum_b c_{Ba+b} e^{-2ib theta},
+    B ~ sqrt(n/2): each step is O(n^1.5) exponentials and one matrix product,
+    and no (nodes x frequencies) table is formed.  Not cached: haar_rule and
+    lambda_rep.q_rule, its callers, keep their rules per process.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    i = np.arange(1.0, n + 1)
+    g = np.concatenate(([1.0], np.cumprod((2.0 * i - 1.0) / (2.0 * i))))
+    k = np.arange(n // 2 + 1)
+    c = 2.0 * g[k] * g[n - k]
+    c[n - 2 * k == 0] *= 0.5  # the constant term of an even n is not doubled
+    b = math.isqrt(len(k) - 1) + 1  # k = b * row + column
+    rows = -(-len(k) // b)
+    c = np.pad(c, (0, rows * b - len(k)))
+    coeffs = np.concatenate([c, c * (n - 2.0 * np.arange(rows * b))]).reshape(2 * rows, b)
+    row_freq, col_freq = n - 2.0 * b * np.arange(rows), -2.0 * np.arange(b)
+    theta = (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) * (math.pi / (4 * n + 2))
+    for _ in range(4):
+        sums = np.exp(1j * np.multiply.outer(theta, col_freq)) @ coeffs.T
+        outer = np.exp(1j * np.multiply.outer(theta, row_freq))
+        p = np.einsum("ia,ia->i", outer, sums[:, :rows]).real
+        dp = -np.einsum("ia,ia->i", outer, sums[:, rows:]).imag
+        theta = theta - p / dp
+    half, w_half = np.cos(theta), 2.0 / dp**2
+    if n % 2:
+        half[-1] = 0.0
+    x = np.concatenate([-half[: n // 2], half[::-1]])
+    w = np.concatenate([w_half[: n // 2], w_half[::-1]])
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -363,6 +363,15 @@ def test_module_entry_point():
     assert proc.stdout.startswith(LEVELS_HEADER)
 
 
+def test_verify_does_not_import_numpy_polynomial():
+    # a fresh process: gauss_legendre is plain numpy, and numpy loads
+    # numpy.polynomial (8 modules) only when something asks for it
+    script = "import sys; from asymtop.cli import main; print(main(['verify', '--jmax', '10']), 'numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_kernel_refuses_overflowing_values(capsys):
     # base^40 reaches e^1544 here; this used to print nan and exit 0
     argv = ["kernel", "--j", "40", "--q-im", "20", "--qp-im", "20", "--g-theta", "0.5"]

@@ -27,6 +27,7 @@ from asymtop import (
 )
 from asymtop import lambda_rep
 from asymtop.lambda_rep import LOG_MAX, QRule, default_beta_max, quadrature_gram
+from asymtop.so3 import gauss_legendre
 
 
 def test_weight_values():
@@ -162,7 +163,7 @@ def test_q_rule_flat_grid_is_the_product_of_its_axes():
         beta_max = default_beta_max(j)
         n_alpha = 2 * j + 4
         alphas = 2.0 * math.pi * np.arange(n_alpha) / n_alpha
-        x, wx = np.polynomial.legendre.leggauss(224 + 32 * j)
+        x, wx = gauss_legendre(224 + 32 * j)
         betas = beta_max * x
         log_density = np.log(beta_max * wx) - (j + 1) * (2.0 * np.logaddexp(betas, -betas) - math.log(2.0))
         top = log_density.max()

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymtop import (
     IDENTITY,
@@ -18,7 +22,7 @@ from asymtop import (
     wigner_D,
     wigner_small_d,
 )
-from asymtop.so3 import THETA_MARGIN, rot_x, rot_z
+from asymtop.so3 import THETA_MARGIN, gauss_legendre, rot_x, rot_z
 from asymtop.wigner import wigner_d_matrix
 
 
@@ -195,7 +199,7 @@ def test_haar_rule_flat_grid_is_the_meshgrid_of_its_axes():
         rule = haar_rule(degree)
         n_az = 2 * degree + 1
         az = 2.0 * math.pi * np.arange(n_az) / n_az
-        x, wx = np.polynomial.legendre.leggauss(degree + 1)
+        x, wx = gauss_legendre(degree + 1)
         phi, theta, psi = np.meshgrid(az, np.arccos(x), az, indexing="ij")
         w = np.ascontiguousarray(np.broadcast_to(wx[None, :, None] / (2.0 * n_az * n_az), phi.shape).ravel())
         for got, want in zip((rule.phi, rule.theta, rule.psi, rule.weights), (phi.ravel(), theta.ravel(), psi.ravel(), w)):
@@ -227,3 +231,67 @@ def test_haar_rule_is_cached_and_read_only(cold_caches):
 def test_haar_rule_size_guard():
     with pytest.raises(DomainError):
         haar_rule(-1)
+
+
+EPS = np.finfo(float).eps
+
+
+def _newton_reference(n, x0):
+    """Gauss-Legendre node and weight at 40 digits: one Newton step from the
+    node x0 >= 0 by the three-term recurrence (its error is about
+    n^2 (x0 - x)^2, far below eps for any x0 within 1e-10 of the root), the
+    weight 2 / ((1 - x^2) P_n'(x)^2) with P_n' carried to the new point by
+    the Legendre equation."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        p_prev, p = mpmath.mpf(1), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1)
+        step = -p / dp
+        dp += step * (2 * x * dp - n * (n + 1) * p) / (1 - x * x)
+        x += step
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 224, 256, 288, 384, 544, 1504])
+def test_gauss_legendre_matches_40_digit_newton(n):
+    # every node up to n = 24, else 20 spread over [-1, 1] and three at each end
+    picks = range(n) if n <= 24 else sorted({*np.linspace(0, n - 1, 20).round().astype(int), 1, 2, n - 3, n - 2})
+    x, w = gauss_legendre(n)
+    for i in picks:
+        # P_n(-x) = (-1)^n P_n(x): the reference at |x| serves both signs
+        ref_x, ref_w = _newton_reference(n, abs(x[i]))
+        assert abs(float(ref_x) - abs(x[i])) <= 4 * EPS
+        assert abs(float(mpmath.mpf(w[i]) / ref_w - 1)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.integers(1, 1600))
+def test_gauss_legendre_is_symmetric_and_agrees_with_leggauss_nodes(n):
+    # leggauss's weights are not compared: near +-1 they are off by up to 4e-8
+    x, w = gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert (x == -x[::-1]).all() and (w == w[::-1]).all()
+    assert (np.diff(x) > 0).all() and (w > 0).all()
+    if n % 2:
+        assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+    assert abs(w.sum() - 2.0) <= 1e-14
+    assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 4 * EPS
+
+
+def test_gauss_legendre_is_read_only_and_small():
+    x, w = gauss_legendre(3)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(DomainError):
+        gauss_legendre(0)
+    # the series is summed without a (nodes x frequencies) table
+    tracemalloc.start()
+    try:
+        gauss_legendre(1504)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20

@@ -32,6 +32,7 @@ from asymtop import (
     t_matrix_quadrature,
     verify,
     wavefunctions,
+    weight_vector,
     wigner_gram,
 )
 from asymtop.cli import main
@@ -261,8 +262,41 @@ def test_one_entry_off_by_1e_9_fails_casimir_and_commutators(monkeypatch, cold_c
         assert not result.passed and result.defect > 1e-10, result
 
 
+@pytest.mark.parametrize("jmax", [20, 40])
+def test_kernel_group_passes_where_t_grows(jmax):
+    # t's entries reach 1.8e4 at j = 20 and 1.4e6 at j = 24; the defects are
+    # taken on G^{1/2} t G^{-1/2}, which is unitary, so they stay at rounding
+    result = check_kernel_group(jmax)
+    assert result.passed and result.defect < 1e-12, result
+
+
+@pytest.mark.parametrize("at", [1, 40])
+def test_one_entry_of_t_off_by_1e_9_fails_kernel_group(monkeypatch, at):
+    # 1e-9 on the largest entry of G^{1/2} t(g1) G^{-1/2}, first draw at j = at
+    exact = verify.t_matrix
+
+    def one_entry_off(j, g):
+        t = exact(j, g)
+        if j == at:
+            root_b = np.sqrt(weight_vector(j))
+            m, n = np.unravel_index(np.argmax(np.abs(t[1] * root_b / root_b[:, None])), t[1].shape)
+            t = t.copy()
+            t[1, m, n] += 1e-9 * root_b[m] / root_b[n]
+        return t
+
+    monkeypatch.setattr(verify, "t_matrix", one_entry_off)
+    result = check_kernel_group(at)
+    assert not result.passed and result.defect > 1e-10, result
+
+
 # per-draw formulations of the sampled checks: one scalar call per draw and
 # layer, with the draws taken in the checks' order
+
+
+def _unitary_t(j, g):
+    """G^{1/2} t(g) G^{-1/2}, G = diag(1 / B_nj)."""
+    root_b = np.sqrt(weight_vector(j))
+    return t_matrix(j, g) * root_b / root_b[:, None]
 
 
 def _kernel_group_per_draw(jmax, seed):
@@ -270,14 +304,12 @@ def _kernel_group_per_draw(jmax, seed):
     worst = 0.0
     for j in range(jmax + 1):
         eye = np.eye(2 * j + 1)
-        worst = max(worst, float(np.max(np.abs(t_matrix(j, IDENTITY) - eye))))
-        gram = gram_matrix(j)
-        gram_scale = max(1.0, float(np.max(gram)))
+        worst = max(worst, float(np.max(np.abs(_unitary_t(j, IDENTITY) - eye))))
         for _ in range(2):
             g1, g2 = verify._random_angles(rng), verify._random_angles(rng)
-            t1 = t_matrix(j, g1)
-            worst = max(worst, float(np.max(np.abs(t_matrix(j, compose(g1, g2)) - t1 @ t_matrix(j, g2)))))
-            worst = max(worst, float(np.max(np.abs(t1.conj().T @ gram @ t1 - gram))) / gram_scale)
+            u1 = _unitary_t(j, g1)
+            worst = max(worst, float(np.max(np.abs(_unitary_t(j, compose(g1, g2)) - u1 @ _unitary_t(j, g2)))))
+            worst = max(worst, float(np.max(np.abs(u1.conj().T @ u1 - eye))))
             q, qp = verify._random_q(rng), verify._random_q(rng)
             expected = delta_j(q, qp, j)
             worst = max(worst, abs(kernel_eval(q, qp, j, IDENTITY) - expected) / max(1.0, abs(expected)))
