@@ -43,14 +43,14 @@ from .so3 import (
     IDENTITY,
     EulerAngles,
     HaarRule,
-    casimir_apply,
     compose,
     euler_to_matrix,
-    field_stencil,
     haar_rule,
     inverse,
-    invariant_field_apply,
     matrix_to_euler,
+    orbit_derivatives,
+    orbits,
+    rotation,
 )
 from .spectra import (
     ROUTES,
@@ -87,8 +87,6 @@ from .wavefunctions import (
     mobius_phase,
     phase_map,
     pde_residual,
-    pde_residual_from_stencils,
-    pde_stencils,
     psi_eval,
     psi_grid,
     psi_from_phase,

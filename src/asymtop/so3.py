@@ -3,16 +3,15 @@
 A rotation is parameterized as g(phi, theta, psi) = g_z(phi) g_x(theta) g_z(psi)
 with phi, psi in [0, 2pi) and theta in [0, pi).  The module provides the
 rotation matrices, composition with a deterministic gimbal-lock convention,
-left/right invariant vector fields applied by central finite differences, the
-quadratic Casimir as an explicit second-order operator, and a product Haar
-quadrature rule normalized to total weight 1.
+the one-parameter orbits through a rotation along which the left and right
+invariant vector fields are exact derivatives, and a product Haar quadrature
+rule normalized to total weight 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
 
 import numpy as np
 
@@ -20,8 +19,6 @@ from .caching import BytesCache, LazyTables
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
-GIMBAL_TOL = 1e-10  # matrix_to_euler: 1 - |cos theta| below this is gimbal lock
-THETA_MARGIN = 1e-3  # invariant fields and Casimir: refused within this of theta = 0, pi
 
 
 @dataclass(frozen=True)
@@ -53,39 +50,44 @@ class EulerAngles:
 IDENTITY = EulerAngles(0.0, 0.0, 0.0)
 
 
-def rot_z(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rot_x(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def rotation(a: int, t) -> np.ndarray:
+    """R_a(t), the rotation by t about axis a = 1, 2, 3 (x, y, z), at every
+    angle of the array t: shape t.shape + (3, 3)."""
+    if a not in (1, 2, 3):
+        raise DomainError(f"unknown rotation axis {a}")
+    i, k = a % 3, (a + 1) % 3  # the plane the rotation turns
+    c, s = np.cos(t), np.sin(t)
+    out = np.zeros(np.shape(t) + (3, 3))
+    out[..., a - 1, a - 1] = 1.0
+    out[..., i, i] = out[..., k, k] = c
+    out[..., i, k], out[..., k, i] = -s, s
+    return out
 
 
 def euler_to_matrix(g: EulerAngles) -> np.ndarray:
     """3x3 rotation matrix g_z(phi) @ g_x(theta) @ g_z(psi)."""
-    return rot_z(g.phi) @ rot_x(g.theta) @ rot_z(g.psi)
+    return rotation(3, g.phi) @ rotation(1, g.theta) @ rotation(3, g.psi)
 
 
 def matrix_to_euler(mat: np.ndarray) -> EulerAngles:
-    """Recover z-x-z angles from a rotation matrix.
+    """Recover z-x-z angles from rotation matrices of shape (..., 3, 3), as
+    an EulerAngles of arrays of shape (...); a single matrix gives scalars.
 
-    At gimbal lock (1 - |cos theta| below GIMBAL_TOL) the composite
-    z-rotation is put entirely into phi and psi is set to 0.
+    theta = atan2(|third row|, m22).  The upper 2x2 block holds
+    (1 + cos theta) e^{i(phi + psi)} and (1 - cos theta) e^{i(phi - psi)};
+    the larger of the two gives phi +- psi, and the third column gives phi,
+    so no angle is lost near theta = 0 or pi.  At theta exactly 0 or pi
+    psi is 0 and the whole z-rotation is in phi.
     """
     m = np.asarray(mat, dtype=float)
-    if m.shape != (3, 3):
-        raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
-    c = min(1.0, max(-1.0, m[2, 2]))
-    theta = math.acos(c)
-    if 1.0 - abs(c) < GIMBAL_TOL:
-        # m reduces to g_z(phi +- psi): assign the whole rotation to phi.
-        phi = math.atan2(m[1, 0], m[0, 0])
-        return EulerAngles(phi % TWO_PI, 0.0 if c > 0 else math.pi, 0.0)
-    phi = math.atan2(m[0, 2], -m[1, 2])
-    psi = math.atan2(m[2, 0], m[2, 1])
-    return EulerAngles(phi % TWO_PI, theta, psi % TWO_PI)
+    if m.shape[-2:] != (3, 3):
+        raise DomainError(f"expected 3x3 matrices, got shape {m.shape}")
+    row = np.hypot(m[..., 2, 0], m[..., 2, 1])
+    sign = np.copysign(1.0, m[..., 2, 2])  # +1: phi + psi, the larger near theta = 0; -1: phi - psi
+    turn = np.arctan2(m[..., 1, 0] - sign * m[..., 0, 1], m[..., 0, 0] + sign * m[..., 1, 1])
+    phi = np.where(row == 0.0, turn, np.arctan2(m[..., 0, 2], -m[..., 1, 2]))
+    psi = sign * (turn - phi)
+    return EulerAngles((phi % TWO_PI)[()], np.arctan2(row, m[..., 2, 2])[()], (psi % TWO_PI)[()])
 
 
 def compose(g1: EulerAngles, g2: EulerAngles) -> EulerAngles:
@@ -101,133 +103,33 @@ def inverse(g: EulerAngles) -> EulerAngles:
     return EulerAngles((math.pi - gn.psi) % TWO_PI, gn.theta, (math.pi - gn.phi) % TWO_PI)
 
 
-Field = Literal["xi", "eta"]
+def orbits(g: EulerAngles, n: int) -> EulerAngles:
+    """The one-parameter orbits through g at t_k = 2 pi k / n, k < n: the
+    points g R_a(t_k) for a = 1, 2, 3, then R_a(t_k) g, as an EulerAngles
+    of arrays of shape (6, n).
 
-# Coefficients (a_phi, a_theta, a_psi) of the first-order fields.
-# xi_a are left invariant, eta_a right invariant; [xi_a, xi_b] = eps_abc xi_c,
-# [eta_a, eta_b] = eps_abc eta_c and [xi_a, eta_b] = 0.
-
-
-def _field_coeffs(side: Field, a: int, phi, theta, psi) -> tuple[tuple[int, np.ndarray | float], ...]:
-    """The coefficients of xi_a or eta_a that are not identically zero, as
-    (coordinate, value) pairs with coordinates 0, 1, 2 = phi, theta, psi;
-    the values broadcast over the angle arrays."""
-    if side not in ("xi", "eta") or a not in (1, 2, 3):
-        raise DomainError(f"unknown field {side!r} index {a}")
-    if a == 3:
-        return ((2, 1.0),) if side == "xi" else ((0, -1.0),)
-    sth = np.sin(theta)
-    cot = np.cos(theta) / sth
-    if side == "xi":
-        sps, cps = np.sin(psi), np.cos(psi)
-        if a == 1:
-            return ((0, sps / sth), (1, cps), (2, -cot * sps))
-        return ((0, cps / sth), (1, -sps), (2, -cot * cps))
-    sph, cph = np.sin(phi), np.cos(phi)
-    if a == 1:
-        return ((0, cot * sph), (1, -cph), (2, -sph / sth))
-    return ((0, -cot * cph), (1, -sph), (2, cph / sth))
-
-
-def _check_theta(theta) -> None:
-    dist = np.minimum(np.abs(theta), np.abs(math.pi - theta))
-    if (dist < THETA_MARGIN).any():
-        worst = float(np.ravel(theta)[np.argmin(dist)])
-        raise DomainError(
-            f"theta={worst!r} within {THETA_MARGIN} of a coordinate singularity"
-        )
-
-
-def field_stencil(
-    side: Field, a: int, phi, theta, psi, h=1e-5
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """Central-difference stencil of xi_a or eta_a with step h.
-
-    The centres (phi, theta, psi) and h broadcast together.  Returns the
-    shifted points, a tuple (phi, theta, psi) of arrays of shape centres +
-    (k,), and their weights c/(2h) and -c/(2h), of the same shape, where c
-    is the field's coefficient along the shifted coordinate at the centre;
-    so (X f)(centre) ~ sum(weights * f(points), axis=-1).  k is 6, or 2 for
-    a = 3, whose field moves one coordinate only.  Raises DomainError when
-    any centre's theta is within THETA_MARGIN of 0 or pi, where the
-    coefficients blow up.
+    xi_a f(g) = d/dt f(g R_a(t)) at t = 0 are the left-invariant fields and
+    eta_a f(g) = -d/dt f(R_a(t) g) the right-invariant ones, with
+    [xi_a, xi_b] = eps_abc xi_c, [eta_a, eta_b] = eps_abc eta_c and
+    [xi_a, eta_b] = 0.  A function of angular momentum j (a combination of
+    the D^j_{mn}) is a trigonometric polynomial of degree j along each
+    orbit, so n >= 2j + 1 samples give its derivatives exactly
+    (orbit_derivatives).
     """
-    *centre, h = np.broadcast_arrays(phi, theta, psi, h)
-    centre = np.array(centre, dtype=float)
-    _check_theta(centre[1])
-    coeffs = _field_coeffs(side, a, *centre)
-    points = np.repeat(centre[..., None], 2 * len(coeffs), axis=-1)
-    weights = np.empty(points.shape[1:])
-    for i, (axis, c) in enumerate(coeffs):
-        points[axis, ..., 2 * i] += h
-        points[axis, ..., 2 * i + 1] -= h
-        weights[..., 2 * i] = c / (2.0 * h)
-        weights[..., 2 * i + 1] = -weights[..., 2 * i]
-    return (points[0], points[1], points[2]), weights
+    turns = np.stack([rotation(a, TWO_PI * np.arange(n) / n) for a in (1, 2, 3)])
+    at_g = euler_to_matrix(g)
+    return matrix_to_euler(np.concatenate((at_g @ turns, turns @ at_g)))
 
 
-def invariant_field_apply(
-    side: Field,
-    a: int,
-    f: Callable[[EulerAngles], complex],
-    g: EulerAngles,
-    h: float = 1e-5,
-) -> complex:
-    """Apply xi_a or eta_a to f at g: field_stencil's weights times f at
-    its points, one scalar call of f per point.
-
-    Raises DomainError when theta is within THETA_MARGIN of 0 or pi, where
-    the coordinate coefficients blow up.
-    """
-    points, weights = field_stencil(side, a, g.phi, g.theta, g.psi, h)
-    values = [f(EulerAngles(*pt)) for pt in zip(*(x.tolist() for x in points))]
-    return complex(np.sum(weights * np.array(values, dtype=complex)))
-
-
-def casimir_apply(
-    f: Callable[[EulerAngles], complex],
-    g: EulerAngles,
-    h: float = 1e-5,
-) -> complex:
-    """Apply the quadratic Casimir
-
-        L^2 = -(1/sin^2 theta)(d^2/dpsi^2 + d^2/dphi^2 - 2 cos theta d2/dphi dpsi)
-              - d^2/dtheta^2 - cot theta d/dtheta
-
-    by second-order central differences of step h.  Eigenfunctions of angular
-    momentum j return j(j+1) times themselves up to O(h^2).  Raises
-    DomainError within THETA_MARGIN of theta = 0 or pi.
-    """
-    _check_theta(g.theta)
-    phi, th, psi = g.phi, g.theta, g.psi
-    sth = math.sin(th)
-    cth = math.cos(th)
-    f0 = f(g)
-    h2 = h * h
-
-    fpp = f(EulerAngles(phi + h, th, psi))
-    fpm = f(EulerAngles(phi - h, th, psi))
-    fsp = f(EulerAngles(phi, th, psi + h))
-    fsm = f(EulerAngles(phi, th, psi - h))
-    ftp = f(EulerAngles(phi, th + h, psi))
-    ftm = f(EulerAngles(phi, th - h, psi))
-
-    d2_phi = (fpp - 2.0 * f0 + fpm) / h2
-    d2_psi = (fsp - 2.0 * f0 + fsm) / h2
-    d2_th = (ftp - 2.0 * f0 + ftm) / h2
-    d1_th = (ftp - ftm) / (2.0 * h)
-    d2_mixed = (
-        f(EulerAngles(phi + h, th, psi + h))
-        - f(EulerAngles(phi + h, th, psi - h))
-        - f(EulerAngles(phi - h, th, psi + h))
-        + f(EulerAngles(phi - h, th, psi - h))
-    ) / (4.0 * h2)
-
-    return (
-        -(d2_psi + d2_phi - 2.0 * cth * d2_mixed) / (sth * sth)
-        - d2_th
-        - (cth / sth) * d1_th
-    )
+def orbit_derivatives(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives at t = 0 of trigonometric polynomials
+    of degree <= (n - 1) // 2 sampled at t_k = 2 pi k / n on the last axis
+    of values: their coefficients by one FFT, each multiplied by ik and by
+    -k^2 and summed."""
+    n = values.shape[-1]
+    k = np.fft.fftfreq(n, 1.0 / n)
+    coeffs = np.fft.fft(values, axis=-1) / n
+    return coeffs @ (1j * k), coeffs @ -(k * k)
 
 
 # haar_rule keeps its rules, their polar_d tables included, in this many bytes

@@ -1,18 +1,17 @@
 """Self-verification suite: every identity the package is built on.
 
-Each check_* function measures a defect that is analytically zero (or, for
-pde-residual, a Richardson ratio that is analytically 4) and compares it to a
-tolerance.  CHECKS is the one table of the suite: it fixes the order of the
-checks, the jmax each is specified at and its default tolerance.  The
-check_* defaults, run_all (which caps the caller's jmax per check so quick
-runs stay quick), and the CLI's --tol-<name> flags and tol-<name> config
-keys all come from it.
+Each check_* function measures a defect that is analytically zero and
+compares it to a tolerance.  CHECKS is the one table of the suite: it fixes
+the order of the checks, the jmax each is specified at and its default
+tolerance.  The check_* defaults, run_all (which caps the caller's jmax per
+check so quick runs stay quick), and the CLI's --tol-<name> flags and
+tol-<name> config keys all come from it.
 
 The sampled checks kernel-group, bridge, pde-residual and completeness draw
-everything first, in the original order, then evaluate each j once over all
-of its draws with the array entry points (a stacked t_matrix, kernel_values,
-phase_map, pde_stencils, ...), each point of which equals its one-point call
-bit for bit.
+everything first, in the original order; kernel-group, bridge and
+completeness then evaluate each j once over all of its draws with the array
+entry points (a stacked t_matrix, kernel_values, phase_map, ...), each point
+of which equals its one-point call bit for bit.
 
 The tables that do not depend on the top are built once per process and
 shared read-only, each cache bounded in bytes (caching.BytesCache):
@@ -48,8 +47,7 @@ from .wavefunctions import (
     completeness_sides,
     kernel_factored_from_phase,
     kernel_values,
-    pde_residual_from_stencils,
-    pde_stencils,
+    pde_residual,
     phase_map,
     psi_from_phase,
     psi_via_kernel_values,
@@ -97,7 +95,7 @@ CHECKS = (
     Check("wigner-orthogonality", 5, 1e-10, lambda p, jmax, seed, tol: check_wigner_orthogonality(jmax, tol)),
     Check("kernel-group", 5, 1e-10, lambda p, jmax, seed, tol: check_kernel_group(jmax, seed, tol)),
     Check("bridge", 5, 1e-10, lambda p, jmax, seed, tol: check_bridge(p, jmax, seed, tol)),
-    Check("pde-residual", 3, 0.8, lambda p, jmax, seed, tol: check_pde_residual(p, jmax, seed, tol)),
+    Check("pde-residual", 3, 1e-12, lambda p, jmax, seed, tol: check_pde_residual(p, jmax, seed, tol)),
     Check("completeness", 6, 1e-8, lambda p, jmax, seed, tol: check_completeness(p, jmax, seed, tol)),
     Check("measure-quadrature", 4, 1e-6, lambda p, jmax, seed, tol: check_measure_quadrature(jmax, tol)),
     Check("uncertainty", 10, 1e-10, lambda p, jmax, seed, tol: check_uncertainty(jmax, seed, tol)),
@@ -444,31 +442,14 @@ def check_pde_residual(
     seed: int = 42,
     tol: float = _SPEC["pde-residual"].tol,
 ) -> CheckResult:
-    """Residuals of H Psi = E Psi and (eta_a + l_a) Psi = 0 shrink at the
-    O(h^2) Richardson rate: r(h)/r(h/2) within tol of 4.
-
-    The steps h = 4e-3 and 2e-3 keep truncation above the rounding floor
-    of the nested central differences; at h = 5e-4 rounding can already
-    dominate near theta = 0 or pi and the ratio is noise.  Residuals below
-    1e-10 are skipped.
-
-    The nested stencils of every draw come from one pde_stencils call on
-    the stacked centres; then, per j, one psi_grid call (as pde_residual).
-    """
+    """H Psi = E Psi and (eta_a + l_a) Psi = 0 at one random (s, g, q) per
+    j: the larger of pde_residual's two scaled residuals, from exact
+    derivatives along one-parameter subgroups."""
     rng = np.random.default_rng(seed)
     draws = [(int(rng.integers(-j, j + 1)), _random_angles(rng), _random_q(rng, beta=0.3)) for j in range(jmax + 1)]
-    steps = (4e-3, 2e-3)
-    at = _stacked([g for _, g, _ in draws])
-    stencils = pde_stencils(at.phi, at.theta, at.psi, steps)
     worst = 0.0
     for j, (s, g, q) in enumerate(draws):
-        own = [tuple(x[j] for x in st) for st in stencils]
-        schrod, sym = pde_residual_from_stencils(own, q, j, s, p, g, steps)
-        coarse, fine = np.column_stack((schrod, sym))
-        for big, small in zip(coarse, fine):
-            if big < 1e-10 or small < 1e-300:
-                continue
-            worst = max(worst, abs(big / small - 4.0))
+        worst = max(worst, *pde_residual(q, j, s, p, g))
     return _result("pde-residual", worst, tol)
 
 

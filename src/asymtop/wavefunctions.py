@@ -36,7 +36,7 @@ from .lambda_rep import (
     state_values,
     weight_vector,
 )
-from .so3 import EulerAngles, HaarRule, field_stencil, inverse
+from .so3 import EulerAngles, HaarRule, inverse, orbit_derivatives, orbits
 from .spectra import TopParams, phi_state, phi_states, spectrum
 from .wigner import wigner_D_matrix
 
@@ -265,96 +265,39 @@ def state_jms(j: int, m: int, s: int, p: TopParams) -> np.ndarray:
 # --- residuals and norms -------------------------------------------------
 
 
-def pde_stencils(phi, theta, psi, steps) -> list[tuple[np.ndarray, ...]]:
-    """The nested field stencils of pde_residual at every centre of the
-    broadcast angle arrays, from 9 field_stencil calls for all centres.
+def pde_residual(q: ComplexQ, j: int, s: int, p: TopParams, g: EulerAngles) -> tuple[float, float]:
+    """Residuals of the defining equations at (q, g), from exact derivatives.
 
-    One (phi, theta, psi, outer weights, inner weights) per field, xi_a xi_a
-    for a = 1..3, then eta_a for a = 1..3 as a nest under one outer weight
-    1; each array has the centres' shape leading, then the step of `steps`,
-    and a centre's slice equals the stencil built at that centre alone.
-    DomainError where field_stencil refuses a centre.
+    H = -(A xi_1^2 + B xi_2^2 + C xi_3^2) in the left-invariant fields, and
+    l_a acts on the complex angle: l_1 = -i sin q d/dq + i j cos q,
+    l_2 = -i cos q d/dq - i j sin q, l_3 = d/dq.  Psi is a trigonometric
+    polynomial of degree j along each of the six so3.orbits through g and
+    along the shift q + t, so one psi_grid call at their 2j + 1 samples and
+    so3.orbit_derivatives give every derivative at t = 0 to rounding, with
+    no step.  Returns |H Psi - E Psi| over A max(1, j(j+1)) max|Psi| and
+    the largest |(eta_a + l_a) Psi| over max(1, j) max|Psi|, max|Psi| over
+    the samples (Psi can be small at g itself).
     """
-    h = np.asarray(steps, dtype=float)
-    centre = [x[..., None] for x in np.broadcast_arrays(phi, theta, psi)]
-    stencils = []
-    for a in (1, 2, 3):
-        outer, w_outer = field_stencil("xi", a, *centre, h)
-        inner, w_inner = field_stencil("xi", a, *outer, h[:, None])
-        stencils.append((*inner, w_outer, w_inner))
-    for a in (1, 2, 3):
-        points, w = field_stencil("eta", a, *centre, h)
-        stencils.append((*points, np.ones(w.shape[:-1] + (1,)), w[..., None, :]))
-    return stencils
-
-
-def pde_residual_from_stencils(
-    stencils: list[tuple[np.ndarray, ...]],
-    q: ComplexQ,
-    j: int,
-    s: int,
-    p: TopParams,
-    g: EulerAngles,
-    steps: tuple[float, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """pde_residual at (q, g) from the stencils pde_stencils built at g
-    with these steps, one psi_grid call for every point of every step."""
     coeffs = phi_state(j, s, p).coeffs
     energy = spectrum(j, p, route="lambda")[s + j].E
-    qv = q.value
-    centre = (g.phi, g.theta, g.psi)
-    h = np.asarray(steps, dtype=float)
-    q_at_g = qv + np.concatenate(([0.0], np.column_stack((h, -h)).ravel()))  # q, q + h, q - h, ...
-    phi, theta, psi = (
-        np.concatenate([st[i].ravel() for st in stencils] + [np.full(len(q_at_g), x)])
-        for i, x in enumerate(centre)
+    n = 2 * j + 1
+    at = orbits(g, n)
+    shift = 2.0 * math.pi * np.arange(n) / n
+    # the six orbits at q, then the shift q + t at g
+    qs = np.concatenate((np.full((6, n), q.value), q.value + shift[None]))
+    angles = [np.concatenate((x, np.full((1, n), x0))) for x, x0 in zip(at.as_tuple(), g.as_tuple())]
+    values = psi_grid(qs, coeffs, *angles)
+    d1, d2 = orbit_derivatives(values)
+    psi0, dq = values[-1, 0], d1[-1]
+    scale = np.max(np.abs(values))
+    schrod = abs(-(p.A * d2[0] + p.B * d2[1] + p.C * d2[2]) - energy * psi0)
+    ell = (
+        -1j * cmath.sin(q.value) * dq + 1j * j * cmath.cos(q.value) * psi0,
+        -1j * cmath.cos(q.value) * dq - 1j * j * cmath.sin(q.value) * psi0,
+        dq,
     )
-    qs = np.concatenate((np.full(len(phi) - len(q_at_g), qv), q_at_g))
-    *chunks, at_g = np.split(
-        psi_grid(qs, coeffs, phi, theta, psi), np.cumsum([st[4].size for st in stencils])
-    )
-    applied = np.stack(
-        [
-            np.sum(w_outer * np.sum(w_inner * vals.reshape(w_inner.shape), axis=-1), axis=-1)
-            for (*_, w_outer, w_inner), vals in zip(stencils, chunks)
-        ],
-        axis=-1,
-    )
-    psi0 = at_g[0]
-    dq = (at_g[1::2] - at_g[2::2]) / (2.0 * h)
-    schrod = np.abs(-(applied[:, :3] @ (p.A, p.B, p.C)) - energy * psi0)
-    ell = np.stack(
-        (
-            -1j * cmath.sin(qv) * dq + 1j * j * cmath.cos(qv) * psi0,
-            -1j * cmath.cos(qv) * dq - 1j * j * cmath.sin(qv) * psi0,
-            dq,
-        ),
-        axis=-1,
-    )
-    return schrod, np.abs(applied[:, 3:] + ell)
-
-
-def pde_residual(
-    q: ComplexQ,
-    j: int,
-    s: int,
-    p: TopParams,
-    g: EulerAngles,
-    steps: tuple[float, ...] = (4e-3, 2e-3),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-difference residuals of the defining equations at (q, g).
-
-    Returns |H Psi - E Psi| and the three |(eta_a + l_a) Psi| at every step
-    h of `steps`, as arrays of shape (n,) and (n, 3).  H = A(-i xi_1)^2 + ...
-    nests the field stencils of so3.field_stencil: the points of the outer
-    stencil are the centres of the inner one.  l_a acts on the complex angle
-    by a central difference along its real part.  Psi is evaluated at every
-    point of every step, at g and at q +- h in one psi_grid call.  Both
-    residuals converge as O(h^2).  pde_residual_from_stencils of
-    pde_stencils at g.
-    """
-    stencils = pde_stencils(g.phi, g.theta, g.psi, steps)
-    return pde_residual_from_stencils(stencils, q, j, s, p, g, steps)
+    sym = max(abs(ell[a] - d1[3 + a]) for a in range(3))
+    return float(schrod / (p.A * max(1, j * (j + 1)) * scale)), float(sym / (max(1, j) * scale))
 
 
 def so3_norm(q: ComplexQ, j: int, s: int, p: TopParams, rule: HaarRule) -> float:

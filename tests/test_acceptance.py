@@ -174,9 +174,9 @@ def test_kernel_bridge(capsys):
 
 
 def test_pde_residuals(capsys):
-    # O(h^2) convergence of Schroedinger and symmetry residuals for j <= 3
-    ok = check_pde_residual(P321, jmax=3, tol=0.8).passed
-    _report(capsys, "pde residual convergence", ok)
+    # Schroedinger and symmetry residuals from exact derivatives, for j <= 3
+    ok = check_pde_residual(P321, jmax=3, tol=1e-12).passed
+    _report(capsys, "pde residuals", ok)
 
 
 def test_norm_and_completeness(capsys):

@@ -391,7 +391,7 @@ TOLS = {
     "wigner-orthogonality": 1e-10,
     "kernel-group": 1e-10,
     "bridge": 1e-10,
-    "pde-residual": 0.8,
+    "pde-residual": 1e-12,
     "completeness": 1e-8,
     "measure-quadrature": 1e-6,
     "uncertainty": 1e-10,

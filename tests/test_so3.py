@@ -11,19 +11,23 @@ from asymtop import (
     IDENTITY,
     DomainError,
     EulerAngles,
-    casimir_apply,
     compose,
     euler_to_matrix,
-    field_stencil,
     haar_rule,
     inverse,
-    invariant_field_apply,
     matrix_to_euler,
+    orbit_derivatives,
+    orbits,
+    rotation,
     wigner_D,
-    wigner_small_d,
+    wigner_D_matrix,
 )
-from asymtop.so3 import THETA_MARGIN, gauss_legendre, rot_x, rot_z
+from asymtop.so3 import gauss_legendre
 from asymtop.wigner import wigner_d_matrix
+
+# theta from the north pole to the south pole, through the gimbal-lock band
+POLAR = [0.0, 1e-300, 1e-15, 1e-12, 1e-9, 1.4e-5, 1e-3, 0.5, math.pi / 2]
+POLAR += [math.pi - t for t in (1e-3, 1e-5, 1e-9, 1e-12, 1e-15)] + [math.pi]
 
 
 def random_angles(rng, margin=0.3):
@@ -35,10 +39,16 @@ def random_angles(rng, margin=0.3):
 
 
 def test_rotation_matrices_orthogonal(rng):
-    for t in rng.uniform(-10, 10, size=5):
-        for r in (rot_z(t), rot_x(t)):
-            np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-14)
-            assert abs(np.linalg.det(r) - 1.0) < 1e-14
+    t = rng.uniform(-10, 10, size=5)
+    for a in (1, 2, 3):
+        r = rotation(a, t)
+        assert r.shape == (5, 3, 3)
+        np.testing.assert_allclose(r @ r.swapaxes(-1, -2), np.broadcast_to(np.eye(3), r.shape), atol=1e-14)
+        assert np.max(np.abs(np.linalg.det(r) - 1.0)) < 1e-14
+        # the axis is fixed, and a quarter turn takes the next axis to the one after
+        axis, nxt, last = np.eye(3)[a - 1], np.eye(3)[a % 3], np.eye(3)[(a + 1) % 3]
+        np.testing.assert_allclose(r @ axis, np.broadcast_to(axis, (5, 3)), atol=1e-15)
+        np.testing.assert_allclose(rotation(a, math.pi / 2) @ nxt, last, atol=1e-15)
 
 
 def test_euler_round_trip(rng):
@@ -48,6 +58,32 @@ def test_euler_round_trip(rng):
         np.testing.assert_allclose(
             euler_to_matrix(g2), euler_to_matrix(g), atol=1e-12
         )
+
+
+@pytest.mark.parametrize("theta", POLAR)
+def test_euler_round_trip_at_and_near_the_poles(theta, rng):
+    # the angle that 1 - |cos theta| loses near a pole is read from the 2x2 block
+    for _ in range(20):
+        g = EulerAngles(rng.uniform(0, 2 * math.pi), theta, rng.uniform(0, 2 * math.pi))
+        mat = euler_to_matrix(g)
+        back = matrix_to_euler(mat)
+        assert 0.0 <= back.theta <= math.pi and 0.0 <= back.phi < 2 * math.pi and 0.0 <= back.psi < 2 * math.pi
+        assert np.max(np.abs(euler_to_matrix(back) - mat)) <= 1e-14
+        assert abs(back.theta - theta) <= 1e-14
+        g2 = random_angles(rng)
+        for left, right in ((g, g2), (g2, g)):
+            product = euler_to_matrix(left) @ euler_to_matrix(right)
+            assert np.max(np.abs(euler_to_matrix(compose(left, right)) - product)) <= 1e-14
+
+
+def test_matrix_to_euler_broadcasts_over_stacked_matrices(rng):
+    gs = [EulerAngles(rng.uniform(0, 2 * math.pi), theta, rng.uniform(0, 2 * math.pi)) for theta in POLAR]
+    mats = np.stack([euler_to_matrix(g) for g in gs]).reshape(3, 5, 3, 3)
+    back = matrix_to_euler(mats)
+    assert back.phi.shape == back.theta.shape == back.psi.shape == (3, 5)
+    np.testing.assert_allclose(euler_to_matrix(back), mats, rtol=0, atol=1e-14)
+    one = matrix_to_euler(mats[1, 2])
+    assert all(np.ndim(x) == 0 for x in one.as_tuple())
 
 
 def test_normalized_preserves_rotation(rng):
@@ -88,6 +124,11 @@ def test_gimbal_lock_convention():
     assert g.psi == 0.0
     assert abs(g.phi - 0.7) < 1e-12
     assert g.theta == 0.0
+    # at the south pole the whole z-rotation, phi - psi, also goes into phi
+    flip = np.diag([1.0, -1.0, -1.0])  # g_x(pi) with its sines exactly 0
+    south = matrix_to_euler(euler_to_matrix(EulerAngles(1.0, 0.0, 0.0)) @ flip @ euler_to_matrix(EulerAngles(0.25, 0.0, 0.0)))
+    assert south.theta == math.pi and south.psi == 0.0
+    assert abs(south.phi - 0.75) < 1e-15
 
 
 def test_matrix_to_euler_rejects_bad_shape():
@@ -95,89 +136,118 @@ def test_matrix_to_euler_rejects_bad_shape():
         matrix_to_euler(np.eye(4))
 
 
-def test_field_theta_guard():
-    f = lambda g: 1.0
-    with pytest.raises(DomainError):
-        invariant_field_apply("xi", 1, f, EulerAngles(0.1, 1e-5, 0.2))
-    with pytest.raises(DomainError):
-        casimir_apply(f, EulerAngles(0.1, math.pi - 1e-5, 0.2))
+def test_orbits_are_the_one_parameter_subgroups_through_g(rng):
+    g = random_angles(rng)
+    t = 2 * math.pi * np.arange(7) / 7
+    at = orbits(g, 7)
+    assert at.phi.shape == (6, 7)
+    mats = euler_to_matrix(at)
+    for a in (1, 2, 3):
+        np.testing.assert_allclose(mats[a - 1], euler_to_matrix(g) @ rotation(a, t), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(mats[a + 2], rotation(a, t) @ euler_to_matrix(g), rtol=0, atol=1e-14)
 
 
-def test_field_stencil_on_arrays_equals_the_scalar_field(rng):
-    # the stencil applied to D^3_{2,-1} evaluated as arrays at all the
-    # points at once gives invariant_field_apply on the scalar callable
-    j, m, n = 3, 2, -1
-    f = lambda g: wigner_D(j, m, n, g)
-    centres = [random_angles(rng) for _ in range(4)]
-    phi, theta, psi = (np.array(x) for x in zip(*(g.as_tuple() for g in centres)))
-    for side in ("xi", "eta"):
-        for a in (1, 2, 3):
-            (pphi, ptheta, ppsi), weights = field_stencil(side, a, phi, theta, psi, 1e-5)
-            vals = np.exp(1j * (m * pphi + n * ppsi)) * wigner_small_d(j, m, n, ptheta)
-            applied = np.sum(weights * vals, axis=-1)
-            ref = [invariant_field_apply(side, a, f, g, h=1e-5) for g in centres]
-            assert np.max(np.abs(applied - ref)) < 1e-14
+def test_orbit_derivatives_of_a_trigonometric_polynomial(rng):
+    # f(t) = sum_k c_k e^{ikt}, |k| <= 4, at 9 and at 12 samples
+    k = np.arange(-4, 5)
+    c = rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))
+    for n in (9, 12):
+        t = 2 * math.pi * np.arange(n) / n
+        d1, d2 = orbit_derivatives(c @ np.exp(1j * np.multiply.outer(k, t)))
+        assert np.max(np.abs(d1 - c @ (1j * k))) < 1e-13
+        assert np.max(np.abs(d2 - c @ -(k * k))) < 1e-12
 
 
-def test_field_stencil_guards_every_centre():
-    theta = np.array([1.0, 0.5 * THETA_MARGIN, 2.0])
-    with pytest.raises(DomainError, match="theta"):
-        field_stencil("xi", 1, 0.3, theta, 0.2)
-    with pytest.raises(DomainError, match="theta"):
-        field_stencil("eta", 3, 0.3, math.pi - theta, 0.2)
+def _field_derivatives(j, g):
+    """xi_a D^j(g) and xi_a^2 D^j(g) for a = 1, 2, 3, then the same for
+    eta_a: the exact derivatives along so3.orbits."""
+    values = np.moveaxis(wigner_D_matrix(j, orbits(g, 2 * j + 1)), 1, -1)
+    d1, d2 = orbit_derivatives(values)
+    return np.concatenate((d1[:3], -d1[3:])), d2
 
 
 def test_unknown_field_rejected():
-    with pytest.raises(DomainError):
-        invariant_field_apply("xi", 4, lambda g: 1.0, EulerAngles(0.1, 1.0, 0.2))
+    # a field is indexed by the axis of its rotations
+    for a in (0, 4):
+        with pytest.raises(DomainError):
+            rotation(a, 0.1)
+
+
+def test_fields_match_a_central_difference(rng):
+    # xi_a f(g) = d/dt f(g R_a(t)) and eta_a f(g) = -d/dt f(R_a(t) g) at t = 0
+    j, h = 3, 1e-5
+    g = random_angles(rng)
+    first, _ = _field_derivatives(j, g)
+    for a in (1, 2, 3):
+        ends = [rotation(a, x) for x in (h, -h)]
+        fields = {"xi": [euler_to_matrix(g) @ r for r in ends], "eta": [r @ euler_to_matrix(g) for r in ends[::-1]]}
+        for got, (plus, minus) in zip((first[a - 1], first[a + 2]), fields.values()):
+            diff = (wigner_D_matrix(j, matrix_to_euler(plus)) - wigner_D_matrix(j, matrix_to_euler(minus))) / (2 * h)
+            assert np.max(np.abs(got - diff)) < 1e-8
+
+
+def _generators(j):
+    """G_a = xi_a D^j at the identity, a = 1, 2, 3."""
+    return _field_derivatives(j, IDENTITY)[0][:3]
 
 
 @pytest.mark.parametrize("side", ["xi", "eta"])
 def test_field_commutators(side, rng):
-    # [X_1, X_2] = X_3 and cyclic, via nested central differences
-    f = lambda g: wigner_D(2, 1, -1, g)
-    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        g = random_angles(rng, margin=0.6)
-        inner_b = lambda gg: invariant_field_apply(side, b, f, gg)
-        inner_a = lambda gg: invariant_field_apply(side, a, f, gg)
-        comm = invariant_field_apply(side, a, inner_b, g) - invariant_field_apply(
-            side, b, inner_a, g
-        )
-        assert abs(comm - invariant_field_apply(side, c, f, g)) < 1e-5
+    # xi_a D(g) = D(g) G_a and eta_a D(g) = -G_a D(g), so [X_a, X_b] = X_c
+    # and cyclic on either side follows from [G_a, G_b] = G_c
+    for j in (1, 2, 3):
+        gens = _generators(j)
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            assert np.max(np.abs(gens[a] @ gens[b] - gens[b] @ gens[a] - gens[c])) < 1e-13
+        g = random_angles(rng)
+        first, _ = _field_derivatives(j, g)
+        d = wigner_D_matrix(j, g)
+        for a in range(3):
+            if side == "xi":
+                assert np.max(np.abs(first[a] - d @ gens[a])) < 1e-13
+            else:
+                assert np.max(np.abs(first[a + 3] + gens[a] @ d)) < 1e-13
 
 
 def test_left_and_right_fields_commute(rng):
-    f = lambda g: wigner_D(1, 1, 0, g)
+    # xi_a eta_b D = eta_b xi_a D = -G_b D G_a: applying eta_b to each
+    # column of xi_a D, and xi_a to each row of eta_b D, gives the same
+    j = 2
+    gens = _generators(j)
     g = random_angles(rng, margin=0.6)
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            inner_eta = lambda gg: invariant_field_apply("eta", b, f, gg)
-            inner_xi = lambda gg: invariant_field_apply("xi", a, f, gg)
-            comm = invariant_field_apply("xi", a, inner_eta, g) - invariant_field_apply(
-                "eta", b, inner_xi, g
-            )
-            assert abs(comm) < 1e-5
+    first, _ = _field_derivatives(j, g)
+    for a in range(3):
+        for b in range(3):
+            eta_xi = -gens[b] @ first[a]  # eta_b of xi_a D = D G_a
+            xi_eta = first[b + 3] @ gens[a]  # xi_a of eta_b D = -G_b D
+            assert np.max(np.abs(xi_eta - eta_xi)) < 1e-13
+            assert np.max(np.abs(xi_eta + gens[b] @ wigner_D_matrix(j, g) @ gens[a])) < 1e-13
 
 
 @pytest.mark.parametrize("j,m,n", [(0, 0, 0), (1, 0, 0), (1, 1, -1), (2, 2, 1), (3, -2, 0)])
 def test_casimir_eigenvalue_on_wigner_functions(j, m, n, rng):
-    f = lambda g: wigner_D(j, m, n, g)
-    for _ in range(3):
-        g = random_angles(rng, margin=0.5)
-        val = casimir_apply(f, g)
-        ref = j * (j + 1) * f(g)
-        assert abs(val - ref) < 1e-4 * max(1.0, abs(ref))
+    # -sum_a xi_a^2 D^j_{mn} = -sum_a eta_a^2 D^j_{mn} = j(j+1) D^j_{mn},
+    # also at the poles, where the coordinate form of L^2 is singular
+    poles = [EulerAngles(0.3, t, 1.1) for t in (0.0, 1e-5, math.pi - 1e-5, math.pi)]
+    for g in [random_angles(rng) for _ in range(3)] + poles:
+        _, second = _field_derivatives(j, g)
+        want = j * (j + 1) * wigner_D_matrix(j, g)[m + j, n + j]
+        for side in (second[:3], second[3:]):
+            assert abs(-side.sum(axis=0)[m + j, n + j] - want) < 1e-12 * max(1, j * (j + 1))
 
 
 def test_casimir_matches_nested_fields(rng):
-    # L^2 = -sum_a xi_a^2 as a differential operator
-    f = lambda g: wigner_D(2, 1, 0, g)
-    g = random_angles(rng, margin=0.6)
-    total = 0.0
-    for a in (1, 2, 3):
-        inner = lambda gg, a=a: invariant_field_apply("xi", a, f, gg, h=1e-4)
-        total -= invariant_field_apply("xi", a, inner, g, h=1e-4)
-    assert abs(total - casimir_apply(f, g, h=1e-4)) < 1e-4
+    # L^2 = -sum_a xi_a^2 = -sum_a eta_a^2 on a mixture of j = 0..6, each
+    # D^j entry taken j(j+1) times
+    g = random_angles(rng, margin=0.0)
+    left = right = want = 0.0
+    for j in range(7):
+        _, second = _field_derivatives(j, g)
+        c = rng.normal(size=(2 * j + 1, 2 * j + 1))
+        left += np.sum(c * -second[:3].sum(axis=0))
+        right += np.sum(c * -second[3:].sum(axis=0))
+        want += j * (j + 1) * np.sum(c * wigner_D_matrix(j, g))
+    assert abs(left - want) < 1e-12 * abs(want) and abs(right - want) < 1e-12 * abs(want)
 
 
 def test_haar_rule_normalized():

@@ -9,6 +9,7 @@ from asymtop import (
     ROUTES,
     ComplexQ,
     EulerAngles,
+    FourierState,
     PoleError,
     TopParams,
     angular_momentum_matrices,
@@ -92,9 +93,87 @@ def test_gram_hermiticity_compares_ode_and_operator_constructions(monkeypatch, c
 
 
 def test_pde_residual_not_fooled_by_rounding_near_the_pole():
-    # j=1 residual at theta near pi sits on the rounding floor at h = 5e-4
+    # a draw near theta = pi, where finite differences of step 5e-4 sat on
+    # their rounding floor; the exact residual does not depend on theta
     p = TopParams(2.2585069608950636, 1.1666653838424454, 0.7594536690222149)
     assert check_pde_residual(p, seed=582196194).passed
+
+
+PDE_TOL = dict((c.name, c.tol) for c in CHECKS)["pde-residual"]
+# strict tops from generic to near-degenerate and far outside O(1)
+PDE_TOPS = TOPS + [
+    (1 + 2e-9, 1.0, 1 - 2e-9),
+    (1e4, 2.0, 1.0),
+    (1e4, 9e3, 1.0),
+    (200.0, 150.0, 1.0),
+    (3e100, 2e100, 1e100),
+    (3e-100, 2e-100, 1e-100),
+]
+
+
+def test_pde_residual_tolerance_is_tight():
+    assert PDE_TOL <= 1e-12
+    assert check_pde_residual(P321).defect < PDE_TOL / 100
+
+
+@pytest.mark.parametrize("jmax", [1, 3])
+def test_pde_residual_sees_one_perturbed_coefficient(monkeypatch, jmax):
+    # the largest coefficient of Phi at j = jmax moved by 1e-10 of itself
+    state = wavefunctions.phi_state
+
+    def perturbed(j, s, p):
+        coeffs = state(j, s, p).coeffs.copy()
+        if j == jmax:
+            coeffs[np.argmax(np.abs(coeffs))] *= 1 + 1e-10
+        return FourierState(j, coeffs)
+
+    assert check_pde_residual(P321, jmax).defect < PDE_TOL / 100
+    monkeypatch.setattr(wavefunctions, "phi_state", perturbed)
+    assert not check_pde_residual(P321, jmax).passed
+
+
+@pytest.mark.parametrize("jmax", [1, 2, 3])
+def test_pde_residual_sees_the_energy_of_a_neighbouring_level(monkeypatch, jmax):
+    solve = wavefunctions.spectrum
+
+    def shifted(j, p, route):
+        levels = solve(j, p, route=route)
+        return levels[1:] + levels[:1] if j == jmax else levels
+
+    monkeypatch.setattr(wavefunctions, "spectrum", shifted)
+    assert not check_pde_residual(P321, jmax).passed
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-9, math.pi - 1e-9, math.pi])
+def test_pde_residual_passes_draws_at_the_poles(monkeypatch, theta):
+    # the Euler coordinates are singular there; the orbits are not
+    draw = verify._random_angles
+    monkeypatch.setattr(verify, "_random_angles", lambda rng: EulerAngles(draw(rng).phi, theta, draw(rng).psi))
+    for top in PDE_TOPS[:4]:
+        result = check_pde_residual(TopParams(*top))
+        assert result.passed and result.defect < PDE_TOL / 10
+
+
+@pytest.mark.slow
+def test_pde_residual_to_j40_on_every_top():
+    # two draws per j, theta over all of [0, pi]
+    rng = np.random.default_rng(2211)
+    for top in PDE_TOPS:
+        p = TopParams(*top)
+        for j in range(41):
+            for _ in range(2):
+                s = int(rng.integers(-j, j + 1))
+                g = EulerAngles(rng.uniform(0, 2 * math.pi), math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+                q = verify._random_q(rng, beta=0.3)
+                assert max(pde_residual(q, j, s, p, g)) <= PDE_TOL / 5, (top, j, s)
+
+
+def test_pde_residual_passes_random_tops_and_seeds():
+    rng = np.random.default_rng(14812)
+    for _ in range(500):
+        p = verify.random_strict_params(rng)
+        result = check_pde_residual(p, seed=int(rng.integers(0, 2**31)))
+        assert result.passed, p
 
 
 def test_wigner_orthogonality_is_the_per_pair_gram(monkeypatch):
@@ -353,11 +432,7 @@ def _pde_residual_per_draw(p, jmax, seed):
         s = int(rng.integers(-j, j + 1))
         g = verify._random_angles(rng)
         q = verify._random_q(rng, beta=0.3)
-        schrod, sym = pde_residual(q, j, s, p, g, steps=(4e-3, 2e-3))
-        coarse, fine = np.column_stack((schrod, sym))
-        for big, small in zip(coarse, fine):
-            if big >= 1e-10 and small >= 1e-300:
-                worst = max(worst, abs(big / small - 4.0))
+        worst = max(worst, *pde_residual(q, j, s, p, g))
     return worst
 
 
@@ -379,17 +454,6 @@ def test_completeness_takes_delta_j_once_per_draw(monkeypatch):
         monkeypatch.setattr(module, "delta_j", lambda q, qp, j, f=module.delta_j: calls.append(j) or f(q, qp, j))
     check_completeness(P321, jmax=6)
     assert sorted(calls) == [j for j in range(7) for _ in range(2)]
-
-
-def test_pde_residual_builds_its_stencils_once_per_check(monkeypatch):
-    # 9 field_stencil calls on the stacked centres of every draw, whatever jmax
-    calls = []
-    stencil = wavefunctions.field_stencil
-    monkeypatch.setattr(wavefunctions, "field_stencil", lambda *a: calls.append(np.shape(a[2])) or stencil(*a))
-    for jmax in (0, 3):
-        check_pde_residual(P321, jmax)
-        assert len(calls) == 9 and all(shape[0] == jmax + 1 for shape in calls)
-        calls.clear()
 
 
 def test_bridge_refuses_a_draw_on_the_phase_map_pole(monkeypatch):

@@ -33,9 +33,7 @@ from asymtop import (
     psi_from_phase,
     psi_via_kernel_values,
     state_values,
-    invariant_field_apply,
     pde_residual,
-    pde_stencils,
     phi_state,
     psi_eval,
     psi_grid,
@@ -54,7 +52,6 @@ from asymtop import (
 )
 from asymtop import wavefunctions
 from asymtop.lambda_rep import QRule
-from asymtop.so3 import THETA_MARGIN
 from asymtop.wavefunctions import _kernel_factors
 
 
@@ -305,94 +302,24 @@ def test_state_jms_m_phase(p321):
         state_jms(2, 3, 0, p321)
 
 
-def test_pde_residual_second_order(p321, rng):
-    # halving h divides both residuals by about 4
-    checked = 0
-    for j in (1, 2):
-        for s in range(-j, j + 1):
-            q = random_q(rng, beta=0.4)
-            g = random_g(rng)
-            schrod, sym = pde_residual(q, j, s, p321, g, steps=(1e-3, 5e-4))
-            coarse, fine = np.column_stack((schrod, sym))
-            for big, small in zip(coarse, fine):
-                if big < 1e-10 or small < 1e-300:
-                    continue
-                assert 3.2 < big / small < 4.8
-                checked += 1
-    assert checked >= 4
-
-
-def nested_pde_residual(q, j, s, p, g, h):
-    """pde_residual's residuals at one step by nested scalar composition:
-    invariant_field_apply around invariant_field_apply around one psi_grid
-    call per point.  Also returns |E Psi(g)|."""
-    coeffs = phi_state(j, s, p).coeffs
-    energy = spectrum(j, p, route="lambda")[s + j].E
-    qv = q.value
-
-    def psi_fn(gg, qq=qv):
-        return complex(psi_grid(qq, coeffs, gg.phi, gg.theta, gg.psi))
-
-    h_psi = 0.0
-    for a, weight in zip((1, 2, 3), (p.A, p.B, p.C)):
-        first = lambda gg, a=a: invariant_field_apply("xi", a, psi_fn, gg, h=h)
-        h_psi -= weight * invariant_field_apply("xi", a, first, g, h=h)
-    psi0 = psi_fn(g)
-    dq = (psi_fn(g, qv + h) - psi_fn(g, qv - h)) / (2.0 * h)
-    ell = (
-        -1j * cmath.sin(qv) * dq + 1j * j * cmath.cos(qv) * psi0,
-        -1j * cmath.cos(qv) * dq - 1j * j * cmath.sin(qv) * psi0,
-        dq,
-    )
-    sym = [abs(invariant_field_apply("eta", a, psi_fn, g, h=h) + ell[a - 1]) for a in (1, 2, 3)]
-    return abs(h_psi - energy * psi0), np.array(sym), abs(energy * psi0)
-
-
-def test_pde_residual_matches_the_nested_scalar_oracle(p321):
-    # one vectorized psi_grid call gives the residuals of the nested scalar
-    # composition up to rounding, at every j <= 4, every s and both steps
-    rng = np.random.default_rng(11)
-    steps = (4e-3, 2e-3)
-    worst = 0.0
+def test_pde_residual_is_exact_at_every_s_and_at_the_poles(p321, rng):
+    # exact derivatives: both residuals sit at rounding for every level,
+    # also where the Euler coordinates are singular
     for j in range(5):
         for s in range(-j, j + 1):
-            for _ in range(3):
-                q, g = random_q(rng, beta=0.3), random_g(rng)
-                schrod, sym = pde_residual(q, j, s, p321, g, steps=steps)
-                for row, h in enumerate(steps):
-                    ref_schrod, ref_sym, scale = nested_pde_residual(q, j, s, p321, g, h)
-                    err = max(abs(schrod[row] - ref_schrod), np.max(np.abs(sym[row] - ref_sym)))
-                    worst = max(worst, err / max(1.0, scale))
-    assert worst < 1e-9
+            for theta in (0.0, 1e-9, rng.uniform(0.0, math.pi), math.pi):
+                g = EulerAngles(rng.uniform(0, 2 * math.pi), theta, rng.uniform(0, 2 * math.pi))
+                assert max(pde_residual(random_q(rng, beta=0.4), j, s, p321, g)) < 1e-13
 
 
-def test_pde_stencils_on_stacked_centres_equal_each_centre_alone(rng):
-    gs = [random_g(rng) for _ in range(5)] + [EulerAngles(0, 1, 2)]
-    phi, theta, psi = np.array([g.as_tuple() for g in gs], dtype=float).T
-    steps = (4e-3, 2e-3)
-    stacked = pde_stencils(phi, theta, psi, steps)
-    assert len(stacked) == 6
-    for i, g in enumerate(gs):
-        alone = pde_stencils(g.phi, g.theta, g.psi, steps)
-        for together, single in zip(stacked, alone):
-            assert len(together) == len(single) == 5
-            for x, y in zip(together, single):
-                assert x[i].shape == y.shape and x[i].tobytes() == y.tobytes()
-    # a 2-D array of centres keeps its shape in front
-    grid = pde_stencils(phi.reshape(2, 3), theta.reshape(2, 3), psi.reshape(2, 3), steps)
-    for together, flat in zip(grid, stacked):
-        for x, y in zip(together, flat):
-            assert np.array_equal(x.reshape(y.shape), y)
-
-
-def test_pde_residual_guards_every_stencil_centre(p321):
-    q = ComplexQ(0.3, 0.1)
-    with pytest.raises(DomainError, match="theta"):
-        pde_residual(q, 1, 0, p321, EulerAngles(0.1, 0.5 * THETA_MARGIN, 0.2))
-    # g is outside the margin, but the outer point theta - h is an inner
-    # stencil's centre within it
-    with pytest.raises(DomainError, match="theta"):
-        pde_residual(q, 1, 0, p321, EulerAngles(0.1, 1.5 * THETA_MARGIN, 0.2), steps=(2 * THETA_MARGIN,))
+def test_pde_residual_symmetry_part_holds_for_any_coefficients(p321, rng, monkeypatch):
+    # (eta_a + l_a) Psi = 0 holds for every Phi, since Psi = t(g) Phi at q;
+    # only the Schroedinger part sees that Phi is not a state
+    j = 3
+    coeffs = rng.normal(size=2 * j + 1) + 1j * rng.normal(size=2 * j + 1)
+    monkeypatch.setattr(wavefunctions, "phi_state", lambda j, s, p: FourierState(j, coeffs))
+    schrod, sym = pde_residual(random_q(rng, beta=0.4), j, 0, p321, random_g(rng))
+    assert sym < 1e-13 < 1e-3 < schrod
 
 
 def test_so3_norm_matches_delta(p321, rng):
