@@ -34,6 +34,7 @@ from .lambda_rep import (
     gram_matrix,
     inner_product,
     inner_product_quadrature,
+    q_grid,
     q_rule,
     state_values,
     weight_B,
@@ -45,6 +46,7 @@ from .so3 import (
     HaarRule,
     compose,
     euler_to_matrix,
+    haar_grid,
     haar_rule,
     inverse,
     matrix_to_euler,
@@ -100,6 +102,7 @@ from .wavefunctions import (
 )
 from .wigner import (
     angular_momentum_matrices,
+    polar_d,
     wigner_D,
     wigner_D_matrix,
     wigner_d_matrix,

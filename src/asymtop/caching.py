@@ -1,90 +1,81 @@
-"""Per-process caches bounded in bytes.
+"""The one per-process cache of the tables that do not depend on the top.
 
-A table that does not depend on the top (a quadrature rule, a stack of
-generator matrices) is built once per process and shared read-only.  Its
-size grows fast with j, so each cache is bounded by the bytes it holds, not
-by its number of entries: a degree-100 Haar rule with its d^j tables holds
-about 1 GB, a degree-4 one a few KB.
+The weights B_nj, the J_1 eigenbasis, block layouts, quadrature rules with
+their flat grids and d^j tables, and generator stacks are each built once
+per process by a builder decorated with memoize, and shared read-only.
+Their sizes grow fast with j, so the cache is bounded by the bytes its
+values hold, not by their number: a degree-100 Haar rule with every d^j
+table at its polar nodes would hold about 1 GB, a degree-4 one a few KB.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from collections import OrderedDict
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
 
+# every memoized table together is kept in this many bytes
+CACHE_BYTES = 32 << 20
+
+
+def arrays(value) -> Iterator[np.ndarray]:
+    """Every array reachable from value through tuples (NamedTuples too)
+    and dataclass fields."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from arrays(getattr(value, field.name))
+
 
 class BytesCache:
-    """Least-recently-used map of read-only values whose `nbytes` add up to
-    at most `limit`.
-
-    A value may grow after it is stored (a rule that builds tables on first
-    use); its owner then calls trim(), so the bound holds whenever no cache
-    call is running.  A value larger than the limit is returned but not
-    kept.
-    """
+    """Least-recently-used map of read-only values whose arrays add up to
+    at most `limit` bytes after every call.  A value larger than the limit
+    is returned but not kept, and evicts nothing."""
 
     def __init__(self, limit: int):
         self.limit = limit
-        self._entries: OrderedDict = OrderedDict()
-
-    @property
-    def nbytes(self) -> int:
-        return sum(value.nbytes for value in self._entries.values())
-
-    def trim(self) -> None:
-        """Drop least recently used values until the rest fit in limit."""
-        total = self.nbytes
-        while total > self.limit:
-            total -= self._entries.popitem(last=False)[1].nbytes
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, its nbytes)
 
     def clear(self) -> None:
         self._entries.clear()
+        self.nbytes = 0
 
-    def memoize(self, build: Callable[..., T]) -> Callable[..., T]:
-        """build(*args), once per args while the value stays resident; the
-        wrapper's cache_clear() empties the cache, as functools' caches do."""
+    def get(self, key, build: Callable[[], T]) -> T:
+        """The value kept under key, or build()'s, made read-only and kept."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            return self._entries[key][0]
+        value = build()
+        size = 0
+        for arr in arrays(value):
+            arr.flags.writeable = False
+            size += arr.nbytes
+        if size <= self.limit:
+            self._entries[key] = value, size
+            self.nbytes += size
+            while self.nbytes > self.limit:
+                self.nbytes -= self._entries.popitem(last=False)[1][1]
+        return value
 
-        @functools.wraps(build)
-        def cached(*args):
-            if args in self._entries:
-                self._entries.move_to_end(args)
-                return self._entries[args]
-            value = self._entries[args] = build(*args)
-            self.trim()
-            return value
 
-        cached.cache_clear = self.clear
-        return cached
+TABLES = BytesCache(CACHE_BYTES)
 
 
-class LazyTables:
-    """Base of a frozen dataclass, kept in the BytesCache `_cache`, that
-    builds tables on first use.
+def memoize(build: Callable[..., T]) -> Callable[..., T]:
+    """build(*args), kept in TABLES under (build, args)."""
 
-    table(key, build) stores build()'s arrays read-only, once per key, and
-    trims the cache, which now holds more bytes; nbytes counts the array
-    fields and every table built so far.
-    """
+    @functools.wraps(build)
+    def cached(*args):
+        return TABLES.get((build, args), lambda: build(*args))
 
-    _cache: BytesCache
-
-    def table(self, key, build: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-        tables = self.__dict__.setdefault("_tables", {})
-        if key not in tables:
-            arrays = build()
-            for arr in arrays:
-                arr.flags.writeable = False
-            tables[key] = arrays
-            self._cache.trim()
-        return tables[key]
-
-    @property
-    def nbytes(self) -> int:
-        held = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
-        held += [arr for arrays in self.__dict__.get("_tables", {}).values() for arr in arrays]
-        return sum(arr.nbytes for arr in held)
+    return cached

@@ -17,14 +17,14 @@ All matrices are indexed by n = -j..j ascending.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .caching import BytesCache, LazyTables
+from .caching import memoize
 from .errors import ConvergenceWarning, DimensionError, DomainError
 from .so3 import TWO_PI, gauss_legendre
 
@@ -92,12 +92,10 @@ def const_C(j: int) -> float:
     return math.exp(math.lgamma(2 * j + 2) - j * math.log(2.0) - 2.0 * math.lgamma(j + 1))
 
 
-@functools.lru_cache(maxsize=64)
+@memoize
 def weight_vector(j: int) -> np.ndarray:
-    """B_nj for n = -j..j, read-only, once per j."""
-    b = weight_B(np.arange(-j, j + 1), j)
-    b.flags.writeable = False
-    return b
+    """B_nj for n = -j..j, read-only and memoized."""
+    return weight_B(np.arange(-j, j + 1), j)
 
 
 def ell_matrix(a: int, j: int) -> np.ndarray:
@@ -230,13 +228,8 @@ def evaluate_state(u: FourierState, q: ComplexQ) -> complex:
     return complex(state_values(q.value, u.coeffs))
 
 
-# q_rule keeps its rules, their flattened grids included, in this many bytes
-Q_CACHE_BYTES = 32 << 20
-_Q_RULES = BytesCache(Q_CACHE_BYTES)
-
-
 @dataclass(frozen=True)
-class QRule(LazyTables):
+class QRule:
     """Quadrature rule for integrals against dmu_j over alpha, beta.
 
     The product of a uniform alpha grid (`alphas`) and Gauss-Legendre nodes
@@ -248,11 +241,8 @@ class QRule(LazyTables):
     Node alpha_a + i beta_b has weight w_b, and sqrt(w_b) e^{inq} there is
     A[a, n] B[b, n] with A = e^{in alpha_a} and B = sqrt(w_b) e^{-n beta_b}.
     The node sum then factors by axis: the Gram of the basis over the nodes
-    is the Hadamard product (A^H A) o (B^H B) of one Gram per axis.
-
-    nodes, log_weights and weights are the flattened product grid, alpha
-    slowest, built on first use (LazyTables): read-only, and counted in
-    nbytes against q_rule's Q_CACHE_BYTES.
+    is the Hadamard product (A^H A) o (B^H B) of one Gram per axis.  The
+    flattened product grid is q_grid's.
     """
 
     j: int
@@ -260,26 +250,6 @@ class QRule(LazyTables):
     betas: np.ndarray
     beta_log_weights: np.ndarray
     beta_max: float
-
-    _cache = _Q_RULES
-
-    def _flat_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        qs = self.alphas[:, None] + 1j * self.betas[None, :]
-        return qs.ravel(), np.broadcast_to(self.beta_log_weights, qs.shape).ravel()
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """Complex q points, flattened."""
-        return self.table("grid", self._flat_grid)[0]
-
-    @property
-    def log_weights(self) -> np.ndarray:
-        """Log weight of each node."""
-        return self.table("grid", self._flat_grid)[1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
 
     def basis_by_axis(self, power: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{in alpha_a}, w_b^power e^{-n beta_b}) from fourier_basis, n on
@@ -295,8 +265,8 @@ def default_beta_max(j: int, tol: float = 1e-12) -> float:
 
 def q_rule(j: int, beta_max: float | None = None) -> QRule:
     """The product rule, uniform alpha grid x Gauss-Legendre in beta, with
-    cutoff beta_max (default_beta_max(j) when None): built once per process
-    and cutoff while it stays within Q_CACHE_BYTES (caching).
+    cutoff beta_max (default_beta_max(j) when None), read-only and memoized
+    per j and cutoff (caching).
 
     The 224 + 32j beta nodes and weights come from so3.gauss_legendre, exactly
     symmetric about beta = 0; a cold build at j = 40 spends about 10 ms on
@@ -304,7 +274,7 @@ def q_rule(j: int, beta_max: float | None = None) -> QRule:
     return _q_rule(j, default_beta_max(j) if beta_max is None else beta_max)
 
 
-@_Q_RULES.memoize
+@memoize
 def _q_rule(j: int, beta_max: float) -> QRule:
     """q_rule's build, keyed by (j, beta_max)."""
     n_alpha = 2 * j + 4
@@ -318,13 +288,23 @@ def _q_rule(j: int, beta_max: float) -> QRule:
     log_density = np.log(beta_max * wx) - (j + 1) * (2.0 * np.logaddexp(betas, -betas) - math.log(2.0))
     top = log_density.max()  # kappa: the weights sum to 1
     log_sum = top + math.log(n_alpha * float(np.sum(np.exp(log_density - top))))
-    axes = (TWO_PI * np.arange(n_alpha) / n_alpha, betas, log_density - log_sum)
-    for arr in axes:
-        arr.flags.writeable = False
-    return QRule(j, *axes, beta_max=beta_max)
+    return QRule(j, TWO_PI * np.arange(n_alpha) / n_alpha, betas, log_density - log_sum, beta_max)
 
 
-q_rule.cache_clear = _q_rule.cache_clear
+class QGrid(NamedTuple):
+    """The nodes of a q_rule flattened, alpha slowest, and their log weights."""
+
+    nodes: np.ndarray
+    log_weights: np.ndarray
+
+
+@memoize
+def q_grid(j: int, beta_max: float) -> QGrid:
+    """The flattened grid of q_rule(j, beta_max), read-only and memoized; no
+    sum of the package reads it, each is taken by axes."""
+    rule = q_rule(j, beta_max)
+    qs = rule.alphas[:, None] + 1j * rule.betas[None, :]
+    return QGrid(qs.ravel(), np.broadcast_to(rule.beta_log_weights, qs.shape).ravel())
 
 
 def quadrature_gram(rule: QRule) -> np.ndarray:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .caching import BytesCache, LazyTables
+from .caching import memoize
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -132,13 +133,8 @@ def orbit_derivatives(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coeffs @ (1j * k), coeffs @ -(k * k)
 
 
-# haar_rule keeps its rules, their polar_d tables included, in this many bytes
-HAAR_CACHE_BYTES = 32 << 20
-_HAAR_RULES = BytesCache(HAAR_CACHE_BYTES)
-
-
 @dataclass(frozen=True)
-class HaarRule(LazyTables):
+class HaarRule:
     """Product quadrature rule on SO(3), total weight 1.
 
     Uniform grids in phi and psi (the same `azimuths`), Gauss-Legendre in
@@ -153,10 +149,9 @@ class HaarRule(LazyTables):
     P = sum_b (w_b/2) d^j_{mn}(theta_b) d^jt_{mt nt}(theta_b) and F(k) the
     mean of e^{ik phi_a} over the azimuths (wigner.wigner_gram).
 
-    The flattened (phi, theta, psi) grid (phi, theta, psi and weights, phi
-    slowest) and the d^j tables at the polar nodes (polar_d, once per j) are
-    built on first use (LazyTables): read-only, and counted in nbytes
-    against haar_rule's HAAR_CACHE_BYTES.
+    The flattened grid (haar_grid) and the d^j tables at the polar nodes
+    (wigner.polar_d) are memoized functions of the degree, kept beside the
+    rule in the one table cache (caching).
     """
 
     degree: int
@@ -164,36 +159,14 @@ class HaarRule(LazyTables):
     polar_nodes: np.ndarray
     polar_weights: np.ndarray
 
-    _cache = _HAAR_RULES
 
-    def _flat_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n = len(self.azimuths)
-        phi, theta, psi = np.meshgrid(self.azimuths, self.polar_nodes, self.azimuths, indexing="ij")
-        w = np.broadcast_to(self.polar_weights[None, :, None] / (2.0 * n * n), phi.shape)
-        return phi.ravel(), theta.ravel(), psi.ravel(), np.ascontiguousarray(w.ravel())
+class HaarGrid(NamedTuple):
+    """The nodes of haar_rule(degree) flattened, phi slowest, and their weights."""
 
-    @property
-    def phi(self) -> np.ndarray:
-        return self.table("grid", self._flat_grid)[0]
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.table("grid", self._flat_grid)[1]
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self.table("grid", self._flat_grid)[2]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.table("grid", self._flat_grid)[3]
-
-    def polar_d(self, j: int) -> np.ndarray:
-        """wigner.wigner_d_matrix(j, polar_nodes), shape (nodes, 2j+1, 2j+1):
-        every wigner_gram on this rule with j or jt = j reads this one table."""
-        from .wigner import wigner_d_matrix  # wigner imports this module
-
-        return self.table(j, lambda: (wigner_d_matrix(j, self.polar_nodes),))[0]
+    phi: np.ndarray
+    theta: np.ndarray
+    psi: np.ndarray
+    weights: np.ndarray
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,8 +185,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     The series is folded onto the n//2 + 1 frequencies n - 2k and summed as
     e^{in theta} sum_a e^{-2iBa theta} sum_b c_{Ba+b} e^{-2ib theta},
     B ~ sqrt(n/2): each step is O(n^1.5) exponentials and one matrix product,
-    and no (nodes x frequencies) table is formed.  Not cached: haar_rule and
-    lambda_rep.q_rule, its callers, keep their rules per process.
+    and no (nodes x frequencies) table is formed.  Not memoized: haar_rule and
+    lambda_rep.q_rule, its callers, are.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -244,10 +217,10 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@_HAAR_RULES.memoize
+@memoize
 def haar_rule(degree: int) -> HaarRule:
-    """The normalized Haar rule exact through Wigner degree `degree`, built
-    once per process while it stays within HAAR_CACHE_BYTES (caching).
+    """The normalized Haar rule exact through Wigner degree `degree`, read-only
+    and memoized (caching).
 
     Uses 2*degree+1 azimuthal points (products carry frequencies up to
     2*degree) and degree+1 Gauss-Legendre nodes in cos theta (the surviving
@@ -257,6 +230,14 @@ def haar_rule(degree: int) -> HaarRule:
         raise DomainError("degree must be >= 0")
     n_az = 2 * degree + 1
     x, wx = gauss_legendre(degree + 1)
-    azimuths, polar_nodes = TWO_PI * np.arange(n_az) / n_az, np.arccos(x)
-    azimuths.flags.writeable = polar_nodes.flags.writeable = False
-    return HaarRule(degree=degree, azimuths=azimuths, polar_nodes=polar_nodes, polar_weights=wx)
+    return HaarRule(degree, TWO_PI * np.arange(n_az) / n_az, np.arccos(x), wx)
+
+
+@memoize
+def haar_grid(degree: int) -> HaarGrid:
+    """The flattened grid of haar_rule(degree), read-only and memoized."""
+    rule = haar_rule(degree)
+    n = len(rule.azimuths)
+    phi, theta, psi = np.meshgrid(rule.azimuths, rule.polar_nodes, rule.azimuths, indexing="ij")
+    w = np.broadcast_to(rule.polar_weights[None, :, None] / (2.0 * n * n), phi.shape)
+    return HaarGrid(phi.ravel(), theta.ravel(), psi.ravel(), np.ascontiguousarray(w.ravel()))

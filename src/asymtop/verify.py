@@ -13,14 +13,12 @@ completeness then evaluate each j once over all of its draws with the array
 entry points (a stacked t_matrix, kernel_values, phase_map, ...), each point
 of which equals its one-point call bit for bit.
 
-The tables that do not depend on the top are built once per process and
-shared read-only, each cache bounded in bytes (caching.BytesCache):
-haar_rule's rules with their polar_d tables (so3.HAAR_CACHE_BYTES), q_rule's
-rules (lambda_rep.Q_CACHE_BYTES) and the GeneratorStacks of casimir,
-commutators and gram-hermiticity (STACK_CACHE_BYTES), 32 MiB each.  Those
-three checks take batched products over a stack of j (padding a j to the
-size of its chunk changes no bit) and reduce per j; gram-hermiticity still
-calls h_matrix_lambda(j, p) once per j.
+The tables that do not depend on the top (rules, d^j tables at polar nodes,
+the GeneratorStacks of casimir, commutators and gram-hermiticity) are
+memoized in the one table cache, caching.TABLES.  Those three checks take
+batched products over a stack of j (padding a j to the size of its chunk
+changes no bit) and reduce per j; gram-hermiticity still calls
+h_matrix_lambda(j, p) once per j.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .caching import BytesCache
+from .caching import memoize
 from .lambda_rep import (
     ComplexQ,
     casimir_from,
@@ -55,7 +53,7 @@ from .wavefunctions import (
     t_matrix_quadrature,
     uncertainty,
 )
-from .wigner import angular_momentum_matrices, unitarity_defect, wigner_gram
+from .wigner import angular_momentum_matrices, polar_d, unitarity_defect
 
 
 @dataclass(frozen=True)
@@ -74,11 +72,9 @@ class Check:
     run_all puts on the caller's jmax.  run(p, jmax, seed, tol) calls the
     check_* function through its module-level name at call time, so a
     wrapper put on that name (a tracer, a test's monkeypatch) sees the call.
-    A wrapper on a builder of a per-process table (haar_rule, q_rule,
-    generator_stack, or ell_matrix, angular_momentum_matrices and
-    weight_vector, which generator_stack reads) sees only the calls that
-    build, the first in a process; cache_clear() on haar_rule, q_rule or
-    generator_stack empties its cache.
+    A wrapper on ell_matrix or angular_momentum_matrices, which only the
+    memoized generator_stack reads, sees only the calls that build a stack,
+    the first in a process; caching.TABLES.clear() empties the one cache.
     """
 
     name: str
@@ -183,10 +179,7 @@ def check_route_agreement(
     return _result("route-agreement", max(d_route, 100.0 * d_trace), tol)
 
 
-# generator_stack keeps its stacks in this many bytes, each at most CHUNK_BYTES
-STACK_CACHE_BYTES = 32 << 20
-CHUNK_BYTES = 4 << 20
-_STACKS = BytesCache(STACK_CACHE_BYTES)
+CHUNK_BYTES = 4 << 20  # the most a GeneratorStack of more than one j holds
 
 
 class GeneratorStack(NamedTuple):
@@ -197,7 +190,7 @@ class GeneratorStack(NamedTuple):
 
     ell[a - 1] stacks lambda_rep.ell_matrix(a, j), spin[a - 1] the J_a of
     wigner.angular_momentum_matrices(j), eye the identity of each block and
-    gram the Gram diagonal 1/weight_vector(j).  Read-only.
+    gram the Gram diagonal 1/weight_vector(j).
     """
 
     js: np.ndarray
@@ -205,10 +198,6 @@ class GeneratorStack(NamedTuple):
     spin: np.ndarray
     eye: np.ndarray
     gram: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return sum(arr.nbytes for arr in self)
 
 
 def _centred(blocks: list[np.ndarray], n: int) -> np.ndarray:
@@ -221,22 +210,18 @@ def _centred(blocks: list[np.ndarray], n: int) -> np.ndarray:
     return out
 
 
-@_STACKS.memoize
+@memoize
 def generator_stack(lo: int, hi: int) -> GeneratorStack:
-    """The GeneratorStack of j = lo..hi, built once per process while it
-    stays within STACK_CACHE_BYTES (caching)."""
+    """The GeneratorStack of j = lo..hi, read-only and memoized."""
     js, n = range(lo, hi + 1), 2 * hi + 1
     spins = [angular_momentum_matrices(j) for j in js]
-    stack = GeneratorStack(
+    return GeneratorStack(
         np.array(js),
         np.stack([_centred([ell_matrix(a, j) for j in js], n) for a in (1, 2, 3)]),
         np.stack([_centred([m[a] for m in spins], n) for a in range(3)]),
         _centred([np.eye(2 * j + 1) for j in js], n),
         _centred([1.0 / weight_vector(j) for j in js], n),
     )
-    for arr in stack:
-        arr.flags.writeable = False
-    return stack
 
 
 def _chunks(jmax: int):
@@ -321,17 +306,28 @@ def check_wigner_orthogonality(
     jmax: int = _SPEC["wigner-orthogonality"].jmax,
     tol: float = _SPEC["wigner-orthogonality"].tol,
 ) -> CheckResult:
-    """Haar orthogonality of the D-functions plus row unitarity of d(theta):
-    the Gram tensor of wigner_gram for every jt <= j on the rule of degree j."""
+    """Haar orthogonality of the D-functions plus row unitarity of d(theta),
+    by axes on the rule of degree j for every jt <= j.
+
+    Its Gram wigner_gram(j, jt) is P[m, n, mt, nt] F(mt - m) F(nt - n)
+    (HaarRule), with F(0) = 1 exactly and |P|, |F| <= 1.  So the defect of
+    every entry is at most the larger of the azimuth means |F(k)|,
+    0 < |k| <= 2j (|F(-k)| = |F(k)|), and the defect of the polar diagonal
+    P[m, n, m, n] - delta_{j jt}/(2j+1), |m|, |n| <= jt, read from polar_d:
+    no (2j+1)^2 x (2jt+1)^2 tensor is formed.
+    """
     worst = 0.0
     thetas = np.linspace(0.2, math.pi - 0.2, 5)
     for j in range(jmax + 1):
         worst = max(worst, unitarity_defect(j, thetas))
         rule = haar_rule(j)
+        means = np.exp(1j * np.outer(rule.azimuths, np.arange(1, 2 * j + 1))).mean(axis=0)
+        worst = max(worst, float(np.max(np.abs(means), initial=0.0)))
+        weighted = 0.5 * rule.polar_weights[:, None, None] * polar_d(rule.degree, j)
         for jt in range(j + 1):
-            gram = wigner_gram(j, jt, rule).reshape((2 * j + 1) ** 2, -1)
-            expected = np.eye(len(gram)) / (2 * j + 1) if jt == j else 0.0
-            worst = max(worst, float(np.max(np.abs(gram - expected))))
+            inner = weighted[:, j - jt : j + jt + 1, j - jt : j + jt + 1]
+            diagonal = np.einsum("bmn,bmn->mn", inner, polar_d(rule.degree, jt))
+            worst = max(worst, float(np.max(np.abs(diagonal - (jt == j) / (2 * j + 1)))))
     return _result("wigner-orthogonality", worst, tol)
 
 
@@ -348,18 +344,22 @@ def check_kernel_group(
     which is unitary: t's entries grow with j (1.8e4 at j = 20), u's stay
     within 1, so one tolerance holds at every j.
 
-    Per j: one stacked t for the identity and (g1, g1 g2, g2) of each draw,
-    and one kernel evaluation at (q, q', e), (q, q', g1) and (q', q, g1^{-1})
-    of each draw.
+    Every draw's g1 g2 comes from one broadcast compose.  Per j: one
+    stacked t for the identity and (g1, g1 g2, g2) of each draw, and one
+    kernel evaluation at (q, q', e), (q, q', g1) and (q', q, g1^{-1}) of
+    each draw.
     """
     rng = np.random.default_rng(seed)
     draws = [
         [(_random_angles(rng), _random_angles(rng), _random_q(rng), _random_q(rng)) for _ in range(2)]
         for _ in range(jmax + 1)
     ]
+    flat = [sample for samples in draws for sample in samples]
+    g12 = compose(_stacked([s[0] for s in flat]), _stacked([s[1] for s in flat]))
+    products = iter([EulerAngles(*angles) for angles in zip(*g12.as_tuple())])
     worst = 0.0
     for j, samples in enumerate(draws):
-        rotations = [IDENTITY] + [g for g1, g2, _, _ in samples for g in (g1, compose(g1, g2), g2)]
+        rotations = [IDENTITY] + [g for g1, g2, _, _ in samples for g in (g1, next(products), g2)]
         root_b = np.sqrt(weight_vector(j))  # G = diag(1 / B_nj)
         u = t_matrix(j, _stacked(rotations)) * root_b / root_b[:, None]
         u1, u12, u2 = u[1::3], u[2::3], u[3::3]

@@ -36,7 +36,7 @@ from .lambda_rep import (
     state_values,
     weight_vector,
 )
-from .so3 import EulerAngles, HaarRule, inverse, orbit_derivatives, orbits
+from .so3 import EulerAngles, HaarRule, haar_grid, inverse, orbit_derivatives, orbits
 from .spectra import TopParams, phi_state, phi_states, spectrum
 from .wigner import wigner_D_matrix
 
@@ -304,8 +304,9 @@ def so3_norm(q: ComplexQ, j: int, s: int, p: TopParams, rule: HaarRule) -> float
     """Haar integral of |Psi_{q,j,s}|^2; equals delta_j(q, conj(q))."""
     if rule.degree < j:
         raise DomainError(f"rule degree {rule.degree} < j={j}")
-    vals = psi_grid(q.value, phi_state(j, s, p), rule.phi, rule.theta, rule.psi)
-    return float(np.sum(rule.weights * np.abs(vals) ** 2))
+    grid = haar_grid(rule.degree)
+    vals = psi_grid(q.value, phi_state(j, s, p), grid.phi, grid.theta, grid.psi)
+    return float(np.sum(grid.weights * np.abs(vals) ** 2))
 
 
 def kernel_gram(
@@ -332,11 +333,11 @@ def kernel_gram(
         shared = ComplexQ(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-1.0, 1.0))
         shared2 = ComplexQ(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-1.0, 1.0))
         points.append((shared, shared2, shared, shared2))
-    defect = 0.0
+    grid, defect = haar_grid(rule.degree), 0.0
     for qq, qp, qt, qtp in points:
-        left = kernel_values(qq.value, qp.value, j, rule.phi, rule.theta, rule.psi)
-        right = kernel_values(qt.value, qtp.value, jt, rule.phi, rule.theta, rule.psi)
-        quad = complex(np.sum(rule.weights * np.conj(left) * right))
+        left = kernel_values(qq.value, qp.value, j, grid.phi, grid.theta, grid.psi)
+        right = kernel_values(qt.value, qtp.value, jt, grid.phi, grid.theta, grid.psi)
+        quad = complex(np.sum(grid.weights * np.conj(left) * right))
         if j == jt:
             expected = delta_j(qt, qq, j) * delta_j(qp, qtp, j) / (2 * j + 1)
         else:

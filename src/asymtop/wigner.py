@@ -15,13 +15,13 @@ lambda) between the others.  An array of theta is one broadcast evaluation.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
+from .caching import memoize
 from .errors import DomainError
-from .so3 import EulerAngles, HaarRule
+from .so3 import EulerAngles, HaarRule, haar_rule
 
 
 def ladder_coefficient(j, m):
@@ -52,9 +52,9 @@ def angular_momentum_matrices(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return J1, J2, J3
 
 
-@functools.lru_cache(maxsize=16)
+@memoize
 def jx_eigenbasis(j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues -j..j and eigenvectors of P* J_1 P, read-only, once per j.
+    """Eigenvalues -j..j and eigenvectors of P* J_1 P, read-only and memoized.
 
     The off-diagonals c/2 are a palindrome, so the matrix commutes with the
     reversal k -> 2j-k and is block diagonal on the reversal-even vectors
@@ -82,8 +82,6 @@ def jx_eigenbasis(j: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(lam)
     lam = np.rint(lam[order])
     v = v[:, order] * ((-1.0) ** (np.arange(2 * j + 1) // 2))[:, None]
-    lam.flags.writeable = False
-    v.flags.writeable = False
     return lam, v
 
 
@@ -133,6 +131,14 @@ def wigner_D_matrix(j: int, g: EulerAngles) -> np.ndarray:
     return left[..., :, None] * wigner_d_matrix(j, g.theta) * right[..., None, :]
 
 
+@memoize
+def polar_d(degree: int, j: int) -> np.ndarray:
+    """wigner_d_matrix(j) at the polar nodes of haar_rule(degree), shape
+    (nodes, 2j+1, 2j+1), read-only and memoized: every wigner_gram on that
+    rule with j or jt = j reads this one table."""
+    return wigner_d_matrix(j, haar_rule(degree).polar_nodes)
+
+
 def wigner_gram(j: int, jt: int, rule: HaarRule) -> np.ndarray:
     """Haar-quadrature Gram tensor G[m, n, mt, nt] of conj(D^j) with D^jt.
 
@@ -140,7 +146,7 @@ def wigner_gram(j: int, jt: int, rule: HaarRule) -> np.ndarray:
     product of the polar sum P[m, n, mt, nt] = sum_b (w_b/2) d^j_{mn}(theta_b)
     d^jt_{mt nt}(theta_b) with F(mt - m) F(nt - n), where F(k) is the mean of
     e^{ik phi_a} over the rule's azimuths, summed on that grid.  The d tables
-    are the rule's (HaarRule.polar_d), built once per rule and j.  Equals
+    are polar_d's at the rule's degree.  Equals
     delta_{j,jt} delta_{m,mt} delta_{n,nt} / (2j+1) when the rule is exact at
     max(j, jt).
     """
@@ -153,8 +159,8 @@ def wigner_gram(j: int, jt: int, rule: HaarRule) -> np.ndarray:
     f = np.exp(1j * np.outer(rule.azimuths, np.arange(-j - jt, j + jt + 1))).mean(axis=0)
     az = f[np.arange(-jt, jt + 1) - np.arange(-j, j + 1)[:, None] + j + jt]
     nodes = len(rule.polar_nodes)
-    d = rule.polar_d(j).reshape(nodes, -1)
-    dt = rule.polar_d(jt).reshape(nodes, -1)
+    d = polar_d(rule.degree, j).reshape(nodes, -1)
+    dt = polar_d(rule.degree, jt).reshape(nodes, -1)
     polar = ((0.5 * rule.polar_weights[:, None] * d).T @ dt).reshape(dim, dim, dim_t, dim_t)
     return polar * az[:, None, :, None] * az[None, :, None, :]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from asymtop import TopParams, haar_rule, q_rule, verify
+from asymtop import TopParams, caching
 
 
 @pytest.fixture
@@ -16,11 +16,8 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def cold_caches():
-    """The per-process caches of rules and generator stacks, empty at the
-    start and emptied again at the end (a test may build poisoned tables)."""
-    caches = (haar_rule, q_rule, verify.generator_stack)
-    for cached in caches:
-        cached.cache_clear()
+    """The one table cache, empty at the start and emptied again at the end
+    (a test may build poisoned tables)."""
+    caching.TABLES.clear()
     yield
-    for cached in caches:
-        cached.cache_clear()
+    caching.TABLES.clear()

@@ -21,11 +21,12 @@ from asymtop import (
     inner_product,
     inner_product_quadrature,
     phi_state,
+    q_grid,
     q_rule,
     weight_B,
     weight_vector,
 )
-from asymtop import lambda_rep
+from asymtop import caching
 from asymtop.lambda_rep import LOG_MAX, QRule, default_beta_max, quadrature_gram
 from asymtop.so3 import gauss_legendre
 
@@ -147,11 +148,12 @@ def test_evaluate_state_overflow_guard():
 
 def test_quadrature_gram_is_diagonal():
     for j in (0, 1, 2, 4):
-        rule = q_rule(j)
-        assert abs(np.sum(rule.weights) - 1.0) < 1e-13  # (psi_0, psi_0)_Q = 1
+        nodes, log_weights = q_grid(j, default_beta_max(j))
+        weights = np.exp(log_weights)
+        assert abs(np.sum(weights) - 1.0) < 1e-13  # (psi_0, psi_0)_Q = 1
         n = np.arange(-j, j + 1)
-        vals = np.exp(1j * np.outer(rule.nodes, n))
-        quad = vals.conj().T @ (rule.weights[:, None] * vals)
+        vals = np.exp(1j * np.outer(nodes, n))
+        quad = vals.conj().T @ (weights[:, None] * vals)
         b = weight_vector(j)
         rel = np.abs(quad - np.diag(1.0 / b)) * np.sqrt(np.outer(b, b))
         assert np.max(rel) < 1e-8
@@ -169,33 +171,34 @@ def test_q_rule_flat_grid_is_the_product_of_its_axes():
         top = log_density.max()
         log_weights = log_density - (top + math.log(n_alpha * float(np.sum(np.exp(log_density - top)))))
         qs = alphas[:, None] + 1j * betas[None, :]
-        for got, want in ((rule.nodes, qs.ravel()), (rule.log_weights, np.broadcast_to(log_weights, qs.shape).ravel())):
+        grid = q_grid(j, beta_max)
+        for got, want in zip(grid, (qs.ravel(), np.broadcast_to(log_weights, qs.shape).ravel())):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert not got.flags.writeable
         assert rule.beta_max == beta_max
-        assert rule.nodes is rule.nodes  # built once
+        assert q_grid(j, beta_max) is grid  # built once
 
 
 def test_q_rule_is_cached_and_read_only(cold_caches):
     rule = q_rule(2)
     assert q_rule(2) is rule and q_rule(2, default_beta_max(2)) is rule
     assert q_rule(2, 9.0) is not rule and q_rule(2, 9.0).beta_max == 9.0
-    for arr in (rule.alphas, rule.betas, rule.beta_log_weights, rule.nodes, rule.log_weights):
+    for arr in (rule.alphas, rule.betas, rule.beta_log_weights, *q_grid(2, rule.beta_max)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    q_rule.cache_clear()
+    caching.TABLES.clear()
     assert q_rule(2) is not rule
 
 
 def test_q_rule_cache_stays_within_its_byte_bound(cold_caches, monkeypatch):
-    # a rule counts its flattened grid once built, and the cache trims then
-    monkeypatch.setattr(lambda_rep._Q_RULES, "limit", 1 << 20)
+    # rules and their flattened grids share the one cache, which trims as
+    # each is stored
+    monkeypatch.setattr(caching.TABLES, "limit", 1 << 20)
     built = 0
     for j in range(12):
         rule = q_rule(j)
-        rule.nodes
-        built += rule.nbytes
-        assert 0 < lambda_rep._Q_RULES.nbytes <= 1 << 20
+        built += sum(arr.nbytes for arr in caching.arrays((rule, q_grid(j, rule.beta_max))))
+        assert 0 < caching.TABLES.nbytes <= 1 << 20
     assert built > 1 << 20  # the bound binds
     assert q_rule(11) is q_rule(11)
 
@@ -203,7 +206,8 @@ def test_q_rule_cache_stays_within_its_byte_bound(cold_caches, monkeypatch):
 def test_quadrature_gram_by_axes_is_the_node_sum():
     for j in range(5):
         rule = q_rule(j)
-        vals = fourier_basis(j, rule.nodes, 0.5 * rule.log_weights) * np.sqrt(weight_vector(j))
+        nodes, log_weights = q_grid(j, rule.beta_max)
+        vals = fourier_basis(j, nodes, 0.5 * log_weights) * np.sqrt(weight_vector(j))
         assert np.max(np.abs(quadrature_gram(rule) - vals.conj().T @ vals)) <= 1e-14
     # the node table's refusal: at j = 4, |beta| = 90 gives e^360, past LOG_MAX
     def one_node(beta):
@@ -212,7 +216,7 @@ def test_quadrature_gram_by_axes_is_the_node_sum():
     assert np.isfinite(quadrature_gram(one_node(-80.0))).all()
     for beta in (90.0, -90.0, np.nan):
         with pytest.raises(OverflowError):
-            fourier_basis(4, one_node(beta).nodes, 0.5 * one_node(beta).log_weights)
+            fourier_basis(4, np.array([1j * beta]), np.zeros(1))  # one_node(beta)'s one node
         with pytest.raises(OverflowError):
             quadrature_gram(one_node(beta))
 
@@ -254,8 +258,8 @@ def test_quadrature_inner_product_is_the_node_sum_without_a_node_table(p321, rng
     j = 5
     u = FourierState(j=j, coeffs=rng.normal(size=11) + 1j * rng.normal(size=11))
     v = phi_state(j, 2, p321)
-    rule = q_rule(j)
-    vals = fourier_basis(j, rule.nodes, 0.5 * rule.log_weights)
+    nodes, log_weights = q_grid(j, default_beta_max(j))
+    vals = fourier_basis(j, nodes, 0.5 * log_weights)
     flat = np.vdot(vals @ u.coeffs, vals @ v.coeffs)
     assert abs(inner_product_quadrature(u, v) - flat) < 1e-13 * abs(flat)
     # at j = 40 the node-by-n table alone is 126336 x 81 complex values (164 MB)
@@ -296,9 +300,9 @@ def test_coefficients_recovered_by_pairing(rng):
     # c_n = B_nj (psi_n, u)_Q, evaluated by quadrature
     j = 2
     coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
-    rule = q_rule(j)
+    nodes, log_weights = q_grid(j, default_beta_max(j))
     n = np.arange(-j, j + 1)
-    vals = np.exp(1j * np.outer(rule.nodes, n)) @ coeffs
+    vals = np.exp(1j * np.outer(nodes, n)) @ coeffs
     for m in range(-j, j + 1):
-        pair = np.sum(rule.weights * np.conj(np.exp(1j * m * rule.nodes)) * vals)
+        pair = np.sum(np.exp(log_weights) * np.conj(np.exp(1j * m * nodes)) * vals)
         assert abs(weight_B(m, j) * pair - coeffs[m + j]) < 1e-8

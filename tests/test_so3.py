@@ -12,7 +12,9 @@ from asymtop import (
     DomainError,
     EulerAngles,
     compose,
+    caching,
     euler_to_matrix,
+    haar_grid,
     haar_rule,
     inverse,
     matrix_to_euler,
@@ -23,7 +25,7 @@ from asymtop import (
     wigner_D_matrix,
 )
 from asymtop.so3 import gauss_legendre
-from asymtop.wigner import wigner_d_matrix
+from asymtop.wigner import jx_eigenbasis, polar_d, wigner_d_matrix
 
 # theta from the north pole to the south pole, through the gimbal-lock band
 POLAR = [0.0, 1e-300, 1e-15, 1e-12, 1e-9, 1.4e-5, 1e-3, 0.5, math.pi / 2]
@@ -252,16 +254,15 @@ def test_casimir_matches_nested_fields(rng):
 
 def test_haar_rule_normalized():
     for degree in (0, 1, 3):
-        rule = haar_rule(degree)
-        assert abs(np.sum(rule.weights) - 1.0) < 1e-14
+        assert abs(np.sum(haar_grid(degree).weights) - 1.0) < 1e-14
 
 
 def test_haar_rule_kills_nontrivial_modes():
-    rule = haar_rule(2)
-    nodes = [EulerAngles(*g) for g in zip(rule.phi, rule.theta, rule.psi)]
+    grid = haar_grid(2)
+    nodes = [EulerAngles(*g) for g in zip(grid.phi, grid.theta, grid.psi)]
     for j, m, n in ((1, 0, 0), (2, 1, -1), (1, 1, 1)):
         vals = np.array([wigner_D(j, m, n, g) for g in nodes])
-        assert abs(np.sum(rule.weights * vals)) < 1e-14
+        assert abs(np.sum(grid.weights * vals)) < 1e-14
 
 
 def test_haar_rule_flat_grid_is_the_meshgrid_of_its_axes():
@@ -272,29 +273,32 @@ def test_haar_rule_flat_grid_is_the_meshgrid_of_its_axes():
         x, wx = gauss_legendre(degree + 1)
         phi, theta, psi = np.meshgrid(az, np.arccos(x), az, indexing="ij")
         w = np.ascontiguousarray(np.broadcast_to(wx[None, :, None] / (2.0 * n_az * n_az), phi.shape).ravel())
-        for got, want in zip((rule.phi, rule.theta, rule.psi, rule.weights), (phi.ravel(), theta.ravel(), psi.ravel(), w)):
+        grid = haar_grid(degree)
+        for got, want in zip(grid, (phi.ravel(), theta.ravel(), psi.ravel(), w)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert not got.flags.writeable
-        assert rule.phi is rule.phi  # built once
+        assert haar_grid(degree) is grid  # built once
         with pytest.raises(AttributeError):
-            rule.phi = az
+            rule.azimuths = az
         for j in range(degree + 1):
-            table = rule.polar_d(j)
+            table = polar_d(degree, j)
             assert table.tobytes() == wigner_d_matrix(j, rule.polar_nodes).tobytes()
             assert not table.flags.writeable
-            assert rule.polar_d(j) is table  # built once per rule and j
+            assert polar_d(degree, j) is table  # built once per rule and j
 
 
 def test_haar_rule_is_cached_and_read_only(cold_caches):
     rule = haar_rule(3)
     assert haar_rule(3) is rule
-    for arr in (rule.azimuths, rule.polar_nodes, rule.polar_weights, rule.phi, rule.weights, rule.polar_d(2)):
+    grid, table = haar_grid(3), polar_d(3, 2)
+    for arr in (rule.azimuths, rule.polar_nodes, rule.polar_weights, grid.phi, grid.weights, table):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert rule.nbytes == sum(
-        a.nbytes for a in (rule.azimuths, rule.polar_nodes, rule.polar_weights, rule.phi, rule.theta, rule.psi, rule.weights, rule.polar_d(2))
-    )
-    haar_rule.cache_clear()
+    # the one cache counts the rule, its grid, the d^2 table and the J_1
+    # eigenbasis that table was built from
+    held = (rule.azimuths, rule.polar_nodes, rule.polar_weights, *grid, table, *jx_eigenbasis(2))
+    assert caching.TABLES.nbytes == sum(a.nbytes for a in held)
+    caching.TABLES.clear()
     assert haar_rule(3) is not rule
 
 

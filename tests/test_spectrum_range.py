@@ -25,7 +25,7 @@ from asymtop import (
     spectrum,
     spectrum_range,
 )
-from asymtop import spectra
+from asymtop import caching, spectra
 
 RANGE_PARAMS = [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4), (100.0, 2.0, 1.0), (1 + 1e-6, 1.0, 0.5)]
 
@@ -232,12 +232,12 @@ def test_range_validation():
     assert len(empty.E) == len(empty.lame_class) == 0
 
 
-def test_layout_is_cached_and_read_only():
+def test_layout_is_cached_and_read_only(cold_caches):
     spectrum(5, TopParams(3.0, 2.0, 1.0))
-    before = spectra._cached_layout.cache_info().hits
+    lay, held = spectra._layout(5, 6, "wang"), caching.TABLES.nbytes
     spectrum(5, TopParams(5.3, 2.1, 0.4), "lambda")
-    assert spectra._cached_layout.cache_info().hits == before + 1
-    lay = spectra._layout(5, 6, "wang")
+    # the second top reads the first one's layout: nothing is built or kept
+    assert spectra._layout(5, 6, "wang") is lay and caching.TABLES.nbytes == held
     with pytest.raises(ValueError):
         lay.x[0] = 1
 

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from asymtop import (
     PoleError,
     TopParams,
     angular_momentum_matrices,
+    caching,
     casimir_matrix,
     compose,
     completeness_defect,
@@ -26,8 +29,8 @@ from asymtop import (
     kernel_factored,
     pde_residual,
     psi_eval,
+    polar_d,
     psi_via_kernel,
-    so3,
     spectra,
     t_matrix,
     t_matrix_quadrature,
@@ -176,11 +179,11 @@ def test_pde_residual_passes_random_tops_and_seeds():
         assert result.passed, p
 
 
-def test_wigner_orthogonality_is_the_per_pair_gram(monkeypatch):
-    # the per-pair oracle: wigner_gram for every jt <= j, plus d unitarity
+def _wigner_orthogonality_dense(jmax):
+    # the dense oracle: wigner_gram for every jt <= j, plus d unitarity
     worst = 0.0
     thetas = np.linspace(0.2, math.pi - 0.2, 5)
-    for j in range(6):
+    for j in range(jmax + 1):
         worst = max(worst, unitarity_defect(j, thetas))
         rule = haar_rule(j)
         for jt in range(j + 1):
@@ -188,31 +191,71 @@ def test_wigner_orthogonality_is_the_per_pair_gram(monkeypatch):
             eye = np.eye(2 * j + 1)
             expected = np.einsum("mp,nq->mnpq", eye, eye) / (2 * j + 1) if jt == j else 0.0
             worst = max(worst, float(np.max(np.abs(gram - expected))))
-    pairs = []
-    monkeypatch.setattr(verify, "wigner_gram", lambda j, jt, rule: pairs.append((j, jt, rule.degree)) or wigner_gram(j, jt, rule))
-    result = check_wigner_orthogonality(jmax=5)
-    assert result.defect == worst
-    assert pairs == [(j, jt, j) for j in range(6) for jt in range(j + 1)]
+    return worst
+
+
+def test_wigner_orthogonality_is_the_per_pair_gram(monkeypatch):
+    # by axes, the check reads the d tables of every pair and gives the
+    # dense defect bit for bit up to its jmax; past it, a bound of it
+    tables = []
+    monkeypatch.setattr(verify, "polar_d", lambda degree, j: tables.append((degree, j)) or polar_d(degree, j))
+    assert check_wigner_orthogonality(jmax=5).defect == _wigner_orthogonality_dense(5)
+    assert sorted(set(tables)) == [(j, jt) for j in range(6) for jt in range(j + 1)]
+    for jmax in (8, 10):
+        assert _wigner_orthogonality_dense(jmax) <= check_wigner_orthogonality(jmax).defect < 1e-14
+
+
+@pytest.mark.parametrize("at", [1, 3])
+@pytest.mark.parametrize("fault", ["one azimuth fewer", "one polar weight off by 1e-9"])
+def test_wigner_orthogonality_fails_on_a_wrong_rule(monkeypatch, fault, at):
+    # a weight off by 1e-9 moves a polar diagonal entry by about 1e-9/(2j+2),
+    # past the tolerance 1e-10 up to j = 3
+    def wrong(degree):
+        rule = haar_rule(degree)
+        if degree != at:
+            return rule
+        if fault == "one azimuth fewer":
+            return dataclasses.replace(rule, azimuths=2.0 * math.pi * np.arange(2 * at) / (2 * at))
+        weights = rule.polar_weights.copy()
+        weights[at // 2] *= 1 + 1e-9
+        return dataclasses.replace(rule, polar_weights=weights)
+
+    monkeypatch.setattr(verify, "haar_rule", wrong)
+    assert not check_wigner_orthogonality(jmax=5).passed
+
+
+def test_wigner_orthogonality_forms_no_gram_tensor():
+    # at jmax 20 the dense Gram of j = jt = 20 alone is 41^4 complex values (45 MB)
+    check_wigner_orthogonality(20)  # the d tables are the cache's, built once
+    tracemalloc.start()
+    try:
+        check_wigner_orthogonality(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_haar_rule_cache_stays_within_its_byte_bound(monkeypatch, cold_caches):
     # the tables check_wigner_orthogonality(jmax=40) builds: d^jt at the
-    # polar nodes of every rule of degree j <= 40, for jt <= j (its Grams,
-    # up to 6561 x 6561 entries, are left out)
+    # polar nodes of every rule of degree j <= 40, for jt <= j
     built = 0
     for j in range(41):
         rule = haar_rule(j)
         for jt in range(j + 1):
-            built += rule.polar_d(jt).nbytes
-            assert so3._HAAR_RULES.nbytes <= so3.HAAR_CACHE_BYTES
-    assert built > 4 * so3.HAAR_CACHE_BYTES  # the bound binds
+            built += polar_d(j, jt).nbytes
+            assert caching.TABLES.nbytes <= caching.CACHE_BYTES
+    assert built > 4 * caching.CACHE_BYTES  # the bound binds
     assert haar_rule(40) is rule
-    # the check itself, under a bound that binds at jmax 8, changes no bit
-    expected = check_wigner_orthogonality(jmax=8).defect
-    haar_rule.cache_clear()
-    monkeypatch.setattr(so3._HAAR_RULES, "limit", 100 << 10)
-    assert check_wigner_orthogonality(jmax=8).defect == expected
-    assert 0 < so3._HAAR_RULES.nbytes <= 100 << 10
+    # the checks themselves, under a bound that binds at jmax 8 and 10,
+    # change no bit
+    expected = check_wigner_orthogonality(jmax=8).defect, run_all(P321, jmax=10)
+    caching.TABLES.clear()
+    monkeypatch.setattr(caching.TABLES, "limit", 100 << 10)
+    assert check_wigner_orthogonality(jmax=8).defect == expected[0]
+    assert 0 < caching.TABLES.nbytes <= 100 << 10
+    assert run_all(P321, jmax=10) == expected[1]
+    assert 0 < caching.TABLES.nbytes <= 100 << 10
 
 
 def test_run_all_solves_each_state_once_and_no_level_past_the_caps(monkeypatch):
@@ -318,7 +361,7 @@ def test_generator_stack_is_the_per_j_tables_centred_and_read_only(cold_caches):
         for arr in (st.js, st.ell, st.spin, st.eye, st.gram):
             with pytest.raises(ValueError):
                 arr[0] = 0
-    assert verify._STACKS.nbytes <= verify.STACK_CACHE_BYTES
+    assert caching.TABLES.nbytes <= caching.CACHE_BYTES
 
 
 def _one_entry_off(m):

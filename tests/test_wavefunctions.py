@@ -47,11 +47,11 @@ from asymtop import (
     h_matrix_wigner,
     compose,
     const_C,
+    q_grid,
     q_rule,
     weight_vector,
 )
-from asymtop import wavefunctions
-from asymtop.lambda_rep import QRule
+from asymtop import lambda_rep, wavefunctions
 from asymtop.wavefunctions import _kernel_factors
 
 
@@ -202,22 +202,23 @@ def test_t_matrix_quadrature(rng):
 
 def _t_quadrature_brute_force(j, g, block=256):
     """t by the plain double sum over node pairs, the kernel written out."""
-    rule = q_rule(j)
+    nodes, log_weights = q_grid(j, q_rule(j).beta_max)
+    weights = np.exp(log_weights)
     n = np.arange(-j, j + 1)
-    left = np.exp(-1j * np.outer(np.conj(rule.nodes), n))
-    right = np.exp(1j * np.outer(rule.nodes, n))
-    trail = np.conj(rule.nodes)[None, :] - g.psi
+    left = np.exp(-1j * np.outer(np.conj(nodes), n))
+    right = np.exp(1j * np.outer(nodes, n))
+    trail = np.conj(nodes)[None, :] - g.psi
     total = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
-    for start in range(0, len(rule.nodes), block):  # rows of the kernel, a block at a time
+    for start in range(0, len(nodes), block):  # rows of the kernel, a block at a time
         rows = slice(start, start + block)
-        lead = g.phi + rule.nodes[rows, None]
+        lead = g.phi + nodes[rows, None]
         base = (
             (np.cos(lead) * np.cos(trail) + 1.0) * np.cos(g.theta)
             + 1j * (np.cos(lead) + np.cos(trail)) * np.sin(g.theta)
             + np.sin(lead) * np.sin(trail)
         )
         kern = (2 * j + 1) / const_C(j) * base**j
-        mid = rule.weights[rows, None] * kern * rule.weights[None, :]
+        mid = weights[rows, None] * kern * weights[None, :]
         total += left[rows].T @ mid @ right
     return weight_vector(j)[:, None] * total
 
@@ -238,12 +239,12 @@ def test_t_matrix_quadrature_sums_by_axis(rng, monkeypatch):
     def refuse(*args):
         raise AssertionError("node-grid path taken")
 
-    monkeypatch.setattr(QRule, "nodes", property(refuse))
+    monkeypatch.setattr(lambda_rep, "q_grid", refuse)
     monkeypatch.setattr(wavefunctions, "_kernel_factors", refuse)
     for j, want in enumerate(expected):
         assert np.array_equal(t_matrix_quadrature(j, g), want)
     with pytest.raises(AssertionError):
-        q_rule(1).nodes
+        lambda_rep.q_grid(1, q_rule(1).beta_max)
 
 
 def test_t_matrix_quadrature_at_larger_j(rng):
@@ -257,7 +258,7 @@ def test_t_matrix_quadrature_at_larger_j(rng):
 def test_t_matrix_quadrature_allocates_no_node_pair_array(rng):
     j = 2
     g = random_g(rng)
-    nodes = len(q_rule(j).nodes)
+    nodes = len(q_grid(j, q_rule(j).beta_max).nodes)
     t_matrix_quadrature(j, g)
     tracemalloc.start()
     try:

@@ -12,6 +12,7 @@ from asymtop import (
     EulerAngles,
     angular_momentum_matrices,
     compose,
+    haar_grid,
     haar_rule,
     t_matrix,
     wigner_D,
@@ -116,7 +117,7 @@ def test_small_d_matrix_stacks_over_theta(rng):
                 np.testing.assert_array_equal(stacked[idx], alone, err_msg=name)
 
 
-def test_eigenbasis_computed_once_per_j(monkeypatch):
+def test_eigenbasis_computed_once_per_j(monkeypatch, cold_caches):
     calls = []
     eigh = np.linalg.eigh
 
@@ -124,12 +125,11 @@ def test_eigenbasis_computed_once_per_j(monkeypatch):
         calls.append(a.shape)
         return eigh(a, *args, **kwargs)
 
-    jx_eigenbasis.cache_clear()
     monkeypatch.setattr(np.linalg, "eigh", counted)
     rule = haar_rule(3)
     for theta in (0.4, 1.3, 2.9):
         wigner_d_matrix(3, theta)
-        wigner_d_matrix(3, rule.theta)
+        wigner_d_matrix(3, haar_grid(3).theta)
         wigner_gram(3, 3, rule)
         wigner_small_d(3, 1, -2, theta)
     wigner_d_matrix(1, 0.4)
@@ -258,14 +258,14 @@ def test_haar_orthogonality_small():
 
 def test_gram_matches_einsum_oracle():
     for j, jt in ((2, 2), (3, 1), (5, 5)):
-        rule = haar_rule(max(j, jt))
+        rule, grid = haar_rule(max(j, jt)), haar_grid(max(j, jt))
 
         def stack(k):
             n = np.arange(-k, k + 1)
-            d = wigner_d_matrix(k, rule.theta)
-            return np.exp(1j * np.outer(rule.phi, n))[:, :, None] * d * np.exp(1j * np.outer(rule.psi, n))[:, None, :]
+            d = wigner_d_matrix(k, grid.theta)
+            return np.exp(1j * np.outer(grid.phi, n))[:, :, None] * d * np.exp(1j * np.outer(grid.psi, n))[:, None, :]
 
-        ref = np.einsum("k,kmn,kpq->mnpq", rule.weights, stack(j).conj(), stack(jt))
+        ref = np.einsum("k,kmn,kpq->mnpq", grid.weights, stack(j).conj(), stack(jt))
         assert np.max(np.abs(wigner_gram(j, jt, rule) - ref)) < 1e-14
 
 
