@@ -51,16 +51,17 @@ def _times(a, b):
 
 
 def _mobius(qv, phi, theta, psi):
-    """(num, den, gap) of the phase map over broadcast arrays.
+    """(base, w, gap) of the phase map over broadcast arrays, with no refusal.
 
     With x = (q+phi)/2, c = cos(th/2) and s = i sin(th/2), num = c e^{ix} +
     s e^{-ix} and den = s e^{ix} + c e^{-ix} are e^{ith/2} (cos x +- i e^{-ith}
     sin x), free of cancellation at large |Im x|: base = num den and w =
-    e^{ipsi} num/den.  u is singular where num or den is 0; gap is the
+    e^{ipsi} num/den, each product by _times, so a point of an array rounds
+    as its one-point call.  u is singular where num or den is 0; gap is the
     smaller of each over the size of its two terms.  An exact zero is nudged
     to 1e-300 before dividing (the other factor is then >= sqrt 2).  Each
-    product here has a real or an imaginary factor, so num and den round
-    the same alone and in an array.
+    product inside num and den has a real or an imaginary factor, so they
+    round the same alone and in an array.
     """
     half = theta / 2.0
     c, s = np.cos(half), 1j * np.sin(half)
@@ -68,23 +69,24 @@ def _mobius(qv, phi, theta, psi):
     cu, sd, su, cd = c * up, s * down, s * up, c * down
     num, den = cu + sd, su + cd
     gap = np.minimum(abs(num) / (abs(cu) + abs(sd)), abs(den) / (abs(su) + abs(cd)))
-    return num + (num == 0) * 1e-300, den + (den == 0) * 1e-300, gap
+    num, den = num + (num == 0) * 1e-300, den + (den == 0) * 1e-300
+    return _times(num, den), _times(np.exp(1j * psi), num) / den, gap
 
 
 def phase_map(qv, phi, theta, psi) -> tuple[np.ndarray, np.ndarray]:
     """mobius_phase at every point of the broadcast complex angles qv and
-    Euler-angle arrays: (base, w) arrays, each point equal to its one-point
-    call bit for bit.  Refuses as mobius_phase does at any point (the moduli
-    in gap may round apart in the last bit, which only a gap within an ulp
-    of the 1e-13 bar can show).
+    Euler-angle arrays: the (base, w) arrays of _mobius, each point equal to
+    its one-point call bit for bit.  Refuses as mobius_phase does at any
+    point (the moduli in gap may round apart in the last bit, which only a
+    gap within an ulp of the 1e-13 bar can show).
     """
     inputs = (qv, phi, theta, psi)
     if not all(np.isfinite(x).all() if isinstance(x, np.ndarray) else cmath.isfinite(x) for x in inputs):
         raise SingularInput(f"non-finite input: q={qv}, g={(phi, theta, psi)}")
-    num, den, gap = _mobius(qv, phi, theta, psi)
+    base, w, gap = _mobius(qv, phi, theta, psi)
     if np.count_nonzero(gap < 1e-13):
         raise PoleError(f"phase map pole at q={qv}, g={(phi, theta, psi)}")
-    return _times(num, den), _times(np.exp(1j * psi), num) / den
+    return base, w
 
 
 def mobius_phase(q: ComplexQ, g: EulerAngles) -> tuple[complex, complex]:
@@ -114,17 +116,15 @@ def psi_grid(
     """Closed-form Psi_{q,j,s} at every point of the Euler-angle arrays.
 
     qv is the complex angle (ComplexQ.value); state is Phi_{j,s} as a
-    FourierState or its 2j+1 coefficients.  The arrays broadcast together;
-    exact pole nodes of the phase map are nudged, not rejected; OverflowError
-    where a term passes e^LOG_MAX (lambda_rep.fourier_basis).  The grid is
-    one matrix-vector product, with base and w as array products, so a
-    value can differ from psi_eval at its point in the last bit.
+    FourierState or its 2j+1 coefficients.  The arrays broadcast together.
+    psi_from_phase at the phase of _mobius: each value equals psi_eval at
+    its point bit for bit wherever psi_eval returns, and where psi_eval
+    refuses a pole, exact pole nodes are nudged instead.  OverflowError
+    where a term passes e^LOG_MAX (lambda_rep.fourier_basis).
     """
-    coeffs = state.coeffs if isinstance(state, FourierState) else np.asarray(state)
-    j = (len(coeffs) - 1) // 2
-    num, den, _ = _mobius(qv, np.asarray(phi), np.asarray(theta), np.asarray(psi))
-    w = np.exp(1j * np.asarray(psi)) * num / den
-    return fourier_basis(j, -1j * np.log(w), j * np.log(num * den)) @ coeffs
+    coeffs = state.coeffs if isinstance(state, FourierState) else state
+    base, w, _ = _mobius(qv, np.asarray(phi), np.asarray(theta), np.asarray(psi))
+    return psi_from_phase(coeffs, base, w)
 
 
 def psi_eval(
@@ -137,33 +137,24 @@ def psi_eval(
 # --- kernel ------------------------------------------------------------
 
 
-def _kernel_factors(qv, qpv, phi, theta, psi):
-    """The kernel base as a rank-3 bilinear form, base = sum_k x_k y_k.
-
-    base(q, q') = u(q)^T M(theta) v(q') with u = (1, cos(phi+q), sin(phi+q)),
-    v = (1, cos(qb'-psi), sin(qb'-psi)) and M = [[cos th, i sin th, 0],
-    [i sin th, cos th, 0], [0, 0, 1]].  Returns x = u M, which carries q, phi
-    and theta, and y = v, which carries q' and psi, both with the three
-    components on a new last axis; the other arguments broadcast.
-    """
-    lead = phi + qv
-    trail = np.conjugate(qpv) - psi
-    cos_th, sin_th = np.cos(theta), np.sin(theta)
-    cos_lead = np.cos(lead)
-    x = (cos_th + 1j * sin_th * cos_lead, 1j * sin_th + cos_th * cos_lead, np.sin(lead))
-    y = (np.ones_like(trail), np.cos(trail), np.sin(trail))
-    return np.stack(np.broadcast_arrays(*x), axis=-1), np.stack(y, axis=-1)
-
-
 def kernel_values(qv, qpv, j: int, phi, theta, psi) -> np.ndarray:
     """Closed-form kernel D^j_{qq'}(g) at every point of the five broadcast
     arrays (qv, qpv complex angles, the second entering conjugated); each
-    point equals its kernel_eval call bit for bit.  OverflowError where a
-    value passes e^LOG_MAX (lambda_rep.scaled_power)."""
+    point equals its kernel_eval call bit for bit.  The base is one
+    expression in L = phi + q and L' = conj(q') - psi on arrays of at least
+    one dimension: numpy rounds a complex product of scalars apart from the
+    same product in an array.  OverflowError where a value passes e^LOG_MAX
+    (lambda_rep.scaled_power)."""
+    shape = np.broadcast_shapes(*map(np.shape, (qv, qpv, phi, theta, psi)))
+    lead, trail = np.atleast_1d(phi + qv), np.atleast_1d(np.conjugate(qpv) - psi)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite base is refused
-        x, y = _kernel_factors(qv, qpv, phi, theta, psi)
-        base = np.sum(x * y, axis=-1)
-    return scaled_power((2 * j + 1) / const_C(j), base, j)
+        cos_th, sin_th, cos_lead = np.cos(theta), np.sin(theta), np.cos(lead)
+        base = (
+            (cos_th + 1j * sin_th * cos_lead)
+            + (1j * sin_th + cos_th * cos_lead) * np.cos(trail)
+            + np.sin(lead) * np.sin(trail)
+        )
+    return scaled_power((2 * j + 1) / const_C(j), base.reshape(shape), j)
 
 
 def kernel_eval(q: ComplexQ, qp: ComplexQ, j: int, g: EulerAngles) -> complex:

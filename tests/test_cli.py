@@ -393,7 +393,7 @@ TOLS = {
     "bridge": 1e-10,
     "pde-residual": 1e-12,
     "completeness": 1e-8,
-    "measure-quadrature": 1e-6,
+    "measure-quadrature": 1e-12,
     "uncertainty": 1e-10,
 }
 TAKES = {

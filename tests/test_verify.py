@@ -48,6 +48,7 @@ from asymtop.verify import (
     check_completeness,
     check_gram_hermiticity,
     check_kernel_group,
+    check_measure_quadrature,
     check_pde_residual,
     check_wigner_orthogonality,
     run_all,
@@ -180,7 +181,8 @@ def test_pde_residual_passes_random_tops_and_seeds():
 
 
 def _wigner_orthogonality_dense(jmax):
-    # the dense oracle: wigner_gram for every jt <= j, plus d unitarity
+    # the dense oracle: wigner_gram for every jt <= j, its diagonal entries
+    # (m, n, m, n) relative to 1/(2j+1), plus d unitarity
     worst = 0.0
     thetas = np.linspace(0.2, math.pi - 0.2, 5)
     for j in range(jmax + 1):
@@ -188,28 +190,32 @@ def _wigner_orthogonality_dense(jmax):
         rule = haar_rule(j)
         for jt in range(j + 1):
             gram = wigner_gram(j, jt, rule)
-            eye = np.eye(2 * j + 1)
-            expected = np.einsum("mp,nq->mnpq", eye, eye) / (2 * j + 1) if jt == j else 0.0
-            worst = max(worst, float(np.max(np.abs(gram - expected))))
+            eye = np.eye(2 * j + 1)[:, j - jt : j + jt + 1]  # delta_{m mt}
+            diagonal = np.einsum("mp,nq->mnpq", eye, eye)
+            expected = diagonal / (2 * j + 1) if jt == j else 0.0
+            worst = max(worst, float(np.max((1 + 2 * j * diagonal) * np.abs(gram - expected))))
     return worst
 
 
 def test_wigner_orthogonality_is_the_per_pair_gram(monkeypatch):
     # by axes, the check reads the d tables of every pair and gives the
-    # dense defect bit for bit up to its jmax; past it, a bound of it
+    # dense defect up to its jmax; past it, a bound of it.  The two sum the
+    # polar products in another order, and the polar-diagonal part is scaled
+    # by 2j+1, so they agree to 1e-15 rather than bit for bit
     tables = []
     monkeypatch.setattr(verify, "polar_d", lambda degree, j: tables.append((degree, j)) or polar_d(degree, j))
-    assert check_wigner_orthogonality(jmax=5).defect == _wigner_orthogonality_dense(5)
+    assert abs(check_wigner_orthogonality(jmax=5).defect - _wigner_orthogonality_dense(5)) < 1e-15
     assert sorted(set(tables)) == [(j, jt) for j in range(6) for jt in range(j + 1)]
     for jmax in (8, 10):
-        assert _wigner_orthogonality_dense(jmax) <= check_wigner_orthogonality(jmax).defect < 1e-14
+        defect = check_wigner_orthogonality(jmax).defect
+        assert _wigner_orthogonality_dense(jmax) < defect + 1e-15 and defect < 1e-14
 
 
-@pytest.mark.parametrize("at", [1, 3])
+@pytest.mark.parametrize("at", [1, 3, 4, 5])
 @pytest.mark.parametrize("fault", ["one azimuth fewer", "one polar weight off by 1e-9"])
 def test_wigner_orthogonality_fails_on_a_wrong_rule(monkeypatch, fault, at):
-    # a weight off by 1e-9 moves a polar diagonal entry by about 1e-9/(2j+2),
-    # past the tolerance 1e-10 up to j = 3
+    # a weight off by 1e-9 moves a polar diagonal entry by about 1e-9/(2j+2);
+    # the check takes that part times 2j+1, past the tolerance 1e-10 at every j
     def wrong(degree):
         rule = haar_rule(degree)
         if degree != at:
@@ -275,7 +281,8 @@ def test_run_all_solves_each_state_once_and_no_level_past_the_caps(monkeypatch):
             calls.clear()
     run_all(P321, jmax=300)
     assert solved and max(solved) <= 6
-    assert ranges and max(js.stop - 1 for js, _ in ranges) <= max(c.jmax for c in CHECKS)
+    # levels are read to route-agreement's cap, j = 10, and solved no further
+    assert ranges and max(js.stop - 1 for js, _ in ranges) == 10
 
 
 @pytest.mark.parametrize("params", [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4), (100.0, 2.0, 1.0)])
@@ -455,7 +462,7 @@ def _bridge_per_draw(p, jmax, seed):
     for j in range(min(jmax, 2) + 1):
         g = verify._random_angles(rng)
         d_quad = max(d_quad, float(np.max(np.abs(t_matrix_quadrature(j, g) - t_matrix(j, g)))))
-    return max(d_matrix, 1e-4 * d_quad)
+    return max(d_matrix, d_quad)
 
 
 def _completeness_per_draw(p, jmax, seed):
@@ -497,6 +504,37 @@ def test_completeness_takes_delta_j_once_per_draw(monkeypatch):
         monkeypatch.setattr(module, "delta_j", lambda q, qp, j, f=module.delta_j: calls.append(j) or f(q, qp, j))
     check_completeness(P321, jmax=6)
     assert sorted(calls) == [j for j in range(7) for _ in range(2)]
+
+
+def test_one_entry_of_t_by_quadrature_off_by_1e_9_fails_bridge(monkeypatch):
+    # the quadrature part enters the defect at its own size, about 1e-14
+    exact = verify.t_matrix_quadrature
+
+    def one_entry_off(j, g):
+        t = exact(j, g)
+        if j == 2:
+            t = t.copy()
+            t[0, 1] += 1e-9
+        return t
+
+    monkeypatch.setattr(verify, "t_matrix_quadrature", one_entry_off)
+    result = check_bridge(P321)
+    assert not result.passed and result.defect > 1e-10, result
+
+
+def test_every_q_rule_weight_off_by_1e_9_fails_measure_quadrature(monkeypatch):
+    # the Gram moves by 1e-9 of its size; the defect at a true rule is
+    # below 1e-14 to j = 4
+    exact = verify.q_rule
+
+    def heavier(j):
+        rule = exact(j)
+        return dataclasses.replace(rule, beta_log_weights=rule.beta_log_weights + math.log1p(1e-9))
+
+    assert check_measure_quadrature().defect < 1e-14
+    monkeypatch.setattr(verify, "q_rule", heavier)
+    result = check_measure_quadrature()
+    assert not result.passed and result.defect > 1e-10, result
 
 
 def test_bridge_refuses_a_draw_on_the_phase_map_pole(monkeypatch):

@@ -52,7 +52,6 @@ from asymtop import (
     weight_vector,
 )
 from asymtop import lambda_rep, wavefunctions
-from asymtop.wavefunctions import _kernel_factors
 
 
 def random_g(rng):
@@ -232,7 +231,7 @@ def test_t_matrix_quadrature_matches_brute_force_double_sum(rng):
 
 
 def test_t_matrix_quadrature_sums_by_axis(rng, monkeypatch):
-    # the node grid and the kernel's node factors are never read
+    # the node grid is never read
     g = random_g(rng)
     expected = [t_matrix_quadrature(j, g) for j in range(4)]
 
@@ -240,7 +239,6 @@ def test_t_matrix_quadrature_sums_by_axis(rng, monkeypatch):
         raise AssertionError("node-grid path taken")
 
     monkeypatch.setattr(lambda_rep, "q_grid", refuse)
-    monkeypatch.setattr(wavefunctions, "_kernel_factors", refuse)
     for j, want in enumerate(expected):
         assert np.array_equal(t_matrix_quadrature(j, g), want)
     with pytest.raises(AssertionError):
@@ -411,9 +409,28 @@ def test_every_e_inq_evaluator_is_finite_or_refuses(point):
         except (OverflowError, PoleError, SingularInput, DomainError):
             continue
         assert cmath.isfinite(values[name]), name
-    if "psi_eval" in values and "psi_grid" in values:
-        a, b = values["psi_eval"], values["psi_grid"]
-        assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
+    if "psi_eval" in values:
+        assert values["psi_grid"] == values["psi_eval"]
+
+
+def test_psi_grid_is_psi_eval_at_every_point(p321):
+    # one evaluator: wherever psi_eval returns, the grid holds its value bit
+    # for bit; at an exact pole psi_eval refuses and the grid nudges
+    phi, theta, psi = np.meshgrid(
+        np.linspace(0.0, 2 * math.pi, 5), np.linspace(0.0, math.pi, 5), np.linspace(0.0, 2 * math.pi, 4), indexing="ij"
+    )
+    pole_q, pole_g = ComplexQ(math.pi / 2, 0.0), EulerAngles(0.0, math.pi / 2, 0.0)
+    for j in range(21):
+        s = j // 2 - j // 3
+        for q in (ComplexQ(0.7, 0.3), ComplexQ(2.1, -0.4)):
+            grid = psi_grid(q.value, phi_state(j, s, p321), phi, theta, psi)
+            assert grid.shape == phi.shape
+            for at in np.ndindex(phi.shape):
+                assert grid[at] == psi_eval(q, j, s, p321, EulerAngles(phi[at], theta[at], psi[at])), (j, at)
+        with pytest.raises(PoleError):
+            psi_eval(pole_q, j, s, p321, pole_g)
+        at_pole = psi_grid(pole_q.value, phi_state(j, s, p321), *pole_g.as_tuple())
+        assert cmath.isfinite(complex(at_pole))
 
 
 def test_closed_form_powers_refuse_past_log_max():
@@ -429,12 +446,34 @@ def test_closed_form_powers_refuse_past_log_max():
     assert delta_j(ComplexQ(0.0, 400.0), ComplexQ(0.0, 400.0), 0) == 1.0
 
 
-def test_closed_form_powers_keep_their_bits_in_range():
+def _kernel_base_rank3(qv, qpv, phi, theta, psi):
+    """The kernel base as the rank-3 bilinear form u(q)^T M(theta) v(q'),
+    u = (1, cos L, sin L), v = (1, cos L', sin L'), L = phi + q and
+    L' = conj(q') - psi: x = u M and y = v stacked on a last axis and
+    summed."""
+    lead, trail = phi + qv, np.conjugate(qpv) - psi
+    cos_th, sin_th, cos_lead = np.cos(theta), np.sin(theta), np.cos(lead)
+    x = (cos_th + 1j * sin_th * cos_lead, 1j * sin_th + cos_th * cos_lead, np.sin(lead))
+    y = (np.ones_like(trail), np.cos(trail), np.sin(trail))
+    return np.sum(np.stack(np.broadcast_arrays(*x), axis=-1) * np.stack(y, axis=-1), axis=-1)
+
+
+def test_closed_form_powers_keep_their_bits_in_range(rng):
     # the range rule only reads log magnitudes: in range, the values are the
-    # direct powers, bit for bit
+    # direct powers, bit for bit, of the rank-3 form of the kernel's base
     q, qp, g = ComplexQ(0.7, 0.3), ComplexQ(2.1, -0.4), EulerAngles(0.4, 1.1, 2.5)
+    n = 500
+    qv = rng.uniform(0, 2 * math.pi, n) + 1j * rng.uniform(-2, 2, n)
+    qpv = rng.uniform(0, 2 * math.pi, n) + 1j * rng.uniform(-2, 2, n)
+    phi, theta, psi = rng.uniform(0, 2 * math.pi, n), rng.uniform(0, math.pi, n), rng.uniform(0, 2 * math.pi, n)
     for j in (0, 1, 5, 30):
         pref = (2 * j + 1) / const_C(j)
         assert delta_j(q, qp, j) == pref * (1.0 + np.cos(q.value - qp.value.conjugate())) ** j
-        x, y = _kernel_factors(q.value, qp.value, g.phi, g.theta, g.psi)
-        assert kernel_eval(q, qp, j, g) == complex(pref * np.sum(x * y, axis=-1) ** j)
+        base = _kernel_base_rank3(q.value, qp.value, g.phi, g.theta, g.psi)
+        assert kernel_eval(q, qp, j, g) == complex(pref * base ** j)
+        values = kernel_values(qv, qpv, j, phi, theta, psi)
+        assert np.array_equal(values, pref * np.power(_kernel_base_rank3(qv, qpv, phi, theta, psi), j))
+        # one rotation against many angle pairs broadcasts as the points do
+        values = kernel_values(qv[:, None], qpv[None, :20], j, g.phi, g.theta, g.psi)
+        base = _kernel_base_rank3(qv[:, None], qpv[None, :20], g.phi, g.theta, g.psi)
+        assert values.shape == (n, 20) and np.array_equal(values, pref * np.power(base, j))
