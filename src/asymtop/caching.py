@@ -1,8 +1,9 @@
 """The one per-process cache of the tables that do not depend on the top.
 
-The weights B_nj, the J_1 eigenbasis, block layouts, quadrature rules with
-their flat grids and d^j tables, and generator stacks are each built once
-per process by a builder decorated with memoize, and shared read-only.
+The weights B_nj, the J_1 eigenbasis, block and state layouts, quadrature
+rules with their flat grids, node sums and d^j tables, and generator stacks
+are each built once per process by a builder decorated with memoize, and
+shared read-only.
 Their sizes grow fast with j, so the cache is bounded by the bytes its
 values hold, not by their number: a degree-100 Haar rule with every d^j
 table at its polar nodes would hold about 1 GB, a degree-4 one a few KB.

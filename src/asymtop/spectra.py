@@ -28,13 +28,16 @@ blocks.  State coefficients scale like sqrt(B_nj), which leaves the normal
 float range at j = 514; from there on the states raise DomainError while
 the levels stay exact.
 
-A command that asks about the same j many times opens
+The states of a whole j range are solved at once in the same way
+(_state_rows): one eigh call per block size of the lambda blocks, then the
+s order of each j.  A command that asks about the same j many times opens
 `with SpectrumBatch(js):`.  A batch only changes how often something is
 solved, never what a call returns or raises: inside it spectrum reads a j
 of js from one spectrum_range table per route, and phi_state and
-phi_states slice the phased states of one diagonalization per (j, p); all
-of it is freed when the block exits.  Outside a batch, and for a j outside
-js, every call solves afresh and nothing is kept.
+phi_states read a j of js from one _state_rows solve per chunk of js and
+p, each j phased once; all of it is freed when the block exits.  Outside a
+batch, and for a j outside js, every call solves its one j afresh and
+nothing is kept.
 
 The Lame route works on the cubic P(rho) = (rho-A)(rho-B)(rho-C).  With
 x = rho - B, u = A - B, v = B - C, a solution of
@@ -430,6 +433,19 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
     return SpectrumTable(vals[order], lay.cls[order] + 1 if route == "lame" else None)
 
 
+STATE_CHUNK_BYTES = 384 << 10  # the most the rows of a batch's state chunk of more than one j hold
+
+
+def _state_chunk(lo: int, stop: int) -> range:
+    """The chunk of states that starts at lo, within j < stop: the most
+    consecutive j whose rows, 16 (2j+1)^2 bytes each, fit STATE_CHUNK_BYTES
+    together, or lo alone."""
+    hi = lo + 1
+    while hi < stop and 16 * (_rows_before(hi + 1) - _rows_before(lo)) <= STATE_CHUNK_BYTES:
+        hi += 1
+    return range(lo, hi)
+
+
 class SpectrumBatch:
     """A cache of solved levels and states, shared by every spectrum,
     phi_state and phi_states call inside `with SpectrumBatch(js):` (js a
@@ -440,16 +456,24 @@ class SpectrumBatch:
     solves every j of it with one spectrum_range call, and the calls at its
     other j slice that table.  A range that spectrum_range refuses is kept
     as None and solved one j at a time, as is every j outside js.  States:
-    the phased rows of one _state_rows solve per (j, p), at any j,
-    read-only.  Batches nest: the innermost one serves, and leaving it (also
-    by an exception) makes the enclosing one active again.  Leaving the
-    `with` block frees the batch's tables and states.
+    js is cut into consecutive chunks (_state_chunk), and the first state
+    read at a j, for a given p, solves the chunk that holds it with one
+    _state_rows call; each j of it is phased in place when it is first
+    read, and served read-only.  A chunk that _state_rows refuses is solved
+    below its first refused j; a j at or past that one, or outside js,
+    solves alone on every call.  Batches nest: the innermost one serves, and
+    leaving it (also by an exception) makes the enclosing one active again.
+    Leaving the `with` block frees the batch's tables and states.
     """
 
     def __init__(self, js: range):
         self.js = js
         self._tables: dict[tuple[TopParams, str], SpectrumTable | None] = {}
-        self._states: dict[tuple[int, TopParams], np.ndarray] = {}
+        # the state chunks found so far, from the first j >= 0 of js
+        self._chunks = [_state_chunk(max(js.start, 0), js.stop)]
+        # per (p, chunk): its solve (None if refused at its first j) and
+        # which of its j are phased
+        self._states: dict[tuple[TopParams, range], tuple[_StateRows | None, np.ndarray]] = {}
 
     def __enter__(self) -> SpectrumBatch:
         self._token = _ACTIVE_BATCH.set(self)
@@ -469,13 +493,32 @@ class SpectrumBatch:
                 self._tables[key] = None
         return self._tables[key]
 
-    def _rows(self, j: int, p: TopParams) -> np.ndarray:
-        key = (j, p)
+    def _rows(self, j: int, p: TopParams) -> np.ndarray | None:
+        """The phased, read-only rows of j from its chunk's solve, or None
+        where the batch keeps none at j."""
+        if j < 0 or j not in self.js:
+            return None
+        chunks = self._chunks
+        while chunks[-1].stop <= j:
+            chunks.append(_state_chunk(chunks[-1].stop, self.js.stop))
+        chunk = chunks[-1] if chunks[-1].start <= j else next(c for c in chunks if j in c)
+        key = (p, chunk)
         if key not in self._states:
-            rows = _fix_phase(_state_rows(j, p), j)
-            rows.flags.writeable = False
-            self._states[key] = rows
-        return self._states[key]
+            try:
+                solved = _state_rows(chunk, p)
+            except (DomainError, RootCountError) as refusal:
+                below = range(chunk.start, refusal.j)
+                solved = _state_rows(below, p) if below else None
+            self._states[key] = solved, np.zeros(len(chunk), dtype=bool)
+        solved, phased = self._states[key]
+        if solved is None or j not in solved.js:
+            return None
+        rows = solved.at(j)
+        if not phased[j - chunk.start]:
+            rows[:] = _fix_phase(rows, j)
+            phased[j - chunk.start] = True
+        rows.flags.writeable = False  # this view only
+        return rows
 
 
 _ACTIVE_BATCH: contextvars.ContextVar[SpectrumBatch | None] = contextvars.ContextVar(
@@ -693,51 +736,134 @@ def _fix_phase(rows: np.ndarray, j: int) -> np.ndarray:
     return rows * phase[:, None]
 
 
-def _state_rows(j: int, p: TopParams) -> np.ndarray:
-    """Unphased coefficients of Phi_{j,s}, s = -j..j, one state per row.
+def _rows_before(j: int) -> int:
+    """Coefficients of the states at every j' < j: sum (2j'+1)^2."""
+    return j * (2 * j - 1) * (2 * j + 1) // 3
 
-    The eigenvectors of the lambda route's Wang blocks (_class_blocks), one
-    eigh per block size.  Each comes from its own block, so it is class-pure
-    even inside near-degenerate (always cross-class) doublets.  Back in the
-    e^{inq} basis the coefficients scale like sqrt(B_nj) ~ 2^-j at the
-    edges, so j is refused where the smallest B_nj leaves the normal float
-    range (from j = 514), in closed form before any array of size j is
-    built.
+
+class _StateRows(NamedTuple):
+    """Unphased coefficients of Phi_{j,s} at every j of js, flat in (j, s, n)
+    order: at(j)[s + j] holds the 2j+1 coefficients n = -j..j of Phi_{j,s}."""
+
+    js: range
+    coeffs: np.ndarray
+
+    def at(self, j: int) -> np.ndarray:
+        """The (2j+1, 2j+1) rows of j, a view."""
+        first, width = _rows_before(j) - _rows_before(self.js.start), 2 * j + 1
+        return self.coeffs[first : first + width * width].reshape(width, width)
+
+
+class _StateLayout(NamedTuple):
+    """The top-independent indices of _state_rows over a j range.
+
+    States count in (j, s) order: `row_start` holds the flat offset of each
+    state's row, `j_first` the index of the first state of each j, `state_j`
+    the j - start of every state but the first, and `j_last` the index of
+    the last state of every j but the last.  `fills` holds, per block size
+    of the Wang layout (its `groups`), the columns j + n and j - n of each
+    block entry and the scales of e_n and e_{-n} there, shaped
+    (blocks, 1, 2, K) to broadcast over the states of a block.
     """
-    # the smallest B_nj, (j!)^2 / (2j)! at n = +-j, before any array of size j
-    b_min = np.exp(2.0 * math.lgamma(j + 1.0) - math.lgamma(2.0 * j + 1.0))
-    if b_min < _TINY:
-        raise DomainError(f"states at j={j} need B_nj down to {b_min:.3e}, below the normal float range")
-    b = weight_vector(j)
-    lay, d, e = _class_blocks("lambda", range(j, j + 1), p)
-    n = lay.x  # Wang vector e_n + sign e_{-n}, e_0 alone
-    scale = np.where(n == 0, 1.0, math.sqrt(0.5)) * np.sqrt((2 * j + 1) * b[j + n])
-    pos, neg, signed = j + n, j - n, _WANG_SIGN[lay.cls] * scale
-    vals = np.empty(2 * j + 1)
-    out = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
+
+    row_start: np.ndarray
+    j_first: np.ndarray
+    state_j: np.ndarray
+    j_last: np.ndarray
+    fills: tuple[tuple[np.ndarray, np.ndarray], ...]
+    size: int
+
+
+@memoize
+def _state_layout(start: int, stop: int) -> _StateLayout:
+    """The _StateLayout of j = start..stop-1, read-only and memoized.  A Wang
+    vector e_n +- e_{-n} holds sqrt(1/2) sqrt((2j+1) B_nj) e^{inq} at each
+    of its n (e_0 alone holds 1 of it), so Phi is normalized to
+    (Phi,Phi)_Q = 2j+1."""
+    lay = _layout(start, stop, "wang")
+    width = 2 * np.arange(start, stop, dtype=np.intp) + 1
+    j_first = np.cumsum(width) - width  # also where each j starts in b
+    entries = width * width
+    offsets = np.cumsum(entries) - entries  # where each j's rows start
+    state_j = np.repeat(np.arange(len(width)), width)
+    row_start = offsets[state_j] + (np.arange(len(state_j)) - j_first[state_j]) * width[state_j]
+    b = np.concatenate([weight_vector(j) for j in range(start, stop)])
+    n = lay.x
+    scale = np.where(n == 0, 1.0, math.sqrt(0.5)) * np.sqrt((2 * lay.j + 1) * b[j_first[lay.j - start] + lay.j + n])
+    columns, scales = (lay.j + n, lay.j - n), (scale, _WANG_SIGN[lay.cls] * scale)  # e_n, e_{-n}
+    fills = tuple(
+        tuple(np.stack([a[di] for a in pair], axis=1)[:, None] for pair in (columns, scales)) for di, _ in lay.groups
+    )
+    return _StateLayout(row_start, j_first, state_j[1:], j_first[1:] - 1, fills, int(entries.sum()))
+
+
+def _b_min(j: int) -> float:
+    """The smallest B_nj, (j!)^2 / (2j)! at n = +-j, in closed form."""
+    return np.exp(2.0 * math.lgamma(j + 1.0) - math.lgamma(2.0 * j + 1.0))
+
+
+def _state_rows(js: range, p: TopParams) -> _StateRows:
+    """Unphased coefficients of Phi_{j,s}, s = -j..j, at every j of js
+    (step 1, j >= 0).
+
+    The eigenvectors of the lambda route's Wang blocks (_class_blocks) over
+    the whole range, one eigh per block size, as spectrum_range solves
+    levels; eigh solves each block of a stack on its own, so the rows of a
+    j do not depend on the range around it.  Each state comes from its own
+    block, so it is class-pure even inside near-degenerate (always
+    cross-class) doublets.  Back in the e^{inq} basis the coefficients scale
+    like sqrt(B_nj) ~ 2^-j at the edges, so j is refused where the smallest
+    B_nj leaves the normal float range (from j = 514), in closed form before
+    any array of size j is built.  The smallest j that a one-j call refuses
+    raises what that call raises, with that j as its attribute j.
+    """
+    # B_nj falls about 4x per j, so the last j tells whether any is refused
+    refused = js.stop
+    if _b_min(js[-1]) < _TINY:
+        refused = next(j for j in js if _b_min(j) < _TINY)
+    if refused > js.start:
+        lay, d, e = _class_blocks("lambda", range(js.start, refused), p)
+    if refused < js.stop:
+        error = DomainError(
+            f"states at j={refused} need B_nj down to {_b_min(refused):.3e}, below the normal float range"
+        )
+        error.j = refused
+        raise error
+    st = _state_layout(js.start, js.stop)
+    vals, solved = np.empty(len(d)), []
     for di, oi in lay.groups:
         w, v = np.linalg.eigh(_tridiagonal_stack(d, e, di, oi))
         vals[di] = w
-        rows, states = di[:, :, None], v.transpose(0, 2, 1)  # a state per row
-        out[rows, pos[di][:, None, :]] = states * scale[di][:, None, :]
-        out[rows, neg[di][:, None, :]] = states * signed[di][:, None, :]
-    # levels within 8 ulp of max|E| of each other are one doublet to the
-    # solver (at (3,2,1), j=40, doublets come out up to 6 ulp apart, distinct
-    # levels 100+): such runs go by Wang class, the block order of vals
-    order = np.argsort(vals, kind="stable")
-    tied = np.diff(vals[order]) <= 8 * np.spacing(np.abs(vals).max())
-    run = np.concatenate([[0], np.cumsum(~tied)])
-    return out[order[np.lexsort((order, run))]]
+        solved.append(v.transpose(0, 2, 1)[:, :, None, :])  # a state per row
+    # per j, levels within 8 ulp of its max|E| of each other are one doublet
+    # to the solver (at (3,2,1), j=40, doublets come out up to 6 ulp apart,
+    # distinct levels 100+): such runs keep block order, the Wang class
+    # order, and no run crosses into the next j
+    order = np.lexsort((vals, lay.j))  # stable: ties keep block order
+    ordered = vals[order]
+    tol = 8 * np.spacing(np.maximum.reduceat(np.abs(ordered), st.j_first))
+    breaks = ~(ordered[1:] - ordered[:-1] <= tol[st.state_j])
+    breaks[st.j_last] = True
+    key = order.copy()  # run * len(vals) + block position, unique
+    key[1:] += np.cumsum(breaks) * len(vals)
+    row = np.empty(len(vals), dtype=np.intp)  # the flat offset of each state's row
+    row[np.sort(key) % len(vals)] = st.row_start
+    out = np.zeros(st.size, dtype=complex)
+    for (di, _), states, (columns, scales) in zip(lay.groups, solved, st.fills):
+        out[row[di][:, :, None, None] + columns] = states * scales
+    return _StateRows(js, out)
 
 
 def _phased_rows(j: int, p: TopParams, at: slice) -> np.ndarray:
-    """Rows `at` of _state_rows(j, p), phased by _fix_phase: a writable copy
-    of the active SpectrumBatch's rows, or, outside a batch, only those rows
-    phased (at j = 48 phasing all of them costs several times one)."""
+    """Rows `at` of Phi_{j,s}, s = -j..j, phased by _fix_phase: a writable
+    copy of the active SpectrumBatch's rows, or, where the batch keeps none
+    (or none is active), only those rows of the one-j solve phased (at
+    j = 48 phasing all of them costs several times one)."""
     batch = _ACTIVE_BATCH.get()
-    if batch is None:
-        return _fix_phase(_state_rows(j, p)[at], j)
-    return batch._rows(j, p)[at].copy()
+    rows = None if batch is None else batch._rows(j, p)
+    if rows is None:
+        return _fix_phase(_state_rows(range(j, j + 1), p).at(j)[at], j)
+    return rows[at].copy()
 
 
 def phi_state(j: int, s: int, p: TopParams) -> FourierState:

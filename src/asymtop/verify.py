@@ -13,12 +13,16 @@ completeness then evaluate each j once over all of its draws with the array
 entry points (a stacked t_matrix, kernel_values, phase_map, ...), each point
 of which equals its one-point call bit for bit.
 
+run_all's checks share one SpectrumBatch: each route's levels are solved
+once per run, and the states of every j the checks read in one range solve
+(spectra._state_rows), each j phased once.
+
 The tables that do not depend on the top (rules, d^j tables at polar nodes,
-the GeneratorStacks of casimir, commutators and gram-hermiticity) are
-memoized in the one table cache, caching.TABLES.  Those three checks take
-batched products over a stack of j (padding a j to the size of its chunk
-changes no bit) and reduce per j; gram-hermiticity still calls
-h_matrix_lambda(j, p) once per j.
+the node sums of t_matrix_quadrature, the GeneratorStacks of casimir,
+commutators and gram-hermiticity) are memoized in the one table cache,
+caching.TABLES.  Those three checks take batched products over a stack of j
+(padding a j to the size of its chunk changes no bit) and reduce per j;
+gram-hermiticity still calls h_matrix_lambda(j, p) once per j.
 """
 
 from __future__ import annotations
@@ -515,12 +519,12 @@ def run_all(
 
     tols maps check names to tolerances that replace the table's defaults.
     The checks share one SpectrumBatch, which changes no result, only how
-    often it is solved: each route's levels once, and the states of each
-    (j, p) once, phased once, per run.
+    often it is solved: each route's levels once, and the states of every j
+    once, in one range solve, each j phased once, per run.
     """
     tols = tols or {}
     caps = [min(jmax, c.jmax) for c in CHECKS]
-    # levels are read up to route-agreement's cap (pde-residual's is lower);
-    # states are kept at any j
+    # levels are read up to route-agreement's cap (pde-residual's is lower),
+    # states up to completeness's, which is lower too: one range serves both
     with SpectrumBatch(range(min(jmax, _SPEC["route-agreement"].jmax) + 1)):
         return [c.run(p, cap, seed, tols.get(c.name, c.tol)) for c, cap in zip(CHECKS, caps)]

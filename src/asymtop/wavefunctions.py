@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from .caching import memoize
 from .errors import DomainError, PoleError, SingularInput
 from .lambda_rep import (
     ComplexQ,
@@ -187,6 +188,15 @@ def t_matrix(j: int, g: EulerAngles) -> np.ndarray:
     return np.outer(f, 1.0 / f) * wigner_D_matrix(j, g)
 
 
+@memoize
+def _t_quadrature_gram(j: int) -> np.ndarray:
+    """Q_mr = sum_nodes w conj(e^{imq}) e^{irq} of t_matrix_quadrature over
+    q_rule(j), the Hadamard product of its alpha and beta axis sums:
+    top- and g-independent, read-only and memoized."""
+    along_alpha, along_beta = q_rule(j).basis_by_axis(0.5)
+    return (along_alpha.conj().T @ along_alpha) * (along_beta.T @ along_beta)
+
+
 def t_matrix_quadrature(j: int, g: EulerAngles) -> np.ndarray:
     """t by direct double quadrature of the kernel against the basis.
 
@@ -200,11 +210,11 @@ def t_matrix_quadrature(j: int, g: EulerAngles) -> np.ndarray:
     e^{irq} factors by axis, and the double node sum becomes
     Q c Q[::-1] with Q_mr = sum_nodes w conj(e^{imq}) e^{irq}: the Hadamard
     product of one alpha and one beta table product of fourier_basis, the
-    log weights in the exponent.  No node-sized kernel table is formed;
+    log weights in the exponent.  Q is memoized (_t_quadrature_gram), so a
+    call builds only the c of its g.  No node-sized kernel table is formed;
     OverflowError where fourier_basis refuses a table.
     """
-    along_alpha, along_beta = q_rule(j).basis_by_axis(0.5)
-    gram = (along_alpha.conj().T @ along_alpha) * (along_beta.T @ along_beta)
+    gram = _t_quadrature_gram(j)
     cos_th, half_sin = math.cos(g.theta), 0.5j * math.sin(g.theta)
     corner, anti = (cos_th - 1.0) / 4.0, (cos_th + 1.0) / 4.0
     step = np.array([[corner, half_sin, anti], [half_sin, cos_th, half_sin], [anti, half_sin, corner]])

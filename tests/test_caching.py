@@ -21,7 +21,9 @@ CALLS = [
     ("asymtop.so3.haar_grid", (3,)),
     ("asymtop.spectra._layout", (0, 12, "wang")),
     ("asymtop.spectra._layout", (0, 12, "lame")),
+    ("asymtop.spectra._state_layout", (0, 12)),
     ("asymtop.verify.generator_stack", (0, 4)),
+    ("asymtop.wavefunctions._t_quadrature_gram", (3,)),
     ("asymtop.wigner.jx_eigenbasis", (3,)),
     ("asymtop.wigner.polar_d", (3, 2)),
 ]

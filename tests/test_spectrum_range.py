@@ -299,24 +299,37 @@ def test_refused_batch_serves_each_j_below_the_first_offending_one():
                 spectrum(42, overflow, route)
 
 
-def count_state_solves(monkeypatch) -> list[int]:
-    """The j of every _state_rows call from now on."""
+def count_state_solves(monkeypatch) -> list[range]:
+    """The js of every _state_rows call from now on."""
     solved = []
     original = spectra._state_rows
-    monkeypatch.setattr(spectra, "_state_rows", lambda j, p: solved.append(j) or original(j, p))
+    monkeypatch.setattr(spectra, "_state_rows", lambda js, p: solved.append(js) or original(js, p))
     return solved
 
 
-@pytest.mark.parametrize("params", RANGE_PARAMS[:3])
+def count_phasings(monkeypatch) -> list[int]:
+    """The j of every _fix_phase call from now on."""
+    phased = []
+    original = spectra._fix_phase
+    monkeypatch.setattr(spectra, "_fix_phase", lambda rows, j: phased.append(j) or original(rows, j))
+    return phased
+
+
+def fits_one_chunk(js: range) -> bool:
+    """Whether the rows of js fit the batch's chunk budget, or js is one j."""
+    return len(js) == 1 or 16 * sum((2 * j + 1) ** 2 for j in js) <= spectra.STATE_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("params", RANGE_PARAMS)
 def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
     p = TopParams(*params)
-    js = range(11)  # the batch's range holds j < 6: states are kept at any j
+    js = range(49)  # the batch's range holds j < 40: past it every call solves alone
     single = {j: [outcome(phi_state, j, s, p) for s in range(-j, j + 1)] for j in js}
     every = {j: outcome(phi_states, j, p) for j in js}
     refusals = [(phi_state, 3, 4, p), (phi_state, -1, 0, p), (phi_state, 600, 0, p), (phi_states, 600, p)]
     refused = [outcome(*call) for call in refusals]
-    solved = count_state_solves(monkeypatch)
-    with SpectrumBatch(range(6)):
+    solved, phased = count_state_solves(monkeypatch), count_phasings(monkeypatch)
+    with SpectrumBatch(range(40)):
         for j in js:
             for s in range(-j, j + 1):
                 assert outcome(phi_state, j, s, p) == single[j][s + j]
@@ -325,11 +338,71 @@ def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
             phi_states(j, p)[0].coeffs[:] = 7.0
             assert outcome(phi_state, j, -j, p) == single[j][0]
         assert [outcome(*call) for call in refusals] == refused
-    assert sorted(solved) == [*js, 600, 600]  # one solve per j; a refused j is not kept
+    # one solve per chunk of the batch's range, each within the budget, and
+    # each of its j phased once
+    chunks = [r for r in solved if r.start < 40]
+    assert [j for r in chunks for j in r] == list(range(40)) and all(map(fits_one_chunk, chunks))
+    assert len(chunks) > 1 and any(len(r) > 1 for r in chunks)
+    assert sorted(j for j in phased if j < 40) == list(range(40))
+    # past the range every read solves and phases its j alone, and so does a
+    # refused j (not kept)
+    reads = {j: 2 * (2 * j + 1) + 3 for j in js[40:]}
+    alone = [r for r in solved if r.start >= 40]
+    assert alone == [range(j, j + 1) for j in [*js[40:], 600] for _ in range(reads.get(j, 2))]
+    assert [j for j in phased if j >= 40] == [j for j in js[40:] for _ in range(reads[j])]
     # outside the batch nothing is kept: every call solves again
+    del solved[:]
     phi_state(4, 0, p)
     phi_states(4, p)
-    assert solved[13:] == [4, 4]
+    assert solved == [range(4, 5)] * 2
+
+
+def test_batch_serves_a_second_top_from_its_own_solve(monkeypatch):
+    p, q = TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4)
+    expected = {top: [bits(phi_states(j, top)) for j in range(6)] for top in (p, q)}
+    solved = count_state_solves(monkeypatch)
+    with SpectrumBatch(range(6)):
+        for j in range(6):
+            for top in (p, q, p):
+                assert bits(phi_states(j, top)) == expected[top][j]
+    assert solved == [range(6), range(6)]  # one per (batch, p, chunk)
+
+
+@pytest.mark.parametrize(
+    "params, js, low, high, chunks",
+    [
+        # B_nj leaves the normal float range from j = 514; each j is a chunk
+        ((3.0, 2.0, 1.0), range(505, 520), 511, 514, [range(511, 512), range(514, 515)]),
+        # the lambda diagonals overflow from j = 42, inside the chunk 41..43,
+        # which is then solved below 42
+        ((1e305, 1e305, 1.0), range(101), 41, 42, [range(41, 44), range(41, 42)]),
+    ],
+)
+def test_a_refusal_inside_a_batch_stays_at_its_j(params, js, low, high, chunks, monkeypatch):
+    p = TopParams(*params)
+    single = {j: (outcome(phi_state, j, 0, p), outcome(phi_states, j, p)) for j in (low, high)}
+    assert isinstance(single[low][1], list)  # the j below is served
+    assert single[high][1][0] is DomainError
+    solved = count_state_solves(monkeypatch)
+    with SpectrumBatch(js):
+        for _ in range(2):
+            for j in (low, high):
+                assert (outcome(phi_state, j, 0, p), outcome(phi_states, j, p)) == single[j]
+    # the chunk solves once; the refused j is not kept, so it solves alone on
+    # every call
+    assert solved == chunks + [range(high, high + 1)] * 4
+
+
+def test_one_state_of_a_wide_batch_solves_one_chunk(monkeypatch):
+    p = TopParams(3.0, 2.0, 1.0)
+    solved = count_state_solves(monkeypatch)
+    with SpectrumBatch(range(0, 514)):
+        for j in (40, 500):
+            phi_state(j, 0, p)
+            (chunk,) = solved
+            assert j in chunk and fits_one_chunk(chunk)
+            solved.clear()
+    assert spectra.STATE_CHUNK_BYTES < 16 * 1001**2  # j = 500 is a chunk of its own
 
 
 def test_nested_batches_restore_the_outer_one(monkeypatch):
@@ -359,4 +432,4 @@ def test_nested_batches_restore_the_outer_one(monkeypatch):
         with inner:
             phi_state(2, 0, p)
             phi_state(2, 1, p)
-    assert solved == [2, 2]
+    assert solved == [range(3), range(3)]

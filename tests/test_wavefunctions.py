@@ -51,7 +51,7 @@ from asymtop import (
     q_rule,
     weight_vector,
 )
-from asymtop import lambda_rep, wavefunctions
+from asymtop import caching, lambda_rep, wavefunctions
 
 
 def random_g(rng):
@@ -243,6 +243,20 @@ def test_t_matrix_quadrature_sums_by_axis(rng, monkeypatch):
         assert np.array_equal(t_matrix_quadrature(j, g), want)
     with pytest.raises(AssertionError):
         lambda_rep.q_grid(1, q_rule(1).beta_max)
+
+
+def test_t_matrix_quadrature_memoized_gram_is_a_fresh_node_sum(cold_caches, rng, monkeypatch):
+    # the axis Gram depends on neither the top nor g, so it is memoized: every
+    # t, from a kept, a rebuilt or an unmemoized Gram, has the same bits
+    gs = [random_g(rng) for _ in range(2)]
+    kept = [t_matrix_quadrature(j, g) for j in range(5) for g in gs]
+    assert wavefunctions._t_quadrature_gram(4) is wavefunctions._t_quadrature_gram(4)
+    caching.TABLES.clear()
+    rebuilt = [t_matrix_quadrature(j, g) for j in range(5) for g in gs]
+    monkeypatch.setattr(wavefunctions, "_t_quadrature_gram", wavefunctions._t_quadrature_gram.__wrapped__)
+    fresh = [t_matrix_quadrature(j, g) for j in range(5) for g in gs]
+    for a, b, c in zip(kept, rebuilt, fresh):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
 def test_t_matrix_quadrature_at_larger_j(rng):
