@@ -7,6 +7,8 @@ shared read-only.
 Their sizes grow fast with j, so the cache is bounded by the bytes its
 values hold, not by their number: a degree-100 Haar rule with every d^j
 table at its polar nodes would hold about 1 GB, a degree-4 one a few KB.
+The same BytesCache class bounds spectra.STATE_CACHE, the one cache of
+values that depend on the top: the state solves of one (j, p).
 """
 
 from __future__ import annotations

@@ -36,8 +36,11 @@ solved, never what a call returns or raises: inside it spectrum reads a j
 of js from one spectrum_range table per route, and phi_state and
 phi_states read a j of js from one _state_rows solve per chunk of js and
 p, each j phased once; all of it is freed when the block exits.  Outside a
-batch, and for a j outside js, every call solves its one j afresh and
-nothing is kept.
+batch, and for a j outside js, spectrum solves its one j afresh, while
+phi_state and phi_states take the unphased one-j solve of (j, p) from
+STATE_CACHE, a least-recently-used cache of at most STATE_CHUNK_BYTES
+(384 KiB: every j below 78 fits), and phase only the rows they return on
+every read.  A refused j is never kept, so it raises on every call.
 
 The Lame route works on the cubic P(rho) = (rho-A)(rho-B)(rho-C).  With
 x = rho - B, u = A - B, v = B - C, a solution of
@@ -65,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .caching import memoize
+from .caching import BytesCache, memoize
 from .errors import (
     DegenerateParamsError,
     DomainError,
@@ -433,7 +436,9 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
     return SpectrumTable(vals[order], lay.cls[order] + 1 if route == "lame" else None)
 
 
-STATE_CHUNK_BYTES = 384 << 10  # the most the rows of a batch's state chunk of more than one j hold
+# the most the rows of a batch's state chunk of more than one j hold, and
+# the most STATE_CACHE holds
+STATE_CHUNK_BYTES = 384 << 10
 
 
 def _state_chunk(lo: int, stop: int) -> range:
@@ -460,9 +465,10 @@ class SpectrumBatch:
     read at a j, for a given p, solves the chunk that holds it with one
     _state_rows call; each j of it is phased in place when it is first
     read, and served read-only.  A chunk that _state_rows refuses is solved
-    below its first refused j; a j at or past that one, or outside js,
-    solves alone on every call.  Batches nest: the innermost one serves, and
-    leaving it (also by an exception) makes the enclosing one active again.
+    below its first refused j; a j at or past that one, or outside js, is
+    read as outside a batch (STATE_CACHE).  Batches nest: the innermost one
+    serves, and leaving it (also by an exception) makes the enclosing one
+    active again.
     Leaving the `with` block frees the batch's tables and states.
     """
 
@@ -494,9 +500,9 @@ class SpectrumBatch:
         return self._tables[key]
 
     def _rows(self, j: int, p: TopParams) -> np.ndarray | None:
-        """The phased, read-only rows of j from its chunk's solve, or None
-        where the batch keeps none at j."""
-        if j < 0 or j not in self.js:
+        """The phased, read-only rows of j >= 0 from its chunk's solve, or
+        None where the batch keeps none at j."""
+        if j not in self.js:
             return None
         chunks = self._chunks
         while chunks[-1].stop <= j:
@@ -854,21 +860,32 @@ def _state_rows(js: range, p: TopParams) -> _StateRows:
     return _StateRows(js, out)
 
 
+# the unphased one-j solves (_StateRows) read outside a batch, or where it
+# keeps none, keyed by (j, p)
+STATE_CACHE = BytesCache(STATE_CHUNK_BYTES)
+
+
 def _phased_rows(j: int, p: TopParams, at: slice) -> np.ndarray:
-    """Rows `at` of Phi_{j,s}, s = -j..j, phased by _fix_phase: a writable
-    copy of the active SpectrumBatch's rows, or, where the batch keeps none
-    (or none is active), only those rows of the one-j solve phased (at
-    j = 48 phasing all of them costs several times one)."""
+    """Rows `at` of Phi_{j,s}, s = -j..j, phased by _fix_phase, as a
+    writable copy: of the active SpectrumBatch's rows, or, where the batch
+    keeps none (or none is active), of the one-j solve of (j, p) kept in
+    STATE_CACHE.  That solve is kept unphased and read-only, and only the
+    rows `at` are phased, on every read (at j = 48 phasing all of them costs
+    several times one).  A solve of more than STATE_CHUNK_BYTES (j >= 78) is
+    returned but not kept, and a refused one raises and is not kept."""
+    if j < 0:
+        raise DomainError("j must be >= 0")
     batch = _ACTIVE_BATCH.get()
     rows = None if batch is None else batch._rows(j, p)
     if rows is None:
-        return _fix_phase(_state_rows(range(j, j + 1), p).at(j)[at], j)
+        solved = STATE_CACHE.get((j, p), lambda: _state_rows(range(j, j + 1), p))
+        return _fix_phase(solved.at(j)[at], j)
     return rows[at].copy()
 
 
 def phi_state(j: int, s: int, p: TopParams) -> FourierState:
     """Eigenstate Phi_{j,s}: (Phi,Phi)_Q = 2j+1, one D2 class, deterministic phase."""
-    if abs(s) > j:
+    if 0 <= j < abs(s):  # _phased_rows refuses j < 0
         raise DomainError(f"|s| must be <= j={j}")
     return FourierState(j=j, coeffs=_phased_rows(j, p, slice(s + j, s + j + 1))[0])
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from asymtop import TopParams, caching
+from asymtop import TopParams, caching, spectra
 
 
 @pytest.fixture
@@ -14,10 +14,19 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20260817)
 
 
+@pytest.fixture(autouse=True)
+def cold_state_cache():
+    """The one-j state solves, empty at the start of every test: a test that
+    replaces _state_rows or _fix_phase then reads no rows kept before it."""
+    spectra.STATE_CACHE.clear()
+
+
 @pytest.fixture
 def cold_caches():
-    """The one table cache, empty at the start and emptied again at the end
-    (a test may build poisoned tables)."""
+    """The table cache and the state cache, empty at the start and emptied
+    again at the end (a test may build poisoned tables)."""
     caching.TABLES.clear()
+    spectra.STATE_CACHE.clear()
     yield
     caching.TABLES.clear()
+    spectra.STATE_CACHE.clear()

@@ -9,19 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymtop import (
+    ComplexQ,
     DegenerateParamsError,
     DomainError,
     EnergyLevel,
+    EulerAngles,
     ROUTES,
     RootCountError,
     SpectrumBatch,
     SpectrumTable,
     TopParams,
+    completeness_defect,
     h_matrix_lambda,
     h_matrix_wigner,
     lame_recurrence,
     phi_state,
     phi_states,
+    psi_eval,
+    psi_via_kernel,
     spectrum,
     spectrum_range,
 )
@@ -323,7 +328,7 @@ def fits_one_chunk(js: range) -> bool:
 @pytest.mark.parametrize("params", RANGE_PARAMS)
 def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
     p = TopParams(*params)
-    js = range(49)  # the batch's range holds j < 40: past it every call solves alone
+    js = range(49)  # the batch's range holds j < 40: past it reads go to STATE_CACHE
     single = {j: [outcome(phi_state, j, s, p) for s in range(-j, j + 1)] for j in js}
     every = {j: outcome(phi_states, j, p) for j in js}
     refusals = [(phi_state, 3, 4, p), (phi_state, -1, 0, p), (phi_state, 600, 0, p), (phi_states, 600, p)]
@@ -344,17 +349,20 @@ def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
     assert [j for r in chunks for j in r] == list(range(40)) and all(map(fits_one_chunk, chunks))
     assert len(chunks) > 1 and any(len(r) > 1 for r in chunks)
     assert sorted(j for j in phased if j < 40) == list(range(40))
-    # past the range every read solves and phases its j alone, and so does a
-    # refused j (not kept)
+    # past the range a j solves alone, at most once while STATE_CACHE keeps
+    # it (the reads of a j come together), and a refused j (not kept) on
+    # every read; every read phases its j alone
     reads = {j: 2 * (2 * j + 1) + 3 for j in js[40:]}
     alone = [r for r in solved if r.start >= 40]
-    assert alone == [range(j, j + 1) for j in [*js[40:], 600] for _ in range(reads.get(j, 2))]
+    once = [r.start for r in alone[:-2]]
+    assert alone[:-2] == [range(j, j + 1) for j in once] and once == sorted(set(once)) and set(once) <= set(js[40:])
+    assert alone[-2:] == [range(600, 601)] * 2
     assert [j for j in phased if j >= 40] == [j for j in js[40:] for _ in range(reads[j])]
-    # outside the batch nothing is kept: every call solves again
+    # outside the batch a one-j solve is kept: j = 4 solves once
     del solved[:]
     phi_state(4, 0, p)
     phi_states(4, p)
-    assert solved == [range(4, 5)] * 2
+    assert solved == [range(4, 5)]
 
 
 def test_batch_serves_a_second_top_from_its_own_solve(monkeypatch):
@@ -433,3 +441,96 @@ def test_nested_batches_restore_the_outer_one(monkeypatch):
             phi_state(2, 0, p)
             phi_state(2, 1, p)
     assert solved == [range(3), range(3)]
+
+
+def test_one_j_reads_outside_a_batch_solve_once(monkeypatch):
+    p, j, rng = TopParams(5.3, 2.1, 0.4), 24, np.random.default_rng(7)
+    q = ComplexQ(rng.uniform(0, 2 * math.pi), rng.uniform(-0.7, 0.7))
+    gs = [EulerAngles(*rng.uniform(0.3, 2.8, size=3)) for _ in range(12)]
+    solved, phased = count_state_solves(monkeypatch), count_phasings(monkeypatch)
+    for g in gs:
+        psi_eval(q, j, 3, p, g)
+    for g in gs[:3]:
+        psi_via_kernel(q, j, 3, p, g)
+    phi_states(j, p)
+    phi_state(j, -j, p)
+    assert solved == [range(j, j + 1)]
+    assert phased == [j] * 17  # phasing stays per read
+
+
+def test_kept_states_are_the_cold_ones_bit_for_bit(monkeypatch):
+    p, other, js = TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4), (0, 1, 9, 30)
+    cold, every = {}, {}
+    for j in js:
+        for s in range(-j, j + 1):
+            spectra.STATE_CACHE.clear()
+            cold[j, s] = bits(phi_state(j, s, p))
+        spectra.STATE_CACHE.clear()
+        every[j] = bits(phi_states(j, p))
+    spectra.STATE_CACHE.clear()
+    solved = count_state_solves(monkeypatch)
+    for (j, s), expected in cold.items():  # warm from the second s of each j
+        assert bits(phi_state(j, s, p)) == expected
+    assert solved == [range(j, j + 1) for j in js]
+    phi_state(77, 0, other)  # 384 400 bytes: evicts every other entry
+    assert spectra.STATE_CACHE.nbytes == 16 * 155**2
+    del solved[:]
+    for (j, s), expected in cold.items():  # evicted, then solved again
+        assert bits(phi_state(j, s, p)) == expected
+    assert solved == [range(j, j + 1) for j in js]
+    with SpectrumBatch(range(31)):
+        for (j, s), expected in cold.items():
+            assert bits(phi_state(j, s, p)) == expected
+    assert [bits(phi_states(j, p)) for j in every] == list(every.values())
+
+
+def test_kept_states_are_read_only_and_reads_are_copies():
+    p = TopParams(3.0, 2.0, 1.0)
+    first, every = bits(phi_state(6, 2, p)), bits(phi_states(6, p))
+    phi_state(6, 2, p).coeffs[:] = 7.0
+    for state in phi_states(6, p):
+        assert state.coeffs.flags.writeable
+        state.coeffs[:] = 7.0
+    assert bits(phi_state(6, 2, p)) == first and bits(phi_states(6, p)) == every
+    ((kept, _),) = spectra.STATE_CACHE._entries.values()
+    assert not kept.coeffs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        kept.at(6)[0, 0] = 7.0
+
+
+def test_refused_and_oversized_solves_are_not_kept(monkeypatch):
+    p = TopParams(3.0, 2.0, 1.0)
+    solved = count_state_solves(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="^states at j=514 "):
+            phi_state(514, 0, p)
+        with pytest.raises(DomainError, match="^states at j=514 "):
+            phi_states(514, p)
+    assert solved == [range(514, 515)] * 4 and spectra.STATE_CACHE.nbytes == 0
+    del solved[:]
+    assert 16 * 157**2 > spectra.STATE_CHUNK_BYTES  # the rows of j = 78
+    first = bits(phi_state(78, 1, p))
+    assert bits(phi_state(78, 1, p)) == first
+    assert solved == [range(78, 79)] * 2 and spectra.STATE_CACHE.nbytes == 0
+
+
+def test_two_tops_at_one_j_keep_their_own_solves(monkeypatch):
+    p, q = TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4)
+    solved = count_state_solves(monkeypatch)
+    expected = {top: bits(phi_states(8, top)) for top in (p, q)}
+    for top in (p, q, p, q):
+        assert bits(phi_states(8, top)) == expected[top]
+    assert solved == [range(8, 9)] * 2 and spectra.STATE_CACHE.nbytes == 2 * 16 * 17**2
+    assert expected[p] != expected[q]
+
+
+def test_negative_j_is_refused_before_any_solve(monkeypatch):
+    p = TopParams(3.0, 2.0, 1.0)
+    solved = count_state_solves(monkeypatch)
+    calls = [(phi_state, -1, 0, p), (phi_states, -1, p), (completeness_defect, -1, p, ComplexQ(0.3, 0.1))]
+    for call, *args in calls:
+        with pytest.raises(DomainError, match="^j must be >= 0$"):
+            call(*args)
+        with SpectrumBatch(range(-3, 3)), pytest.raises(DomainError, match="^j must be >= 0$"):
+            call(*args)
+    assert solved == [] and spectra.STATE_CACHE.nbytes == 0
