@@ -30,17 +30,20 @@ the levels stay exact.
 
 The states of a whole j range are solved at once in the same way
 (_state_rows): one eigh call per block size of the lambda blocks, then the
-s order of each j.  A command that asks about the same j many times opens
-`with SpectrumBatch(js):`.  A batch only changes how often something is
-solved, never what a call returns or raises: inside it spectrum reads a j
-of js from one spectrum_range table per route, and phi_state and
-phi_states read a j of js from one _state_rows solve per chunk of js and
-p, each j phased once; all of it is freed when the block exits.  Outside a
-batch, and for a j outside js, spectrum solves its one j afresh, while
-phi_state and phi_states take the unphased one-j solve of (j, p) from
-STATE_CACHE, a least-recently-used cache of at most STATE_CHUNK_BYTES
-(384 KiB: every j below 78 fits), and phase only the rows they return on
-every read.  A refused j is never kept, so it raises on every call.
+s order of each j.  A solve keeps its rows unphased and read-only, with a
+vector of one phase per state beside them, 0 until that state is first
+phased (_phase); a read returns rows * phase.  A command that asks about
+the same j many times opens `with SpectrumBatch(js):`.  A batch only
+changes how often something is solved, never what a call returns or
+raises: inside it spectrum reads a j of js from one spectrum_range table
+per route, and phi_state and phi_states read a j of js from one
+_state_rows solve per chunk of js and p, each j phased whole on its first
+read; all of it is freed when the block exits.  Outside a batch, and for a
+j outside js, spectrum solves its one j afresh, while phi_state and
+phi_states take the one-j solve of (j, p) from STATE_CACHE, a
+least-recently-used cache of at most STATE_CHUNK_BYTES (384 KiB: every j
+below 78 fits), and phase each state the first time it is read while the
+solve is kept.  A refused j is never kept, so it raises on every call.
 
 The Lame route works on the cubic P(rho) = (rho-A)(rho-B)(rho-C).  With
 x = rho - B, u = A - B, v = B - C, a solution of
@@ -463,12 +466,11 @@ class SpectrumBatch:
     as None and solved one j at a time, as is every j outside js.  States:
     js is cut into consecutive chunks (_state_chunk), and the first state
     read at a j, for a given p, solves the chunk that holds it with one
-    _state_rows call; each j of it is phased in place when it is first
-    read, and served read-only.  A chunk that _state_rows refuses is solved
-    below its first refused j; a j at or past that one, or outside js, is
-    read as outside a batch (STATE_CACHE).  Batches nest: the innermost one
-    serves, and leaving it (also by an exception) makes the enclosing one
-    active again.
+    _state_rows call, and each j of it is phased whole on its first read.
+    A chunk that _state_rows refuses is solved below its first refused j;
+    a j at or past that one, or outside js, is read as outside a batch
+    (STATE_CACHE).  Batches nest: the innermost one serves, and leaving it
+    (also by an exception) makes the enclosing one active again.
     Leaving the `with` block frees the batch's tables and states.
     """
 
@@ -477,9 +479,8 @@ class SpectrumBatch:
         self._tables: dict[tuple[TopParams, str], SpectrumTable | None] = {}
         # the state chunks found so far, from the first j >= 0 of js
         self._chunks = [_state_chunk(max(js.start, 0), js.stop)]
-        # per (p, chunk): its solve (None if refused at its first j) and
-        # which of its j are phased
-        self._states: dict[tuple[TopParams, range], tuple[_StateRows | None, np.ndarray]] = {}
+        # per (p, chunk): its solve, None if refused at its first j
+        self._states: dict[tuple[TopParams, range], _StateRows | None] = {}
 
     def __enter__(self) -> SpectrumBatch:
         self._token = _ACTIVE_BATCH.set(self)
@@ -499,9 +500,9 @@ class SpectrumBatch:
                 self._tables[key] = None
         return self._tables[key]
 
-    def _rows(self, j: int, p: TopParams) -> np.ndarray | None:
-        """The phased, read-only rows of j >= 0 from its chunk's solve, or
-        None where the batch keeps none at j."""
+    def _solved(self, j: int, p: TopParams) -> _StateRows | None:
+        """The solve of j >= 0's chunk, or None where the batch keeps none
+        at j."""
         if j not in self.js:
             return None
         chunks = self._chunks
@@ -515,16 +516,9 @@ class SpectrumBatch:
             except (DomainError, RootCountError) as refusal:
                 below = range(chunk.start, refusal.j)
                 solved = _state_rows(below, p) if below else None
-            self._states[key] = solved, np.zeros(len(chunk), dtype=bool)
-        solved, phased = self._states[key]
-        if solved is None or j not in solved.js:
-            return None
-        rows = solved.at(j)
-        if not phased[j - chunk.start]:
-            rows[:] = _fix_phase(rows, j)
-            phased[j - chunk.start] = True
-        rows.flags.writeable = False  # this view only
-        return rows
+            self._states[key] = solved
+        solved = self._states[key]
+        return None if solved is None or j not in solved.js else solved
 
 
 _ACTIVE_BATCH: contextvars.ContextVar[SpectrumBatch | None] = contextvars.ContextVar(
@@ -717,29 +711,30 @@ def rho_map(q: ComplexQ, p: TopParams) -> complex:
 # --- eigenstates -------------------------------------------------------
 
 
-def _fix_phase(rows: np.ndarray, j: int) -> np.ndarray:
-    """Rotate each row of coefficients by a unit phase so its first
-    nonvanishing derivative at q=0 (0th, 1st, ...) is real and positive;
-    deterministic across routes.
+def _phase(rows: np.ndarray, j: int) -> np.ndarray:
+    """The unit phase of each row of coefficients that makes the row's first
+    nonvanishing derivative at q=0 (0th, 1st, ...) real and positive, once
+    multiplied in; deterministic across routes.
 
     The k-th derivative is (ij)^k sum_n x_n^k c_n with x = n/j, so the test
     runs on powers of x, which stay in range at every k (powers of n
     overflow).  Each row is summed on its own, so phasing one row alone
-    gives the same bits as phasing it among others.
+    gives the same bits as phasing it among others; each order k runs on
+    the rows still left.
     """
     x = np.arange(-j, j + 1) / max(j, 1)
     phase = np.ones(len(rows), dtype=complex)
-    done = np.zeros(len(rows), dtype=bool)
-    terms = rows
+    left, terms = np.arange(len(rows)), rows
     for k in range(2 * j + 1):
         w = terms.sum(axis=1)
-        new = ~done & (np.abs(w) > 1e-9 * np.abs(terms).sum(axis=1))
-        phase[new] = np.conj((1, 1j, -1, -1j)[k % 4] * w[new]) / np.abs(w[new])
-        done |= new
-        if done.all():
+        size = np.abs(w)
+        new = size > 1e-9 * np.abs(terms).sum(axis=1)
+        phase[left[new]] = np.conj((1, 1j, -1, -1j)[k % 4] * w[new]) / size[new]
+        left, terms = left[~new], terms[~new]
+        if not len(left):
             break
         terms = terms * x
-    return rows * phase[:, None]
+    return phase
 
 
 def _rows_before(j: int) -> int:
@@ -748,16 +743,24 @@ def _rows_before(j: int) -> int:
 
 
 class _StateRows(NamedTuple):
-    """Unphased coefficients of Phi_{j,s} at every j of js, flat in (j, s, n)
-    order: at(j)[s + j] holds the 2j+1 coefficients n = -j..j of Phi_{j,s}."""
+    """Unphased, read-only coefficients of Phi_{j,s} at every j of js, flat
+    in (j, s, n) order: at(j)[s + j] holds the 2j+1 coefficients n = -j..j
+    of Phi_{j,s}.  phase holds the _phase of each state in (j, s) order, 0
+    until it is found; Phi_{j,s} is at(j)[s + j] * phases(j)[s + j]."""
 
     js: range
     coeffs: np.ndarray
+    phase: np.ndarray
 
     def at(self, j: int) -> np.ndarray:
         """The (2j+1, 2j+1) rows of j, a view."""
         first, width = _rows_before(j) - _rows_before(self.js.start), 2 * j + 1
         return self.coeffs[first : first + width * width].reshape(width, width)
+
+    def phases(self, j: int) -> np.ndarray:
+        """The 2j+1 phases of j, a writable view."""
+        first = j * j - self.js.start**2
+        return self.phase[first : first + 2 * j + 1]
 
 
 class _StateLayout(NamedTuple):
@@ -857,30 +860,38 @@ def _state_rows(js: range, p: TopParams) -> _StateRows:
     out = np.zeros(st.size, dtype=complex)
     for (di, _), states, (columns, scales) in zip(lay.groups, solved, st.fills):
         out[row[di][:, :, None, None] + columns] = states * scales
-    return _StateRows(js, out)
+    out.flags.writeable = False
+    return _StateRows(js, out, np.zeros(len(vals), dtype=complex))
 
 
-# the unphased one-j solves (_StateRows) read outside a batch, or where it
-# keeps none, keyed by (j, p)
+# the one-j solves (_StateRows) read outside a batch, or where it keeps
+# none, keyed by (j, p)
 STATE_CACHE = BytesCache(STATE_CHUNK_BYTES)
 
 
 def _phased_rows(j: int, p: TopParams, at: slice) -> np.ndarray:
-    """Rows `at` of Phi_{j,s}, s = -j..j, phased by _fix_phase, as a
-    writable copy: of the active SpectrumBatch's rows, or, where the batch
-    keeps none (or none is active), of the one-j solve of (j, p) kept in
-    STATE_CACHE.  That solve is kept unphased and read-only, and only the
-    rows `at` are phased, on every read (at j = 48 phasing all of them costs
-    several times one).  A solve of more than STATE_CHUNK_BYTES (j >= 78) is
+    """Rows `at` of Phi_{j,s}, s = -j..j, times their phases, a new array:
+    from the active SpectrumBatch's solve of j, or, where the batch keeps
+    none (or none is active), from the one-j solve of (j, p) kept in
+    STATE_CACHE.  Phases still unknown are found first, in one _phase call:
+    in a batch those of the whole j, on its first read; outside it only
+    those of the rows `at` (at j = 48 phasing all rows costs several times
+    one), so each state is phased once while its solve is kept.  _phase
+    sums each row on its own, so the bits do not depend on which rows are
+    phased together.  A solve of more than STATE_CHUNK_BYTES (j >= 78) is
     returned but not kept, and a refused one raises and is not kept."""
     if j < 0:
         raise DomainError("j must be >= 0")
     batch = _ACTIVE_BATCH.get()
-    rows = None if batch is None else batch._rows(j, p)
-    if rows is None:
-        solved = STATE_CACHE.get((j, p), lambda: _state_rows(range(j, j + 1), p))
-        return _fix_phase(solved.at(j)[at], j)
-    return rows[at].copy()
+    solved, fill = None if batch is None else batch._solved(j, p), slice(None)
+    if solved is None:
+        solved, fill = STATE_CACHE.get((j, p), lambda: _state_rows(range(j, j + 1), p)), at
+    rows, phase = solved.at(j), solved.phases(j)
+    found = phase[fill]  # a view: writing it fills phase
+    if not found.all():
+        unknown = found == 0
+        found[unknown] = _phase(rows[fill][unknown], j)
+    return rows[at] * phase[at, None]
 
 
 def phi_state(j: int, s: int, p: TopParams) -> FourierState:
@@ -941,4 +952,5 @@ def phi_state_series(j: int, s: int, p: TopParams) -> FourierState:
     spec = np.fft.fft(values) / ngrid
     coeffs = spec[np.arange(-j, j + 1) % ngrid]
     norm = math.sqrt((2 * j + 1) / np.sum(np.abs(coeffs) ** 2 / weight_vector(j)).real)
-    return FourierState(j=j, coeffs=_fix_phase((coeffs * norm)[None], j)[0])
+    rows = (coeffs * norm)[None]
+    return FourierState(j=j, coeffs=(rows * _phase(rows, j)[:, None])[0])

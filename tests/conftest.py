@@ -17,7 +17,7 @@ def rng() -> np.random.Generator:
 @pytest.fixture(autouse=True)
 def cold_state_cache():
     """The one-j state solves, empty at the start of every test: a test that
-    replaces _state_rows or _fix_phase then reads no rows kept before it."""
+    replaces _state_rows or _phase then reads no rows kept before it."""
     spectra.STATE_CACHE.clear()
 
 

@@ -1,14 +1,17 @@
 import dataclasses
+import gc
 import importlib
 import pkgutil
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import asymtop
-from asymtop import caching
+from asymtop import TopParams, caching, phi_state, spectra
 
 MODULES = [importlib.import_module(f"asymtop.{m.name}") for m in pkgutil.iter_modules(asymtop.__path__)]
 
@@ -89,16 +92,58 @@ def test_no_module_outside_caching_keeps_a_functools_cache():
 
 
 def test_bytes_cache_keeps_the_most_recent_values_within_its_limit():
-    cache = caching.BytesCache(limit=3 * 800)
-    values = {k: cache.get(k, lambda: np.zeros(100)) for k in range(3)}
-    assert cache.get(0, lambda: None) is values[0]  # 0 is now the most recent
-    cache.get(3, lambda: np.zeros(100))  # evicts 1, the least recently used
-    assert cache.nbytes == 3 * 800
-    assert cache.get(1, lambda: "rebuilt") == "rebuilt"
-    assert cache.get(0, lambda: None) is values[0]
-    big = cache.get("big", lambda: np.zeros(400))  # returned, not kept
-    assert not big.flags.writeable
-    assert cache.get("big", lambda: None) is None and cache.nbytes == 3 * 800
-    assert cache.get(0, lambda: None) is values[0]  # and evicts nothing
+    entry = caching.footprint((1, np.zeros(100)))  # 800 bytes of data, its header, key and pair
+    assert entry > 800
+    cache = caching.BytesCache(limit=3 * entry)
+    values = {k: cache.get(k, lambda: np.zeros(100)) for k in (1, 2, 3)}
+    assert cache.get(1, lambda: None) is values[1]  # 1 is now the most recent
+    cache.get(4, lambda: np.zeros(100))  # evicts 2, the least recently used
+    assert list(cache._entries) == [3, 1, 4] and cache.nbytes == 3 * entry
+    assert cache.get(2, lambda: np.ones(100))[0] == 1.0  # rebuilt; evicts 3
+    assert cache.get(1, lambda: None) is values[1]
+    big = cache.get(5, lambda: np.zeros(400))  # returned, not kept
+    assert list(cache._entries) == [4, 2, 1] and cache.nbytes == 3 * entry  # and evicts nothing
+    # the cache writes to no value: memoize freezes what it keeps
+    assert big.flags.writeable and values[1].flags.writeable
     cache.clear()
-    assert cache.nbytes == 0 and cache.get(0, lambda: "rebuilt") == "rebuilt"
+    assert cache.nbytes == 0 and cache.get(1, lambda: "rebuilt") == "rebuilt"
+
+
+def test_footprint_counts_containers_headers_and_the_data_of_views():
+    data = np.zeros(100)
+    view = data[:10]
+    assert caching.footprint(data) == sys.getsizeof(data) == sys.getsizeof(view) + 800
+    assert caching.footprint(view) == sys.getsizeof(view) + 80
+    top = TopParams(3.0, 2.0, 1.0)
+    assert caching.footprint(top) == sys.getsizeof(top) + 3 * sys.getsizeof(1.0)
+    pair = (7, data)
+    assert caching.footprint(pair) == sys.getsizeof(pair) + sys.getsizeof(7) + sys.getsizeof(data)
+    assert caching.footprint("key") == sys.getsizeof("key")
+
+
+def test_many_small_state_solves_stay_within_the_state_cache_bound():
+    # 2000 one-j solves at j <= 3 of new tops: each holds at most 784 bytes
+    # of rows, and its key, containers and array headers about as much again
+    rng = np.random.default_rng(72)
+    gaps = rng.uniform(0.1, 2.0, size=(2000, 3))
+    reads = [(int(j), TopParams(*np.cumsum(g)[::-1])) for j, g in zip(rng.integers(0, 4, 2000), gaps)]
+    for j in range(4):  # the layouts, built once per process, are not measured
+        phi_state(j, 0, reads[0][1])
+    spectra.STATE_CACHE.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for j, p in reads:
+            phi_state(j, 0, p)
+        gc.collect()
+        full = tracemalloc.get_traced_memory()[0]
+        kept, counted = len(spectra.STATE_CACHE._entries), spectra.STATE_CACHE.nbytes
+        spectra.STATE_CACHE.clear()
+        gc.collect()
+        held = full - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 200 < kept < 2000 and counted <= spectra.STATE_CHUNK_BYTES
+    # what sys.getsizeof cannot see, the map's own table and nodes (about
+    # 55 bytes an entry), stays within an eighth of the bound
+    assert counted < held <= spectra.STATE_CHUNK_BYTES * 9 / 8

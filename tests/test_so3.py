@@ -294,10 +294,18 @@ def test_haar_rule_is_cached_and_read_only(cold_caches):
     for arr in (rule.azimuths, rule.polar_nodes, rule.polar_weights, grid.phi, grid.weights, table):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # the one cache counts the rule, its grid, the d^2 table and the J_1
-    # eigenbasis that table was built from
-    held = (rule.azimuths, rule.polar_nodes, rule.polar_weights, *grid, table, *jx_eigenbasis(2))
-    assert caching.TABLES.nbytes == sum(a.nbytes for a in held)
+    # the one cache holds the rule, its grid, the d^2 table and the J_1
+    # eigenbasis that table was built from, each counted with its key
+    held = {
+        (haar_rule, (3,)): rule,
+        (haar_grid, (3,)): grid,
+        (polar_d, (3, 2)): table,
+        (jx_eigenbasis, (2,)): jx_eigenbasis(2),
+    }
+    keys = [(build.__wrapped__, args) for build, args in held]
+    assert set(caching.TABLES._entries) == set(keys)
+    assert caching.TABLES.nbytes == sum(caching.footprint((key, value)) for key, value in zip(keys, held.values()))
+    assert caching.TABLES.nbytes > sum(a.nbytes for value in held.values() for a in caching.arrays(value))
     caching.TABLES.clear()
     assert haar_rule(3) is not rule
 

@@ -312,12 +312,20 @@ def count_state_solves(monkeypatch) -> list[range]:
     return solved
 
 
-def count_phasings(monkeypatch) -> list[int]:
-    """The j of every _fix_phase call from now on."""
+def count_phasings(monkeypatch) -> list[tuple[int, list[bytes]]]:
+    """The j and the bytes of each row of every _phase call from now on."""
     phased = []
-    original = spectra._fix_phase
-    monkeypatch.setattr(spectra, "_fix_phase", lambda rows, j: phased.append(j) or original(rows, j))
+    original = spectra._phase
+    monkeypatch.setattr(
+        spectra, "_phase", lambda rows, j: phased.append((j, [r.tobytes() for r in rows])) or original(rows, j)
+    )
     return phased
+
+
+def phased_once(phased: list[tuple[int, list[bytes]]]) -> bool:
+    """Whether no state (row) was phased twice."""
+    rows = [row for _, call in phased for row in call]
+    return len(set(rows)) == len(rows)
 
 
 def fits_one_chunk(js: range) -> bool:
@@ -344,20 +352,21 @@ def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
             assert outcome(phi_state, j, -j, p) == single[j][0]
         assert [outcome(*call) for call in refusals] == refused
     # one solve per chunk of the batch's range, each within the budget, and
-    # each of its j phased once
+    # each of its j phased once, whole
     chunks = [r for r in solved if r.start < 40]
     assert [j for r in chunks for j in r] == list(range(40)) and all(map(fits_one_chunk, chunks))
     assert len(chunks) > 1 and any(len(r) > 1 for r in chunks)
-    assert sorted(j for j in phased if j < 40) == list(range(40))
+    assert sorted((j, len(rows)) for j, rows in phased if j < 40) == [(j, 2 * j + 1) for j in range(40)]
     # past the range a j solves alone, at most once while STATE_CACHE keeps
     # it (the reads of a j come together), and a refused j (not kept) on
-    # every read; every read phases its j alone
-    reads = {j: 2 * (2 * j + 1) + 3 for j in js[40:]}
+    # every read; each state is phased once, alone, on its first read (the
+    # phi_states and phi_state reads after those find every phase known)
     alone = [r for r in solved if r.start >= 40]
     once = [r.start for r in alone[:-2]]
     assert alone[:-2] == [range(j, j + 1) for j in once] and once == sorted(set(once)) and set(once) <= set(js[40:])
     assert alone[-2:] == [range(600, 601)] * 2
-    assert [j for j in phased if j >= 40] == [j for j in js[40:] for _ in range(reads[j])]
+    assert [(j, len(rows)) for j, rows in phased if j >= 40] == [(j, 1) for j in js[40:] for _ in range(2 * j + 1)]
+    assert phased_once(phased)
     # outside the batch a one-j solve is kept: j = 4 solves once
     del solved[:]
     phi_state(4, 0, p)
@@ -455,7 +464,14 @@ def test_one_j_reads_outside_a_batch_solve_once(monkeypatch):
     phi_states(j, p)
     phi_state(j, -j, p)
     assert solved == [range(j, j + 1)]
-    assert phased == [j] * 17  # phasing stays per read
+    # s = 3 is phased on the first read, the other 2j states by phi_states,
+    # and nothing after: each state once while the solve is kept
+    assert [(at, len(rows)) for at, rows in phased] == [(j, 1), (j, 2 * j)] and phased_once(phased)
+
+
+def kept_bytes(*keys) -> int:
+    """What STATE_CACHE counts for its entries under keys."""
+    return sum(caching.footprint((key, spectra.STATE_CACHE._entries[key][0])) for key in keys)
 
 
 def test_kept_states_are_the_cold_ones_bit_for_bit(monkeypatch):
@@ -472,8 +488,9 @@ def test_kept_states_are_the_cold_ones_bit_for_bit(monkeypatch):
     for (j, s), expected in cold.items():  # warm from the second s of each j
         assert bits(phi_state(j, s, p)) == expected
     assert solved == [range(j, j + 1) for j in js]
-    phi_state(77, 0, other)  # 384 400 bytes: evicts every other entry
-    assert spectra.STATE_CACHE.nbytes == 16 * 155**2
+    phi_state(77, 0, other)  # 384 400 bytes of rows: evicts every other entry
+    assert list(spectra.STATE_CACHE._entries) == [(77, other)]
+    assert spectra.STATE_CACHE.nbytes == kept_bytes((77, other))
     del solved[:]
     for (j, s), expected in cold.items():  # evicted, then solved again
         assert bits(phi_state(j, s, p)) == expected
@@ -482,6 +499,61 @@ def test_kept_states_are_the_cold_ones_bit_for_bit(monkeypatch):
         for (j, s), expected in cold.items():
             assert bits(phi_state(j, s, p)) == expected
     assert [bits(phi_states(j, p)) for j in every] == list(every.values())
+
+
+# tops whose rows need many derivative orders to phase: 41 at (100,2,1),
+# j = 48, 78 at j = 77, and 29 at (5.3,2.1,0.4), j = 77
+HEAVY = [((100.0, 2.0, 1.0), 48), ((100.0, 2.0, 1.0), 77), ((5.3, 2.1, 0.4), 77)]
+
+
+def cold_rows(j: int, p: TopParams) -> list[bytes]:
+    """Each Phi_{j,s} of a fresh solve, phased alone."""
+    rows = spectra._state_rows(range(j, j + 1), p).at(j)
+    return [(row[None] * spectra._phase(row[None], j)[:, None]).tobytes() for row in rows]
+
+
+def test_phased_rows_are_the_cold_one_row_ones_in_any_read_order():
+    rng = np.random.default_rng(27)
+    cases = [(TopParams(*params), j) for params, j in HEAVY]
+    expected = {case: cold_rows(case[1], case[0]) for case in cases}
+
+    def read(p: TopParams, j: int, kind: str) -> None:
+        rows = expected[p, j]
+        if kind == "state":
+            s = int(rng.integers(-j, j + 1))
+            assert bits(phi_state(j, s, p)) == rows[s + j]
+        elif kind == "slice":
+            a = int(rng.integers(0, 2 * j + 1))
+            b = int(rng.integers(a + 1, 2 * j + 2))
+            assert spectra._phased_rows(j, p, slice(a, b)).tobytes() == b"".join(rows[a:b])
+        else:
+            assert b"".join(bits(phi_states(j, p))) == b"".join(rows)
+
+    # outside a batch: each j = 77 solve evicts the other, so reads land
+    # before and after an eviction, on solves phased in part
+    evicted = 0
+    for _ in range(4):
+        for i in rng.permutation(len(cases)):
+            p, j = cases[i]
+            evicted += (j, p) not in spectra.STATE_CACHE._entries
+            for kind in rng.choice(["state", "state", "slice", "states"], size=5):
+                read(p, j, kind)
+    assert evicted > len(cases)
+    # inside a batch, whose chunks phase a j whole on its first read
+    with SpectrumBatch(range(40, 78)):
+        for i in rng.permutation(3 * len(cases)):
+            read(*cases[i % len(cases)], rng.choice(["state", "slice", "states"]))
+
+
+def test_a_cold_one_state_read_phases_one_row(monkeypatch):
+    p, q, g = TopParams(100.0, 2.0, 1.0), ComplexQ(0.4, 0.2), EulerAngles(0.5, 1.1, 2.3)
+    phased = count_phasings(monkeypatch)
+    phi_state(48, 5, p)
+    psi_eval(q, 20, -3, p, g)
+    assert [(j, len(rows)) for j, rows in phased] == [(48, 1), (20, 1)]
+    phi_state(48, 5, p)  # both phases are kept with their solves
+    psi_eval(q, 20, -3, p, g)
+    assert len(phased) == 2
 
 
 def test_kept_states_are_read_only_and_reads_are_copies():
@@ -494,6 +566,8 @@ def test_kept_states_are_read_only_and_reads_are_copies():
     assert bits(phi_state(6, 2, p)) == first and bits(phi_states(6, p)) == every
     ((kept, _),) = spectra.STATE_CACHE._entries.values()
     assert not kept.coeffs.flags.writeable
+    # the phases beside the rows are written once each, from 0 to a unit value
+    assert kept.phase.flags.writeable and np.allclose(np.abs(kept.phase), 1.0)
     with pytest.raises(ValueError, match="read-only"):
         kept.at(6)[0, 0] = 7.0
 
@@ -514,13 +588,22 @@ def test_refused_and_oversized_solves_are_not_kept(monkeypatch):
     assert solved == [range(78, 79)] * 2 and spectra.STATE_CACHE.nbytes == 0
 
 
+def test_a_j_77_solve_still_fits_the_state_cache():
+    p = TopParams(100.0, 2.0, 1.0)
+    phi_state(77, 0, p)
+    ((solved, size),) = spectra.STATE_CACHE._entries.values()
+    # rows, phases, and the key, containers and headers counted with them
+    assert (solved.coeffs.nbytes, solved.phase.nbytes) == (384400, 2480)
+    assert 384400 + 2480 < size == spectra.STATE_CACHE.nbytes == kept_bytes((77, p)) < spectra.STATE_CHUNK_BYTES
+
+
 def test_two_tops_at_one_j_keep_their_own_solves(monkeypatch):
     p, q = TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4)
     solved = count_state_solves(monkeypatch)
     expected = {top: bits(phi_states(8, top)) for top in (p, q)}
     for top in (p, q, p, q):
         assert bits(phi_states(8, top)) == expected[top]
-    assert solved == [range(8, 9)] * 2 and spectra.STATE_CACHE.nbytes == 2 * 16 * 17**2
+    assert solved == [range(8, 9)] * 2 and spectra.STATE_CACHE.nbytes == kept_bytes((8, p), (8, q))
     assert expected[p] != expected[q]
 
 

@@ -266,9 +266,9 @@ def test_haar_rule_cache_stays_within_its_byte_bound(monkeypatch, cold_caches):
 
 def test_run_all_solves_each_state_once_and_no_level_past_the_caps(monkeypatch):
     solved, phased, ranges = [], [], []
-    rows, phase, table = spectra._state_rows, spectra._fix_phase, spectra.spectrum_range
+    rows, phase, table = spectra._state_rows, spectra._phase, spectra.spectrum_range
     monkeypatch.setattr(spectra, "_state_rows", lambda js, p: solved.append(js) or rows(js, p))
-    monkeypatch.setattr(spectra, "_fix_phase", lambda r, j: phased.append(j) or phase(r, j))
+    monkeypatch.setattr(spectra, "_phase", lambda r, j: phased.append((j, len(r))) or phase(r, j))
     monkeypatch.setattr(
         spectra, "spectrum_range", lambda js, p, route="wigner": ranges.append((js, route)) or table(js, p, route)
     )
@@ -277,11 +277,11 @@ def test_run_all_solves_each_state_once_and_no_level_past_the_caps(monkeypatch):
         # one range solve per route and one states solve per run, over the
         # batch's range, which holds every j whose states are read
         # (completeness reads the most, to j = 6); each of those j is
-        # phased once
+        # phased once, whole
         top = min(jmax, 10)
         assert sorted(route for _, route in ranges) == sorted(ROUTES)
         assert solved == [range(top + 1)]
-        assert sorted(phased) == list(range(min(jmax, 6) + 1))
+        assert sorted(phased) == [(j, 2 * j + 1) for j in range(min(jmax, 6) + 1)]
         # levels are read to route-agreement's cap, j = 10, and solved no further
         assert max(js.stop - 1 for js, _ in ranges) == top
         for calls in (solved, phased, ranges):
