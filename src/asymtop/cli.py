@@ -28,6 +28,7 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -54,33 +55,58 @@ SETTINGS = {
 }
 
 LEVELS_HEADER = "j,s,class,E_wigner,E_lambda,E_lame,max_disagreement"
+# the E and lame_class fields of an EnergyLevel row
+_ENERGY, _LAME_CLASS = operator.itemgetter(2), operator.itemgetter(4)
 WAVE_HEADER = "phi,theta,psi,re_psi,im_psi"
 
 
+# rows per block of _rows' output: a block's float cells are formatted once
+# per distinct value and the block is written in one piece, so no whole-output
+# string or list of all rows is built
+ROWS_PER_BLOCK = 4096
+
+
 def _rows(head: str, row: str, columns: list[tuple[str, object]], sep: str, tail: str) -> None:
-    """Print head, then row % (one value of each column) for every row,
-    joined by sep, then tail: one format string per row.
+    """Write head, then row % (one value of each column) for every row,
+    joined by sep, then tail and a newline to sys.stdout.
 
     columns are the (cell format, values) pairs of row's cells; a format
     with no % is a constant cell (its values are not read).  "%.17g" cells
     print x + 0.0, which folds -0.0 into 0; "%r" cells print the float's
     repr, as json.dumps does (-0.0 included), and refuse a non-finite
-    value, which JSON cannot hold.
+    value, which JSON cannot hold.  Every refusal comes before the first
+    write.  The rows then go out in blocks of ROWS_PER_BLOCK: in each, the
+    float cells of one format are deduplicated by their bit patterns (which
+    keep -0.0 apart from 0.0 and every nan apart from the numbers), each
+    distinct value is formatted once, and row takes the texts by %s.
     """
-    cells = []
+    cells, floats = [], {}  # floats: float cell format -> its cells' indices
     for f, v in columns:
         if f in ("%.17g", "%r"):
             v = np.asarray(v, dtype=float)
             if f == "%r" and not np.isfinite(v).all():
                 raise ValueError("non-finite value in JSON output")
-            v = (v + 0.0 if f == "%.17g" else v).tolist()
-        if "%" in f:
-            cells.append(v)
-    print(head + sep.join(row % values for values in zip(*cells)) + tail)
+            floats.setdefault(f, []).append(len(cells))
+            cells.append((v + 0.0 if f == "%.17g" else v).view(np.int64))
+        elif "%" in f:
+            cells.append(list(v))
+    row = row.replace("%.17g", "%s").replace("%r", "%s")
+    n = min(map(len, cells), default=0)
+    write = sys.stdout.write
+    write(head)
+    for lo in range(0, n, ROWS_PER_BLOCK):
+        block = [c[lo : lo + ROWS_PER_BLOCK] for c in cells]
+        for f, at in floats.items():
+            bits, inverse = np.unique(np.concatenate([block[i] for i in at]), return_inverse=True)
+            texts = np.array(list(map(f.__mod__, bits.view(float).tolist())), dtype=object)[inverse]
+            for i, t in zip(at, texts.reshape(len(at), -1)):
+                block[i] = t.tolist()
+        write((sep if lo else "") + sep.join(map(row.__mod__, zip(*block))))
+    write(tail + "\n")
 
 
 def _csv(header: str, columns: list[tuple[str, object]]) -> None:
-    """Print header and one CSV row per entry of the (cell format, values)
+    """Write header and one CSV row per entry of the (cell format, values)
     columns (_rows); a "" format is an empty cell."""
     _rows(header + "\n", ",".join(f for f, _ in columns), columns, "\n", "")
 
@@ -200,6 +226,8 @@ def cmd_levels(args) -> int:
         try:
             require_strict(p)
         except DegenerateParamsError as exc:
+            if set(routes) == {"lame"}:
+                raise  # no route left to print
             skip_lame = True
             print(f"warning: {exc}; lame column left empty", file=sys.stderr)
     # one flat list of energies per distinct route, over every (j, s) row;
@@ -210,10 +238,10 @@ def cmd_levels(args) -> int:
     with SpectrumBatch(range(jmax + 1)) as batch:
         for j in batch.js:
             for r, flat in energies.items():
-                _, _, E, _, N = zip(*spectrum(j, p, route=r))
-                flat.extend(E)
+                rows = spectrum(j, p, route=r)
+                flat.extend(map(_ENERGY, rows))
                 if r == "lame":
-                    classes.extend(N)
+                    classes.extend(map(_LAME_CLASS, rows))
     chain = itertools.chain.from_iterable
     js = list(chain(itertools.repeat(j, 2 * j + 1) for j in range(jmax + 1)))
     ss = list(chain(range(-j, j + 1) for j in range(jmax + 1)))

@@ -64,6 +64,7 @@ products make it similar to a symmetric block.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -121,6 +122,11 @@ class EnergyLevel(NamedTuple):
     E: float
     route: str
     lame_class: int | None = None
+
+
+# EnergyLevel._make without its Python frame and length check: the
+# EnergyLevel of a 5-tuple
+_level = functools.partial(tuple.__new__, EnergyLevel)
 
 
 @dataclass(frozen=True)
@@ -530,7 +536,9 @@ def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
     """All 2j+1 levels, ascending, labeled s = -j..j, as EnergyLevel rows
     (the Lame levels carry their class): spectrum_range at one j, or read
     from the table of the active SpectrumBatch if its range holds j.  Both
-    give the same rows and raise the same errors."""
+    give the same rows and raise the same errors.  The rows are made by
+    tuple.__new__ straight from the table's columns, with no Python call
+    per level."""
     batch, table = _ACTIVE_BATCH.get(), None
     if batch is not None and j in batch.js:
         table, start = batch._table(p, route), batch.js.start
@@ -539,7 +547,7 @@ def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
     at = slice(j * j - start * start, (j + 1) ** 2 - start * start)
     classes = table.lame_class[at].tolist() if route == "lame" else itertools.repeat(None)
     rows = zip(itertools.repeat(j), range(-j, j + 1), table.E[at].tolist(), itertools.repeat(route), classes)
-    return list(map(EnergyLevel._make, rows))
+    return list(map(_level, rows))
 
 
 # --- Lame recurrence ---------------------------------------------------

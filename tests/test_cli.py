@@ -66,6 +66,17 @@ def test_levels_degenerate_params_warns_and_skips_lame(capsys):
         assert cells[2] == "" and cells[5] == ""  # class and E_lame empty
 
 
+def test_levels_lame_alone_on_degenerate_params_exits_3(capsys):
+    # the only route asked for cannot run: no table of empty cells
+    code, out, err = run_cli(capsys, ["levels", "--routes", "lame", "--A", "2", "--B", "2", "--C", "1"])
+    assert code == 3 and out == ""
+    with pytest.raises(DegenerateParamsError) as exc:
+        require_strict(TopParams(2.0, 2.0, 1.0))
+    assert err == f"error: {exc.value}\n"
+    code, out, _ = run_cli(capsys, ["levels", "--routes", "lame,lame", "--jmax", "1", "--A", "2", "--B", "2", "--C", "1"])
+    assert code == 3 and out == ""
+
+
 def levels_oracle(p: TopParams, jmax: int, routes: list[str], fmt: str) -> str:
     """`asymtop levels` stdout rebuilt row by row from spectrum calls: one
     level list per j and route, "%.17g" of x + 0.0 (no -0) in every csv
@@ -111,6 +122,9 @@ def levels_oracle(p: TopParams, jmax: int, routes: list[str], fmt: str) -> str:
         ((3.0, 2.0, 2.0), 6, "lame,wigner"),  # degenerate: lame skipped
         ((3.0, 2.0, 1.0), 0, "wigner,lambda,lame"),
         ((3.0, 2.0, 1.0), 0, "lame"),
+        # 5041 rows: past the first block of cli.ROWS_PER_BLOCK
+        ((3.0, 2.0, 1.0), 70, "wigner,lambda,lame"),
+        ((100.0, 2.0, 1.0), 70, "wigner,lambda"),
     ],
 )
 def test_levels_rows_match_the_per_row_oracle(capsys, params, jmax, routes, fmt):
@@ -119,6 +133,89 @@ def test_levels_rows_match_the_per_row_oracle(capsys, params, jmax, routes, fmt)
     code, out, _ = run_cli(capsys, argv + ["--A", repr(A), "--B", repr(B), "--C", repr(C)])
     assert code == 0
     assert out == levels_oracle(TopParams(A, B, C), jmax, routes.split(","), fmt)
+
+
+def test_levels_rows_cross_a_block():
+    assert cli.ROWS_PER_BLOCK < 71**2
+
+
+def rows_oracle(head, row, columns, sep, tail):
+    """cli._rows' stdout, one row % values at a time."""
+    cells = []
+    for f, v in columns:
+        if f in ("%.17g", "%r"):
+            v = [float(x) + 0.0 if f == "%.17g" else float(x) for x in v]
+        if "%" in f:
+            cells.append(list(v))
+    return head + sep.join(row % values for values in zip(*cells)) + tail + "\n"
+
+
+class Writes(list):
+    """A stdout that keeps each write."""
+
+    def write(self, text):
+        self.append(text)
+
+
+ROWS_CASES = {
+    # one float's bits in several columns and blocks, with both signs of zero
+    "%r": ([0.1, -0.0, 0.0, 0.1, 1e-300, -0.0, 2.5, 0.1, 0.0, -0.0], [0.0, 0.1, -0.0, 2.5, 0.1, 0.1, 0.0, 1e-300, 0.1, -0.0]),
+    # nan and inf print as %.17g prints them, -0.0 as 0
+    "%.17g": ([math.nan, math.inf, -math.inf, -0.0, 0.1, math.nan, 0.1, -math.nan, 1.0, 0.0], [0.1, -0.0, math.inf, 0.1, math.nan, 1.0, 0.0, 0.1, -math.inf, 0.1]),
+}
+
+
+@pytest.mark.parametrize("block", [1, 3, 10, 4096])
+@pytest.mark.parametrize("fmt", ["%r", "%.17g"])
+def test_rows_formats_each_cell_as_one_row_at_a_time(capsys, monkeypatch, fmt, block):
+    monkeypatch.setattr(cli, "ROWS_PER_BLOCK", block)
+    x, y = ROWS_CASES[fmt]
+    ks = list(range(len(x)))
+    columns = [("%d", ks), (fmt, x), ("", None), (fmt, np.array(y)), ("%s", map(str, ks))]
+    row = f"<%d|{fmt}|-|{fmt}|%s>"
+    cli._rows("[", row, columns, ";", "]")
+    out = capsys.readouterr().out
+    assert out == rows_oracle("[", row, [("%d", ks), (fmt, x), ("", None), (fmt, y), ("%s", map(str, ks))], ";", "]")
+    first = [line.split("|")[1] for line in out[1:-2].split(";")]
+    if fmt == "%r":
+        assert first[:3] == ["0.1", "-0.0", "0.0"]
+    else:
+        assert first[:4] + first[7:8] == ["nan", "inf", "-inf", "0", "nan"]
+
+
+def test_rows_format_each_cell_by_its_own_format(capsys, monkeypatch):
+    # one bit pattern in a %r and a %.17g column keeps each column's text
+    monkeypatch.setattr(cli, "ROWS_PER_BLOCK", 2)
+    columns = [("%r", [0.1, -0.0, 0.1]), ("%.17g", [0.1, -0.0, 0.3]), ("%r", [0.3, 0.1, -0.0])]
+    cli._rows("", "%r %.17g %r", columns, "\n", "")
+    assert capsys.readouterr().out == "0.1 0.10000000000000001 0.3\n-0.0 0 0.1\n0.1 0.29999999999999999 -0.0\n"
+
+
+def test_rows_writes_one_piece_per_block(monkeypatch):
+    monkeypatch.setattr(cli, "ROWS_PER_BLOCK", 3)
+    monkeypatch.setattr(sys, "stdout", Writes())
+    cli._rows("head;", "%d,%.17g", [("%d", range(7)), ("%.17g", np.arange(7.0))], ";", ";tail")
+    assert sys.stdout == ["head;", "0,0;1,1;2,2", ";3,3;4,4;5,5", ";6,6", ";tail\n"]
+    monkeypatch.setattr(sys, "stdout", Writes())
+    cli._rows("head", "%d", [("%d", [])], ";", "tail")
+    assert sys.stdout == ["head", "tail\n"]
+
+
+def test_rows_refuse_a_non_finite_json_value_in_the_last_block_before_writing(monkeypatch):
+    monkeypatch.setattr(cli, "ROWS_PER_BLOCK", 3)
+    monkeypatch.setattr(sys, "stdout", Writes())
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._rows("[", "%r", [("%r", [0.0] * 6 + [math.inf])], ", ", "]")
+    assert sys.stdout == []
+
+
+def test_levels_json_refuses_a_non_finite_value_in_the_last_block(capsys, monkeypatch):
+    solve = cli.spectrum
+    monkeypatch.setattr(
+        cli, "spectrum", lambda j, p, route: [lv._replace(E=math.inf) if j == 70 else lv for lv in solve(j, p, route=route)]
+    )
+    code, out, err = run_cli(capsys, ["levels", "--jmax", "70", "--routes", "wigner", "--format", "json"])
+    assert code == 3 and out == "" and "non-finite" in err
 
 
 def test_levels_keeps_negative_zero_in_json_only(capsys):
