@@ -78,6 +78,8 @@ def log_factorials(kmax: int) -> np.ndarray:
 
 def weight_B(n, j: int):
     """B_nj = (j!)^2 / ((j-n)!(j+n)!), broadcast over n."""
+    if j < 0:
+        raise DomainError("j must be >= 0")
     n = np.asarray(n)
     if (np.abs(n) > j).any():
         raise DomainError(f"|n| must be <= j={j}")

@@ -31,19 +31,19 @@ the levels stay exact.
 The states of a whole j range are solved at once in the same way
 (_state_rows): one eigh call per block size of the lambda blocks, then the
 s order of each j.  A solve keeps its rows unphased and read-only, with a
-vector of one phase per state beside them, 0 until that state is first
-phased (_phase); a read returns rows * phase.  A command that asks about
-the same j many times opens `with SpectrumBatch(js):`.  A batch only
-changes how often something is solved, never what a call returns or
-raises: inside it spectrum reads a j of js from one spectrum_range table
-per route, and phi_state and phi_states read a j of js from one
-_state_rows solve per chunk of js and p, each j phased whole on its first
-read; all of it is freed when the block exits.  Outside a batch, and for a
-j outside js, spectrum solves its one j afresh, while phi_state and
-phi_states take the one-j solve of (j, p) from STATE_CACHE, a
-least-recently-used cache of at most STATE_CHUNK_BYTES (384 KiB: every j
-below 78 fits), and phase each state the first time it is read while the
-solve is kept.  A refused j is never kept, so it raises on every call.
+vector of one phase per state beside them, 0 until the first read of its j
+phases that j whole (_phase); a read returns rows * phase.  Every solve is
+kept in one store, STATE_CACHE, a least-recently-used cache of at most
+STATE_CHUNK_BYTES (384 KiB: every j below 78 fits) keyed by (range, p).
+A command that asks about the same j many times opens
+`with SpectrumBatch(js):`.  A batch only changes how often something is
+solved, never what a call returns or raises: inside it spectrum reads a j
+of js from one spectrum_range table per route, freed when the block exits,
+and phi_state and phi_states read a j of js from one _state_rows solve of
+all of js, if its rows fit STATE_CACHE.  Otherwise, and outside a batch,
+spectrum solves its one j afresh, while phi_state and phi_states read the
+one-j solve of (j, p).  A refused j is never kept, so it raises on every
+call.
 
 The Lame route works on the cubic P(rho) = (rho-A)(rho-B)(rho-C).  With
 x = rho - B, u = A - B, v = B - C, a solution of
@@ -445,48 +445,31 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
     return SpectrumTable(vals[order], lay.cls[order] + 1 if route == "lame" else None)
 
 
-# the most the rows of a batch's state chunk of more than one j hold, and
-# the most STATE_CACHE holds
+# the most STATE_CACHE holds, and so the most a batch's range of states
+# may hold to be solved whole
 STATE_CHUNK_BYTES = 384 << 10
 
 
-def _state_chunk(lo: int, stop: int) -> range:
-    """The chunk of states that starts at lo, within j < stop: the most
-    consecutive j whose rows, 16 (2j+1)^2 bytes each, fit STATE_CHUNK_BYTES
-    together, or lo alone."""
-    hi = lo + 1
-    while hi < stop and 16 * (_rows_before(hi + 1) - _rows_before(lo)) <= STATE_CHUNK_BYTES:
-        hi += 1
-    return range(lo, hi)
-
-
 class SpectrumBatch:
-    """A cache of solved levels and states, shared by every spectrum,
-    phi_state and phi_states call inside `with SpectrumBatch(js):` (js a
-    range of j, step 1, j >= 0).  It only changes how often something is
-    solved, never what a call returns or raises.
+    """A scope for spectrum, phi_state and phi_states calls inside
+    `with SpectrumBatch(js):` (js a range of j, step 1, j >= 0), in which
+    each is solved once for all of js.  It only changes how often something
+    is solved, never what a call returns or raises.
 
     Levels: the first spectrum call at a j of js, for a given p and route,
     solves every j of it with one spectrum_range call, and the calls at its
     other j slice that table.  A range that spectrum_range refuses is kept
     as None and solved one j at a time, as is every j outside js.  States:
-    js is cut into consecutive chunks (_state_chunk), and the first state
-    read at a j, for a given p, solves the chunk that holds it with one
-    _state_rows call, and each j of it is phased whole on its first read.
-    A chunk that _state_rows refuses is solved below its first refused j;
-    a j at or past that one, or outside js, is read as outside a batch
-    (STATE_CACHE).  Batches nest: the innermost one serves, and leaving it
-    (also by an exception) makes the enclosing one active again.
-    Leaving the `with` block frees the batch's tables and states.
+    the first state read at a j of js, for a given p, solves all of js
+    with one _state_rows call, kept in STATE_CACHE (_solved).  Batches
+    nest: the innermost one serves, and leaving it (also by an exception)
+    makes the enclosing one active again.  Leaving the `with` block frees
+    the batch's tables; its state solves stay in STATE_CACHE until evicted.
     """
 
     def __init__(self, js: range):
         self.js = js
         self._tables: dict[tuple[TopParams, str], SpectrumTable | None] = {}
-        # the state chunks found so far, from the first j >= 0 of js
-        self._chunks = [_state_chunk(max(js.start, 0), js.stop)]
-        # per (p, chunk): its solve, None if refused at its first j
-        self._states: dict[tuple[TopParams, range], _StateRows | None] = {}
 
     def __enter__(self) -> SpectrumBatch:
         self._token = _ACTIVE_BATCH.set(self)
@@ -495,7 +478,6 @@ class SpectrumBatch:
     def __exit__(self, *exc) -> None:
         _ACTIVE_BATCH.reset(self._token)
         self._tables.clear()
-        self._states.clear()
 
     def _table(self, p: TopParams, route: str) -> SpectrumTable | None:
         key = (p, route)
@@ -505,26 +487,6 @@ class SpectrumBatch:
             except (DomainError, DegenerateParamsError, RootCountError):
                 self._tables[key] = None
         return self._tables[key]
-
-    def _solved(self, j: int, p: TopParams) -> _StateRows | None:
-        """The solve of j >= 0's chunk, or None where the batch keeps none
-        at j."""
-        if j not in self.js:
-            return None
-        chunks = self._chunks
-        while chunks[-1].stop <= j:
-            chunks.append(_state_chunk(chunks[-1].stop, self.js.stop))
-        chunk = chunks[-1] if chunks[-1].start <= j else next(c for c in chunks if j in c)
-        key = (p, chunk)
-        if key not in self._states:
-            try:
-                solved = _state_rows(chunk, p)
-            except (DomainError, RootCountError) as refusal:
-                below = range(chunk.start, refusal.j)
-                solved = _state_rows(below, p) if below else None
-            self._states[key] = solved
-        solved = self._states[key]
-        return None if solved is None or j not in solved.js else solved
 
 
 _ACTIVE_BATCH: contextvars.ContextVar[SpectrumBatch | None] = contextvars.ContextVar(
@@ -726,9 +688,9 @@ def _phase(rows: np.ndarray, j: int) -> np.ndarray:
 
     The k-th derivative is (ij)^k sum_n x_n^k c_n with x = n/j, so the test
     runs on powers of x, which stay in range at every k (powers of n
-    overflow).  Each row is summed on its own, so phasing one row alone
-    gives the same bits as phasing it among others; each order k runs on
-    the rows still left.
+    overflow).  Each row is summed on its own, so a row phased alone
+    (phi_state_series) gets the same bits as among the 2j+1 rows of its j
+    (_phased_rows); each order k runs on the rows still left.
     """
     x = np.arange(-j, j + 1) / max(j, 1)
     phase = np.ones(len(rows), dtype=complex)
@@ -754,7 +716,7 @@ class _StateRows(NamedTuple):
     """Unphased, read-only coefficients of Phi_{j,s} at every j of js, flat
     in (j, s, n) order: at(j)[s + j] holds the 2j+1 coefficients n = -j..j
     of Phi_{j,s}.  phase holds the _phase of each state in (j, s) order, 0
-    until it is found; Phi_{j,s} is at(j)[s + j] * phases(j)[s + j]."""
+    until its j is first read; Phi_{j,s} is at(j)[s + j] * phases(j)[s + j]."""
 
     js: range
     coeffs: np.ndarray
@@ -872,33 +834,56 @@ def _state_rows(js: range, p: TopParams) -> _StateRows:
     return _StateRows(js, out, np.zeros(len(vals), dtype=complex))
 
 
-# the one-j solves (_StateRows) read outside a batch, or where it keeps
-# none, keyed by (j, p)
+# every state solve (_StateRows), of one j or of a batch's range, keyed by
+# (range, p); a range refused at some j holds its solve below that j, or
+# None.  A solve of more than STATE_CHUNK_BYTES (one j >= 78) is returned
+# but not kept, and a refused one raises and is not kept.
 STATE_CACHE = BytesCache(STATE_CHUNK_BYTES)
 
 
+def _solved_below_refusal(js: range, p: TopParams) -> _StateRows | None:
+    """_state_rows of js, or, where it refuses some j, of the j below that
+    one (None if there are none)."""
+    try:
+        return _state_rows(js, p)
+    except (DomainError, RootCountError) as refusal:
+        below = range(js.start, refusal.j)
+        return _state_rows(below, p) if below else None
+
+
+def _solved(j: int, p: TopParams) -> _StateRows:
+    """The solve that serves j >= 0, kept in STATE_CACHE: that of the active
+    batch's range (clamped to j >= 0) if it holds j and more than one j (a
+    one-j range is the one-j solve), and its rows and phases fit
+    STATE_CHUNK_BYTES with 1 KiB to spare for the key and array headers;
+    else, and at or past a j that range refuses, the one-j solve, which
+    raises what a one-j call raises."""
+    batch = _ACTIVE_BATCH.get()
+    if batch is not None and j in batch.js:
+        js = range(max(batch.js.start, 0), batch.js.stop)
+        held = 16 * (_rows_before(js.stop) - _rows_before(js.start) + js.stop**2 - js.start**2)
+        if len(js) > 1 and held + 1024 <= STATE_CHUNK_BYTES:
+            solved = STATE_CACHE.get((js, p), lambda: _solved_below_refusal(js, p))
+            if solved is not None and j in solved.js:
+                return solved
+    js = range(j, j + 1)
+    return STATE_CACHE.get((js, p), lambda: _state_rows(js, p))
+
+
 def _phased_rows(j: int, p: TopParams, at: slice) -> np.ndarray:
-    """Rows `at` of Phi_{j,s}, s = -j..j, times their phases, a new array:
-    from the active SpectrumBatch's solve of j, or, where the batch keeps
-    none (or none is active), from the one-j solve of (j, p) kept in
-    STATE_CACHE.  Phases still unknown are found first, in one _phase call:
-    in a batch those of the whole j, on its first read; outside it only
-    those of the rows `at` (at j = 48 phasing all rows costs several times
-    one), so each state is phased once while its solve is kept.  _phase
-    sums each row on its own, so the bits do not depend on which rows are
-    phased together.  A solve of more than STATE_CHUNK_BYTES (j >= 78) is
-    returned but not kept, and a refused one raises and is not kept."""
+    """Rows `at` of Phi_{j,s}, s = -j..j, times their phases, a new array,
+    from the solve that serves j (_solved).  The first read of a j phases
+    all 2j+1 of its rows, in one _phase call, so each state is phased once
+    while its solve is kept.  Every command that reads many states reads
+    all of a j (completeness_defect does), so phasing only the rows read
+    would save no phasing; a lone read pays for its whole j (97 rows of
+    j = 48 on (100, 2, 1): 1.4 ms against 0.16 ms for one)."""
     if j < 0:
         raise DomainError("j must be >= 0")
-    batch = _ACTIVE_BATCH.get()
-    solved, fill = None if batch is None else batch._solved(j, p), slice(None)
-    if solved is None:
-        solved, fill = STATE_CACHE.get((j, p), lambda: _state_rows(range(j, j + 1), p)), at
+    solved = _solved(j, p)
     rows, phase = solved.at(j), solved.phases(j)
-    found = phase[fill]  # a view: writing it fills phase
-    if not found.all():
-        unknown = found == 0
-        found[unknown] = _phase(rows[fill][unknown], j)
+    if not phase[0]:  # a phase is a unit number once found
+        phase[:] = _phase(rows, j)
     return rows[at] * phase[at, None]
 
 
@@ -928,6 +913,8 @@ def phi_state_series(j: int, s: int, p: TopParams) -> FourierState:
     """
     if j > SERIES_JMAX:
         raise DomainError(f"phi_state_series is limited to j <= {SERIES_JMAX}, got j={j}")
+    if 0 <= j < abs(s):  # lame_spectrum refuses j < 0
+        raise DomainError(f"|s| must be <= j={j}")
     require_strict(p)
     levels = lame_spectrum(j, p)
     lev = levels[s + j]

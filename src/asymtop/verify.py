@@ -15,7 +15,8 @@ of which equals its one-point call bit for bit.
 
 run_all's checks share one SpectrumBatch: each route's levels are solved
 once per run, and the states of every j the checks read in one range solve
-(spectra._state_rows), each j phased once.
+(spectra._state_rows), kept in spectra.STATE_CACHE, each j phased whole on
+its first read.
 
 The tables that do not depend on the top (rules, d^j tables at polar nodes,
 the node sums of t_matrix_quadrature, the GeneratorStacks of casimir,
@@ -519,8 +520,9 @@ def run_all(
 
     tols maps check names to tolerances that replace the table's defaults.
     The checks share one SpectrumBatch, which changes no result, only how
-    often it is solved: each route's levels once, and the states of every j
-    once, in one range solve, each j phased once, per run.
+    often it is solved: each route's levels once per run, and the states of
+    every j in one range solve, kept in STATE_CACHE (a later run at the same
+    top reuses it), each j phased whole once.
     """
     tols = tols or {}
     caps = [min(jmax, c.jmax) for c in CHECKS]

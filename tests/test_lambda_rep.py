@@ -44,6 +44,13 @@ def test_weight_values():
         weight_B(3, 2)
 
 
+def test_weights_refuse_negative_j():
+    # log_factorials(2j) of j < 0 is empty: an IndexError before the check
+    for call, args in [(weight_B, (0, -1)), (weight_B, ([], -1)), (weight_vector, (-1,)), (weight_vector, (-3,))]:
+        with pytest.raises(DomainError, match="^j must be >= 0$"):
+            call(*args)
+
+
 def test_const_values():
     assert const_C(0) == pytest.approx(1.0)
     assert const_C(1) == pytest.approx(3.0)

@@ -431,6 +431,14 @@ def test_phi_series_refuses_past_its_limit(p321):
         phi_state_series(spectra.SERIES_JMAX + 1, 0, p321)
 
 
+@pytest.mark.parametrize("s", [-5, 5])
+def test_phi_series_refuses_s_past_j_as_phi_state_does(p321, s):
+    # s = -5 used to wrap around to Phi_{4,4}, and s = 5 to raise IndexError
+    for call in (phi_state, phi_state_series):
+        with pytest.raises(DomainError, match=r"^\|s\| must be <= j=4$"):
+            call(4, s, p321)
+
+
 def class_impurity(coeffs: np.ndarray, j: int) -> float:
     """Distance from one D2 class, relative to max|c|: the coefficients
     should vanish on one parity of n and satisfy c_{-n} = +-c_n."""

@@ -328,21 +328,24 @@ def phased_once(phased: list[tuple[int, list[bytes]]]) -> bool:
     return len(set(rows)) == len(rows)
 
 
-def fits_one_chunk(js: range) -> bool:
-    """Whether the rows of js fit the batch's chunk budget, or js is one j."""
-    return len(js) == 1 or 16 * sum((2 * j + 1) ** 2 for j in js) <= spectra.STATE_CHUNK_BYTES
+def solved_whole(js: range) -> bool:
+    """Whether a batch over js solves its states in one range solve: js
+    holds more than one j, and its rows and phases, 16 bytes each, fit
+    STATE_CHUNK_BYTES with 1 KiB to spare."""
+    return len(js) > 1 and 16 * sum((2 * j + 1) ** 2 + 2 * j + 1 for j in js) + 1024 <= spectra.STATE_CHUNK_BYTES
 
 
 @pytest.mark.parametrize("params", RANGE_PARAMS)
 def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
     p = TopParams(*params)
-    js = range(49)  # the batch's range holds j < 40: past it reads go to STATE_CACHE
+    js = range(49)  # the batch's range holds j < 20: past it reads are one-j
     single = {j: [outcome(phi_state, j, s, p) for s in range(-j, j + 1)] for j in js}
     every = {j: outcome(phi_states, j, p) for j in js}
     refusals = [(phi_state, 3, 4, p), (phi_state, -1, 0, p), (phi_state, 600, 0, p), (phi_states, 600, p)]
     refused = [outcome(*call) for call in refusals]
+    spectra.STATE_CACHE.clear()  # the reads above kept one-j solves
     solved, phased = count_state_solves(monkeypatch), count_phasings(monkeypatch)
-    with SpectrumBatch(range(40)):
+    with SpectrumBatch(range(20)):
         for j in js:
             for s in range(-j, j + 1):
                 assert outcome(phi_state, j, s, p) == single[j][s + j]
@@ -351,21 +354,13 @@ def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
             phi_states(j, p)[0].coeffs[:] = 7.0
             assert outcome(phi_state, j, -j, p) == single[j][0]
         assert [outcome(*call) for call in refusals] == refused
-    # one solve per chunk of the batch's range, each within the budget, and
-    # each of its j phased once, whole
-    chunks = [r for r in solved if r.start < 40]
-    assert [j for r in chunks for j in r] == list(range(40)) and all(map(fits_one_chunk, chunks))
-    assert len(chunks) > 1 and any(len(r) > 1 for r in chunks)
-    assert sorted((j, len(rows)) for j, rows in phased if j < 40) == [(j, 2 * j + 1) for j in range(40)]
-    # past the range a j solves alone, at most once while STATE_CACHE keeps
-    # it (the reads of a j come together), and a refused j (not kept) on
-    # every read; each state is phased once, alone, on its first read (the
-    # phi_states and phi_state reads after those find every phase known)
-    alone = [r for r in solved if r.start >= 40]
-    once = [r.start for r in alone[:-2]]
-    assert alone[:-2] == [range(j, j + 1) for j in once] and once == sorted(set(once)) and set(once) <= set(js[40:])
-    assert alone[-2:] == [range(600, 601)] * 2
-    assert [(j, len(rows)) for j, rows in phased if j >= 40] == [(j, 1) for j in js[40:] for _ in range(2 * j + 1)]
+    # one solve of the batch's range; past it each j solves alone, once
+    # (the reads of a j come together, and one j below 78 fits
+    # STATE_CACHE), and a refused j (not kept) on every read.  Every j is
+    # phased once, whole, in one _phase call on its first read.
+    assert solved_whole(range(20))
+    assert solved == [range(20)] + [range(j, j + 1) for j in js[20:]] + [range(600, 601)] * 2
+    assert [(j, len(rows)) for j, rows in phased] == [(j, 2 * j + 1) for j in js]
     assert phased_once(phased)
     # outside the batch a one-j solve is kept: j = 4 solves once
     del solved[:]
@@ -382,20 +377,29 @@ def test_batch_serves_a_second_top_from_its_own_solve(monkeypatch):
         for j in range(6):
             for top in (p, q, p):
                 assert bits(phi_states(j, top)) == expected[top][j]
-    assert solved == [range(6), range(6)]  # one per (batch, p, chunk)
+    assert solved == [range(6), range(6)]  # one per (range, p)
 
 
 @pytest.mark.parametrize(
-    "params, js, low, high, chunks",
+    "params, js, low, high, solves",
     [
-        # B_nj leaves the normal float range from j = 514; each j is a chunk
-        ((3.0, 2.0, 1.0), range(505, 520), 511, 514, [range(511, 512), range(514, 515)]),
-        # the lambda diagonals overflow from j = 42, inside the chunk 41..43,
-        # which is then solved below 42
-        ((1e305, 1e305, 1.0), range(101), 41, 42, [range(41, 44), range(41, 42)]),
+        # B_nj leaves the normal float range from j = 514; the batch's range
+        # is too large to solve whole, so each j solves alone, and neither
+        # the rows of j = 511 (16.7 MB) nor the refused j = 514 are kept
+        ((3.0, 2.0, 1.0), range(505, 520), 511, 514, ([range(511, 512)] * 2 + [range(514, 515)] * 2) * 2),
+        # the lambda diagonals overflow from j = 42, inside the batch's
+        # range 40..42, which is then solved below 42 and kept under its own
+        # key: it is not tried again
+        ((1e305, 1e305, 1.0), range(40, 43), 41, 42, [range(40, 43), range(40, 42)] + [range(42, 43)] * 4),
+        # a batch's range refused at its first j keeps None under its key;
+        # j = 41, past the range, reads its one-j solve, kept since the
+        # reads outside the batch
+        ((1e305, 1e305, 1.0), range(42, 44), 41, 42, [range(42, 44)] + [range(42, 43)] * 4),
+        # a batch of one j reads the one-j solve, refused on every read
+        ((1e305, 1e305, 1.0), range(42, 43), 41, 42, [range(42, 43)] * 4),
     ],
 )
-def test_a_refusal_inside_a_batch_stays_at_its_j(params, js, low, high, chunks, monkeypatch):
+def test_a_refusal_inside_a_batch_stays_at_its_j(params, js, low, high, solves, monkeypatch):
     p = TopParams(*params)
     single = {j: (outcome(phi_state, j, 0, p), outcome(phi_states, j, p)) for j in (low, high)}
     assert isinstance(single[low][1], list)  # the j below is served
@@ -405,21 +409,30 @@ def test_a_refusal_inside_a_batch_stays_at_its_j(params, js, low, high, chunks, 
         for _ in range(2):
             for j in (low, high):
                 assert (outcome(phi_state, j, 0, p), outcome(phi_states, j, p)) == single[j]
-    # the chunk solves once; the refused j is not kept, so it solves alone on
-    # every call
-    assert solved == chunks + [range(high, high + 1)] * 4
+    # the refused j is not kept, so it solves alone on every call
+    assert solved == solves
 
 
-def test_one_state_of_a_wide_batch_solves_one_chunk(monkeypatch):
+def test_one_state_of_a_wide_batch_solves_one_j(monkeypatch):
+    # a batch range past STATE_CHUNK_BYTES serves each j, bit for bit, from
+    # its one-j solve, and solves no other j
     p = TopParams(3.0, 2.0, 1.0)
+    assert not solved_whole(range(0, 514))
+    alone = {j: [bits(phi_state(j, s, p)) for s in (-j, 0, j)] + [bits(phi_states(j, p))] for j in (40, 500)}
+    spectra.STATE_CACHE.clear()
     solved = count_state_solves(monkeypatch)
     with SpectrumBatch(range(0, 514)):
         for j in (40, 500):
-            phi_state(j, 0, p)
-            (chunk,) = solved
-            assert j in chunk and fits_one_chunk(chunk)
-            solved.clear()
-    assert spectra.STATE_CHUNK_BYTES < 16 * 1001**2  # j = 500 is a chunk of its own
+            assert [bits(phi_state(j, s, p)) for s in (-j, 0, j)] + [bits(phi_states(j, p))] == alone[j]
+    # j = 40 is kept from its first read on; j = 500 (16 MB of rows) is not
+    assert solved == [range(40, 41)] + [range(500, 501)] * 4
+    # the bound is tight: j = 0..25 are solved whole, j = 0..26 one at a time
+    solved.clear()
+    for js in (range(26), range(27)):
+        with SpectrumBatch(js):
+            phi_state(js[-1], 0, p)
+    assert solved_whole(range(26)) and not solved_whole(range(27))
+    assert solved == [range(26), range(26, 27)]
 
 
 def test_nested_batches_restore_the_outer_one(monkeypatch):
@@ -443,13 +456,21 @@ def test_nested_batches_restore_the_outer_one(monkeypatch):
         assert spectrum(12, p) == single[12]
     assert spectrum(12, p) == single[12]  # no batch is active
     assert ranges == [range(3), range(5, 6), range(10), range(12, 13), range(12, 13)]
-    # leaving a batch frees its states: entering it again solves again
+    # a batch's state solves stay in STATE_CACHE after it exits: entering it
+    # again solves nothing, past its range a j solves alone, the outer
+    # batch serves again when the inner one exits, and outside any batch j
+    # reads its one-j solve
     solved = count_state_solves(monkeypatch)
     for _ in range(2):
         with inner:
             phi_state(2, 0, p)
             phi_state(2, 1, p)
-    assert solved == [range(3), range(3)]
+    with outer:
+        with inner:
+            phi_state(5, 0, p)
+        phi_state(5, 0, p)
+    phi_state(2, 0, p)
+    assert solved == [range(3), range(5, 6), range(10), range(2, 3)]
 
 
 def test_one_j_reads_outside_a_batch_solve_once(monkeypatch):
@@ -464,9 +485,9 @@ def test_one_j_reads_outside_a_batch_solve_once(monkeypatch):
     phi_states(j, p)
     phi_state(j, -j, p)
     assert solved == [range(j, j + 1)]
-    # s = 3 is phased on the first read, the other 2j states by phi_states,
-    # and nothing after: each state once while the solve is kept
-    assert [(at, len(rows)) for at, rows in phased] == [(j, 1), (j, 2 * j)] and phased_once(phased)
+    # every state of j is phased on the first read, and nothing after:
+    # each state once while the solve is kept
+    assert [(at, len(rows)) for at, rows in phased] == [(j, 2 * j + 1)] and phased_once(phased)
 
 
 def kept_bytes(*keys) -> int:
@@ -489,15 +510,18 @@ def test_kept_states_are_the_cold_ones_bit_for_bit(monkeypatch):
         assert bits(phi_state(j, s, p)) == expected
     assert solved == [range(j, j + 1) for j in js]
     phi_state(77, 0, other)  # 384 400 bytes of rows: evicts every other entry
-    assert list(spectra.STATE_CACHE._entries) == [(77, other)]
-    assert spectra.STATE_CACHE.nbytes == kept_bytes((77, other))
+    assert list(spectra.STATE_CACHE._entries) == [(range(77, 78), other)]
+    assert spectra.STATE_CACHE.nbytes == kept_bytes((range(77, 78), other))
     del solved[:]
     for (j, s), expected in cold.items():  # evicted, then solved again
         assert bits(phi_state(j, s, p)) == expected
     assert solved == [range(j, j + 1) for j in js]
-    with SpectrumBatch(range(31)):
-        for (j, s), expected in cold.items():
-            assert bits(phi_state(j, s, p)) == expected
+    # a batch solved whole (j = 30 past it), and one read one j at a time
+    assert solved_whole(range(10)) and not solved_whole(range(31))
+    for js in (range(10), range(31)):
+        with SpectrumBatch(js):
+            for (j, s), expected in cold.items():
+                assert bits(phi_state(j, s, p)) == expected
     assert [bits(phi_states(j, p)) for j in every] == list(every.values())
 
 
@@ -530,7 +554,7 @@ def test_phased_rows_are_the_cold_one_row_ones_in_any_read_order():
             assert b"".join(bits(phi_states(j, p))) == b"".join(rows)
 
     # outside a batch: each j = 77 solve evicts the other, so reads land
-    # before and after an eviction, on solves phased in part
+    # before and after an eviction
     evicted = 0
     for _ in range(4):
         for i in rng.permutation(len(cases)):
@@ -539,18 +563,18 @@ def test_phased_rows_are_the_cold_one_row_ones_in_any_read_order():
             for kind in rng.choice(["state", "state", "slice", "states"], size=5):
                 read(p, j, kind)
     assert evicted > len(cases)
-    # inside a batch, whose chunks phase a j whole on its first read
+    # inside a batch too large to solve whole, read one j at a time
     with SpectrumBatch(range(40, 78)):
         for i in rng.permutation(3 * len(cases)):
             read(*cases[i % len(cases)], rng.choice(["state", "slice", "states"]))
 
 
-def test_a_cold_one_state_read_phases_one_row(monkeypatch):
+def test_a_cold_one_state_read_phases_its_whole_j(monkeypatch):
     p, q, g = TopParams(100.0, 2.0, 1.0), ComplexQ(0.4, 0.2), EulerAngles(0.5, 1.1, 2.3)
     phased = count_phasings(monkeypatch)
     phi_state(48, 5, p)
     psi_eval(q, 20, -3, p, g)
-    assert [(j, len(rows)) for j, rows in phased] == [(48, 1), (20, 1)]
+    assert [(j, len(rows)) for j, rows in phased] == [(48, 97), (20, 41)]
     phi_state(48, 5, p)  # both phases are kept with their solves
     psi_eval(q, 20, -3, p, g)
     assert len(phased) == 2
@@ -594,7 +618,7 @@ def test_a_j_77_solve_still_fits_the_state_cache():
     ((solved, size),) = spectra.STATE_CACHE._entries.values()
     # rows, phases, and the key, containers and headers counted with them
     assert (solved.coeffs.nbytes, solved.phase.nbytes) == (384400, 2480)
-    assert 384400 + 2480 < size == spectra.STATE_CACHE.nbytes == kept_bytes((77, p)) < spectra.STATE_CHUNK_BYTES
+    assert 384400 + 2480 < size == spectra.STATE_CACHE.nbytes == kept_bytes((range(77, 78), p)) < spectra.STATE_CHUNK_BYTES
 
 
 def test_two_tops_at_one_j_keep_their_own_solves(monkeypatch):
@@ -603,7 +627,8 @@ def test_two_tops_at_one_j_keep_their_own_solves(monkeypatch):
     expected = {top: bits(phi_states(8, top)) for top in (p, q)}
     for top in (p, q, p, q):
         assert bits(phi_states(8, top)) == expected[top]
-    assert solved == [range(8, 9)] * 2 and spectra.STATE_CACHE.nbytes == kept_bytes((8, p), (8, q))
+    assert solved == [range(8, 9)] * 2
+    assert spectra.STATE_CACHE.nbytes == kept_bytes((range(8, 9), p), (range(8, 9), q))
     assert expected[p] != expected[q]
 
 
@@ -617,3 +642,8 @@ def test_negative_j_is_refused_before_any_solve(monkeypatch):
         with SpectrumBatch(range(-3, 3)), pytest.raises(DomainError, match="^j must be >= 0$"):
             call(*args)
     assert solved == [] and spectra.STATE_CACHE.nbytes == 0
+    # the batch's range is clamped to j >= 0: j = 2 reads the solve of 0..2
+    expected = bits(phi_state(2, 1, p))
+    with SpectrumBatch(range(-3, 3)):
+        assert bits(phi_state(2, 1, p)) == expected
+    assert solved == [range(2, 3), range(0, 3)]

@@ -177,6 +177,11 @@ def test_kernel_conjugation_symmetry(rng):
             assert d < 1e-10
 
 
+def test_t_matrix_refuses_negative_j():
+    with pytest.raises(DomainError, match="^j must be >= 0$"):
+        t_matrix(-1, IDENTITY)
+
+
 def test_t_matrix_representation(rng):
     for j in (1, 2, 4):
         assert np.max(np.abs(t_matrix(j, IDENTITY) - np.eye(2 * j + 1))) < 1e-13
