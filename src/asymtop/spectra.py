@@ -452,16 +452,18 @@ STATE_CHUNK_BYTES = 384 << 10
 
 class SpectrumBatch:
     """A scope for spectrum, phi_state and phi_states calls inside
-    `with SpectrumBatch(js):` (js a range of j, step 1, j >= 0), in which
-    each is solved once for all of js.  It only changes how often something
-    is solved, never what a call returns or raises.
+    `with SpectrumBatch(js):` (js a range of j, step 1, j >= 0) that solves
+    each route's levels, and the states where they fit STATE_CACHE, once
+    for all of js.  It only changes how often something is solved, never
+    what a call returns or raises.
 
     Levels: the first spectrum call at a j of js, for a given p and route,
     solves every j of it with one spectrum_range call, and the calls at its
     other j slice that table.  A range that spectrum_range refuses is kept
     as None and solved one j at a time, as is every j outside js.  States:
     the first state read at a j of js, for a given p, solves all of js
-    with one _state_rows call, kept in STATE_CACHE (_solved).  Batches
+    with one _state_rows call if their rows fit, kept in STATE_CACHE
+    (_solved).  Batches
     nest: the innermost one serves, and leaving it (also by an exception)
     makes the enclosing one active again.  Leaving the `with` block frees
     the batch's tables; its state solves stay in STATE_CACHE until evicted.
