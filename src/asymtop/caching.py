@@ -10,8 +10,8 @@ table at its polar nodes would hold about 1 GB, a degree-4 one a few KB.
 An entry counts its key and value whole (footprint), containers and array
 headers too, so many small entries stay within the bound as well.
 The same BytesCache class bounds spectra.STATE_CACHE, the one cache of
-values that depend on the top: the state solves of one j, or of a batch's
-j range, per top, keyed by (range, p).
+values that depend on the top: the phased state rows of one j per top,
+keyed by (j, p).
 """
 
 from __future__ import annotations

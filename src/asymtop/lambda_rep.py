@@ -88,10 +88,14 @@ def weight_B(n, j: int):
 
 
 def const_C(j: int) -> float:
-    """C_j = (2j+1)! / (2^j (j!)^2)."""
+    """C_j = (2j+1)! / (2^j (j!)^2), about (2j+1) 2^j / sqrt(pi j): past max
+    float from j = 1019, where OverflowError names j."""
     if j < 0:
         raise DomainError("j must be >= 0")
-    return math.exp(math.lgamma(2 * j + 2) - j * math.log(2.0) - 2.0 * math.lgamma(j + 1))
+    try:
+        return math.exp(math.lgamma(2 * j + 2) - j * math.log(2.0) - 2.0 * math.lgamma(j + 1))
+    except OverflowError:
+        raise OverflowError(f"C_j at j={j} leaves the float range") from None
 
 
 @memoize

@@ -30,20 +30,16 @@ the levels stay exact.
 
 The states of a whole j range are solved at once in the same way
 (_state_rows): one eigh call per block size of the lambda blocks, then the
-s order of each j.  A solve keeps its rows unphased and read-only, with a
-vector of one phase per state beside them, 0 until the first read of its j
-phases that j whole (_phase); a read returns rows * phase.  Every solve is
-kept in one store, STATE_CACHE, a least-recently-used cache of at most
-STATE_CHUNK_BYTES (384 KiB: every j below 78 fits) keyed by (range, p).
-A command that asks about the same j many times opens
-`with SpectrumBatch(js):`.  A batch only changes how often something is
-solved, never what a call returns or raises: inside it spectrum reads a j
-of js from one spectrum_range table per route, freed when the block exits,
-and phi_state and phi_states read a j of js from one _state_rows solve of
-all of js, if its rows fit STATE_CACHE.  Otherwise, and outside a batch,
-spectrum solves its one j afresh, while phi_state and phi_states read the
-one-j solve of (j, p).  A refused j is never kept, so it raises on every
-call.
+s order of each j.  Each j is then phased whole, in one _phase call, and
+its rows are kept read-only in STATE_CACHE, a least-recently-used cache of
+at most STATE_CHUNK_BYTES (384 KiB: every j below 78 fits) keyed by
+(j, p); phi_state and phi_states return copies of them.  A read that
+misses solves its one j; solve_states(js, p) solves a whole range at once
+for a command that reads many j.  A refused j is never kept, so it raises
+on every call.  Levels are shared by a scope instead: inside
+`with SpectrumBatch(js):` spectrum reads a j of js from one spectrum_range
+table per route, freed when the block exits; outside it spectrum solves
+its one j afresh.
 
 The Lame route works on the cubic P(rho) = (rho-A)(rho-B)(rho-C).  With
 x = rho - B, u = A - B, v = B - C, a solution of
@@ -445,28 +441,19 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
     return SpectrumTable(vals[order], lay.cls[order] + 1 if route == "lame" else None)
 
 
-# the most STATE_CACHE holds, and so the most a batch's range of states
-# may hold to be solved whole
-STATE_CHUNK_BYTES = 384 << 10
-
-
 class SpectrumBatch:
-    """A scope for spectrum, phi_state and phi_states calls inside
-    `with SpectrumBatch(js):` (js a range of j, step 1, j >= 0) that solves
-    each route's levels, and the states where they fit STATE_CACHE, once
-    for all of js.  It only changes how often something is solved, never
-    what a call returns or raises.
+    """A scope for spectrum calls inside `with SpectrumBatch(js):` (js a
+    range of j, step 1, j >= 0) that solves each route's levels once for all
+    of js.  It only changes how often levels are solved, never what a call
+    returns or raises; states are not its concern (solve_states).
 
-    Levels: the first spectrum call at a j of js, for a given p and route,
-    solves every j of it with one spectrum_range call, and the calls at its
-    other j slice that table.  A range that spectrum_range refuses is kept
-    as None and solved one j at a time, as is every j outside js.  States:
-    the first state read at a j of js, for a given p, solves all of js
-    with one _state_rows call if their rows fit, kept in STATE_CACHE
-    (_solved).  Batches
-    nest: the innermost one serves, and leaving it (also by an exception)
-    makes the enclosing one active again.  Leaving the `with` block frees
-    the batch's tables; its state solves stay in STATE_CACHE until evicted.
+    The first spectrum call at a j of js, for a given p and route, solves
+    every j of it with one spectrum_range call, and the calls at its other j
+    slice that table.  A range that spectrum_range refuses is kept as None
+    and solved one j at a time, as is every j outside js.  Batches nest: the
+    innermost one serves, and leaving it (also by an exception) makes the
+    enclosing one active again.  Leaving the `with` block frees the batch's
+    tables.
     """
 
     def __init__(self, js: range):
@@ -692,7 +679,7 @@ def _phase(rows: np.ndarray, j: int) -> np.ndarray:
     runs on powers of x, which stay in range at every k (powers of n
     overflow).  Each row is summed on its own, so a row phased alone
     (phi_state_series) gets the same bits as among the 2j+1 rows of its j
-    (_phased_rows); each order k runs on the rows still left.
+    (_phased); each order k runs on the rows still left.
     """
     x = np.arange(-j, j + 1) / max(j, 1)
     phase = np.ones(len(rows), dtype=complex)
@@ -707,32 +694,6 @@ def _phase(rows: np.ndarray, j: int) -> np.ndarray:
             break
         terms = terms * x
     return phase
-
-
-def _rows_before(j: int) -> int:
-    """Coefficients of the states at every j' < j: sum (2j'+1)^2."""
-    return j * (2 * j - 1) * (2 * j + 1) // 3
-
-
-class _StateRows(NamedTuple):
-    """Unphased, read-only coefficients of Phi_{j,s} at every j of js, flat
-    in (j, s, n) order: at(j)[s + j] holds the 2j+1 coefficients n = -j..j
-    of Phi_{j,s}.  phase holds the _phase of each state in (j, s) order, 0
-    until its j is first read; Phi_{j,s} is at(j)[s + j] * phases(j)[s + j]."""
-
-    js: range
-    coeffs: np.ndarray
-    phase: np.ndarray
-
-    def at(self, j: int) -> np.ndarray:
-        """The (2j+1, 2j+1) rows of j, a view."""
-        first, width = _rows_before(j) - _rows_before(self.js.start), 2 * j + 1
-        return self.coeffs[first : first + width * width].reshape(width, width)
-
-    def phases(self, j: int) -> np.ndarray:
-        """The 2j+1 phases of j, a writable view."""
-        first = j * j - self.js.start**2
-        return self.phase[first : first + 2 * j + 1]
 
 
 class _StateLayout(NamedTuple):
@@ -783,9 +744,9 @@ def _b_min(j: int) -> float:
     return np.exp(2.0 * math.lgamma(j + 1.0) - math.lgamma(2.0 * j + 1.0))
 
 
-def _state_rows(js: range, p: TopParams) -> _StateRows:
+def _state_rows(js: range, p: TopParams) -> list[np.ndarray]:
     """Unphased coefficients of Phi_{j,s}, s = -j..j, at every j of js
-    (step 1, j >= 0).
+    (step 1, j >= 0): one (2j+1, 2j+1) array per j, a state per row.
 
     The eigenvectors of the lambda route's Wang blocks (_class_blocks) over
     the whole range, one eigh per block size, as spectrum_range solves
@@ -832,61 +793,56 @@ def _state_rows(js: range, p: TopParams) -> _StateRows:
     out = np.zeros(st.size, dtype=complex)
     for (di, _), states, (columns, scales) in zip(lay.groups, solved, st.fills):
         out[row[di][:, :, None, None] + columns] = states * scales
+    return [rows.reshape(2 * j + 1, -1) for j, rows in zip(js, np.split(out, st.row_start[st.j_first[1:]]))]
+
+
+def _phased(rows: np.ndarray, j: int) -> np.ndarray:
+    """The rows of j times their _phase, a new read-only array."""
+    out = rows * _phase(rows, j)[:, None]
     out.flags.writeable = False
-    return _StateRows(js, out, np.zeros(len(vals), dtype=complex))
+    return out
 
 
-# every state solve (_StateRows), of one j or of a batch's range, keyed by
-# (range, p); a range refused at some j holds its solve below that j, or
-# None.  A solve of more than STATE_CHUNK_BYTES (one j >= 78) is returned
-# but not kept, and a refused one raises and is not kept.
+# the most STATE_CACHE holds
+STATE_CHUNK_BYTES = 384 << 10
+
+# the phased rows of Phi_{j,s}, s = -j..j, one read-only (2j+1, 2j+1) array
+# per (j, p), at most STATE_CHUNK_BYTES of them: every j below 78 fits.  An
+# entry comes from a one-j solve on a read that misses, or from a range
+# solve (solve_states).  A larger j (16 * 157**2 bytes of rows at j = 78) is
+# returned but not kept, and a refused one raises and is not kept.
 STATE_CACHE = BytesCache(STATE_CHUNK_BYTES)
 
 
-def _solved_below_refusal(js: range, p: TopParams) -> _StateRows | None:
-    """_state_rows of js, or, where it refuses some j, of the j below that
-    one (None if there are none)."""
+def solve_states(js: range, p: TopParams) -> None:
+    """Solve the states of every j of the range js (step 1, j >= 0) in one
+    _state_rows call and keep each j's phased rows in STATE_CACHE, unless
+    kept already: a command that reads the states of many j calls this
+    once, and its reads then find them.  Where the range is refused at some
+    j, the j below that one are kept, and a read at or past it raises what
+    a one-j read raises.  The rows kept are those a one-j read keeps, bit
+    for bit."""
+    if js.start < 0 or js.step != 1:
+        raise DomainError(f"need consecutive j >= 0, got {js}")
     try:
-        return _state_rows(js, p)
+        solved = _state_rows(js, p) if js else []
     except (DomainError, RootCountError) as refusal:
-        below = range(js.start, refusal.j)
-        return _state_rows(below, p) if below else None
-
-
-def _solved(j: int, p: TopParams) -> _StateRows:
-    """The solve that serves j >= 0, kept in STATE_CACHE: that of the active
-    batch's range (clamped to j >= 0) if it holds j and more than one j (a
-    one-j range is the one-j solve), and its rows and phases fit
-    STATE_CHUNK_BYTES with 1 KiB to spare for the key and array headers;
-    else, and at or past a j that range refuses, the one-j solve, which
-    raises what a one-j call raises."""
-    batch = _ACTIVE_BATCH.get()
-    if batch is not None and j in batch.js:
-        js = range(max(batch.js.start, 0), batch.js.stop)
-        held = 16 * (_rows_before(js.stop) - _rows_before(js.start) + js.stop**2 - js.start**2)
-        if len(js) > 1 and held + 1024 <= STATE_CHUNK_BYTES:
-            solved = STATE_CACHE.get((js, p), lambda: _solved_below_refusal(js, p))
-            if solved is not None and j in solved.js:
-                return solved
-    js = range(j, j + 1)
-    return STATE_CACHE.get((js, p), lambda: _state_rows(js, p))
+        js = range(js.start, refusal.j)
+        solved = _state_rows(js, p) if js else []
+    for j, rows in zip(js, solved):
+        STATE_CACHE.get((j, p), functools.partial(_phased, rows, j))
 
 
 def _phased_rows(j: int, p: TopParams, at: slice) -> np.ndarray:
-    """Rows `at` of Phi_{j,s}, s = -j..j, times their phases, a new array,
-    from the solve that serves j (_solved).  The first read of a j phases
-    all 2j+1 of its rows, in one _phase call, so each state is phased once
-    while its solve is kept.  Every command that reads many states reads
+    """Rows `at` of Phi_{j,s}, s = -j..j, a new array, from the entry of
+    (j, p) in STATE_CACHE; on a miss, one _state_rows solve of j, phased
+    whole in one _phase call.  Every command that reads many states reads
     all of a j (completeness_defect does), so phasing only the rows read
     would save no phasing; a lone read pays for its whole j (97 rows of
     j = 48 on (100, 2, 1): 1.4 ms against 0.16 ms for one)."""
     if j < 0:
         raise DomainError("j must be >= 0")
-    solved = _solved(j, p)
-    rows, phase = solved.at(j), solved.phases(j)
-    if not phase[0]:  # a phase is a unit number once found
-        phase[:] = _phase(rows, j)
-    return rows[at] * phase[at, None]
+    return STATE_CACHE.get((j, p), lambda: _phased(_state_rows(range(j, j + 1), p)[0], j))[at].copy()
 
 
 def phi_state(j: int, s: int, p: TopParams) -> FourierState:

@@ -13,10 +13,10 @@ completeness then evaluate each j once over all of its draws with the array
 entry points (a stacked t_matrix, kernel_values, phase_map, ...), each point
 of which equals its one-point call bit for bit.
 
-run_all's checks share one SpectrumBatch: each route's levels are solved
-once per run, and the states of every j the checks read in one range solve
-(spectra._state_rows), kept in spectra.STATE_CACHE, each j phased whole on
-its first read.
+run_all's checks share one SpectrumBatch, so each route's levels are solved
+once per run, and run_all solves the states of every j the checks read in
+one range solve first (spectra.solve_states), each j phased whole and kept
+in spectra.STATE_CACHE.
 
 The tables that do not depend on the top (rules, d^j tables at polar nodes,
 the node sums of t_matrix_quadrature, the GeneratorStacks of casimir,
@@ -45,7 +45,7 @@ from .lambda_rep import (
     weight_vector,
 )
 from .so3 import IDENTITY, EulerAngles, compose, haar_rule, inverse
-from .spectra import ROUTES, SpectrumBatch, TopParams, h_matrix_lambda, phi_state, spectrum
+from .spectra import ROUTES, SpectrumBatch, TopParams, h_matrix_lambda, phi_state, solve_states, spectrum
 from .wavefunctions import (
     completeness_sides,
     kernel_factored_from_phase,
@@ -519,14 +519,16 @@ def run_all(
     """Run every check of CHECKS, in order, at min(jmax, its jmax).
 
     tols maps check names to tolerances that replace the table's defaults.
-    The checks share one SpectrumBatch, which changes no result, only how
-    often it is solved: each route's levels once per run, and the states of
-    every j in one range solve, kept in STATE_CACHE (a later run at the same
-    top reuses it), each j phased whole once.
+    The checks share one SpectrumBatch, and the states they read are solved
+    first in one spectra.solve_states call; neither changes a result, only
+    how often it is solved: each route's levels once per run, and the states
+    of every j read in one range solve, each j phased whole once and kept in
+    STATE_CACHE (a later run at the same top phases none of them again).
     """
     tols = tols or {}
     caps = [min(jmax, c.jmax) for c in CHECKS]
     # levels are read up to route-agreement's cap (pde-residual's is lower),
-    # states up to completeness's, which is lower too: one range serves both
+    # states up to completeness's (bridge's and pde-residual's are lower)
     with SpectrumBatch(range(min(jmax, _SPEC["route-agreement"].jmax) + 1)):
+        solve_states(range(min(jmax, _SPEC["completeness"].jmax) + 1), p)
         return [c.run(p, cap, seed, tols.get(c.name, c.tol)) for c, cap in zip(CHECKS, caps)]

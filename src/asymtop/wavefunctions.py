@@ -26,6 +26,7 @@ import numpy as np
 from .caching import memoize
 from .errors import DomainError, PoleError, SingularInput
 from .lambda_rep import (
+    LOG_MAX,
     ComplexQ,
     FourierState,
     const_C,
@@ -52,7 +53,8 @@ def _times(a, b):
 
 
 def _mobius(qv, phi, theta, psi):
-    """(base, w, gap) of the phase map over broadcast arrays, with no refusal.
+    """(base, w, gap) of the phase map over broadcast arrays, with no pole
+    refusal.
 
     With x = (q+phi)/2, c = cos(th/2) and s = i sin(th/2), num = c e^{ix} +
     s e^{-ix} and den = s e^{ix} + c e^{-ix} are e^{ith/2} (cos x +- i e^{-ith}
@@ -63,7 +65,21 @@ def _mobius(qv, phi, theta, psi):
     to 1e-300 before dividing (the other factor is then >= sqrt 2).  Each
     product inside num and den has a real or an imaginary factor, so they
     round the same alone and in an array.
+
+    The inputs are refused first, before numpy can warn: SingularInput
+    where one is not finite, else OverflowError where |Im q| > LOG_MAX.
+    e^{iq} passes e^LOG_MAX there, as a value of fourier_basis at j = 1
+    would (Psi's values at j >= 2 are refused before), and further out the
+    products leave the float range (base from |Im q| = 709).
     """
+    inputs = (qv, phi, theta, psi)
+    if not all(np.isfinite(x).all() if isinstance(x, np.ndarray) else cmath.isfinite(x) for x in inputs):
+        names = ("q", "phi", "theta", "psi")
+        bad = [f"{n}={x}" if np.ndim(x) == 0 else n for n, x in zip(names, inputs) if not np.isfinite(x).all()]
+        raise SingularInput(f"non-finite input: {', '.join(bad)}")
+    beyond = abs(qv.imag) > LOG_MAX
+    if beyond.any() if isinstance(beyond, np.ndarray) else beyond:
+        raise OverflowError(f"|Im q| reaches {np.max(np.abs(np.imag(qv))):.4g}, above {LOG_MAX:g}")
     half = theta / 2.0
     c, s = np.cos(half), 1j * np.sin(half)
     up, down = np.exp(0.5j * (qv + phi)), np.exp(-0.5j * (qv + phi))
@@ -81,9 +97,6 @@ def phase_map(qv, phi, theta, psi) -> tuple[np.ndarray, np.ndarray]:
     point (the moduli in gap may round apart in the last bit, which only a
     gap within an ulp of the 1e-13 bar can show).
     """
-    inputs = (qv, phi, theta, psi)
-    if not all(np.isfinite(x).all() if isinstance(x, np.ndarray) else cmath.isfinite(x) for x in inputs):
-        raise SingularInput(f"non-finite input: q={qv}, g={(phi, theta, psi)}")
     base, w, gap = _mobius(qv, phi, theta, psi)
     if np.count_nonzero(gap < 1e-13):
         raise PoleError(f"phase map pole at q={qv}, g={(phi, theta, psi)}")
@@ -92,9 +105,10 @@ def phase_map(qv, phi, theta, psi) -> tuple[np.ndarray, np.ndarray]:
 
 def mobius_phase(q: ComplexQ, g: EulerAngles) -> tuple[complex, complex]:
     """Prefactor base (its j-th power multiplies the state) and w = e^{iu} of
-    the closed-form wavefunction.  SingularInput at a non-finite input;
-    PoleError where u is singular: w = 0 or infinity, its num or den
-    cancelled to below 1e-13 of its terms.
+    the closed-form wavefunction.  SingularInput at a non-finite input,
+    OverflowError where |Im q| > LOG_MAX (_mobius); PoleError where
+    u is singular: w = 0 or infinity, its num or den cancelled to below
+    1e-13 of its terms.
     """
     base, w = phase_map(q.value, g.phi, g.theta, g.psi)
     return complex(base), complex(w)
@@ -120,8 +134,9 @@ def psi_grid(
     FourierState or its 2j+1 coefficients.  The arrays broadcast together.
     psi_from_phase at the phase of _mobius: each value equals psi_eval at
     its point bit for bit wherever psi_eval returns, and where psi_eval
-    refuses a pole, exact pole nodes are nudged instead.  OverflowError
-    where a term passes e^LOG_MAX (lambda_rep.fourier_basis).
+    refuses a pole, exact pole nodes are nudged instead.  Refuses the
+    inputs psi_eval refuses (_mobius), and OverflowError where a term
+    passes e^LOG_MAX (lambda_rep.fourier_basis).
     """
     coeffs = state.coeffs if isinstance(state, FourierState) else state
     base, w, _ = _mobius(qv, np.asarray(phi), np.asarray(theta), np.asarray(psi))

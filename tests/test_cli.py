@@ -304,6 +304,18 @@ def test_wave_refuses_overflowing_values(capsys):
     assert err.startswith("error:")
 
 
+def test_non_finite_and_far_complex_angles_exit_3_with_the_refusal(capsys):
+    # no numpy RuntimeWarning first: the error::RuntimeWarning filter would
+    # raise it out of main instead
+    for argv, message in [
+        (["wave", "--j", "2", "--s", "0", "--q-re", "inf"], "error: non-finite input: q=(inf+0j)\n"),
+        (["wave", "--j", "2", "--s", "0", "--q-im", "800"], "error: |Im q| reaches 800, above 340\n"),
+        (["kernel", "--j", "1030"], "error: C_j at j=1030 leaves the float range\n"),
+    ]:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (3, "", message)
+
+
 def test_kernel_rows(capsys):
     base = ["kernel", "--j", "1", "--q-re", "0.3", "--qp-re", "1.0", "--g-theta", "0.5"]
     code, out, _ = run_cli(capsys, base)

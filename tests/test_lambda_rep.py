@@ -10,6 +10,7 @@ from asymtop import (
     ConvergenceWarning,
     DimensionError,
     DomainError,
+    EulerAngles,
     FourierState,
     casimir_matrix,
     const_C,
@@ -20,6 +21,7 @@ from asymtop import (
     gram_matrix,
     inner_product,
     inner_product_quadrature,
+    kernel_eval,
     phi_state,
     q_grid,
     q_rule,
@@ -57,6 +59,18 @@ def test_const_values():
     assert const_C(2) == pytest.approx(120.0 / 16.0)
     with pytest.raises(DomainError):
         const_C(-1)
+
+
+def test_const_C_past_the_float_range_names_its_j():
+    # C_j ~ (2j+1) 2^j / sqrt(pi j) passes max float at j = 1019; math.exp
+    # raised a bare "math range error" there, from delta_j and the kernel too
+    assert math.isfinite(const_C(1018))
+    q, qp, g = ComplexQ(0.3, 0.0), ComplexQ(0.5, 0.0), EulerAngles(0.1, 0.5, 0.2)
+    assert math.isfinite(abs(delta_j(q, qp, 1018))) and math.isfinite(abs(kernel_eval(q, qp, 1018, g)))
+    for j in (1019, 1030):
+        for call, args in ((const_C, (j,)), (delta_j, (q, qp, j)), (kernel_eval, (q, qp, j, g))):
+            with pytest.raises(OverflowError, match=f"^C_j at j={j} leaves the float range$"):
+                call(*args)
 
 
 def test_complex_q_wraps_alpha():

@@ -328,17 +328,12 @@ def phased_once(phased: list[tuple[int, list[bytes]]]) -> bool:
     return len(set(rows)) == len(rows)
 
 
-def solved_whole(js: range) -> bool:
-    """Whether a batch over js solves its states in one range solve: js
-    holds more than one j, and its rows and phases, 16 bytes each, fit
-    STATE_CHUNK_BYTES with 1 KiB to spare."""
-    return len(js) > 1 and 16 * sum((2 * j + 1) ** 2 + 2 * j + 1 for j in js) + 1024 <= spectra.STATE_CHUNK_BYTES
-
-
 @pytest.mark.parametrize("params", RANGE_PARAMS)
 def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
+    # states solved in one range solve inside a batch, as run_all solves
+    # them, are the one-j reads bit for bit
     p = TopParams(*params)
-    js = range(49)  # the batch's range holds j < 20: past it reads are one-j
+    js = range(49)  # the range solve holds j < 20: past it reads are one-j
     single = {j: [outcome(phi_state, j, s, p) for s in range(-j, j + 1)] for j in js}
     every = {j: outcome(phi_states, j, p) for j in js}
     refusals = [(phi_state, 3, 4, p), (phi_state, -1, 0, p), (phi_state, 600, 0, p), (phi_states, 600, p)]
@@ -346,23 +341,24 @@ def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
     spectra.STATE_CACHE.clear()  # the reads above kept one-j solves
     solved, phased = count_state_solves(monkeypatch), count_phasings(monkeypatch)
     with SpectrumBatch(range(20)):
+        spectra.solve_states(range(20), p)
         for j in js:
             for s in range(-j, j + 1):
                 assert outcome(phi_state, j, s, p) == single[j][s + j]
-                phi_state(j, s, p).coeffs[:] = 7.0  # the caller's copy, not the batch's rows
+                phi_state(j, s, p).coeffs[:] = 7.0  # the caller's copy, not the kept rows
             assert outcome(phi_states, j, p) == every[j]
             phi_states(j, p)[0].coeffs[:] = 7.0
             assert outcome(phi_state, j, -j, p) == single[j][0]
         assert [outcome(*call) for call in refusals] == refused
-    # one solve of the batch's range; past it each j solves alone, once
-    # (the reads of a j come together, and one j below 78 fits
-    # STATE_CACHE), and a refused j (not kept) on every read.  Every j is
-    # phased once, whole, in one _phase call on its first read.
-    assert solved_whole(range(20))
+    # one solve of the range; past it each j solves alone, once (the reads
+    # of a j come together, and one j below 78 fits STATE_CACHE), and a
+    # refused j (not kept) on every read.  Every j is phased once, whole,
+    # in one _phase call: those of the range when it is solved.
     assert solved == [range(20)] + [range(j, j + 1) for j in js[20:]] + [range(600, 601)] * 2
     assert [(j, len(rows)) for j, rows in phased] == [(j, 2 * j + 1) for j in js]
     assert phased_once(phased)
-    # outside the batch a one-j solve is kept: j = 4 solves once
+    # j = 4, evicted by the reads past the range, solves alone once and is
+    # kept again
     del solved[:]
     phi_state(4, 0, p)
     phi_states(4, p)
@@ -372,31 +368,36 @@ def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
 def test_batch_serves_a_second_top_from_its_own_solve(monkeypatch):
     p, q = TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4)
     expected = {top: [bits(phi_states(j, top)) for j in range(6)] for top in (p, q)}
-    solved = count_state_solves(monkeypatch)
-    with SpectrumBatch(range(6)):
-        for j in range(6):
-            for top in (p, q, p):
-                assert bits(phi_states(j, top)) == expected[top][j]
-    assert solved == [range(6), range(6)]  # one per (range, p)
+    spectra.STATE_CACHE.clear()
+    solved, phased = count_state_solves(monkeypatch), count_phasings(monkeypatch)
+    for top in (p, q):
+        spectra.solve_states(range(6), top)
+    for j in range(6):
+        for top in (p, q, p):
+            assert bits(phi_states(j, top)) == expected[top][j]
+    assert solved == [range(6), range(6)]  # one per top, and no read solves
+    # a second range solve over kept j phases none of them again
+    spectra.solve_states(range(6), p)
+    assert len(phased) == 12 and solved == [range(6)] * 3
 
 
 @pytest.mark.parametrize(
     "params, js, low, high, solves",
     [
-        # B_nj leaves the normal float range from j = 514; the batch's range
-        # is too large to solve whole, so each j solves alone, and neither
-        # the rows of j = 511 (16.7 MB) nor the refused j = 514 are kept
-        ((3.0, 2.0, 1.0), range(505, 520), 511, 514, ([range(511, 512)] * 2 + [range(514, 515)] * 2) * 2),
-        # the lambda diagonals overflow from j = 42, inside the batch's
-        # range 40..42, which is then solved below 42 and kept under its own
-        # key: it is not tried again
+        # B_nj leaves the normal float range from j = 514: the range is
+        # solved below it, and neither the rows of j = 511 (16.7 MB) nor the
+        # refused j = 514 are kept
+        (
+            (3.0, 2.0, 1.0), range(511, 516), 511, 514,
+            [range(511, 516), range(511, 514)] + ([range(511, 512)] * 2 + [range(514, 515)] * 2) * 2,
+        ),
+        # the lambda diagonals overflow from j = 42, inside the range 40..42,
+        # which is then solved below 42: j = 40 and 41 are kept
         ((1e305, 1e305, 1.0), range(40, 43), 41, 42, [range(40, 43), range(40, 42)] + [range(42, 43)] * 4),
-        # a batch's range refused at its first j keeps None under its key;
-        # j = 41, past the range, reads its one-j solve, kept since the
-        # reads outside the batch
-        ((1e305, 1e305, 1.0), range(42, 44), 41, 42, [range(42, 44)] + [range(42, 43)] * 4),
-        # a batch of one j reads the one-j solve, refused on every read
-        ((1e305, 1e305, 1.0), range(42, 43), 41, 42, [range(42, 43)] * 4),
+        # a range refused at its first j keeps nothing: j = 41, past it, is
+        # solved alone on its first read and kept
+        ((1e305, 1e305, 1.0), range(42, 44), 41, 42, [range(42, 44), range(41, 42)] + [range(42, 43)] * 4),
+        ((1e305, 1e305, 1.0), range(42, 43), 41, 42, [range(42, 43), range(41, 42)] + [range(42, 43)] * 4),
     ],
 )
 def test_a_refusal_inside_a_batch_stays_at_its_j(params, js, low, high, solves, monkeypatch):
@@ -404,35 +405,34 @@ def test_a_refusal_inside_a_batch_stays_at_its_j(params, js, low, high, solves, 
     single = {j: (outcome(phi_state, j, 0, p), outcome(phi_states, j, p)) for j in (low, high)}
     assert isinstance(single[low][1], list)  # the j below is served
     assert single[high][1][0] is DomainError
+    spectra.STATE_CACHE.clear()
     solved = count_state_solves(monkeypatch)
-    with SpectrumBatch(js):
-        for _ in range(2):
-            for j in (low, high):
-                assert (outcome(phi_state, j, 0, p), outcome(phi_states, j, p)) == single[j]
+    spectra.solve_states(js, p)
+    # every j below the refusal whose rows fit STATE_CACHE (j < 78) is kept
+    assert list(spectra.STATE_CACHE._entries) == [(j, p) for j in js if j < min(high, 78)]
+    for _ in range(2):
+        for j in (low, high):
+            assert (outcome(phi_state, j, 0, p), outcome(phi_states, j, p)) == single[j]
     # the refused j is not kept, so it solves alone on every call
     assert solved == solves
 
 
 def test_one_state_of_a_wide_batch_solves_one_j(monkeypatch):
-    # a batch range past STATE_CHUNK_BYTES serves each j, bit for bit, from
-    # its one-j solve, and solves no other j
+    # the rows of j = 0..29 hold 575 840 bytes, past STATE_CHUNK_BYTES: the
+    # cache keeps the last j of the range that fit, and a read of another j
+    # solves that j alone, bit for bit as the range solve
     p = TopParams(3.0, 2.0, 1.0)
-    assert not solved_whole(range(0, 514))
-    alone = {j: [bits(phi_state(j, s, p)) for s in (-j, 0, j)] + [bits(phi_states(j, p))] for j in (40, 500)}
+    assert 16 * sum((2 * j + 1) ** 2 for j in range(30)) > spectra.STATE_CHUNK_BYTES
+    alone = {j: bits(phi_states(j, p)) for j in range(30)}
     spectra.STATE_CACHE.clear()
     solved = count_state_solves(monkeypatch)
-    with SpectrumBatch(range(0, 514)):
-        for j in (40, 500):
-            assert [bits(phi_state(j, s, p)) for s in (-j, 0, j)] + [bits(phi_states(j, p))] == alone[j]
-    # j = 40 is kept from its first read on; j = 500 (16 MB of rows) is not
-    assert solved == [range(40, 41)] + [range(500, 501)] * 4
-    # the bound is tight: j = 0..25 are solved whole, j = 0..26 one at a time
-    solved.clear()
-    for js in (range(26), range(27)):
-        with SpectrumBatch(js):
-            phi_state(js[-1], 0, p)
-    assert solved_whole(range(26)) and not solved_whole(range(27))
-    assert solved == [range(26), range(26, 27)]
+    spectra.solve_states(range(30), p)
+    first = next(iter(spectra.STATE_CACHE._entries))[0]
+    assert 0 < first and list(spectra.STATE_CACHE._entries) == [(j, p) for j in range(first, 30)]
+    assert spectra.STATE_CACHE.nbytes <= spectra.STATE_CHUNK_BYTES
+    for j in reversed(range(30)):  # the kept j first, before a one-j solve evicts them
+        assert bits(phi_states(j, p)) == alone[j]
+    assert solved == [range(30)] + [range(j, j + 1) for j in reversed(range(first))]
 
 
 def test_nested_batches_restore_the_outer_one(monkeypatch):
@@ -456,21 +456,16 @@ def test_nested_batches_restore_the_outer_one(monkeypatch):
         assert spectrum(12, p) == single[12]
     assert spectrum(12, p) == single[12]  # no batch is active
     assert ranges == [range(3), range(5, 6), range(10), range(12, 13), range(12, 13)]
-    # a batch's state solves stay in STATE_CACHE after it exits: entering it
-    # again solves nothing, past its range a j solves alone, the outer
-    # batch serves again when the inner one exits, and outside any batch j
-    # reads its one-j solve
+    # a batch serves levels only: a state read inside one solves its one j,
+    # kept, as outside any batch
     solved = count_state_solves(monkeypatch)
-    for _ in range(2):
+    with outer:
         with inner:
             phi_state(2, 0, p)
             phi_state(2, 1, p)
-    with outer:
-        with inner:
-            phi_state(5, 0, p)
         phi_state(5, 0, p)
     phi_state(2, 0, p)
-    assert solved == [range(3), range(5, 6), range(10), range(2, 3)]
+    assert solved == [range(2, 3), range(5, 6)]
 
 
 def test_one_j_reads_outside_a_batch_solve_once(monkeypatch):
@@ -510,18 +505,18 @@ def test_kept_states_are_the_cold_ones_bit_for_bit(monkeypatch):
         assert bits(phi_state(j, s, p)) == expected
     assert solved == [range(j, j + 1) for j in js]
     phi_state(77, 0, other)  # 384 400 bytes of rows: evicts every other entry
-    assert list(spectra.STATE_CACHE._entries) == [(range(77, 78), other)]
-    assert spectra.STATE_CACHE.nbytes == kept_bytes((range(77, 78), other))
+    assert list(spectra.STATE_CACHE._entries) == [(77, other)]
+    assert spectra.STATE_CACHE.nbytes == kept_bytes((77, other))
     del solved[:]
     for (j, s), expected in cold.items():  # evicted, then solved again
         assert bits(phi_state(j, s, p)) == expected
     assert solved == [range(j, j + 1) for j in js]
-    # a batch solved whole (j = 30 past it), and one read one j at a time
-    assert solved_whole(range(10)) and not solved_whole(range(31))
+    # after a range solve (j = 30 past it), and after one too large for
+    # STATE_CACHE, which keeps only its last j
     for js in (range(10), range(31)):
-        with SpectrumBatch(js):
-            for (j, s), expected in cold.items():
-                assert bits(phi_state(j, s, p)) == expected
+        spectra.solve_states(js, p)
+        for (j, s), expected in cold.items():
+            assert bits(phi_state(j, s, p)) == expected
     assert [bits(phi_states(j, p)) for j in every] == list(every.values())
 
 
@@ -532,7 +527,7 @@ HEAVY = [((100.0, 2.0, 1.0), 48), ((100.0, 2.0, 1.0), 77), ((5.3, 2.1, 0.4), 77)
 
 def cold_rows(j: int, p: TopParams) -> list[bytes]:
     """Each Phi_{j,s} of a fresh solve, phased alone."""
-    rows = spectra._state_rows(range(j, j + 1), p).at(j)
+    (rows,) = spectra._state_rows(range(j, j + 1), p)
     return [(row[None] * spectra._phase(row[None], j)[:, None]).tobytes() for row in rows]
 
 
@@ -563,10 +558,11 @@ def test_phased_rows_are_the_cold_one_row_ones_in_any_read_order():
             for kind in rng.choice(["state", "state", "slice", "states"], size=5):
                 read(p, j, kind)
     assert evicted > len(cases)
-    # inside a batch too large to solve whole, read one j at a time
-    with SpectrumBatch(range(40, 78)):
-        for i in rng.permutation(3 * len(cases)):
-            read(*cases[i % len(cases)], rng.choice(["state", "slice", "states"]))
+    # each j after a range solve that ends at it
+    for i in rng.permutation(3 * len(cases)):
+        p, j = cases[i % len(cases)]
+        spectra.solve_states(range(j - 2, j + 1), p)
+        read(p, j, rng.choice(["state", "slice", "states"]))
 
 
 def test_a_cold_one_state_read_phases_its_whole_j(monkeypatch):
@@ -589,11 +585,14 @@ def test_kept_states_are_read_only_and_reads_are_copies():
         state.coeffs[:] = 7.0
     assert bits(phi_state(6, 2, p)) == first and bits(phi_states(6, p)) == every
     ((kept, _),) = spectra.STATE_CACHE._entries.values()
-    assert not kept.coeffs.flags.writeable
-    # the phases beside the rows are written once each, from 0 to a unit value
-    assert kept.phase.flags.writeable and np.allclose(np.abs(kept.phase), 1.0)
+    assert not kept.flags.writeable and kept.base is None
     with pytest.raises(ValueError, match="read-only"):
-        kept.at(6)[0, 0] = 7.0
+        kept[0, 0] = 7.0
+    # so is every row a range solve keeps
+    spectra.solve_states(range(12), p)
+    assert len(spectra.STATE_CACHE._entries) == 12
+    for kept, _ in spectra.STATE_CACHE._entries.values():
+        assert not kept.flags.writeable and kept.base is None
 
 
 def test_refused_and_oversized_solves_are_not_kept(monkeypatch):
@@ -616,9 +615,9 @@ def test_a_j_77_solve_still_fits_the_state_cache():
     p = TopParams(100.0, 2.0, 1.0)
     phi_state(77, 0, p)
     ((solved, size),) = spectra.STATE_CACHE._entries.values()
-    # rows, phases, and the key, containers and headers counted with them
-    assert (solved.coeffs.nbytes, solved.phase.nbytes) == (384400, 2480)
-    assert 384400 + 2480 < size == spectra.STATE_CACHE.nbytes == kept_bytes((range(77, 78), p)) < spectra.STATE_CHUNK_BYTES
+    # the rows, and the key, containers and header counted with them
+    assert solved.nbytes == 384400
+    assert 384400 < size == spectra.STATE_CACHE.nbytes == kept_bytes((77, p)) < spectra.STATE_CHUNK_BYTES
 
 
 def test_two_tops_at_one_j_keep_their_own_solves(monkeypatch):
@@ -628,7 +627,7 @@ def test_two_tops_at_one_j_keep_their_own_solves(monkeypatch):
     for top in (p, q, p, q):
         assert bits(phi_states(8, top)) == expected[top]
     assert solved == [range(8, 9)] * 2
-    assert spectra.STATE_CACHE.nbytes == kept_bytes((range(8, 9), p), (range(8, 9), q))
+    assert spectra.STATE_CACHE.nbytes == kept_bytes((8, p), (8, q))
     assert expected[p] != expected[q]
 
 
@@ -641,9 +640,8 @@ def test_negative_j_is_refused_before_any_solve(monkeypatch):
             call(*args)
         with SpectrumBatch(range(-3, 3)), pytest.raises(DomainError, match="^j must be >= 0$"):
             call(*args)
+    # and so is a range solve that reaches below j = 0, or skips a j
+    for js in (range(-3, 3), range(0, 6, 2)):
+        with pytest.raises(DomainError, match="^need consecutive j >= 0, got range"):
+            spectra.solve_states(js, p)
     assert solved == [] and spectra.STATE_CACHE.nbytes == 0
-    # the batch's range is clamped to j >= 0: j = 2 reads the solve of 0..2
-    expected = bits(phi_state(2, 1, p))
-    with SpectrumBatch(range(-3, 3)):
-        assert bits(phi_state(2, 1, p)) == expected
-    assert solved == [range(2, 3), range(0, 3)]

@@ -273,24 +273,24 @@ def test_run_all_solves_each_state_once_and_no_level_past_the_caps(monkeypatch):
         spectra, "spectrum_range", lambda js, p, route="wigner": ranges.append((js, route)) or table(js, p, route)
     )
     for jmax in (4, 10, 300):
-        spectra.STATE_CACHE.clear()  # the run before kept its states solve
+        spectra.STATE_CACHE.clear()  # the run before kept its states
         run_all(P321, jmax=jmax)
-        # one range solve per route and one states solve per run, over the
-        # batch's range, which holds every j whose states are read
-        # (completeness reads the most, to j = 6); each of those j is
-        # phased once, whole, in one _phase call (5 and 7 calls)
+        # one range solve per route, and one states solve per run over the
+        # j whose states are read (completeness reads the most, to j = 6);
+        # each of those j is phased once, whole, in one _phase call (5 and
+        # 7 calls)
         top = min(jmax, 10)
         assert sorted(route for _, route in ranges) == sorted(ROUTES)
-        assert solved == [range(top + 1)]
+        assert solved == [range(min(jmax, 6) + 1)]
         assert phased == [(j, 2 * j + 1) for j in range(min(jmax, 6) + 1)]
         # levels are read to route-agreement's cap, j = 10, and solved no further
         assert max(js.stop - 1 for js, _ in ranges) == top
         for calls in (solved, phased, ranges):
             calls.clear()
-    # the states solve outlives the run in STATE_CACHE: a second run over
-    # the same range solves and phases no state
+    # the phased states outlive the run in STATE_CACHE: a second run at the
+    # same top solves them again in one range solve and phases none
     run_all(P321, jmax=300)
-    assert solved == [] and phased == [] and len(ranges) == 3
+    assert solved == [range(7)] and phased == [] and len(ranges) == 3
 
 
 @pytest.mark.parametrize("params", [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4), (100.0, 2.0, 1.0)])

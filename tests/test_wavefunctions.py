@@ -99,6 +99,30 @@ def test_mobius_phase_guards():
         phase_map(qv, phi, theta, np.array([2.5, math.nan]))
 
 
+def test_complex_angle_refusals_come_before_any_numpy_warning(p321):
+    # each of these printed a bare numpy RuntimeWarning from _mobius before
+    # refusing "e^(inq) values reach e^nan" (the error::RuntimeWarning filter
+    # turns that warning into the failure)
+    g, state = EulerAngles(0.5, 1.1, 2.3), phi_state(2, 0, p321)
+    with pytest.raises(SingularInput, match=r"^non-finite input: q=\(inf\+0j\)$"):
+        psi_grid(complex(math.inf, 0.0), state, g.phi, g.theta, g.psi)
+    with pytest.raises(SingularInput, match="^non-finite input: phi$"):
+        psi_grid(0.3 + 0.1j, state, np.array([0.5, math.nan]), g.theta, g.psi)
+    with pytest.raises(OverflowError, match=r"^\|Im q\| reaches 800, above 340$"):
+        psi_eval(ComplexQ(0.0, 800.0), 2, 0, p321, g)
+    with pytest.raises(OverflowError, match=r"^\|Im q\| reaches 800, above 340$"):
+        psi_grid(np.array([0.3, 800j]), state, g.phi, g.theta, g.psi)
+    # |Im q| = LOG_MAX is the last angle the phase map takes: there e^{iq}
+    # reaches e^LOG_MAX, j = 2 already refuses its values, and j = 0 is
+    # constant
+    assert psi_eval(ComplexQ(0.0, 340.0), 0, 0, p321, g) == psi_eval(ComplexQ(0.0, 0.3), 0, 0, p321, g)
+    with pytest.raises(OverflowError, match="at j=2"):
+        psi_eval(ComplexQ(0.0, 340.0), 2, 0, p321, g)
+    for beta in (340.5, -340.5, 1e300):
+        with pytest.raises(OverflowError, match="above 340$"):
+            kernel_factored(ComplexQ(0.0, beta), ComplexQ(0.2, 0.1), 0, g)
+
+
 def test_array_entry_points_are_their_one_point_calls(p321, rng):
     # each point of an array call equals its one-point call, bit for bit
     for j in (0, 1, 4, 9):
