@@ -58,7 +58,6 @@ from .spectra import (
     ROUTES,
     EnergyLevel,
     LameSeries,
-    SpectrumBatch,
     SpectrumTable,
     TopParams,
     h_matrix_lambda,

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DegenerateParamsError, DomainError
 from .lambda_rep import ComplexQ, delta_j
 from .so3 import IDENTITY, EulerAngles
-from .spectra import ROUTES, SpectrumBatch, TopParams, phi_state, require_strict, spectrum
+from .spectra import ROUTES, TopParams, phi_state, require_strict, solve_levels, spectrum
 from .verify import CHECKS, run_all
 from .wavefunctions import kernel_conj_defect, kernel_eval, psi_grid
 
@@ -231,17 +231,19 @@ def cmd_levels(args) -> int:
             skip_lame = True
             print(f"warning: {exc}; lame column left empty", file=sys.stderr)
     # one flat list of energies per distinct route, over every (j, s) row;
-    # each route solves all of 0..jmax in one batch, and j runs outermost so
-    # a refusal names the smallest offending j over all routes
+    # each route solves all of 0..jmax in one range solve, which keeps the j
+    # below a refusal, and j runs outermost so a refusal names the smallest
+    # offending j over all routes
     energies = {r: [] for r in routes if not (r == "lame" and skip_lame)}
     classes: list[int] = []
-    with SpectrumBatch(range(jmax + 1)) as batch:
-        for j in batch.js:
-            for r, flat in energies.items():
-                rows = spectrum(j, p, route=r)
-                flat.extend(map(_ENERGY, rows))
-                if r == "lame":
-                    classes.extend(map(_LAME_CLASS, rows))
+    for r in energies:
+        solve_levels(range(jmax + 1), p, r)
+    for j in range(jmax + 1):
+        for r, flat in energies.items():
+            rows = spectrum(j, p, route=r)
+            flat.extend(map(_ENERGY, rows))
+            if r == "lame":
+                classes.extend(map(_LAME_CLASS, rows))
     chain = itertools.chain.from_iterable
     js = list(chain(itertools.repeat(j, 2 * j + 1) for j in range(jmax + 1)))
     ss = list(chain(range(-j, j + 1) for j in range(jmax + 1)))

@@ -220,10 +220,10 @@ def fourier_sum(q, coeffs, log_scale=0.0) -> np.ndarray:
 def state_values(q, coeffs) -> np.ndarray:
     """evaluate_state at every point of the complex angles q, with one
     coefficient row per point or one row for all (fourier_sum).
-    OverflowError for any |Im q| > 50, and where fourier_basis refuses
-    (j |Im q| > LOG_MAX)."""
+    OverflowError for any |Im q| > LOG_MAX, the bound psi_eval's phase map
+    has, and where fourier_basis refuses (j |Im q| > LOG_MAX)."""
     beta = np.abs(np.imag(q))
-    if np.count_nonzero(beta > 50.0):
+    if np.count_nonzero(beta > LOG_MAX):
         raise OverflowError(f"|beta|={np.max(beta)} too large")
     return fourier_sum(q, coeffs)
 

@@ -36,10 +36,10 @@ at most STATE_CHUNK_BYTES (384 KiB: every j below 78 fits) keyed by
 (j, p); phi_state and phi_states return copies of them.  A read that
 misses solves its one j; solve_states(js, p) solves a whole range at once
 for a command that reads many j.  A refused j is never kept, so it raises
-on every call.  Levels are shared by a scope instead: inside
-`with SpectrumBatch(js):` spectrum reads a j of js from one spectrum_range
-table per route, freed when the block exits; outside it spectrum solves
-its one j afresh.
+on every call.  Levels are shared in the same shape: solve_levels(js, p,
+route) keeps one spectrum_range table per route, replaced by the next
+call, and spectrum reads a j of it at that top; any other read solves its
+one j afresh and keeps nothing.
 
 The Lame route works on the cubic P(rho) = (rho-A)(rho-B)(rho-C).  With
 x = rho - B, u = A - B, v = B - C, a solution of
@@ -59,7 +59,6 @@ products make it similar to a symmetric block.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import itertools
 import math
@@ -441,59 +440,47 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
     return SpectrumTable(vals[order], lay.cls[order] + 1 if route == "lame" else None)
 
 
-class SpectrumBatch:
-    """A scope for spectrum calls inside `with SpectrumBatch(js):` (js a
-    range of j, step 1, j >= 0) that solves each route's levels once for all
-    of js.  It only changes how often levels are solved, never what a call
-    returns or raises; states are not its concern (solve_states).
+# route -> (p, js, table), the levels of its last solve_levels call
+_LEVELS: dict[str, tuple[TopParams, range, SpectrumTable | None]] = {}
 
-    The first spectrum call at a j of js, for a given p and route, solves
-    every j of it with one spectrum_range call, and the calls at its other j
-    slice that table.  A range that spectrum_range refuses is kept as None
-    and solved one j at a time, as is every j outside js.  Batches nest: the
-    innermost one serves, and leaving it (also by an exception) makes the
-    enclosing one active again.  Leaving the `with` block frees the batch's
-    tables.
+
+def solve_levels(js: range, p: TopParams, route: str) -> None:
+    """Solve the levels of `route` at every j of js (step 1, j >= 0) in one
+    spectrum_range call, kept as the route's one slot (p, js, table) in
+    place of the last: spectrum then slices it at p and a j of js.  A range
+    refused at some j keeps the j below it, and a top the route refuses
+    (DegenerateParamsError) keeps nothing; a bad range or route is refused
+    up front, a refusal of the top never.
+
+    The slot outlives the command (0.18 MB per route at jmax 150), and it is
+    read as one tuple: threads on different tops can miss each other's slot
+    and solve one j, never read a wrong row.
     """
-
-    def __init__(self, js: range):
-        self.js = js
-        self._tables: dict[tuple[TopParams, str], SpectrumTable | None] = {}
-
-    def __enter__(self) -> SpectrumBatch:
-        self._token = _ACTIVE_BATCH.set(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _ACTIVE_BATCH.reset(self._token)
-        self._tables.clear()
-
-    def _table(self, p: TopParams, route: str) -> SpectrumTable | None:
-        key = (p, route)
-        if key not in self._tables:
-            try:
-                self._tables[key] = spectrum_range(self.js, p, route)
-            except (DomainError, DegenerateParamsError, RootCountError):
-                self._tables[key] = None
-        return self._tables[key]
-
-
-_ACTIVE_BATCH: contextvars.ContextVar[SpectrumBatch | None] = contextvars.ContextVar(
-    "asymtop_spectrum_batch", default=None
-)
+    if route not in ROUTES:
+        raise DomainError(f"route must be one of {ROUTES}, got {route!r}")
+    if js.start < 0 or js.step != 1:
+        raise DomainError(f"need consecutive j >= 0, got {js}")
+    try:
+        table = spectrum_range(js, p, route)
+    except (DomainError, RootCountError) as refusal:
+        js = range(js.start, refusal.j)
+        table = spectrum_range(js, p, route)
+    except DegenerateParamsError:
+        js, table = range(0), None
+    _LEVELS[route] = p, js, table
 
 
 def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
     """All 2j+1 levels, ascending, labeled s = -j..j, as EnergyLevel rows
-    (the Lame levels carry their class): spectrum_range at one j, or read
-    from the table of the active SpectrumBatch if its range holds j.  Both
+    (the Lame levels carry their class): read from the route's solve_levels
+    slot if it holds p and j, else spectrum_range at one j, not kept.  Both
     give the same rows and raise the same errors.  The rows are made by
     tuple.__new__ straight from the table's columns, with no Python call
     per level."""
-    batch, table = _ACTIVE_BATCH.get(), None
-    if batch is not None and j in batch.js:
-        table, start = batch._table(p, route), batch.js.start
-    if table is None:
+    top, js, table = _LEVELS.get(route, (None, (), None))
+    if j in js and top == p:
+        start = js.start
+    else:
         table, start = spectrum_range(range(j, j + 1), p, route), j
     at = slice(j * j - start * start, (j + 1) ** 2 - start * start)
     classes = table.lame_class[at].tolist() if route == "lame" else itertools.repeat(None)

@@ -13,10 +13,11 @@ completeness then evaluate each j once over all of its draws with the array
 entry points (a stacked t_matrix, kernel_values, phase_map, ...), each point
 of which equals its one-point call bit for bit.
 
-run_all's checks share one SpectrumBatch, so each route's levels are solved
-once per run, and run_all solves the states of every j the checks read in
-one range solve first (spectra.solve_states), each j phased whole and kept
-in spectra.STATE_CACHE.
+run_all solves each route's levels and the states of every j the checks
+read in one range solve each first (spectra.solve_levels and
+spectra.solve_states), so the checks' reads find them: the levels in each
+route's slot, the states each j phased whole and kept in
+spectra.STATE_CACHE.
 
 The tables that do not depend on the top (rules, d^j tables at polar nodes,
 the node sums of t_matrix_quadrature, the GeneratorStacks of casimir,
@@ -45,7 +46,7 @@ from .lambda_rep import (
     weight_vector,
 )
 from .so3 import IDENTITY, EulerAngles, compose, haar_rule, inverse
-from .spectra import ROUTES, SpectrumBatch, TopParams, h_matrix_lambda, phi_state, solve_states, spectrum
+from .spectra import ROUTES, TopParams, h_matrix_lambda, phi_state, solve_levels, solve_states, spectrum
 from .wavefunctions import (
     completeness_sides,
     kernel_factored_from_phase,
@@ -147,8 +148,8 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 
 def route_agreement_defects(p: TopParams, jmax: int) -> tuple[float, float]:
-    """(cross-route, trace-rule) relative defects over j <= jmax, from
-    the active SpectrumBatch's tables inside run_all.
+    """(cross-route, trace-rule) relative defects over j <= jmax, read
+    from the tables run_all's solve_levels calls keep.
 
     Trace rule: sum_s E_{j,s} = (A+B+C) j(j+1)(2j+1)/3.
     """
@@ -519,16 +520,18 @@ def run_all(
     """Run every check of CHECKS, in order, at min(jmax, its jmax).
 
     tols maps check names to tolerances that replace the table's defaults.
-    The checks share one SpectrumBatch, and the states they read are solved
-    first in one spectra.solve_states call; neither changes a result, only
-    how often it is solved: each route's levels once per run, and the states
-    of every j read in one range solve, each j phased whole once and kept in
-    STATE_CACHE (a later run at the same top phases none of them again).
+    The levels and states the checks read are solved first, in one
+    spectra.solve_levels call per route and one spectra.solve_states call;
+    neither changes a result, only how often it is solved: each route's
+    levels once per run, and the states of every j read in one range solve,
+    each j phased whole once and kept in STATE_CACHE (a later run at the
+    same top phases none of them again).
     """
     tols = tols or {}
     caps = [min(jmax, c.jmax) for c in CHECKS]
     # levels are read up to route-agreement's cap (pde-residual's is lower),
     # states up to completeness's (bridge's and pde-residual's are lower)
-    with SpectrumBatch(range(min(jmax, _SPEC["route-agreement"].jmax) + 1)):
-        solve_states(range(min(jmax, _SPEC["completeness"].jmax) + 1), p)
-        return [c.run(p, cap, seed, tols.get(c.name, c.tol)) for c, cap in zip(CHECKS, caps)]
+    for route in ROUTES:
+        solve_levels(range(min(jmax, _SPEC["route-agreement"].jmax) + 1), p, route)
+    solve_states(range(min(jmax, _SPEC["completeness"].jmax) + 1), p)
+    return [c.run(p, cap, seed, tols.get(c.name, c.tol)) for c, cap in zip(CHECKS, caps)]

@@ -16,9 +16,11 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture(autouse=True)
 def cold_state_cache():
-    """The one-j state solves, empty at the start of every test: a test that
-    replaces _state_rows or _phase then reads no rows kept before it."""
+    """The kept state solves and level tables, empty at the start of every
+    test: a test that replaces _state_rows, _phase or _lame_entries then
+    reads no rows or levels kept before it."""
     spectra.STATE_CACHE.clear()
+    spectra._LEVELS.clear()
 
 
 @pytest.fixture

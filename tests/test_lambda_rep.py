@@ -162,9 +162,11 @@ def test_delta_j_matches_fourier_sum(rng):
 
 
 def test_evaluate_state_overflow_guard():
-    u = FourierState(j=2, coeffs=np.ones(5))
-    with pytest.raises(OverflowError):
-        evaluate_state(u, ComplexQ(0.0, 60.0))
+    # j |Im q| = 342 passes LOG_MAX; at j = 0, |Im q| itself does
+    for j, beta in [(2, 171.0), (0, 341.0)]:
+        u = FourierState(j=j, coeffs=np.ones(2 * j + 1))
+        with pytest.raises(OverflowError):
+            evaluate_state(u, ComplexQ(0.0, beta))
 
 
 def test_quadrature_gram_is_diagonal():

@@ -2,6 +2,8 @@
 
 import math
 import re
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from asymtop import (
     EulerAngles,
     ROUTES,
     RootCountError,
-    SpectrumBatch,
     SpectrumTable,
     TopParams,
     completeness_defect,
@@ -264,44 +265,61 @@ def outcome(call, *args):
         return type(exc), str(exc)
 
 
+def count_level_solves(monkeypatch) -> list[tuple[range, str]]:
+    """The js and route of every spectrum_range call from now on."""
+    calls = []
+    original = spectra.spectrum_range
+    monkeypatch.setattr(
+        spectra, "spectrum_range", lambda js, p, route="wigner": calls.append((js, route)) or original(js, p, route)
+    )
+    return calls
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_batched_spectrum_is_the_single_j_call(route):
-    # j inside and outside the batch's range, on a served range and on ranges
-    # that refuse from j = 42 (wigner, lambda), from j = 1 or 2 (lambda, lame)
-    # or at every j (lame on A = B): the same rows or the same error
+    # j inside and outside a range solve's range, on a served range and on
+    # ranges that refuse from j = 42 (wigner, lambda), from j = 1 or 2
+    # (lambda, lame) or at every j (lame on A = B): the same rows or the same
+    # error, and the range solve itself raises none of those refusals
     js = range(-1, 55)
     for params in [(5.3, 2.1, 0.4), (1e305, 1e305, 1.0), (1e-300, 5e-301, 1e-301)]:
         p = TopParams(*params)
-        single = [outcome(spectrum, j, p, route) for j in js]  # outside any batch
-        with SpectrumBatch(range(3, 50)):
-            assert [outcome(spectrum, j, p, route) for j in js] == single
+        single = [outcome(spectrum, j, p, route) for j in js]  # no slot kept
+        spectra.solve_levels(range(3, 50), p, route)
+        assert [outcome(spectrum, j, p, route) for j in js] == single
 
 
 def test_batch_solves_each_route_once(monkeypatch):
-    calls = []
-    original = spectra.spectrum_range
-
-    def counted(js, p, route="wigner"):
-        calls.append((js, route))
-        return original(js, p, route)
-
-    monkeypatch.setattr(spectra, "spectrum_range", counted)
-    p = TopParams(3.0, 2.0, 1.0)
-    with SpectrumBatch(range(12)) as batch:
-        for j in batch.js:
-            for route in ROUTES:
-                spectrum(j, p, route)
-    assert calls == [(batch.js, route) for route in ROUTES]
+    calls = count_level_solves(monkeypatch)
+    p, js = TopParams(3.0, 2.0, 1.0), range(12)
+    for route in ROUTES:
+        spectra.solve_levels(js, p, route)
+    for j in js:
+        for route in ROUTES:
+            spectrum(j, p, route)
+    assert calls == [(js, route) for route in ROUTES]
 
 
-def test_refused_batch_serves_each_j_below_the_first_offending_one():
+def test_refused_batch_serves_each_j_below_the_first_offending_one(monkeypatch):
     overflow = TopParams(1e305, 1e305, 1.0)  # diagonals overflow from j = 42
     single = {route: spectrum(41, overflow, route) for route in ("wigner", "lambda")}
-    with SpectrumBatch(range(101)):
-        for route in ("wigner", "lambda"):
-            assert spectrum(41, overflow, route) == single[route]
-            with pytest.raises(DomainError, match=f"^{route} route at j=42:"):
-                spectrum(42, overflow, route)
+    calls = count_level_solves(monkeypatch)
+    for route in ("wigner", "lambda"):
+        spectra.solve_levels(range(101), overflow, route)
+        assert spectra._LEVELS[route][1] == range(42)  # the j below the refusal
+        assert spectrum(41, overflow, route) == single[route]
+        with pytest.raises(DomainError, match=f"^{route} route at j=42:"):
+            spectrum(42, overflow, route)
+    # the refused range, then the range below it; a read past it solves its
+    # one j, and a read below it none
+    assert calls == [
+        (js, route) for route in ("wigner", "lambda") for js in (range(101), range(42), range(42), range(42, 43))
+    ]
+    # a refused top keeps nothing: every read raises what a one-j read raises
+    spectra.solve_levels(range(101), overflow, "lame")
+    assert spectra._LEVELS["lame"][1] == range(0)
+    with pytest.raises(DegenerateParamsError):
+        spectrum(3, overflow, "lame")
 
 
 def count_state_solves(monkeypatch) -> list[range]:
@@ -340,16 +358,17 @@ def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
     refused = [outcome(*call) for call in refusals]
     spectra.STATE_CACHE.clear()  # the reads above kept one-j solves
     solved, phased = count_state_solves(monkeypatch), count_phasings(monkeypatch)
-    with SpectrumBatch(range(20)):
-        spectra.solve_states(range(20), p)
-        for j in js:
-            for s in range(-j, j + 1):
-                assert outcome(phi_state, j, s, p) == single[j][s + j]
-                phi_state(j, s, p).coeffs[:] = 7.0  # the caller's copy, not the kept rows
-            assert outcome(phi_states, j, p) == every[j]
-            phi_states(j, p)[0].coeffs[:] = 7.0
-            assert outcome(phi_state, j, -j, p) == single[j][0]
-        assert [outcome(*call) for call in refusals] == refused
+    for route in ROUTES:  # levels solved beside the states change no state
+        spectra.solve_levels(range(20), p, route)
+    spectra.solve_states(range(20), p)
+    for j in js:
+        for s in range(-j, j + 1):
+            assert outcome(phi_state, j, s, p) == single[j][s + j]
+            phi_state(j, s, p).coeffs[:] = 7.0  # the caller's copy, not the kept rows
+        assert outcome(phi_states, j, p) == every[j]
+        phi_states(j, p)[0].coeffs[:] = 7.0
+        assert outcome(phi_state, j, -j, p) == single[j][0]
+    assert [outcome(*call) for call in refusals] == refused
     # one solve of the range; past it each j solves alone, once (the reads
     # of a j come together, and one j below 78 fits STATE_CACHE), and a
     # refused j (not kept) on every read.  Every j is phased once, whole,
@@ -435,37 +454,47 @@ def test_one_state_of_a_wide_batch_solves_one_j(monkeypatch):
     assert solved == [range(30)] + [range(j, j + 1) for j in reversed(range(first))]
 
 
-def test_nested_batches_restore_the_outer_one(monkeypatch):
-    p = TopParams(3.0, 2.0, 1.0)
-    single = {j: spectrum(j, p) for j in (2, 5, 12)}
-    ranges = []
-    original = spectra.spectrum_range
-    monkeypatch.setattr(
-        spectra, "spectrum_range", lambda js, p, route="wigner": ranges.append(js) or original(js, p, route)
-    )
-    outer, inner = SpectrumBatch(range(10)), SpectrumBatch(range(3))
-    with outer:
-        with inner:
-            assert spectrum(2, p) == single[2]
-            assert spectrum(5, p) == single[5]  # past the inner range: solved alone
-        assert spectrum(5, p) == single[5]  # the outer batch serves j = 5 again
-        with pytest.raises(RuntimeError):
-            with inner:
-                raise RuntimeError("leave by an exception")
-        assert spectrum(5, p) == single[5]
-        assert spectrum(12, p) == single[12]
-    assert spectrum(12, p) == single[12]  # no batch is active
-    assert ranges == [range(3), range(5, 6), range(10), range(12, 13), range(12, 13)]
-    # a batch serves levels only: a state read inside one solves its one j,
-    # kept, as outside any batch
+def test_a_second_top_replaces_the_level_slot(monkeypatch):
+    p, q = TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4)
+    single = {(top, j): spectrum(j, top) for top in (p, q) for j in (2, 5, 12)}
+    calls = count_level_solves(monkeypatch)
+    spectra.solve_levels(range(10), p, "wigner")
+    assert spectrum(5, p) == single[p, 5]
+    assert spectrum(12, p) == single[p, 12]  # past the range: solved alone
+    spectra.solve_levels(range(3), q, "wigner")
+    assert spectrum(2, q) == single[q, 2]
+    assert spectrum(5, q) == single[q, 5]  # past q's range: solved alone
+    assert spectrum(5, p) == single[p, 5]  # p's slot is gone: solved alone
+    assert spectrum(5, p) == single[p, 5]  # and not kept
+    assert [js for js, _ in calls] == [range(10), range(12, 13), range(3)] + [range(5, 6)] * 3
+    # the slot serves levels only: a state read solves its one j, kept
     solved = count_state_solves(monkeypatch)
-    with outer:
-        with inner:
-            phi_state(2, 0, p)
-            phi_state(2, 1, p)
-        phi_state(5, 0, p)
-    phi_state(2, 0, p)
-    assert solved == [range(2, 3), range(5, 6)]
+    phi_state(2, 0, q)
+    phi_state(2, 1, q)
+    assert solved == [range(2, 3)]
+
+
+def test_threads_on_two_tops_read_their_own_rows(monkeypatch):
+    # each of two threads replaces the slots with its own top's solve and
+    # reads while the other does the same; every comparison of tops lets the
+    # other thread run, so slots change under a read: the read misses the
+    # slot or hits its own top's, never the other's
+    tops = [TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4)]
+    js = range(12)
+    single = {(top, j, route): outcome(spectrum, j, top, route) for top in tops for j in js for route in ROUTES}
+    equal = TopParams.__eq__
+    monkeypatch.setattr(TopParams, "__eq__", lambda self, other: time.sleep(0) or equal(self, other))
+
+    def work(top: TopParams) -> list:
+        wrong = []
+        for _ in range(20):
+            for route in ROUTES:
+                spectra.solve_levels(js, top, route)
+            wrong += [(j, r) for j in js for r in ROUTES if outcome(spectrum, j, top, r) != single[top, j, r]]
+        return wrong
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert [f.result() for f in [pool.submit(work, top) for top in tops]] == [[], []]
 
 
 def test_one_j_reads_outside_a_batch_solve_once(monkeypatch):
@@ -638,10 +667,19 @@ def test_negative_j_is_refused_before_any_solve(monkeypatch):
     for call, *args in calls:
         with pytest.raises(DomainError, match="^j must be >= 0$"):
             call(*args)
-        with SpectrumBatch(range(-3, 3)), pytest.raises(DomainError, match="^j must be >= 0$"):
+        spectra.solve_levels(range(3), p, "wigner")  # a level slot serves no state
+        with pytest.raises(DomainError, match="^j must be >= 0$"):
             call(*args)
-    # and so is a range solve that reaches below j = 0, or skips a j
+    # and so is a range solve that reaches below j = 0, or skips a j, and a
+    # level solve on an unknown route
     for js in (range(-3, 3), range(0, 6, 2)):
         with pytest.raises(DomainError, match="^need consecutive j >= 0, got range"):
             spectra.solve_states(js, p)
+        with pytest.raises(DomainError, match="^need consecutive j >= 0, got range"):
+            spectra.solve_levels(js, p, "wigner")
+    with pytest.raises(DomainError, match="^route must be one of"):
+        spectra.solve_levels(range(3), p, "wang")
+    with pytest.raises(DomainError, match="^j must be >= 0$"):
+        spectrum(-1, p)
     assert solved == [] and spectra.STATE_CACHE.nbytes == 0
+    assert list(spectra._LEVELS) == ["wigner"]

@@ -498,12 +498,13 @@ def _pde_residual_per_draw(p, jmax, seed):
 def test_sampled_checks_equal_their_per_draw_formulation(seed):
     # draws first, then each j once over its draws: the same defect bit for bit
     p = TopParams(5.3, 2.1, 0.4)
-    with spectra.SpectrumBatch(range(6)):
-        for jmax in range(6):
-            assert check_kernel_group(jmax, seed).defect == _kernel_group_per_draw(jmax, seed)
-            assert check_bridge(p, jmax, seed).defect == _bridge_per_draw(p, jmax, seed)
-            assert check_completeness(p, jmax, seed).defect == _completeness_per_draw(p, jmax, seed)
-            assert check_pde_residual(p, jmax, seed).defect == _pde_residual_per_draw(p, jmax, seed)
+    for route in ROUTES:  # levels read from range solves, as run_all reads them
+        spectra.solve_levels(range(6), p, route)
+    for jmax in range(6):
+        assert check_kernel_group(jmax, seed).defect == _kernel_group_per_draw(jmax, seed)
+        assert check_bridge(p, jmax, seed).defect == _bridge_per_draw(p, jmax, seed)
+        assert check_completeness(p, jmax, seed).defect == _completeness_per_draw(p, jmax, seed)
+        assert check_pde_residual(p, jmax, seed).defect == _pde_residual_per_draw(p, jmax, seed)
 
 
 def test_completeness_takes_delta_j_once_per_draw(monkeypatch):

@@ -321,6 +321,21 @@ def test_psi_via_kernel_matches_closed_form(p321, rng):
             assert abs(v1 - v2) < 1e-10 * max(1.0, abs(v1))
 
 
+@pytest.mark.parametrize("j, beta", [(0, 340.0), (1, 200.0), (2, 60.0), (3, 100.0), (4, 80.0)])
+def test_both_psi_routes_share_one_im_q_bound(p321, j, beta):
+    # both return wherever |Im q| and j |Im q| stay within LOG_MAX, and agree
+    g = EulerAngles(0.5, 1.1, 2.3)
+    for s in range(-j, j + 1):
+        v1 = psi_eval(ComplexQ(0.4, beta), j, s, p321, g)
+        v2 = psi_via_kernel(ComplexQ(0.4, beta), j, s, p321, g)
+        assert abs(v1 - v2) <= 1e-13 * abs(v1)
+    # and both refuse past it
+    for j, beta in [(0, 341.0), (2, 171.0)]:
+        for psi in (psi_eval, psi_via_kernel):
+            with pytest.raises(OverflowError):
+                psi(ComplexQ(0.4, beta), j, 0, p321, g)
+
+
 def test_state_jms_eigenvectors(p321):
     for j in (1, 2, 4):
         h = h_matrix_wigner(j, p321)
