@@ -9,10 +9,9 @@ entries hold, not by their number: a degree-100 Haar rule with every d^j
 table at its polar nodes would hold about 1 GB, a degree-4 one a few KB.
 An entry counts its key and value whole (footprint), containers and array
 headers too, so many small entries stay within the bound as well.
-The same BytesCache class bounds spectra.STATE_CACHE, which holds values
-that depend on the top: the phased state rows of one j per top, keyed by
-(j, p).  The one other store of such values is spectra's level slot, one
-range table per route, replaced by each solve_levels call.
+Values that depend on the top are not kept here: spectra keeps the last
+solve of each route's levels and of the states, one slot each, replaced
+by the next solve.
 """
 
 from __future__ import annotations

@@ -30,16 +30,13 @@ the levels stay exact.
 
 The states of a whole j range are solved at once in the same way
 (_state_rows): one eigh call per block size of the lambda blocks, then the
-s order of each j.  Each j is then phased whole, in one _phase call, and
-its rows are kept read-only in STATE_CACHE, a least-recently-used cache of
-at most STATE_CHUNK_BYTES (384 KiB: every j below 78 fits) keyed by
-(j, p); phi_state and phi_states return copies of them.  A read that
-misses solves its one j; solve_states(js, p) solves a whole range at once
-for a command that reads many j.  A refused j is never kept, so it raises
-on every call.  Levels are shared in the same shape: solve_levels(js, p,
-route) keeps one spectrum_range table per route, replaced by the next
-call, and spectrum reads a j of it at that top; any other read solves its
-one j afresh and keeps nothing.
+s order of each j, and each j is phased whole, in one _phase call.
+
+Levels and states are kept by one rule, in one slot per route and one for
+the states (_SLOTS): solve_levels and solve_states keep a command's range
+solve, and a read (spectrum, phi_state, phi_states) slices it at its top,
+or else solves its one j and keeps that.  Every read returns what a one-j
+solve returns, bit for bit.
 
 The Lame route works on the cubic P(rho) = (rho-A)(rho-B)(rho-C).  With
 x = rho - B, u = A - B, v = B - C, a solution of
@@ -67,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .caching import BytesCache, memoize
+from .caching import memoize
 from .errors import (
     DegenerateParamsError,
     DomainError,
@@ -413,75 +410,106 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
     errors for its entries and off-diagonal products (parameters near 1e154
     and beyond, or near 1e-154 and below, on the symmetrized routes; near
     max float / j^2 on all), then DomainError where its levels leave the
-    float range although its entries do not.
+    float range although its entries do not; each carries the table of the
+    j below it as its attribute below (None if there are none).
     """
-    if route not in ROUTES:
-        raise DomainError(f"route must be one of {ROUTES}, got {route!r}")
-    if js.start < 0:
-        raise DomainError("j must be >= 0")
-    if js.step != 1:
-        raise DomainError(f"need consecutive j, got step {js.step}")
+    _require_route(route)
+    if js.start < 0 or js.step != 1:
+        raise DomainError(f"need consecutive j >= 0, got {js}")
     try:
         lay, d, e = _class_blocks(route, js, p)
     except (DomainError, RootCountError) as refusal:
         # a single-j call checks its levels after its entries, so a j below
         # the first one refused here may still refuse its levels
-        if refusal.j > js.start:
-            spectrum_range(range(js.start, refusal.j), p, route)
+        refusal.below = spectrum_range(range(js.start, refusal.j), p, route) if refusal.j > js.start else None
         raise
     vals = np.empty(len(d))
     for di, oi in lay.groups:
         vals[di] = np.linalg.eigvalsh(_tridiagonal_stack(d, e, di, oi))
+    order = np.lexsort((vals, lay.j))  # stable: ties keep (class, k) order
+    E, classes = vals[order], lay.cls[order] + 1 if route == "lame" else None
     if not np.isfinite(vals).all():  # entries near max float, levels past it
         bad = ~np.isfinite(vals)
         key = int(_key(route, lay.j[bad], lay.cls[bad]).min())
-        raise _refusal(DomainError, route, key, "levels leave the float range")
-    order = np.lexsort((vals, lay.j))  # stable: ties keep (class, k) order
-    return SpectrumTable(vals[order], lay.cls[order] + 1 if route == "lame" else None)
+        refusal = _refusal(DomainError, route, key, "levels leave the float range")
+        # the j below lead the table, in the order a range solve of them gives
+        n = refusal.j**2 - js.start**2
+        refusal.below = SpectrumTable(E[:n], None if classes is None else classes[:n])
+        raise refusal
+    return SpectrumTable(E, classes)
 
 
-# route -> (p, js, table), the levels of its last solve_levels call
-_LEVELS: dict[str, tuple[TopParams, range, SpectrumTable | None]] = {}
+def _require_route(route: str) -> None:
+    if route not in ROUTES:
+        raise DomainError(f"route must be one of {ROUTES}, got {route!r}")
+
+
+# kind -> (p, js, kept): the solve of the range js at the top p kept for
+# each route's levels and for the states ("states").  kept is the route's
+# SpectrumTable, or the phased rows of each j, read-only (2j+1, 2j+1)
+# arrays; it stays in memory until the next solve of its kind replaces it.
+_SLOTS: dict[str, tuple[TopParams, range, SpectrumTable | list[np.ndarray] | None]] = {}
+
+
+def _solve(kind: str, js: range, p: TopParams) -> SpectrumTable | list[np.ndarray]:
+    """What the slot of kind keeps for js at p; a refusal carries that of
+    the j below it (below)."""
+    if kind != "states":
+        return spectrum_range(js, p, kind)
+    try:
+        solved = _state_rows(js, p)
+    except (DomainError, RootCountError) as refusal:
+        refusal.below = _solve(kind, range(js.start, refusal.j), p) if refusal.j > js.start else None
+        raise
+    return [_phased(rows, j) for j, rows in zip(js, solved)]
+
+
+def _keep(kind: str, js: range, p: TopParams) -> None:
+    """Keep the solve of js at p as the slot of kind unless it holds them: the
+    j below a refusal, nothing for an empty js or a DegenerateParamsError."""
+    if js.start < 0 or js.step != 1:
+        raise DomainError(f"need consecutive j >= 0, got {js}")
+    top, held, _ = _SLOTS.get(kind, (None, range(0), None))
+    if not js or (top == p and held.start <= js.start and js.stop <= held.stop):
+        return
+    try:
+        kept = _solve(kind, js, p)
+    except (DomainError, RootCountError) as refusal:
+        js, kept = range(js.start, refusal.j), refusal.below
+    except DegenerateParamsError:
+        js, kept = range(0), None
+    _SLOTS[kind] = p, js, kept
+
+
+def _read(kind: str, j: int, p: TopParams) -> tuple[int, SpectrumTable | list[np.ndarray]]:
+    """The first j and the solve of the slot of kind if it holds j at p,
+    else of j alone, kept as the slot; a refused j keeps nothing.  Read as
+    one tuple, a slot another thread replaces is missed, never misread."""
+    top, js, kept = _SLOTS.get(kind, (None, range(0), None))
+    if not (j in js and top == p):
+        if j < 0:
+            raise DomainError("j must be >= 0")
+        js = range(j, j + 1)
+        kept = _solve(kind, js, p)
+        _SLOTS[kind] = p, js, kept
+    return js.start, kept
 
 
 def solve_levels(js: range, p: TopParams, route: str) -> None:
-    """Solve the levels of `route` at every j of js (step 1, j >= 0) in one
-    spectrum_range call, kept as the route's one slot (p, js, table) in
-    place of the last: spectrum then slices it at p and a j of js.  A range
-    refused at some j keeps the j below it, and a top the route refuses
-    (DegenerateParamsError) keeps nothing; a bad range or route is refused
-    up front, a refusal of the top never.
-
-    The slot outlives the command (0.18 MB per route at jmax 150), and it is
-    read as one tuple: threads on different tops can miss each other's slot
-    and solve one j, never read a wrong row.
+    """Keep the levels of `route` at every j of js (step 1, j >= 0), one
+    spectrum_range call, as the route's slot for spectrum to read (0.18 MB
+    at jmax 150).  A bad range or route raises, a refusal of the top never.
     """
-    if route not in ROUTES:
-        raise DomainError(f"route must be one of {ROUTES}, got {route!r}")
-    if js.start < 0 or js.step != 1:
-        raise DomainError(f"need consecutive j >= 0, got {js}")
-    try:
-        table = spectrum_range(js, p, route)
-    except (DomainError, RootCountError) as refusal:
-        js = range(js.start, refusal.j)
-        table = spectrum_range(js, p, route)
-    except DegenerateParamsError:
-        js, table = range(0), None
-    _LEVELS[route] = p, js, table
+    _require_route(route)
+    _keep(route, js, p)
 
 
 def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
     """All 2j+1 levels, ascending, labeled s = -j..j, as EnergyLevel rows
-    (the Lame levels carry their class): read from the route's solve_levels
-    slot if it holds p and j, else spectrum_range at one j, not kept.  Both
-    give the same rows and raise the same errors.  The rows are made by
-    tuple.__new__ straight from the table's columns, with no Python call
-    per level."""
-    top, js, table = _LEVELS.get(route, (None, (), None))
-    if j in js and top == p:
-        start = js.start
-    else:
-        table, start = spectrum_range(range(j, j + 1), p, route), j
+    (the Lame levels carry their class) from the route's slot, made by
+    tuple.__new__ straight from its columns, with no Python call per level."""
+    _require_route(route)
+    start, table = _read(route, j, p)
     at = slice(j * j - start * start, (j + 1) ** 2 - start * start)
     classes = table.lame_class[at].tolist() if route == "lame" else itertools.repeat(None)
     rows = zip(itertools.repeat(j), range(-j, j + 1), table.E[at].tolist(), itertools.repeat(route), classes)
@@ -790,46 +818,21 @@ def _phased(rows: np.ndarray, j: int) -> np.ndarray:
     return out
 
 
-# the most STATE_CACHE holds
-STATE_CHUNK_BYTES = 384 << 10
-
-# the phased rows of Phi_{j,s}, s = -j..j, one read-only (2j+1, 2j+1) array
-# per (j, p), at most STATE_CHUNK_BYTES of them: every j below 78 fits.  An
-# entry comes from a one-j solve on a read that misses, or from a range
-# solve (solve_states).  A larger j (16 * 157**2 bytes of rows at j = 78) is
-# returned but not kept, and a refused one raises and is not kept.
-STATE_CACHE = BytesCache(STATE_CHUNK_BYTES)
-
-
 def solve_states(js: range, p: TopParams) -> None:
-    """Solve the states of every j of the range js (step 1, j >= 0) in one
-    _state_rows call and keep each j's phased rows in STATE_CACHE, unless
-    kept already: a command that reads the states of many j calls this
-    once, and its reads then find them.  Where the range is refused at some
-    j, the j below that one are kept, and a read at or past it raises what
-    a one-j read raises.  The rows kept are those a one-j read keeps, bit
-    for bit."""
-    if js.start < 0 or js.step != 1:
-        raise DomainError(f"need consecutive j >= 0, got {js}")
-    try:
-        solved = _state_rows(js, p) if js else []
-    except (DomainError, RootCountError) as refusal:
-        js = range(js.start, refusal.j)
-        solved = _state_rows(js, p) if js else []
-    for j, rows in zip(js, solved):
-        STATE_CACHE.get((j, p), functools.partial(_phased, rows, j))
+    """Keep the states of every j of js (step 1, j >= 0), one _state_rows
+    call with each j phased whole, as the states slot for the reads of a
+    command.  They stay in memory until the next state solve replaces them:
+    16 (2j+1)^2 bytes per j, 0.39 MB at j = 78 and 16.7 MB at j = 511."""
+    _keep("states", js, p)
 
 
 def _phased_rows(j: int, p: TopParams, at: slice) -> np.ndarray:
-    """Rows `at` of Phi_{j,s}, s = -j..j, a new array, from the entry of
-    (j, p) in STATE_CACHE; on a miss, one _state_rows solve of j, phased
-    whole in one _phase call.  Every command that reads many states reads
-    all of a j (completeness_defect does), so phasing only the rows read
-    would save no phasing; a lone read pays for its whole j (97 rows of
-    j = 48 on (100, 2, 1): 1.4 ms against 0.16 ms for one)."""
-    if j < 0:
-        raise DomainError("j must be >= 0")
-    return STATE_CACHE.get((j, p), lambda: _phased(_state_rows(range(j, j + 1), p)[0], j))[at].copy()
+    """Rows `at` of Phi_{j,s}, s = -j..j, a new array, from the states
+    slot.  A lone read pays for phasing its whole j (97 rows of j = 48 on
+    (100, 2, 1): 1.4 ms against 0.16 ms for one), as every command that
+    reads many states reads all of a j (completeness_defect does)."""
+    start, kept = _read("states", j, p)
+    return kept[j - start][at].copy()
 
 
 def phi_state(j: int, s: int, p: TopParams) -> FourierState:

@@ -15,9 +15,9 @@ of which equals its one-point call bit for bit.
 
 run_all solves each route's levels and the states of every j the checks
 read in one range solve each first (spectra.solve_levels and
-spectra.solve_states), so the checks' reads find them: the levels in each
-route's slot, the states each j phased whole and kept in
-spectra.STATE_CACHE.
+spectra.solve_states), so the checks' reads find them in spectra's slots:
+the levels in each route's, the states, each j phased whole, in the states
+slot.
 
 The tables that do not depend on the top (rules, d^j tables at polar nodes,
 the node sums of t_matrix_quadrature, the GeneratorStacks of casimir,
@@ -524,8 +524,8 @@ def run_all(
     spectra.solve_levels call per route and one spectra.solve_states call;
     neither changes a result, only how often it is solved: each route's
     levels once per run, and the states of every j read in one range solve,
-    each j phased whole once and kept in STATE_CACHE (a later run at the
-    same top phases none of them again).
+    each j phased whole once; every read falls inside them, so a later run
+    at the same top solves and phases nothing.
     """
     tols = tols or {}
     caps = [min(jmax, c.jmax) for c in CHECKS]

@@ -16,19 +16,18 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture(autouse=True)
 def cold_state_cache():
-    """The kept state solves and level tables, empty at the start of every
-    test: a test that replaces _state_rows, _phase or _lame_entries then
-    reads no rows or levels kept before it."""
-    spectra.STATE_CACHE.clear()
-    spectra._LEVELS.clear()
+    """The level and state slots, empty at the start of every test: a test
+    that replaces _state_rows, _phase or _lame_entries then reads no rows
+    or levels kept before it."""
+    spectra._SLOTS.clear()
 
 
 @pytest.fixture
 def cold_caches():
-    """The table cache and the state cache, empty at the start and emptied
-    again at the end (a test may build poisoned tables)."""
+    """The table cache and the slots, empty at the start and emptied again
+    at the end (a test may build poisoned tables)."""
     caching.TABLES.clear()
-    spectra.STATE_CACHE.clear()
+    spectra._SLOTS.clear()
     yield
     caching.TABLES.clear()
-    spectra.STATE_CACHE.clear()
+    spectra._SLOTS.clear()

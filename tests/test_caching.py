@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import asymtop
-from asymtop import TopParams, caching, phi_state, spectra
+from asymtop import TopParams, caching
 
 MODULES = [importlib.import_module(f"asymtop.{m.name}") for m in pkgutil.iter_modules(asymtop.__path__)]
 
@@ -122,31 +122,32 @@ def test_footprint_counts_containers_headers_and_the_data_of_views():
 
 
 def test_many_small_state_solves_stay_within_the_state_cache_bound():
-    # 2000 one-j solves at j <= 3 of new tops: each holds at most 784 bytes
-    # of rows, and its key, containers and array headers about as much again
+    # 2000 entries shaped as the phased rows of one j <= 3 of a new top,
+    # keyed by (j, p), in a BytesCache of 384 KiB: each holds at most 784
+    # bytes of rows, and its key, containers and array header about as
+    # much again
     rng = np.random.default_rng(72)
     gaps = rng.uniform(0.1, 2.0, size=(2000, 3))
     reads = [(int(j), TopParams(*np.cumsum(g)[::-1])) for j, g in zip(rng.integers(0, 4, 2000), gaps)]
-    for j in range(4):  # the layouts, built once per process, are not measured
-        phi_state(j, 0, reads[0][1])
-    spectra.STATE_CACHE.clear()
+    limit = 384 << 10
+    cache = caching.BytesCache(limit)
     gc.collect()
     tracemalloc.start()
     try:
         for j, p in reads:
-            phi_state(j, 0, p)
+            cache.get((j, p), lambda: np.zeros((2 * j + 1, 2 * j + 1), dtype=complex))
         gc.collect()
         full = tracemalloc.get_traced_memory()[0]
-        kept, counted = len(spectra.STATE_CACHE._entries), spectra.STATE_CACHE.nbytes
+        kept, counted = len(cache._entries), cache.nbytes
         # the j of each key (j, p) is a small int that Python shares:
         # footprint counts it, tracemalloc sees no allocation for it
-        shared = sum(sys.getsizeof(j) for j, _ in spectra.STATE_CACHE._entries)
-        spectra.STATE_CACHE.clear()
+        shared = sum(sys.getsizeof(j) for j, _ in cache._entries)
+        cache.clear()
         gc.collect()
         held = full - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert 200 < kept < 2000 and counted <= spectra.STATE_CHUNK_BYTES
+    assert 200 < kept < 2000 and counted <= limit
     # what sys.getsizeof cannot see, the map's own table and nodes (about
     # 55 bytes an entry), stays within an eighth of the bound
-    assert counted - shared < held <= spectra.STATE_CHUNK_BYTES * 9 / 8
+    assert counted - shared < held <= limit * 9 / 8

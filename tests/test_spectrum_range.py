@@ -208,8 +208,11 @@ def test_range_refuses_levels_past_the_float_range():
     p = TopParams(6.324555320336759e305, 3.1622776601683794e305, 3.1622776601683794e305)
     assert np.isfinite(spectrum_range(range(17), p, "wigner").E).all()
     for js in (range(17, 18), range(3, 19)):
-        with pytest.raises(DomainError, match="^wigner route at j=17: levels leave the float range"):
+        with pytest.raises(DomainError, match="^wigner route at j=17: levels leave the float range") as refused:
             spectrum_range(js, p, "wigner")
+    # the refusal carries the levels of the j below it, as their own range
+    # solve gives them
+    assert refused.value.below.E.tobytes() == spectrum_range(range(3, 17), p, "wigner").E.tobytes()
 
 
 def test_range_refuses_unsymmetrizable_lame_blocks(monkeypatch):
@@ -279,12 +282,14 @@ def count_level_solves(monkeypatch) -> list[tuple[range, str]]:
 def test_batched_spectrum_is_the_single_j_call(route):
     # j inside and outside a range solve's range, on a served range and on
     # ranges that refuse from j = 42 (wigner, lambda), from j = 1 or 2
-    # (lambda, lame) or at every j (lame on A = B): the same rows or the same
+    # (lambda, lame), at every j (lame on A = B or B = C) or where the wigner
+    # levels leave the float range (j = 17): the same rows or the same
     # error, and the range solve itself raises none of those refusals
     js = range(-1, 55)
-    for params in [(5.3, 2.1, 0.4), (1e305, 1e305, 1.0), (1e-300, 5e-301, 1e-301)]:
+    past = (6.324555320336759e305, 3.1622776601683794e305, 3.1622776601683794e305)
+    for params in [(5.3, 2.1, 0.4), (1e305, 1e305, 1.0), (1e-300, 5e-301, 1e-301), past]:
         p = TopParams(*params)
-        single = [outcome(spectrum, j, p, route) for j in js]  # no slot kept
+        single = [outcome(spectrum, j, p, route) for j in js]  # one-j reads
         spectra.solve_levels(range(3, 50), p, route)
         assert [outcome(spectrum, j, p, route) for j in js] == single
 
@@ -306,18 +311,18 @@ def test_refused_batch_serves_each_j_below_the_first_offending_one(monkeypatch):
     calls = count_level_solves(monkeypatch)
     for route in ("wigner", "lambda"):
         spectra.solve_levels(range(101), overflow, route)
-        assert spectra._LEVELS[route][1] == range(42)  # the j below the refusal
+        assert spectra._SLOTS[route][1] == range(42)  # the j below the refusal
         assert spectrum(41, overflow, route) == single[route]
         with pytest.raises(DomainError, match=f"^{route} route at j=42:"):
             spectrum(42, overflow, route)
-    # the refused range, then the range below it; a read past it solves its
-    # one j, and a read below it none
-    assert calls == [
-        (js, route) for route in ("wigner", "lambda") for js in (range(101), range(42), range(42), range(42, 43))
-    ]
+        assert spectra._SLOTS[route][1] == range(42)  # the refused read keeps nothing
+    # the refused range, then the range below it, solved once to order the
+    # refusal and kept; a read past it solves its one j, and a read below it
+    # none
+    assert calls == [(js, route) for route in ("wigner", "lambda") for js in (range(101), range(42), range(42, 43))]
     # a refused top keeps nothing: every read raises what a one-j read raises
     spectra.solve_levels(range(101), overflow, "lame")
-    assert spectra._LEVELS["lame"][1] == range(0)
+    assert spectra._SLOTS["lame"][1] == range(0)
     with pytest.raises(DegenerateParamsError):
         spectrum(3, overflow, "lame")
 
@@ -356,7 +361,7 @@ def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
     every = {j: outcome(phi_states, j, p) for j in js}
     refusals = [(phi_state, 3, 4, p), (phi_state, -1, 0, p), (phi_state, 600, 0, p), (phi_states, 600, p)]
     refused = [outcome(*call) for call in refusals]
-    spectra.STATE_CACHE.clear()  # the reads above kept one-j solves
+    spectra._SLOTS.clear()  # the reads above kept one-j solves
     solved, phased = count_state_solves(monkeypatch), count_phasings(monkeypatch)
     for route in ROUTES:  # levels solved beside the states change no state
         spectra.solve_levels(range(20), p, route)
@@ -370,14 +375,14 @@ def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
         assert outcome(phi_state, j, -j, p) == single[j][0]
     assert [outcome(*call) for call in refusals] == refused
     # one solve of the range; past it each j solves alone, once (the reads
-    # of a j come together, and one j below 78 fits STATE_CACHE), and a
-    # refused j (not kept) on every read.  Every j is phased once, whole,
+    # of a j come together, and each one-j solve is kept as the slot), and
+    # a refused j (not kept) on every read.  Every j is phased once, whole,
     # in one _phase call: those of the range when it is solved.
     assert solved == [range(20)] + [range(j, j + 1) for j in js[20:]] + [range(600, 601)] * 2
     assert [(j, len(rows)) for j, rows in phased] == [(j, 2 * j + 1) for j in js]
     assert phased_once(phased)
-    # j = 4, evicted by the reads past the range, solves alone once and is
-    # kept again
+    # j = 4, whose range solve the reads past it replaced, solves alone
+    # once and is kept again
     del solved[:]
     phi_state(4, 0, p)
     phi_states(4, p)
@@ -387,29 +392,29 @@ def test_batched_states_are_the_unbatched_ones(params, monkeypatch):
 def test_batch_serves_a_second_top_from_its_own_solve(monkeypatch):
     p, q = TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4)
     expected = {top: [bits(phi_states(j, top)) for j in range(6)] for top in (p, q)}
-    spectra.STATE_CACHE.clear()
+    spectra._SLOTS.clear()
     solved, phased = count_state_solves(monkeypatch), count_phasings(monkeypatch)
     for top in (p, q):
         spectra.solve_states(range(6), top)
-    for j in range(6):
-        for top in (p, q, p):
+        for j in range(6):
             assert bits(phi_states(j, top)) == expected[top][j]
     assert solved == [range(6), range(6)]  # one per top, and no read solves
-    # a second range solve over kept j phases none of them again
-    spectra.solve_states(range(6), p)
-    assert len(phased) == 12 and solved == [range(6)] * 3
+    # a second range solve over held j solves and phases none of them again
+    spectra.solve_states(range(6), q)
+    spectra.solve_states(range(2, 4), q)
+    assert len(phased) == 12 and solved == [range(6)] * 2
+    # q's solve replaced p's: a read at p solves its one j
+    assert bits(phi_states(3, p)) == expected[p][3]
+    assert solved == [range(6)] * 2 + [range(3, 4)]
 
 
 @pytest.mark.parametrize(
     "params, js, low, high, solves",
     [
         # B_nj leaves the normal float range from j = 514: the range is
-        # solved below it, and neither the rows of j = 511 (16.7 MB) nor the
-        # refused j = 514 are kept
-        (
-            (3.0, 2.0, 1.0), range(511, 516), 511, 514,
-            [range(511, 516), range(511, 514)] + ([range(511, 512)] * 2 + [range(514, 515)] * 2) * 2,
-        ),
+        # solved below it and j = 511..513 are kept (16.7 MB of rows each),
+        # the refused j = 514 not
+        ((3.0, 2.0, 1.0), range(511, 516), 511, 514, [range(511, 516), range(511, 514)] + [range(514, 515)] * 4),
         # the lambda diagonals overflow from j = 42, inside the range 40..42,
         # which is then solved below 42: j = 40 and 41 are kept
         ((1e305, 1e305, 1.0), range(40, 43), 41, 42, [range(40, 43), range(40, 42)] + [range(42, 43)] * 4),
@@ -424,11 +429,11 @@ def test_a_refusal_inside_a_batch_stays_at_its_j(params, js, low, high, solves, 
     single = {j: (outcome(phi_state, j, 0, p), outcome(phi_states, j, p)) for j in (low, high)}
     assert isinstance(single[low][1], list)  # the j below is served
     assert single[high][1][0] is DomainError
-    spectra.STATE_CACHE.clear()
+    spectra._SLOTS.clear()
     solved = count_state_solves(monkeypatch)
     spectra.solve_states(js, p)
-    # every j below the refusal whose rows fit STATE_CACHE (j < 78) is kept
-    assert list(spectra.STATE_CACHE._entries) == [(j, p) for j in js if j < min(high, 78)]
+    # every j of the range below the refusal is kept
+    assert spectra._SLOTS["states"][:2] == (p, range(js.start, high))
     for _ in range(2):
         for j in (low, high):
             assert (outcome(phi_state, j, 0, p), outcome(phi_states, j, p)) == single[j]
@@ -437,21 +442,20 @@ def test_a_refusal_inside_a_batch_stays_at_its_j(params, js, low, high, solves, 
 
 
 def test_one_state_of_a_wide_batch_solves_one_j(monkeypatch):
-    # the rows of j = 0..29 hold 575 840 bytes, past STATE_CHUNK_BYTES: the
-    # cache keeps the last j of the range that fit, and a read of another j
-    # solves that j alone, bit for bit as the range solve
+    # the range solve of j = 0..29 (575 840 bytes of rows) is kept whole,
+    # and every read of it is the one-j solve bit for bit; a read past it
+    # solves its one j, which replaces the range solve
     p = TopParams(3.0, 2.0, 1.0)
-    assert 16 * sum((2 * j + 1) ** 2 for j in range(30)) > spectra.STATE_CHUNK_BYTES
-    alone = {j: bits(phi_states(j, p)) for j in range(30)}
-    spectra.STATE_CACHE.clear()
+    alone = {j: bits(phi_states(j, p)) for j in range(31)}
+    spectra._SLOTS.clear()
     solved = count_state_solves(monkeypatch)
     spectra.solve_states(range(30), p)
-    first = next(iter(spectra.STATE_CACHE._entries))[0]
-    assert 0 < first and list(spectra.STATE_CACHE._entries) == [(j, p) for j in range(first, 30)]
-    assert spectra.STATE_CACHE.nbytes <= spectra.STATE_CHUNK_BYTES
-    for j in reversed(range(30)):  # the kept j first, before a one-j solve evicts them
+    for j in reversed(range(30)):
         assert bits(phi_states(j, p)) == alone[j]
-    assert solved == [range(30)] + [range(j, j + 1) for j in reversed(range(first))]
+    assert solved == [range(30)]
+    assert bits(phi_states(30, p)) == alone[30]
+    assert bits(phi_states(29, p)) == alone[29]
+    assert solved == [range(30), range(30, 31), range(29, 30)]
 
 
 def test_a_second_top_replaces_the_level_slot(monkeypatch):
@@ -465,9 +469,9 @@ def test_a_second_top_replaces_the_level_slot(monkeypatch):
     assert spectrum(2, q) == single[q, 2]
     assert spectrum(5, q) == single[q, 5]  # past q's range: solved alone
     assert spectrum(5, p) == single[p, 5]  # p's slot is gone: solved alone
-    assert spectrum(5, p) == single[p, 5]  # and not kept
-    assert [js for js, _ in calls] == [range(10), range(12, 13), range(3)] + [range(5, 6)] * 3
-    # the slot serves levels only: a state read solves its one j, kept
+    assert spectrum(5, p) == single[p, 5]  # and kept as the slot
+    assert [js for js, _ in calls] == [range(10), range(12, 13), range(3)] + [range(5, 6)] * 2
+    # the level slots serve no state: a state read solves its one j, kept
     solved = count_state_solves(monkeypatch)
     phi_state(2, 0, q)
     phi_state(2, 1, q)
@@ -478,10 +482,12 @@ def test_threads_on_two_tops_read_their_own_rows(monkeypatch):
     # each of two threads replaces the slots with its own top's solve and
     # reads while the other does the same; every comparison of tops lets the
     # other thread run, so slots change under a read: the read misses the
-    # slot or hits its own top's, never the other's
+    # slot or hits its own top's, never the other's.  Levels come first and
+    # states after, so both threads mostly work on the same slots at once.
     tops = [TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4)]
     js = range(12)
     single = {(top, j, route): outcome(spectrum, j, top, route) for top in tops for j in js for route in ROUTES}
+    states = {(top, j): outcome(phi_states, j, top) for top in tops for j in js}
     equal = TopParams.__eq__
     monkeypatch.setattr(TopParams, "__eq__", lambda self, other: time.sleep(0) or equal(self, other))
 
@@ -491,6 +497,9 @@ def test_threads_on_two_tops_read_their_own_rows(monkeypatch):
             for route in ROUTES:
                 spectra.solve_levels(js, top, route)
             wrong += [(j, r) for j in js for r in ROUTES if outcome(spectrum, j, top, r) != single[top, j, r]]
+        for _ in range(20):
+            spectra.solve_states(js, top)
+            wrong += [(j, "states") for j in js if outcome(phi_states, j, top) != states[top, j]]
         return wrong
 
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -514,34 +523,27 @@ def test_one_j_reads_outside_a_batch_solve_once(monkeypatch):
     assert [(at, len(rows)) for at, rows in phased] == [(j, 2 * j + 1)] and phased_once(phased)
 
 
-def kept_bytes(*keys) -> int:
-    """What STATE_CACHE counts for its entries under keys."""
-    return sum(caching.footprint((key, spectra.STATE_CACHE._entries[key][0])) for key in keys)
-
-
 def test_kept_states_are_the_cold_ones_bit_for_bit(monkeypatch):
     p, other, js = TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4), (0, 1, 9, 30)
     cold, every = {}, {}
     for j in js:
         for s in range(-j, j + 1):
-            spectra.STATE_CACHE.clear()
+            spectra._SLOTS.clear()
             cold[j, s] = bits(phi_state(j, s, p))
-        spectra.STATE_CACHE.clear()
+        spectra._SLOTS.clear()
         every[j] = bits(phi_states(j, p))
-    spectra.STATE_CACHE.clear()
+    spectra._SLOTS.clear()
     solved = count_state_solves(monkeypatch)
     for (j, s), expected in cold.items():  # warm from the second s of each j
         assert bits(phi_state(j, s, p)) == expected
     assert solved == [range(j, j + 1) for j in js]
-    phi_state(77, 0, other)  # 384 400 bytes of rows: evicts every other entry
-    assert list(spectra.STATE_CACHE._entries) == [(77, other)]
-    assert spectra.STATE_CACHE.nbytes == kept_bytes((77, other))
+    phi_state(77, 0, other)  # another top's solve replaces the slot
+    assert spectra._SLOTS["states"][:2] == (other, range(77, 78))
     del solved[:]
-    for (j, s), expected in cold.items():  # evicted, then solved again
+    for (j, s), expected in cold.items():  # replaced, then solved again
         assert bits(phi_state(j, s, p)) == expected
     assert solved == [range(j, j + 1) for j in js]
-    # after a range solve (j = 30 past it), and after one too large for
-    # STATE_CACHE, which keeps only its last j
+    # after a range solve (j = 30 past it), and after one that holds them all
     for js in (range(10), range(31)):
         spectra.solve_states(js, p)
         for (j, s), expected in cold.items():
@@ -577,13 +579,13 @@ def test_phased_rows_are_the_cold_one_row_ones_in_any_read_order():
         else:
             assert b"".join(bits(phi_states(j, p))) == b"".join(rows)
 
-    # outside a batch: each j = 77 solve evicts the other, so reads land
-    # before and after an eviction
+    # outside a batch: each one-j solve replaces the slot, so reads land
+    # before and after a replacement
     evicted = 0
     for _ in range(4):
         for i in rng.permutation(len(cases)):
             p, j = cases[i]
-            evicted += (j, p) not in spectra.STATE_CACHE._entries
+            evicted += spectra._SLOTS.get("states", (None, None))[:2] != (p, range(j, j + 1))
             for kind in rng.choice(["state", "state", "slice", "states"], size=5):
                 read(p, j, kind)
     assert evicted > len(cases)
@@ -598,11 +600,10 @@ def test_a_cold_one_state_read_phases_its_whole_j(monkeypatch):
     p, q, g = TopParams(100.0, 2.0, 1.0), ComplexQ(0.4, 0.2), EulerAngles(0.5, 1.1, 2.3)
     phased = count_phasings(monkeypatch)
     phi_state(48, 5, p)
+    phi_state(48, -5, p)  # the phases are kept with the solve
     psi_eval(q, 20, -3, p, g)
+    psi_eval(q, 20, 3, p, g)
     assert [(j, len(rows)) for j, rows in phased] == [(48, 97), (20, 41)]
-    phi_state(48, 5, p)  # both phases are kept with their solves
-    psi_eval(q, 20, -3, p, g)
-    assert len(phased) == 2
 
 
 def test_kept_states_are_read_only_and_reads_are_copies():
@@ -613,18 +614,18 @@ def test_kept_states_are_read_only_and_reads_are_copies():
         assert state.coeffs.flags.writeable
         state.coeffs[:] = 7.0
     assert bits(phi_state(6, 2, p)) == first and bits(phi_states(6, p)) == every
-    ((kept, _),) = spectra.STATE_CACHE._entries.values()
+    (kept,) = spectra._SLOTS["states"][2]
     assert not kept.flags.writeable and kept.base is None
     with pytest.raises(ValueError, match="read-only"):
         kept[0, 0] = 7.0
     # so is every row a range solve keeps
     spectra.solve_states(range(12), p)
-    assert len(spectra.STATE_CACHE._entries) == 12
-    for kept, _ in spectra.STATE_CACHE._entries.values():
+    assert len(spectra._SLOTS["states"][2]) == 12
+    for kept in spectra._SLOTS["states"][2]:
         assert not kept.flags.writeable and kept.base is None
 
 
-def test_refused_and_oversized_solves_are_not_kept(monkeypatch):
+def test_refused_solves_are_not_kept_and_large_ones_are(monkeypatch):
     p = TopParams(3.0, 2.0, 1.0)
     solved = count_state_solves(monkeypatch)
     for _ in range(2):
@@ -632,31 +633,25 @@ def test_refused_and_oversized_solves_are_not_kept(monkeypatch):
             phi_state(514, 0, p)
         with pytest.raises(DomainError, match="^states at j=514 "):
             phi_states(514, p)
-    assert solved == [range(514, 515)] * 4 and spectra.STATE_CACHE.nbytes == 0
+    assert solved == [range(514, 515)] * 4 and "states" not in spectra._SLOTS
     del solved[:]
-    assert 16 * 157**2 > spectra.STATE_CHUNK_BYTES  # the rows of j = 78
+    # the rows of j = 78 are kept whole, as those of any j, until the next
+    # state solve replaces them
     first = bits(phi_state(78, 1, p))
     assert bits(phi_state(78, 1, p)) == first
-    assert solved == [range(78, 79)] * 2 and spectra.STATE_CACHE.nbytes == 0
+    assert solved == [range(78, 79)]
+    (kept,) = spectra._SLOTS["states"][2]
+    assert kept.nbytes == 16 * 157**2
 
 
-def test_a_j_77_solve_still_fits_the_state_cache():
-    p = TopParams(100.0, 2.0, 1.0)
-    phi_state(77, 0, p)
-    ((solved, size),) = spectra.STATE_CACHE._entries.values()
-    # the rows, and the key, containers and header counted with them
-    assert solved.nbytes == 384400
-    assert 384400 < size == spectra.STATE_CACHE.nbytes == kept_bytes((77, p)) < spectra.STATE_CHUNK_BYTES
-
-
-def test_two_tops_at_one_j_keep_their_own_solves(monkeypatch):
+def test_two_tops_at_one_j_read_their_own_states(monkeypatch):
     p, q = TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4)
     solved = count_state_solves(monkeypatch)
     expected = {top: bits(phi_states(8, top)) for top in (p, q)}
     for top in (p, q, p, q):
         assert bits(phi_states(8, top)) == expected[top]
-    assert solved == [range(8, 9)] * 2
-    assert spectra.STATE_CACHE.nbytes == kept_bytes((8, p), (8, q))
+    # the slot holds one top: each read of the other solves its one j
+    assert solved == [range(8, 9)] * 6
     assert expected[p] != expected[q]
 
 
@@ -681,5 +676,4 @@ def test_negative_j_is_refused_before_any_solve(monkeypatch):
         spectra.solve_levels(range(3), p, "wang")
     with pytest.raises(DomainError, match="^j must be >= 0$"):
         spectrum(-1, p)
-    assert solved == [] and spectra.STATE_CACHE.nbytes == 0
-    assert list(spectra._LEVELS) == ["wigner"]
+    assert solved == [] and list(spectra._SLOTS) == ["wigner"]

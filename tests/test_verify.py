@@ -273,7 +273,7 @@ def test_run_all_solves_each_state_once_and_no_level_past_the_caps(monkeypatch):
         spectra, "spectrum_range", lambda js, p, route="wigner": ranges.append((js, route)) or table(js, p, route)
     )
     for jmax in (4, 10, 300):
-        spectra.STATE_CACHE.clear()  # the run before kept its states
+        spectra._SLOTS.clear()  # the run before kept its levels and states
         run_all(P321, jmax=jmax)
         # one range solve per route, and one states solve per run over the
         # j whose states are read (completeness reads the most, to j = 6);
@@ -287,10 +287,10 @@ def test_run_all_solves_each_state_once_and_no_level_past_the_caps(monkeypatch):
         assert max(js.stop - 1 for js, _ in ranges) == top
         for calls in (solved, phased, ranges):
             calls.clear()
-    # the phased states outlive the run in STATE_CACHE: a second run at the
-    # same top solves them again in one range solve and phases none
+    # the slots outlive the run, and every read of the run falls inside
+    # them: a second run at the same top solves and phases nothing
     run_all(P321, jmax=300)
-    assert solved == [range(7)] and phased == [] and len(ranges) == 3
+    assert solved == [] and phased == [] and ranges == []
 
 
 @pytest.mark.parametrize("params", [(3.0, 2.0, 1.0), (5.3, 2.1, 0.4), (100.0, 2.0, 1.0)])
