@@ -67,6 +67,7 @@ from .spectra import (
     lame_residual,
     lame_series_eval,
     lame_spectrum,
+    phi_rows,
     phi_state,
     phi_state_series,
     phi_states,
@@ -104,6 +105,7 @@ from .wigner import (
     polar_d,
     wigner_D,
     wigner_D_matrix,
+    wigner_d_apply,
     wigner_d_matrix,
     wigner_gram,
     wigner_small_d,

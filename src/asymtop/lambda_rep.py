@@ -87,6 +87,15 @@ def weight_B(n, j: int):
     return np.exp(2.0 * lf[j] - lf[j - n] - lf[j + n])
 
 
+def smallest_weight(j: int) -> float:
+    """The smallest B_nj, (j!)^2 / (2j)! at n = +-j, in closed form: below
+    the normal float range from j = 514, where what divides by sqrt(B_nj)
+    or scales by it loses bits."""
+    if j < 0:
+        raise DomainError("j must be >= 0")
+    return np.exp(2.0 * math.lgamma(j + 1.0) - math.lgamma(2.0 * j + 1.0))
+
+
 def const_C(j: int) -> float:
     """C_j = (2j+1)! / (2^j (j!)^2), about (2j+1) 2^j / sqrt(pi j): past max
     float from j = 1019, where OverflowError names j."""

@@ -72,7 +72,7 @@ from .errors import (
     PoleError,
     RootCountError,
 )
-from .lambda_rep import ComplexQ, FourierState, weight_vector
+from .lambda_rep import ComplexQ, FourierState, smallest_weight, weight_vector
 from .wigner import angular_momentum_matrices, ladder_coefficient  # the former re-exported
 
 ROUTES = ("wigner", "lambda", "lame")
@@ -754,11 +754,6 @@ def _state_layout(start: int, stop: int) -> _StateLayout:
     return _StateLayout(row_start, j_first, state_j[1:], j_first[1:] - 1, fills, int(entries.sum()))
 
 
-def _b_min(j: int) -> float:
-    """The smallest B_nj, (j!)^2 / (2j)! at n = +-j, in closed form."""
-    return np.exp(2.0 * math.lgamma(j + 1.0) - math.lgamma(2.0 * j + 1.0))
-
-
 def _state_rows(js: range, p: TopParams) -> list[np.ndarray]:
     """Unphased coefficients of Phi_{j,s}, s = -j..j, at every j of js
     (step 1, j >= 0): one (2j+1, 2j+1) array per j, a state per row.
@@ -776,13 +771,13 @@ def _state_rows(js: range, p: TopParams) -> list[np.ndarray]:
     """
     # B_nj falls about 4x per j, so the last j tells whether any is refused
     refused = js.stop
-    if _b_min(js[-1]) < _TINY:
-        refused = next(j for j in js if _b_min(j) < _TINY)
+    if smallest_weight(js[-1]) < _TINY:
+        refused = next(j for j in js if smallest_weight(j) < _TINY)
     if refused > js.start:
         lay, d, e = _class_blocks("lambda", range(js.start, refused), p)
     if refused < js.stop:
         error = DomainError(
-            f"states at j={refused} need B_nj down to {_b_min(refused):.3e}, below the normal float range"
+            f"states at j={refused} need B_nj down to {smallest_weight(refused):.3e}, below the normal float range"
         )
         error.j = refused
         raise error
@@ -842,9 +837,16 @@ def phi_state(j: int, s: int, p: TopParams) -> FourierState:
     return FourierState(j=j, coeffs=_phased_rows(j, p, slice(s + j, s + j + 1))[0])
 
 
+def phi_rows(j: int, p: TopParams) -> np.ndarray:
+    """The coefficients of all 2j+1 states Phi_{j,s}, s = -j..j, as one new
+    (2j+1, 2j+1) array, a state per row: phi_states without a FourierState
+    per row."""
+    return _phased_rows(j, p, slice(None))
+
+
 def phi_states(j: int, p: TopParams) -> list[FourierState]:
     """All 2j+1 states Phi_{j,s}, s = -j..j, from one diagonalization."""
-    return [FourierState(j=j, coeffs=c) for c in _phased_rows(j, p, slice(None))]
+    return [FourierState(j=j, coeffs=c) for c in phi_rows(j, p)]
 
 
 def phi_state_series(j: int, s: int, p: TopParams) -> FourierState:

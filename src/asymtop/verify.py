@@ -10,8 +10,9 @@ tol-<name> config keys all come from it.
 The sampled checks kernel-group, bridge, pde-residual and completeness draw
 everything first, in the original order; kernel-group, bridge and
 completeness then evaluate each j once over all of its draws with the array
-entry points (a stacked t_matrix, kernel_values, phase_map, ...), each point
-of which equals its one-point call bit for bit.
+entry points (a stacked t_matrix, kernel_values, phase_map,
+psi_via_kernel_values, ...), each point of which equals its one-point call
+bit for bit.
 
 run_all solves each route's levels and the states of every j the checks
 read in one range solve each first (spectra.solve_levels and
@@ -411,8 +412,10 @@ def bridge_defects(
     """(closed-form, quadrature) parts of the bridge check.
 
     The closed-form part takes the phase map of every draw at once; then,
-    per j, Psi and the factored kernel from it, Psi via one stacked t and
-    the kernel in one evaluation.  The quadrature part is the largest entry
+    per j, Psi and the factored kernel from it, Psi via the kernel action
+    (psi_via_kernel_values, t(g) applied to Phi at O(j^2) per draw, with
+    no t matrix) and the kernel in one evaluation.  The quadrature part,
+    where t_matrix itself is compared, is the largest entry
     of t_matrix_quadrature - t_matrix at one rotation per j <= 2; the
     sums over the q_rule nodes leave it at rounding (about 1e-14).
     """

@@ -14,6 +14,11 @@ x = (q+phi)/2.  The same objects are reachable through the kernel
 
 whose matrix on the e^{inq} basis is t_mn(g) = sqrt(B_m/B_n)
 e^{-i pi (m-n)/2} D^j_{mn}(g); both paths are implemented and must agree.
+The kernel path applies t(g) to Phi without forming t(g): with
+f_n = sqrt(B_nj) (-i)^n, t(g) Phi = f e^{in phi} d^j(theta) (e^{in psi} Phi / f),
+O(j^2) per point through wigner.wigner_d_apply.  t_matrix forms the
+matrix where the matrix is what a check compares (kernel-group, and the
+quadrature part of bridge).
 """
 
 from __future__ import annotations
@@ -35,12 +40,13 @@ from .lambda_rep import (
     fourier_sum,
     q_rule,
     scaled_power,
+    smallest_weight,
     state_values,
     weight_vector,
 )
 from .so3 import EulerAngles, HaarRule, haar_grid, inverse, orbit_derivatives, orbits
-from .spectra import TopParams, phi_state, phi_states, spectrum
-from .wigner import wigner_D_matrix
+from .spectra import TopParams, phi_rows, phi_state, spectrum
+from .wigner import wigner_d_apply, wigner_D_matrix
 
 
 def _times(a, b):
@@ -192,14 +198,26 @@ def kernel_factored(q: ComplexQ, qp: ComplexQ, j: int, g: EulerAngles) -> comple
     return complex(kernel_factored_from_phase(qp.value, j, *mobius_phase(q, g)))
 
 
+@memoize
+def _kernel_scale(j: int) -> np.ndarray:
+    """f_n = sqrt(B_nj) (-i)^n, n = -j..j, with t(g) = diag(f) D^j(g)
+    diag(1/f): t_matrix and psi_via_kernel_values both take it from here.
+    Read-only and memoized.  DomainError where the smallest B_nj leaves the
+    normal float range (from j = 514, as the states do), in closed form
+    before any array is built: f loses bits there and 1/f overflows."""
+    if smallest_weight(j) < np.finfo(float).tiny:
+        raise DomainError(f"t(g) at j={j} needs B_nj down to {smallest_weight(j):.3e}, below the normal float range")
+    return np.sqrt(weight_vector(j)) * fourier_basis(j, -math.pi / 2)
+
+
 def t_matrix(j: int, g: EulerAngles) -> np.ndarray:
     """Matrix of the kernel action on e^{inq}: rows/columns n = -j..j.
 
     t(identity) = I; Gram-unitary (t^H G t = G with G = diag(1/B_nj)); and
     t(g1 g2) = t(g1) t(g2).  Stacks over arrays of angles as
-    wigner_D_matrix does.
+    wigner_D_matrix does.  Refuses j as _kernel_scale does.
     """
-    f = np.sqrt(weight_vector(j)) * fourier_basis(j, -math.pi / 2)  # sqrt(B_n) (-i)^n
+    f = _kernel_scale(j)
     return np.outer(f, 1.0 / f) * wigner_D_matrix(j, g)
 
 
@@ -247,13 +265,19 @@ def t_matrix_quadrature(j: int, g: EulerAngles) -> np.ndarray:
 
 def psi_via_kernel_values(qv, coeffs, phi, theta, psi) -> np.ndarray:
     """Psi through the kernel action, t(g) Phi evaluated at q, at every
-    point of the broadcast arrays (coeffs as in psi_from_phase); refuses as
+    point of the broadcast arrays (coeffs as in psi_from_phase), with no
+    (2j+1)^2 array: t(g) Phi = f e^{in phi} d^j(theta) (e^{in psi} Phi / f)
+    with f from _kernel_scale, d^j applied by wigner_d_apply, O(j^2) per
+    point.  Refuses j as _kernel_scale does, then as
     lambda_rep.state_values does.  Each point equals its psi_via_kernel
     call bit for bit.
     """
     coeffs = np.asarray(coeffs)
-    t = t_matrix((coeffs.shape[-1] - 1) // 2, EulerAngles(phi, theta, psi))
-    return state_values(qv, (t @ coeffs[..., None])[..., 0])
+    j = (coeffs.shape[-1] - 1) // 2
+    f, n = _kernel_scale(j), 1j * np.arange(-j, j + 1)
+    right = np.exp(np.multiply.outer(psi, n)) / f
+    left = f * np.exp(np.multiply.outer(phi, n))
+    return state_values(qv, left * wigner_d_apply(j, theta, right * coeffs))
 
 
 def psi_via_kernel(
@@ -364,9 +388,9 @@ def kernel_gram(
 
 def completeness_sides(j: int, p: TopParams, qs: list[ComplexQ]) -> tuple[np.ndarray, np.ndarray]:
     """The two sides of the completeness relation at every q of qs:
-    sum_s |Phi_{j,s}(q)|^2/(2j+1), from one phi_states read, and
+    sum_s |Phi_{j,s}(q)|^2/(2j+1), from one phi_rows read, and
     delta_j(q, conj(q)), one delta_j call per q."""
-    rows = np.array([u.coeffs for u in phi_states(j, p)])
+    rows = phi_rows(j, p)
     basis = fourier_basis(j, np.array([q.value for q in qs]))
     values = (rows @ basis[..., None])[..., 0]  # Phi_{j,s}(q), a row per q
     sums = np.array([np.vdot(v, v).real / (2 * j + 1) for v in values])

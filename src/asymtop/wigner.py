@@ -11,6 +11,8 @@ Its eigenvectors V are computed once per j (jx_eigenbasis), and
 
 keeps cos(theta lambda) between indices of equal parity and sin(theta
 lambda) between the others.  An array of theta is one broadcast evaluation.
+wigner_d_apply applies d^j(theta) to a vector through the same split in
+O(j^2), without forming the matrix.
 """
 
 from __future__ import annotations
@@ -116,6 +118,38 @@ def wigner_d_matrix(j: int, theta) -> np.ndarray:
     out[..., 1::2, 1::2] = (odd * cos) @ odd.T
     out[..., 0::2, 1::2] = cross
     out[..., 1::2, 0::2] = -cross.swapaxes(-1, -2)
+    return out
+
+
+@memoize
+def _jx_blocks(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues of jx_eigenbasis and its vectors' rows at even and at
+    odd k = n + j, the rows complex, read-only and memoized: a complex
+    vector times a real matrix casts the matrix on every product."""
+    lam, v = jx_eigenbasis(j)
+    return lam, v[0::2].astype(complex), v[1::2].astype(complex)
+
+
+def wigner_d_apply(j: int, theta, x) -> np.ndarray:
+    """d^j(theta) x for complex vectors x over n = -j..j on the last axis,
+    without forming d^j: four products of a vector with a (j+1) x (2j+1)
+    block of the J_1 eigenbasis, O(j^2) per vector.
+
+    By the split of wigner_d_matrix, with E and O the eigenvector rows at
+    even and odd k, y_e = ((x_e E) cos + (x_o O) sin) E^T and
+    y_o = ((x_o O) cos - (x_e E) sin) O^T.  theta and the leading axes of
+    x broadcast; each vector is its own one-row matrix product, so it
+    rounds as a one-vector call does (a stack of vectors in one matrix
+    product rounds differently).
+    """
+    lam, even, odd = _jx_blocks(j)
+    t = np.asarray(theta, dtype=float)[..., None, None] * lam
+    cos, sin = np.cos(t), np.sin(t)
+    x = np.asarray(x)
+    a, b = x[..., None, 0::2] @ even, x[..., None, 1::2] @ odd
+    y_e, y_o = (a * cos + b * sin) @ even.T, (b * cos - a * sin) @ odd.T
+    out = np.empty(y_e.shape[:-2] + (2 * j + 1,), dtype=complex)
+    out[..., 0::2], out[..., 1::2] = y_e[..., 0, :], y_o[..., 0, :]
     return out
 
 

@@ -26,7 +26,9 @@ CALLS = [
     ("asymtop.spectra._layout", (0, 12, "lame")),
     ("asymtop.spectra._state_layout", (0, 12)),
     ("asymtop.verify.generator_stack", (0, 4)),
+    ("asymtop.wavefunctions._kernel_scale", (3,)),
     ("asymtop.wavefunctions._t_quadrature_gram", (3,)),
+    ("asymtop.wigner._jx_blocks", (3,)),
     ("asymtop.wigner.jx_eigenbasis", (3,)),
     ("asymtop.wigner.polar_d", (3, 2)),
 ]

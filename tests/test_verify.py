@@ -531,6 +531,28 @@ def test_one_entry_of_t_by_quadrature_off_by_1e_9_fails_bridge(monkeypatch):
     assert not result.passed and result.defect > 1e-10, result
 
 
+SCALE_FAULTS = {
+    "n=0 off by 1e-9": lambda f, j: f * np.where(np.arange(-j, j + 1) == 0, 1 + 1e-9, 1.0),
+    "n=1 off by 1e-9": lambda f, j: f * np.where(np.arange(-j, j + 1) == 1, 1 + 1e-9, 1.0),
+    "i^n for (-i)^n": lambda f, j: f.conj(),
+}
+
+
+@pytest.mark.parametrize("fault", SCALE_FAULTS.values(), ids=SCALE_FAULTS)
+@pytest.mark.parametrize("at", [3, 4, 5])
+def test_a_wrong_kernel_scale_above_the_quadrature_part_fails_bridge(monkeypatch, fault, at):
+    # f = sqrt(B_n) (-i)^n sets both t_matrix and psi_via_kernel; the
+    # quadrature part compares t_matrix to j = 2 only, so from j = 3 on
+    # Psi via the kernel is what sees f.  Its draws barely see the edge
+    # n of j = 4 and 5 (sqrt(B_n) is small there): 1e-9 on n = 4 at j = 4,
+    # or on n = 3, 4 or 5 at j = 5, stays below 1e-10
+    exact = wavefunctions._kernel_scale
+    assert next(r for r in run_all(P321, jmax=5) if r.name == "bridge").passed
+    monkeypatch.setattr(wavefunctions, "_kernel_scale", lambda j: fault(exact(j), j) if j == at else exact(j))
+    result = next(r for r in run_all(P321, jmax=5) if r.name == "bridge")
+    assert not result.passed and result.defect > 1e-10, result
+
+
 def test_every_q_rule_weight_off_by_1e_9_fails_measure_quadrature(monkeypatch):
     # the Gram moves by 1e-9 of its size; the defect at a true rule is
     # below 1e-14 to j = 4

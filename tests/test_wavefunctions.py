@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,10 @@ from asymtop import (
     psi_via_kernel_values,
     state_values,
     pde_residual,
+    fourier_basis,
+    phi_rows,
     phi_state,
+    phi_states,
     psi_eval,
     psi_grid,
     psi_via_kernel,
@@ -51,7 +55,7 @@ from asymtop import (
     q_rule,
     weight_vector,
 )
-from asymtop import caching, lambda_rep, wavefunctions
+from asymtop import caching, lambda_rep, wavefunctions, wigner
 
 
 def random_g(rng):
@@ -206,6 +210,32 @@ def test_t_matrix_refuses_negative_j():
         t_matrix(-1, IDENTITY)
 
 
+def test_kernel_route_refuses_where_the_weights_leave_the_normal_range(monkeypatch):
+    # from j = 514 the smallest B_nj is subnormal: f = sqrt(B_nj) (-i)^n
+    # would lose bits there, and from j = 560 1/f would overflow to NaN
+    # behind a bare numpy RuntimeWarning; the refusal comes first, in
+    # closed form
+    g = EulerAngles(0.5, 1.1, 2.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = t_matrix(513, g)
+        assert np.isfinite(t).all()
+        root_b = np.sqrt(weight_vector(513))
+        assert np.isfinite(psi_via_kernel_values(0.3 + 0.1j, root_b, g.phi, g.theta, g.psi))
+        for j in (514, 560):
+            with pytest.raises(DomainError, match=f"^t\\(g\\) at j={j} needs B_nj down to"):
+                t_matrix(j, g)
+            with pytest.raises(DomainError, match=f"^t\\(g\\) at j={j} needs B_nj down to"):
+                psi_via_kernel_values(0.3 + 0.1j, np.ones(2 * j + 1), g.phi, g.theta, g.psi)
+
+        def no_weights(j):
+            raise AssertionError(f"weight_vector({j}) was called")
+
+        monkeypatch.setattr(wavefunctions, "weight_vector", no_weights)
+        with pytest.raises(DomainError, match="^t\\(g\\) at j=100000000 needs"):
+            t_matrix(100_000_000, g)
+
+
 def test_t_matrix_representation(rng):
     for j in (1, 2, 4):
         assert np.max(np.abs(t_matrix(j, IDENTITY) - np.eye(2 * j + 1))) < 1e-13
@@ -311,14 +341,44 @@ def test_t_matrix_quadrature_allocates_no_node_pair_array(rng):
     assert peak < nodes**2 * 16 / 20
 
 
-def test_psi_via_kernel_matches_closed_form(p321, rng):
-    for j in (1, 2, 3):
-        for s in range(-j, j + 1):
-            q = random_q(rng)
-            g = random_g(rng)
-            v1 = psi_eval(q, j, s, p321, g)
-            v2 = psi_via_kernel(q, j, s, p321, g)
-            assert abs(v1 - v2) < 1e-10 * max(1.0, abs(v1))
+def test_psi_via_kernel_matches_closed_form(rng):
+    # at |Im q| <= beta.  The kernel path sums terms of the size of
+    # sqrt(B_nj) e^{|n Im q|}, which peaks near e^{j beta^2 / 2}, with an
+    # absolute error of about 1e-16 of it, while Psi can be O(1): at
+    # |Im q| = 0.5 the two paths part by up to 1e-5 at j = 150 and 1e3 at
+    # j = 300 (so does t_matrix(j, g) @ Phi), and at j = 300 psi_eval
+    # itself is off by O(1) there against a 60-digit sum
+    cases = [(0, 0.5), (1, 0.7), (2, 0.7), (3, 0.7), (8, 0.5), (48, 0.5), (150, 0.1), (300, 0.1)]
+    for params in [(3.0, 2.0, 1.0), (100.0, 2.0, 1.0)]:
+        p = TopParams(*params)
+        for j, beta in cases:
+            for s in range(-j, j + 1) if j <= 8 else (-j, -j + 1, -1, 0, 1, j - 1, j):
+                for _ in range(3):
+                    q, g = random_q(rng, beta), random_g(rng)
+                    v1 = psi_eval(q, j, s, p, g)
+                    v2 = psi_via_kernel(q, j, s, p, g)
+                    assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v1)), (params, j, s, q, g)
+
+
+def test_psi_via_kernel_forms_no_square_array(p321, rng, monkeypatch):
+    # t(g) Phi is applied through the J_1 eigenbasis blocks, O(j^2) per point
+    points = [(j, int(rng.integers(-j, j + 1)), random_q(rng, 0.5), random_g(rng)) for j in (0, 1, 4, 48, 300)]
+    expected = [psi_via_kernel(q, j, s, p321, g) for j, s, q, g in points]
+
+    def square(*args):
+        raise AssertionError("a (2j+1)^2 array was formed")
+
+    for module, name in [(wavefunctions, "t_matrix"), (wavefunctions, "wigner_D_matrix"), (wigner, "wigner_d_matrix")]:
+        monkeypatch.setattr(module, name, square)
+    assert [psi_via_kernel(q, j, s, p321, g) for j, s, q, g in points] == expected
+    j, s, q, g = points[-1]
+    tracemalloc.start()
+    try:
+        psi_via_kernel(q, j, s, p321, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * j + 1) ** 2 * 16 / 20
 
 
 @pytest.mark.parametrize("j, beta", [(0, 340.0), (1, 200.0), (2, 60.0), (3, 100.0), (4, 80.0)])
@@ -406,6 +466,23 @@ def test_kernel_gram_orthogonality():
     assert kernel_gram(2, 2, haar_rule(2), points=pts) < 1e-8
     with pytest.raises(DomainError):
         kernel_gram(2, 1, haar_rule(1))
+
+
+@pytest.mark.parametrize("params", [(3.0, 2.0, 1.0), (100.0, 2.0, 1.0)])
+def test_completeness_sides_is_the_stacked_phi_states(params, rng):
+    # the oracle: one FourierState per state, stacked back into one array
+    p = TopParams(*params)
+    for j in (0, 1, 6, 48):
+        qs = [random_q(rng, beta=0.5) for _ in range(4)]
+        rows = np.array([u.coeffs for u in phi_states(j, p)])
+        assert phi_rows(j, p).tobytes() == rows.tobytes()
+        basis = fourier_basis(j, np.array([q.value for q in qs]))
+        values = (rows @ basis[..., None])[..., 0]
+        sums = np.array([np.vdot(v, v).real / (2 * j + 1) for v in values])
+        deltas = np.array([delta_j(q, q, j) for q in qs])
+        got_sums, got_deltas = completeness_sides(j, p, qs)
+        assert got_sums.tobytes() == sums.tobytes()
+        assert got_deltas.tobytes() == deltas.tobytes()
 
 
 def test_completeness(p321, rng):

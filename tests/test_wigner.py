@@ -17,6 +17,7 @@ from asymtop import (
     t_matrix,
     wigner_D,
     wigner_D_matrix,
+    wigner_d_apply,
     wigner_d_matrix,
     wigner_gram,
     wigner_small_d,
@@ -115,6 +116,25 @@ def test_small_d_matrix_stacks_over_theta(rng):
             for idx in np.ndindex(angles[1].shape):
                 alone = evaluate(j, *(a[idx] for a in angles))
                 np.testing.assert_array_equal(stacked[idx], alone, err_msg=name)
+
+
+def test_d_apply_is_the_matrix_times_the_vector(rng):
+    # the four vector products equal d^j(theta) x to rounding, and each
+    # vector of a stack (over x, over theta, or both) is its one-vector
+    # call bit for bit
+    for j in (0, 1, 2, 7, 40):
+        theta = rng.uniform(0.0, math.pi, size=(2, 3))
+        x = rng.standard_normal((2, 3, 2 * j + 1)) + 1j * rng.standard_normal((2, 3, 2 * j + 1))
+        want = (wigner_d_matrix(j, theta) @ x[..., None])[..., 0]
+        got = wigner_d_apply(j, theta, x)
+        assert np.max(np.abs(got - want)) < 1e-13 * max(1.0, np.max(np.abs(x)))
+        for idx in np.ndindex(theta.shape):
+            assert got[idx].tobytes() == wigner_d_apply(j, theta[idx], x[idx]).tobytes()
+        one_x = wigner_d_apply(j, theta, x[0, 0])  # one vector at every theta
+        one_theta = wigner_d_apply(j, theta[0, 0], x)  # every vector at one theta
+        for idx in np.ndindex(theta.shape):
+            assert one_x[idx].tobytes() == wigner_d_apply(j, theta[idx], x[0, 0]).tobytes()
+            assert one_theta[idx].tobytes() == wigner_d_apply(j, theta[0, 0], x[idx]).tobytes()
 
 
 def test_eigenbasis_computed_once_per_j(monkeypatch, cold_caches):
