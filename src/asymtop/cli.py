@@ -231,9 +231,9 @@ def cmd_levels(args) -> int:
             skip_lame = True
             print(f"warning: {exc}; lame column left empty", file=sys.stderr)
     # one flat list of energies per distinct route, over every (j, s) row;
-    # each route solves all of 0..jmax in one range solve, which keeps the j
-    # below a refusal, and j runs outermost so a refusal names the smallest
-    # offending j over all routes
+    # each route solves all of 0..jmax in one range solve (a refused one
+    # keeps nothing: each read then solves its own j), and j runs outermost
+    # so a refusal names the smallest offending j over all routes
     energies = {r: [] for r in routes if not (r == "lame" and skip_lame)}
     classes: list[int] = []
     for r in energies:

@@ -87,10 +87,15 @@ def weight_B(n, j: int):
     return np.exp(2.0 * lf[j] - lf[j - n] - lf[j + n])
 
 
+# largest j whose smallest B_nj is normal: smallest_weight(513) = 5.58e-308,
+# smallest_weight(514) = 1.40e-308 < tiny = 2.23e-308
+NORMAL_WEIGHT_JMAX = 513
+
+
 def smallest_weight(j: int) -> float:
     """The smallest B_nj, (j!)^2 / (2j)! at n = +-j, in closed form: below
-    the normal float range from j = 514, where what divides by sqrt(B_nj)
-    or scales by it loses bits."""
+    the normal float range past NORMAL_WEIGHT_JMAX, where what divides by
+    sqrt(B_nj) or scales by it loses bits."""
     if j < 0:
         raise DomainError("j must be >= 0")
     return np.exp(2.0 * math.lgamma(j + 1.0) - math.lgamma(2.0 * j + 1.0))

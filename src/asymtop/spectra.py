@@ -25,18 +25,20 @@ lame_polynomial.  Both matrices couple n only to
 n +- 2 and commute with n -> -n, so the Wang basis e_n +- e_{-n} splits each
 into its class blocks; the states are the eigenvectors of the lambda
 blocks.  State coefficients scale like sqrt(B_nj), which leaves the normal
-float range at j = 514; from there on the states raise DomainError while
-the levels stay exact.
+float range past lambda_rep.NORMAL_WEIGHT_JMAX = 513; from there on the
+states raise DomainError while the levels stay exact.
 
 The states of a whole j range are solved at once in the same way
 (_state_rows): one eigh call per block size of the lambda blocks, then the
 s order of each j, and each j is phased whole, in one _phase call.
 
 Levels and states are kept by one rule, in one slot per route and one for
-the states (_SLOTS): solve_levels and solve_states keep a command's range
-solve, and a read (spectrum, phi_state, phi_states) slices it at its top,
-or else solves its one j and keeps that.  Every read returns what a one-j
-solve returns, bit for bit.
+the states (_SLOTS): a solve that returns is kept whole as its slot, and a
+solve that raises keeps nothing.  solve_levels and solve_states keep a
+command's range solve, and a read (spectrum, phi_state, phi_states) slices
+it at its top, or else solves its one j and keeps that; after a refused
+range, each read solves its own j.  Every read returns what a one-j solve
+returns, bit for bit, or raises what it raises.
 
 The Lame route works on the cubic P(rho) = (rho-A)(rho-B)(rho-C).  With
 x = rho - B, u = A - B, v = B - C, a solution of
@@ -72,8 +74,8 @@ from .errors import (
     PoleError,
     RootCountError,
 )
-from .lambda_rep import ComplexQ, FourierState, smallest_weight, weight_vector
-from .wigner import angular_momentum_matrices, ladder_coefficient  # the former re-exported
+from .lambda_rep import NORMAL_WEIGHT_JMAX, ComplexQ, FourierState, smallest_weight, weight_vector
+from .wigner import ladder_coefficient
 
 ROUTES = ("wigner", "lambda", "lame")
 SERIES_JMAX = 35  # largest j of phi_state_series (see there)
@@ -328,7 +330,8 @@ def _key(route: str, j, cls):
 
 def _refusal(error: type, route: str, key: int, what: str) -> Exception:
     """`error` naming the route and j (and class) of `key`, with that j as
-    its attribute j (spectrum_range solves the range below it)."""
+    its attribute j (spectrum_range checks the range below it for an
+    earlier refusal)."""
     j, cls = (key // 4, f", class {key % 4 + 1}") if route == "lame" else (key, "")
     refusal = error(f"{route} route at j={j}{cls}: {what}")
     refusal.j = j
@@ -410,8 +413,7 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
     errors for its entries and off-diagonal products (parameters near 1e154
     and beyond, or near 1e-154 and below, on the symmetrized routes; near
     max float / j^2 on all), then DomainError where its levels leave the
-    float range although its entries do not; each carries the table of the
-    j below it as its attribute below (None if there are none).
+    float range although its entries do not.
     """
     _require_route(route)
     if js.start < 0 or js.step != 1:
@@ -421,7 +423,8 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
     except (DomainError, RootCountError) as refusal:
         # a single-j call checks its levels after its entries, so a j below
         # the first one refused here may still refuse its levels
-        refusal.below = spectrum_range(range(js.start, refusal.j), p, route) if refusal.j > js.start else None
+        if refusal.j > js.start:
+            spectrum_range(range(js.start, refusal.j), p, route)
         raise
     vals = np.empty(len(d))
     for di, oi in lay.groups:
@@ -431,11 +434,7 @@ def spectrum_range(js: range, p: TopParams, route: str = "wigner") -> SpectrumTa
     if not np.isfinite(vals).all():  # entries near max float, levels past it
         bad = ~np.isfinite(vals)
         key = int(_key(route, lay.j[bad], lay.cls[bad]).min())
-        refusal = _refusal(DomainError, route, key, "levels leave the float range")
-        # the j below lead the table, in the order a range solve of them gives
-        n = refusal.j**2 - js.start**2
-        refusal.below = SpectrumTable(E[:n], None if classes is None else classes[:n])
-        raise refusal
+        raise _refusal(DomainError, route, key, "levels leave the float range")
     return SpectrumTable(E, classes)
 
 
@@ -448,57 +447,47 @@ def _require_route(route: str) -> None:
 # each route's levels and for the states ("states").  kept is the route's
 # SpectrumTable, or the phased rows of each j, read-only (2j+1, 2j+1)
 # arrays; it stays in memory until the next solve of its kind replaces it.
-_SLOTS: dict[str, tuple[TopParams, range, SpectrumTable | list[np.ndarray] | None]] = {}
+_SLOTS: dict[str, tuple[TopParams, range, SpectrumTable | list[np.ndarray]]] = {}
 
 
-def _solve(kind: str, js: range, p: TopParams) -> SpectrumTable | list[np.ndarray]:
-    """What the slot of kind keeps for js at p; a refusal carries that of
-    the j below it (below)."""
-    if kind != "states":
-        return spectrum_range(js, p, kind)
-    try:
-        solved = _state_rows(js, p)
-    except (DomainError, RootCountError) as refusal:
-        refusal.below = _solve(kind, range(js.start, refusal.j), p) if refusal.j > js.start else None
-        raise
-    return [_phased(rows, j) for j, rows in zip(js, solved)]
+def _slot(kind: str, start: int, stop: int, p: TopParams) -> tuple[int, SpectrumTable | list[np.ndarray]]:
+    """The first j and the solve of the slot of kind (a route's
+    spectrum_range, or the states' phased _state_rows) if it holds j =
+    start..stop-1 at p, else of that range, kept as the slot; a solve that
+    raises keeps nothing, and a start below 0 (a read's j; _keep checks
+    ranges) raises before any.  Read as one tuple, a slot another thread
+    replaces is missed, never misread."""
+    top, held, kept = _SLOTS.get(kind, (None, range(0), None))
+    if not (start in held and stop <= held.stop and top == p):
+        if start < 0:
+            raise DomainError("j must be >= 0")
+        held = range(start, stop)
+        if kind == "states":
+            kept = [_phased(rows, j) for j, rows in zip(held, _state_rows(held, p))]
+        else:
+            kept = spectrum_range(held, p, kind)
+        _SLOTS[kind] = p, held, kept
+    return held.start, kept
 
 
 def _keep(kind: str, js: range, p: TopParams) -> None:
-    """Keep the solve of js at p as the slot of kind unless it holds them: the
-    j below a refusal, nothing for an empty js or a DegenerateParamsError."""
+    """Keep the solve of js at p as the slot of kind unless it holds them.
+    An empty js solves nothing, and a refusal leaves the slot as it was:
+    each read then solves its own j and raises what that raises."""
     if js.start < 0 or js.step != 1:
         raise DomainError(f"need consecutive j >= 0, got {js}")
-    top, held, _ = _SLOTS.get(kind, (None, range(0), None))
-    if not js or (top == p and held.start <= js.start and js.stop <= held.stop):
-        return
-    try:
-        kept = _solve(kind, js, p)
-    except (DomainError, RootCountError) as refusal:
-        js, kept = range(js.start, refusal.j), refusal.below
-    except DegenerateParamsError:
-        js, kept = range(0), None
-    _SLOTS[kind] = p, js, kept
-
-
-def _read(kind: str, j: int, p: TopParams) -> tuple[int, SpectrumTable | list[np.ndarray]]:
-    """The first j and the solve of the slot of kind if it holds j at p,
-    else of j alone, kept as the slot; a refused j keeps nothing.  Read as
-    one tuple, a slot another thread replaces is missed, never misread."""
-    top, js, kept = _SLOTS.get(kind, (None, range(0), None))
-    if not (j in js and top == p):
-        if j < 0:
-            raise DomainError("j must be >= 0")
-        js = range(j, j + 1)
-        kept = _solve(kind, js, p)
-        _SLOTS[kind] = p, js, kept
-    return js.start, kept
+    if js:
+        try:
+            _slot(kind, js.start, js.stop, p)
+        except (DomainError, RootCountError, DegenerateParamsError):
+            pass
 
 
 def solve_levels(js: range, p: TopParams, route: str) -> None:
     """Keep the levels of `route` at every j of js (step 1, j >= 0), one
     spectrum_range call, as the route's slot for spectrum to read (0.18 MB
-    at jmax 150).  A bad range or route raises, a refusal of the top never.
+    at jmax 150).  A bad range or route raises, a refusal of the top never:
+    it leaves the slot as it was.
     """
     _require_route(route)
     _keep(route, js, p)
@@ -509,7 +498,7 @@ def spectrum(j: int, p: TopParams, route: str = "wigner") -> list[EnergyLevel]:
     (the Lame levels carry their class) from the route's slot, made by
     tuple.__new__ straight from its columns, with no Python call per level."""
     _require_route(route)
-    start, table = _read(route, j, p)
+    start, table = _slot(route, j, j + 1, p)
     at = slice(j * j - start * start, (j + 1) ** 2 - start * start)
     classes = table.lame_class[at].tolist() if route == "lame" else itertools.repeat(None)
     rows = zip(itertools.repeat(j), range(-j, j + 1), table.E[at].tolist(), itertools.repeat(route), classes)
@@ -765,22 +754,17 @@ def _state_rows(js: range, p: TopParams) -> list[np.ndarray]:
     block, so it is class-pure even inside near-degenerate (always
     cross-class) doublets.  Back in the e^{inq} basis the coefficients scale
     like sqrt(B_nj) ~ 2^-j at the edges, so j is refused where the smallest
-    B_nj leaves the normal float range (from j = 514), in closed form before
-    any array of size j is built.  The smallest j that a one-j call refuses
-    raises what that call raises, with that j as its attribute j.
+    B_nj leaves the normal float range (past NORMAL_WEIGHT_JMAX) before any
+    array of size j is built.  The smallest j that a one-j call refuses
+    raises what that call raises.
     """
-    # B_nj falls about 4x per j, so the last j tells whether any is refused
-    refused = js.stop
-    if smallest_weight(js[-1]) < _TINY:
-        refused = next(j for j in js if smallest_weight(j) < _TINY)
+    refused = min(js.stop, max(js.start, NORMAL_WEIGHT_JMAX + 1))
     if refused > js.start:
         lay, d, e = _class_blocks("lambda", range(js.start, refused), p)
     if refused < js.stop:
-        error = DomainError(
+        raise DomainError(
             f"states at j={refused} need B_nj down to {smallest_weight(refused):.3e}, below the normal float range"
         )
-        error.j = refused
-        raise error
     st = _state_layout(js.start, js.stop)
     vals, solved = np.empty(len(d)), []
     for di, oi in lay.groups:
@@ -817,7 +801,8 @@ def solve_states(js: range, p: TopParams) -> None:
     """Keep the states of every j of js (step 1, j >= 0), one _state_rows
     call with each j phased whole, as the states slot for the reads of a
     command.  They stay in memory until the next state solve replaces them:
-    16 (2j+1)^2 bytes per j, 0.39 MB at j = 78 and 16.7 MB at j = 511."""
+    16 (2j+1)^2 bytes per j, 0.39 MB at j = 78 and 16.7 MB at j = 511.  A
+    bad range raises, a refusal never: it leaves the slot as it was."""
     _keep("states", js, p)
 
 
@@ -826,7 +811,7 @@ def _phased_rows(j: int, p: TopParams, at: slice) -> np.ndarray:
     slot.  A lone read pays for phasing its whole j (97 rows of j = 48 on
     (100, 2, 1): 1.4 ms against 0.16 ms for one), as every command that
     reads many states reads all of a j (completeness_defect does)."""
-    start, kept = _read("states", j, p)
+    start, kept = _slot("states", j, j + 1, p)
     return kept[j - start][at].copy()
 
 

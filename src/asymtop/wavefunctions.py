@@ -32,6 +32,7 @@ from .caching import memoize
 from .errors import DomainError, PoleError, SingularInput
 from .lambda_rep import (
     LOG_MAX,
+    NORMAL_WEIGHT_JMAX,
     ComplexQ,
     FourierState,
     const_C,
@@ -203,9 +204,9 @@ def _kernel_scale(j: int) -> np.ndarray:
     """f_n = sqrt(B_nj) (-i)^n, n = -j..j, with t(g) = diag(f) D^j(g)
     diag(1/f): t_matrix and psi_via_kernel_values both take it from here.
     Read-only and memoized.  DomainError where the smallest B_nj leaves the
-    normal float range (from j = 514, as the states do), in closed form
-    before any array is built: f loses bits there and 1/f overflows."""
-    if smallest_weight(j) < np.finfo(float).tiny:
+    normal float range (past NORMAL_WEIGHT_JMAX, as the states do), before
+    any array is built: f loses bits there and 1/f overflows."""
+    if j > NORMAL_WEIGHT_JMAX:
         raise DomainError(f"t(g) at j={j} needs B_nj down to {smallest_weight(j):.3e}, below the normal float range")
     return np.sqrt(weight_vector(j)) * fourier_basis(j, -math.pi / 2)
 

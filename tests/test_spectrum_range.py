@@ -208,11 +208,10 @@ def test_range_refuses_levels_past_the_float_range():
     p = TopParams(6.324555320336759e305, 3.1622776601683794e305, 3.1622776601683794e305)
     assert np.isfinite(spectrum_range(range(17), p, "wigner").E).all()
     for js in (range(17, 18), range(3, 19)):
-        with pytest.raises(DomainError, match="^wigner route at j=17: levels leave the float range") as refused:
+        with pytest.raises(DomainError, match="^wigner route at j=17: levels leave the float range$") as refused:
             spectrum_range(js, p, "wigner")
-    # the refusal carries the levels of the j below it, as their own range
-    # solve gives them
-    assert refused.value.below.E.tobytes() == spectrum_range(range(3, 17), p, "wigner").E.tobytes()
+        # the refusal names its j and carries nothing else
+        assert refused.value.j == 17 and not hasattr(refused.value, "below")
 
 
 def test_range_refuses_unsymmetrizable_lame_blocks(monkeypatch):
@@ -305,26 +304,33 @@ def test_batch_solves_each_route_once(monkeypatch):
     assert calls == [(js, route) for route in ROUTES]
 
 
-def test_refused_batch_serves_each_j_below_the_first_offending_one(monkeypatch):
-    overflow = TopParams(1e305, 1e305, 1.0)  # diagonals overflow from j = 42
-    single = {route: spectrum(41, overflow, route) for route in ("wigner", "lambda")}
-    calls = count_level_solves(monkeypatch)
-    for route in ("wigner", "lambda"):
-        spectra.solve_levels(range(101), overflow, route)
-        assert spectra._SLOTS[route][1] == range(42)  # the j below the refusal
-        assert spectrum(41, overflow, route) == single[route]
-        with pytest.raises(DomainError, match=f"^{route} route at j=42:"):
-            spectrum(42, overflow, route)
-        assert spectra._SLOTS[route][1] == range(42)  # the refused read keeps nothing
-    # the refused range, then the range below it, solved once to order the
-    # refusal and kept; a read past it solves its one j, and a read below it
-    # none
-    assert calls == [(js, route) for route in ("wigner", "lambda") for js in (range(101), range(42), range(42, 43))]
-    # a refused top keeps nothing: every read raises what a one-j read raises
-    spectra.solve_levels(range(101), overflow, "lame")
-    assert spectra._SLOTS["lame"][1] == range(0)
-    with pytest.raises(DegenerateParamsError):
-        spectrum(3, overflow, "lame")
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_refused_batch_keeps_the_slot_as_it_was(route, monkeypatch):
+    # the diagonals overflow from j = 42, and (past) the wigner levels leave
+    # the float range at j = 17; lame refuses both tops at every j (A = B,
+    # B = C)
+    overflow = TopParams(1e305, 1e305, 1.0)
+    past = TopParams(6.324555320336759e305, 3.1622776601683794e305, 3.1622776601683794e305)
+    for top, js in ((overflow, (0, 41, 42, 43, 100)), (past, (3, 16, 17, 18))):
+        single = {j: outcome(spectrum, j, top, route) for j in js}  # one-j reads
+        spectra.solve_levels(range(5), TopParams(3.0, 2.0, 1.0), route)
+        held = spectra._SLOTS[route]
+        calls = count_level_solves(monkeypatch)
+        refusal = outcome(spectra.spectrum_range, range(101), top, route)
+        assert refusal[0] in (DomainError, DegenerateParamsError)
+        expected = calls[:]  # the range, and the one below its entry refusal
+        del calls[:]
+        spectra.solve_levels(range(101), top, route)
+        assert spectra._SLOTS[route] is held
+        # the range solve refuses and keeps nothing, so each read below, at
+        # and past the refusal solves its one j: once where it is served,
+        # on every read where it is refused
+        for j in js:
+            for _ in range(2):
+                assert outcome(spectrum, j, top, route) == single[j]
+            expected += [(range(j, j + 1), route)] * (2 if isinstance(single[j], tuple) else 1)
+        assert calls == expected
+        monkeypatch.undo()
 
 
 def count_state_solves(monkeypatch) -> list[range]:
@@ -411,15 +417,13 @@ def test_batch_serves_a_second_top_from_its_own_solve(monkeypatch):
 @pytest.mark.parametrize(
     "params, js, low, high, solves",
     [
-        # B_nj leaves the normal float range from j = 514: the range is
-        # solved below it and j = 511..513 are kept (16.7 MB of rows each),
-        # the refused j = 514 not
-        ((3.0, 2.0, 1.0), range(511, 516), 511, 514, [range(511, 516), range(511, 514)] + [range(514, 515)] * 4),
+        # B_nj leaves the normal float range from j = 514: the range keeps
+        # nothing, so j = 511 is solved alone on its first read and kept
+        # (16.7 MB of rows), and the refused j = 514 on every read
+        ((3.0, 2.0, 1.0), range(511, 516), 511, 514, [range(511, 516), range(511, 512)] + [range(514, 515)] * 4),
         # the lambda diagonals overflow from j = 42, inside the range 40..42,
-        # which is then solved below 42: j = 40 and 41 are kept
-        ((1e305, 1e305, 1.0), range(40, 43), 41, 42, [range(40, 43), range(40, 42)] + [range(42, 43)] * 4),
-        # a range refused at its first j keeps nothing: j = 41, past it, is
-        # solved alone on its first read and kept
+        # at its first j, and at its only j: each keeps nothing
+        ((1e305, 1e305, 1.0), range(40, 43), 41, 42, [range(40, 43), range(41, 42)] + [range(42, 43)] * 4),
         ((1e305, 1e305, 1.0), range(42, 44), 41, 42, [range(42, 44), range(41, 42)] + [range(42, 43)] * 4),
         ((1e305, 1e305, 1.0), range(42, 43), 41, 42, [range(42, 43), range(41, 42)] + [range(42, 43)] * 4),
     ],
@@ -429,16 +433,34 @@ def test_a_refusal_inside_a_batch_stays_at_its_j(params, js, low, high, solves, 
     single = {j: (outcome(phi_state, j, 0, p), outcome(phi_states, j, p)) for j in (low, high)}
     assert isinstance(single[low][1], list)  # the j below is served
     assert single[high][1][0] is DomainError
-    spectra._SLOTS.clear()
+    spectra.solve_states(range(3), TopParams(3.0, 2.0, 1.0))
+    held = spectra._SLOTS["states"]
     solved = count_state_solves(monkeypatch)
     spectra.solve_states(js, p)
-    # every j of the range below the refusal is kept
-    assert spectra._SLOTS["states"][:2] == (p, range(js.start, high))
+    assert spectra._SLOTS["states"] is held  # the refused range keeps nothing
     for _ in range(2):
         for j in (low, high):
             assert (outcome(phi_state, j, 0, p), outcome(phi_states, j, p)) == single[j]
-    # the refused j is not kept, so it solves alone on every call
+    # each j below the refusal solves alone once, and the refused j, not
+    # kept, on every call
     assert solved == solves
+
+
+def test_an_empty_range_solves_nothing(monkeypatch):
+    p, q = TopParams(3.0, 2.0, 1.0), TopParams(5.3, 2.1, 0.4)
+    calls, solved = count_level_solves(monkeypatch), count_state_solves(monkeypatch)
+    for kept in (False, True):
+        if kept:
+            spectra.solve_levels(range(3), p, "wigner")
+            spectra.solve_states(range(3), p)
+            del calls[:], solved[:]
+        held = dict(spectra._SLOTS)
+        for top in (p, q):
+            spectra.solve_levels(range(5, 5), top, "wigner")
+            spectra.solve_states(range(5, 5), top)
+        assert calls == solved == []
+        assert spectra._SLOTS.keys() == held.keys()
+        assert all(spectra._SLOTS[kind] is slot for kind, slot in held.items())
 
 
 def test_one_state_of_a_wide_batch_solves_one_j(monkeypatch):

@@ -236,6 +236,22 @@ def test_kernel_route_refuses_where_the_weights_leave_the_normal_range(monkeypat
             t_matrix(100_000_000, g)
 
 
+def test_states_and_t_refuse_past_one_bound_for_normal_weights(p321):
+    # NORMAL_WEIGHT_JMAX is the largest j whose smallest B_nj is normal;
+    # the states and t(g) both refuse the next j, each with its own message
+    bound, g = lambda_rep.NORMAL_WEIGHT_JMAX, EulerAngles(0.5, 1.1, 2.3)
+    assert lambda_rep.smallest_weight(bound) >= np.finfo(float).tiny > lambda_rep.smallest_weight(bound + 1)
+    j = bound + 1
+    states = f"^states at j={j} need B_nj down to 1.397e-308, below the normal float range$"
+    with pytest.raises(DomainError, match=states):
+        phi_state(j, 0, p321)
+    with pytest.raises(DomainError, match=f"^t\\(g\\) at j={j} needs B_nj down to 1.397e-308, "):
+        t_matrix(j, g)
+    # psi_via_kernel reads the state first
+    with pytest.raises(DomainError, match=states):
+        psi_via_kernel(ComplexQ(0.3, 0.1), j, 0, p321, g)
+
+
 def test_t_matrix_representation(rng):
     for j in (1, 2, 4):
         assert np.max(np.abs(t_matrix(j, IDENTITY) - np.eye(2 * j + 1))) < 1e-13
