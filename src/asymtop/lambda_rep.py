@@ -204,6 +204,14 @@ def scaled_power(prefactor: float, base, j: int):
     return prefactor * np.power(base, j)
 
 
+@memoize
+def fourier_exponents(j: int) -> np.ndarray:
+    """i n for n = -j..j, the exponents of e^{inq} per unit q: read-only and
+    memoized, read by fourier_basis, fourier_point and the phases of
+    wigner.wigner_D_matrix and the kernel action."""
+    return 1j * np.arange(-j, j + 1)
+
+
 def fourier_basis(j: int, q, log_scale=0.0) -> np.ndarray:
     """e^{log_scale + inq} for n = -j..j on a new trailing axis.
 
@@ -214,7 +222,7 @@ def fourier_basis(j: int, q, log_scale=0.0) -> np.ndarray:
     """
     q, log_scale = np.asarray(q), np.asarray(log_scale)
     _refuse_past_log_max(log_scale.real + j * abs(q.imag), j)
-    out = q[..., None] * (1j * np.arange(-j, j + 1))
+    out = q[..., None] * fourier_exponents(j)
     out += log_scale[..., None]
     return np.exp(out, out=out)
 
@@ -231,21 +239,48 @@ def fourier_sum(q, coeffs, log_scale=0.0) -> np.ndarray:
     return (basis[..., None, :] @ coeffs[..., :, None])[..., 0, 0]
 
 
+def fourier_point(q, coeffs, log_scale=0.0):
+    """fourier_sum at one complex angle q (a scalar, as log_scale is), with
+    one coefficient row: the same refusal, the same row of fourier_basis
+    and the same dot product, so it equals fourier_sum at that point bit
+    for bit, without the broadcasting.  Returns a numpy complex."""
+    j = (len(coeffs) - 1) // 2
+    top = log_scale.real + j * abs(q.imag)
+    if not top <= LOG_MAX:
+        _refuse_past_log_max(top, j)
+    row = q * fourier_exponents(j)
+    row += log_scale
+    return np.dot(np.exp(row, out=row), coeffs)
+
+
+def _refuse_beta(beta) -> None:
+    """OverflowError for any |Im q| = beta above LOG_MAX, the bound
+    psi_eval's phase map has."""
+    if np.count_nonzero(beta > LOG_MAX):
+        raise OverflowError(f"|beta|={np.max(beta)} too large")
+
+
 def state_values(q, coeffs) -> np.ndarray:
     """evaluate_state at every point of the complex angles q, with one
     coefficient row per point or one row for all (fourier_sum).
-    OverflowError for any |Im q| > LOG_MAX, the bound psi_eval's phase map
-    has, and where fourier_basis refuses (j |Im q| > LOG_MAX)."""
-    beta = np.abs(np.imag(q))
-    if np.count_nonzero(beta > LOG_MAX):
-        raise OverflowError(f"|beta|={np.max(beta)} too large")
+    OverflowError for any |Im q| > LOG_MAX (_refuse_beta), and where
+    fourier_basis refuses (j |Im q| > LOG_MAX)."""
+    _refuse_beta(np.abs(np.imag(q)))
     return fourier_sum(q, coeffs)
 
 
+def state_value(q, coeffs):
+    """state_values at one complex angle q, with one coefficient row: its
+    refusals, then fourier_point, equal to it bit for bit."""
+    if abs(q.imag) > LOG_MAX:
+        _refuse_beta(abs(q.imag))
+    return fourier_point(q, coeffs)
+
+
 def evaluate_state(u: FourierState, q: ComplexQ) -> complex:
-    """Evaluate sum_n c_n e^{inq} at a complex angle: state_values at one
-    point, with its refusals."""
-    return complex(state_values(q.value, u.coeffs))
+    """Evaluate sum_n c_n e^{inq} at a complex angle: state_value, with its
+    refusals."""
+    return complex(state_value(q.value, u.coeffs))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,16 @@ f_n = sqrt(B_nj) (-i)^n, t(g) Phi = f e^{in phi} d^j(theta) (e^{in psi} Phi / f)
 O(j^2) per point through wigner.wigner_d_apply.  t_matrix forms the
 matrix where the matrix is what a check compares (kernel-group, and the
 quadrature part of bridge).
+
+Each one-point entry point equals its array form (phase_map, psi_from_phase,
+psi_via_kernel_values, ...) at one point bit for bit.  mobius_phase,
+psi_eval and psi_via_kernel (and kernel_factored, through mobius_phase) get
+there on a scalar path: the array form's arithmetic in its order on numpy
+scalars and 1-D rows, with its refusals in its order, without its
+broadcasting and checks over arrays.  Warm, on one thread (x86_64, see
+BENCH_35.json), psi_eval takes 12.7 / 13.0 / 15.1 us and psi_via_kernel
+26.4 / 31.0 / 42.3 us at j = 8 / 24 / 48, against 26.6 / 25.6 / 28.2 and
+41.0 / 48.1 / 60.5 us through the array forms at 0-d inputs.
 """
 
 from __future__ import annotations
@@ -38,10 +48,13 @@ from .lambda_rep import (
     const_C,
     delta_j,
     fourier_basis,
+    fourier_exponents,
+    fourier_point,
     fourier_sum,
     q_rule,
     scaled_power,
     smallest_weight,
+    state_value,
     state_values,
     weight_vector,
 )
@@ -53,10 +66,45 @@ from .wigner import wigner_d_apply, wigner_D_matrix
 def _times(a, b):
     """a * b with each real product and sum rounded on its own, as numpy
     rounds the product of two complex scalars; numpy's loop over complex
-    arrays fuses them into multiply-adds and can differ in the last bit."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
-    return a * b
+    arrays fuses them into multiply-adds and can differ in the last bit.
+    _times_point rounds a one-point product as this rounds its arrays."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+
+def _times_point(a: complex, b: complex) -> complex:
+    """_times of two complex scalars, rounded as _times rounds a point of
+    its arrays: each real product and sum on its own, in Python floats,
+    and the real part r and imaginary part x come out as r + (0 x - 0)
+    and x + 0 (a -0.0 turns +0.0), as the + 1j * (...) of _times leaves
+    them."""
+    ar, ai, br, bi = float(a.real), float(a.imag), float(b.real), float(b.imag)
+    x = ar * bi + ai * br
+    return complex(ar * br - ai * bi + (0.0 * x - 0.0), x + 0.0)
+
+
+def _refuse_inputs(qv, phi, theta, psi) -> None:
+    """SingularInput where an input is not finite, else OverflowError where
+    |Im q| > LOG_MAX, at any point of the broadcast inputs.  e^{iq} passes
+    e^LOG_MAX there, as a value of fourier_basis at j = 1 would (Psi's
+    values at j >= 2 are refused before), and further out the phase map's
+    products leave the float range (base from |Im q| = 709)."""
+    inputs = (qv, phi, theta, psi)
+    if not all(np.isfinite(x).all() for x in inputs):
+        names = ("q", "phi", "theta", "psi")
+        bad = [f"{n}={x}" if np.ndim(x) == 0 else n for n, x in zip(names, inputs) if not np.isfinite(x).all()]
+        raise SingularInput(f"non-finite input: {', '.join(bad)}")
+    beta = np.abs(np.imag(qv))
+    if np.count_nonzero(beta > LOG_MAX):
+        raise OverflowError(f"|Im q| reaches {np.max(beta):.4g}, above {LOG_MAX:g}")
+
+
+def _terms(qv, phi, theta):
+    """c e^{ix}, s e^{-ix}, s e^{ix} and c e^{-ix}, the terms of the phase
+    map's num and den (_mobius), on arrays or scalars."""
+    half = theta / 2.0
+    c, s = np.cos(half), 1j * np.sin(half)
+    up, down = np.exp(0.5j * (qv + phi)), np.exp(-0.5j * (qv + phi))
+    return c * up, s * down, s * up, c * down
 
 
 def _mobius(qv, phi, theta, psi):
@@ -71,30 +119,34 @@ def _mobius(qv, phi, theta, psi):
     smaller of each over the size of its two terms.  An exact zero is nudged
     to 1e-300 before dividing (the other factor is then >= sqrt 2).  Each
     product inside num and den has a real or an imaginary factor, so they
-    round the same alone and in an array.
-
-    The inputs are refused first, before numpy can warn: SingularInput
-    where one is not finite, else OverflowError where |Im q| > LOG_MAX.
-    e^{iq} passes e^LOG_MAX there, as a value of fourier_basis at j = 1
-    would (Psi's values at j >= 2 are refused before), and further out the
-    products leave the float range (base from |Im q| = 709).
+    round the same alone and in an array.  The inputs are refused first,
+    before numpy can warn (_refuse_inputs).
     """
-    inputs = (qv, phi, theta, psi)
-    if not all(np.isfinite(x).all() if isinstance(x, np.ndarray) else cmath.isfinite(x) for x in inputs):
-        names = ("q", "phi", "theta", "psi")
-        bad = [f"{n}={x}" if np.ndim(x) == 0 else n for n, x in zip(names, inputs) if not np.isfinite(x).all()]
-        raise SingularInput(f"non-finite input: {', '.join(bad)}")
-    beyond = abs(qv.imag) > LOG_MAX
-    if beyond.any() if isinstance(beyond, np.ndarray) else beyond:
-        raise OverflowError(f"|Im q| reaches {np.max(np.abs(np.imag(qv))):.4g}, above {LOG_MAX:g}")
-    half = theta / 2.0
-    c, s = np.cos(half), 1j * np.sin(half)
-    up, down = np.exp(0.5j * (qv + phi)), np.exp(-0.5j * (qv + phi))
-    cu, sd, su, cd = c * up, s * down, s * up, c * down
+    _refuse_inputs(qv, phi, theta, psi)
+    cu, sd, su, cd = _terms(qv, phi, theta)
     num, den = cu + sd, su + cd
     gap = np.minimum(abs(num) / (abs(cu) + abs(sd)), abs(den) / (abs(su) + abs(cd)))
     num, den = num + (num == 0) * 1e-300, den + (den == 0) * 1e-300
     return _times(num, den), _times(np.exp(1j * psi), num) / den, gap
+
+
+def _phase_point(qv: complex, phi: float, theta: float, psi: float):
+    """mobius_phase's (base, w): _mobius's arithmetic in its order on
+    scalars, and phase_map's refusals in its order, each checked on the
+    scalars first.  The pole is refused before base and w are formed; a
+    num and den that pass it are nonzero, and adding 0.0 rounds them as
+    _mobius's nudge does (a -0.0 part turns +0.0)."""
+    if not (
+        cmath.isfinite(qv) and cmath.isfinite(phi) and cmath.isfinite(theta) and cmath.isfinite(psi)
+        and abs(qv.imag) <= LOG_MAX
+    ):
+        _refuse_inputs(qv, phi, theta, psi)
+    cu, sd, su, cd = _terms(qv, phi, theta)
+    num, den = cu + sd, su + cd
+    if abs(num) / (abs(cu) + abs(sd)) < 1e-13 or abs(den) / (abs(su) + abs(cd)) < 1e-13:
+        raise PoleError(f"phase map pole at q={qv}, g={(phi, theta, psi)}")
+    num, den = num + 0.0, den + 0.0
+    return _times_point(num, den), _times_point(np.exp(1j * psi), num) / den
 
 
 def phase_map(qv, phi, theta, psi) -> tuple[np.ndarray, np.ndarray]:
@@ -113,11 +165,12 @@ def phase_map(qv, phi, theta, psi) -> tuple[np.ndarray, np.ndarray]:
 def mobius_phase(q: ComplexQ, g: EulerAngles) -> tuple[complex, complex]:
     """Prefactor base (its j-th power multiplies the state) and w = e^{iu} of
     the closed-form wavefunction.  SingularInput at a non-finite input,
-    OverflowError where |Im q| > LOG_MAX (_mobius); PoleError where
+    OverflowError where |Im q| > LOG_MAX (_refuse_inputs); PoleError where
     u is singular: w = 0 or infinity, its num or den cancelled to below
-    1e-13 of its terms.
+    1e-13 of its terms.  Takes the scalar path (_phase_point), equal to
+    phase_map at the point bit for bit.
     """
-    base, w = phase_map(q.value, g.phi, g.theta, g.psi)
+    base, w = _phase_point(q.value, g.phi, g.theta, g.psi)
     return complex(base), complex(w)
 
 
@@ -142,7 +195,7 @@ def psi_grid(
     psi_from_phase at the phase of _mobius: each value equals psi_eval at
     its point bit for bit wherever psi_eval returns, and where psi_eval
     refuses a pole, exact pole nodes are nudged instead.  Refuses the
-    inputs psi_eval refuses (_mobius), and OverflowError where a term
+    inputs psi_eval refuses (_refuse_inputs), and OverflowError where a term
     passes e^LOG_MAX (lambda_rep.fourier_basis).
     """
     coeffs = state.coeffs if isinstance(state, FourierState) else state
@@ -153,8 +206,12 @@ def psi_grid(
 def psi_eval(
     q: ComplexQ, j: int, s: int, p: TopParams, g: EulerAngles
 ) -> complex:
-    """Psi_{q,j,s}(g): psi_from_phase of phi_state at mobius_phase."""
-    return complex(psi_from_phase(phi_state(j, s, p).coeffs, *mobius_phase(q, g)))
+    """Psi_{q,j,s}(g): psi_from_phase of phi_state at mobius_phase, on
+    scalars (_phase_point, then lambda_rep.fourier_point), equal to it bit
+    for bit."""
+    coeffs = phi_state(j, s, p).coeffs
+    base, w = _phase_point(q.value, g.phi, g.theta, g.psi)
+    return complex(fourier_point(-1j * np.log(w), coeffs, j * np.log(base)))
 
 
 # --- kernel ------------------------------------------------------------
@@ -275,7 +332,7 @@ def psi_via_kernel_values(qv, coeffs, phi, theta, psi) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs)
     j = (coeffs.shape[-1] - 1) // 2
-    f, n = _kernel_scale(j), 1j * np.arange(-j, j + 1)
+    f, n = _kernel_scale(j), fourier_exponents(j)
     right = np.exp(np.multiply.outer(psi, n)) / f
     left = f * np.exp(np.multiply.outer(phi, n))
     return state_values(qv, left * wigner_d_apply(j, theta, right * coeffs))
@@ -284,8 +341,14 @@ def psi_via_kernel_values(qv, coeffs, phi, theta, psi) -> np.ndarray:
 def psi_via_kernel(
     q: ComplexQ, j: int, s: int, p: TopParams, g: EulerAngles
 ) -> complex:
-    """Psi through the kernel action on Phi; must equal psi_eval."""
-    return complex(psi_via_kernel_values(q.value, phi_state(j, s, p).coeffs, g.phi, g.theta, g.psi))
+    """Psi through the kernel action on Phi; must equal psi_eval.
+    psi_via_kernel_values at one point, on one row (wigner_d_apply of a
+    vector, then lambda_rep.state_value), equal to it bit for bit."""
+    coeffs = phi_state(j, s, p).coeffs
+    f, n = _kernel_scale(j), fourier_exponents(j)
+    right = np.exp(g.psi * n) / f
+    left = f * np.exp(g.phi * n)
+    return complex(state_value(q.value, left * wigner_d_apply(j, g.theta, right * coeffs)))
 
 
 # --- Wigner-basis eigenvectors ------------------------------------------

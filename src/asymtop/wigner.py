@@ -23,6 +23,7 @@ import numpy as np
 
 from .caching import memoize
 from .errors import DomainError
+from .lambda_rep import fourier_exponents
 from .so3 import EulerAngles, HaarRule, haar_rule
 
 
@@ -140,16 +141,23 @@ def wigner_d_apply(j: int, theta, x) -> np.ndarray:
     y_o = ((x_o O) cos - (x_e E) sin) O^T.  theta and the leading axes of
     x broadcast; each vector is its own one-row matrix product, so it
     rounds as a one-vector call does (a stack of vectors in one matrix
-    product rounds differently).
+    product rounds differently).  One vector at one angle takes the same
+    products on 1-D rows (np.dot), without the broadcasting.
     """
     lam, even, odd = _jx_blocks(j)
-    t = np.asarray(theta, dtype=float)[..., None, None] * lam
-    cos, sin = np.cos(t), np.sin(t)
     x = np.asarray(x)
-    a, b = x[..., None, 0::2] @ even, x[..., None, 1::2] @ odd
-    y_e, y_o = (a * cos + b * sin) @ even.T, (b * cos - a * sin) @ odd.T
-    out = np.empty(y_e.shape[:-2] + (2 * j + 1,), dtype=complex)
-    out[..., 0::2], out[..., 1::2] = y_e[..., 0, :], y_o[..., 0, :]
+    if x.ndim == 1 and np.ndim(theta) == 0:
+        t, product = theta * lam, np.dot
+    else:
+        t, x, product = np.asarray(theta, dtype=float)[..., None, None] * lam, x[..., None, :], np.matmul
+    # complex once, the values each complex product would cast them to
+    cos, sin = np.cos(t).astype(complex), np.sin(t).astype(complex)
+    a, b = product(x[..., 0::2], even), product(x[..., 1::2], odd)
+    y_e, y_o = product(a * cos + b * sin, even.T), product(b * cos - a * sin, odd.T)
+    if product is np.matmul:
+        y_e, y_o = y_e[..., 0, :], y_o[..., 0, :]
+    out = np.empty(y_e.shape[:-1] + (2 * j + 1,), dtype=complex)
+    out[..., 0::2], out[..., 1::2] = y_e, y_o
     return out
 
 
@@ -160,7 +168,7 @@ def wigner_D_matrix(j: int, g: EulerAngles) -> np.ndarray:
     one matrix per rotation, with shape angles.shape + (2j+1, 2j+1), each
     equal to its one-rotation call.
     """
-    n = 1j * np.arange(-j, j + 1)
+    n = fourier_exponents(j)
     left, right = np.exp(np.multiply.outer(g.phi, n)), np.exp(np.multiply.outer(g.psi, n))
     return left[..., :, None] * wigner_d_matrix(j, g.theta) * right[..., None, :]
 

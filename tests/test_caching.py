@@ -18,6 +18,7 @@ MODULES = [importlib.import_module(f"asymtop.{m.name}") for m in pkgutil.iter_mo
 # every memoized builder with the arguments of one small table
 CALLS = [
     ("asymtop.lambda_rep.weight_vector", (4,)),
+    ("asymtop.lambda_rep.fourier_exponents", (4,)),
     ("asymtop.lambda_rep._q_rule", (2, 9.0)),
     ("asymtop.lambda_rep.q_grid", (2, 9.0)),
     ("asymtop.so3.haar_rule", (3,)),

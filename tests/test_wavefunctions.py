@@ -159,6 +159,87 @@ def test_array_entry_points_are_their_one_point_calls(p321, rng):
             assert np.asarray(together).tobytes() == np.array(alone).astype(np.asarray(together).dtype).tobytes(), (name, j)
 
 
+@st.composite
+def one_point_cases(draw):
+    """(j, s, q, qp, g) with j <= 60, theta anywhere in [0, pi] or within
+    1e-6 of 0 or of pi, and q in one of three places: |Im q| <= 3; at the
+    edge j |Im q| = LOG_MAX, give or take 4 ulps; or within 1e-12 of a pole
+    of the phase map, where tan((q+phi)/2) = -+i e^{i theta}."""
+    j = draw(st.integers(0, 60))
+    s = draw(st.integers(-j, j))
+    angle, near = st.floats(0.0, 2.0 * math.pi), st.floats(-1e-6, 1e-6)
+    theta = draw(st.one_of(st.floats(0.0, math.pi), near, near.map(lambda d: math.pi + d)))
+    alpha, phi, psi = draw(angle), draw(angle), draw(angle)
+    place = draw(st.sampled_from(("strip", "edge", "pole")))
+    if place == "strip":
+        beta = draw(st.floats(-3.0, 3.0))
+    elif place == "edge":
+        sign, ulps = draw(st.sampled_from([-1.0, 1.0])), draw(st.integers(-4, 4))
+        beta = sign * lambda_rep.LOG_MAX / max(j, 1) * (1.0 + ulps * 2.0**-52)
+    else:
+        try:
+            x = cmath.atan(draw(st.sampled_from([1j, -1j])) * cmath.exp(1j * theta))
+        except ValueError:  # tan x = +-i: the point is at infinity
+            reject()
+        offset = st.floats(-1e-12, 1e-12)
+        beta, phi = 2.0 * x.imag + draw(offset), 2.0 * x.real - alpha + draw(offset)
+    qp = ComplexQ(draw(angle), draw(st.floats(-3.0, 3.0)))
+    return j, s, ComplexQ(alpha, beta), qp, EulerAngles(phi, theta, psi)
+
+
+def _outcome(evaluate, *args):
+    """The bytes of evaluate(*args) as a complex array, or the type and
+    message of what it raises."""
+    try:
+        return np.asarray(evaluate(*args), dtype=complex).tobytes()
+    except Exception as exc:  # a RuntimeWarning too, where warnings are errors
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(one_point_cases())
+def test_one_point_calls_are_their_array_forms_on_drawn_points(case):
+    # test_array_entry_points_are_their_one_point_calls at the edges: each
+    # one-point call returns the bytes of its array form on one-point arrays,
+    # or both raise the same type; the message is the array form's at the
+    # point given as scalars (the arrays print themselves in a PoleError)
+    j, s, q, qp, g = case
+    p = TopParams(3.0, 2.0, 1.0)
+    coeffs = phi_state(j, s, p).coeffs
+
+    def mobius(qv, phi, theta, psi):
+        return np.stack(phase_map(qv, phi, theta, psi), axis=-1)
+
+    def psi(qv, phi, theta, psi):
+        return psi_from_phase(coeffs, *phase_map(qv, phi, theta, psi))
+
+    def via_kernel(qv, phi, theta, psi):
+        return psi_via_kernel_values(qv, coeffs, phi, theta, psi)
+
+    def factored(qv, phi, theta, psi):
+        return kernel_factored_from_phase(qp.value, j, *phase_map(qv, phi, theta, psi))
+
+    def values(qv, *angles):
+        return state_values(qv, coeffs)
+
+    cases = {
+        "mobius_phase": (mobius, lambda: mobius_phase(q, g)),
+        "psi_eval": (psi, lambda: psi_eval(q, j, s, p, g)),
+        "psi_via_kernel": (via_kernel, lambda: psi_via_kernel(q, j, s, p, g)),
+        "kernel_factored": (factored, lambda: kernel_factored(q, qp, j, g)),
+        "evaluate_state": (values, lambda: evaluate_state(FourierState(j, coeffs), q)),
+    }
+    point = (q.value, *g.as_tuple())
+    for name, (array_form, one_point) in cases.items():
+        alone = _outcome(one_point)
+        together = _outcome(array_form, *(np.array([x]) for x in point))
+        if isinstance(alone, bytes) and isinstance(together, bytes):
+            assert together == alone, name
+        else:
+            assert type(together) is tuple and together[0] is alone[0], (name, together, alone)
+            assert _outcome(array_form, *point) == alone, name
+
+
 def test_j1_closed_forms(p321, rng):
     # s = -1, 0, +1 match the three closed forms with E = B+C, A+C, A+B
     for _ in range(20):
